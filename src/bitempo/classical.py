@@ -31,7 +31,6 @@ from .core import (
     DomainError,
     EvaluationError,
     Grid2T,
-    SmallMatrix,
     Tolerances,
     TruncationError,
     determinant,
@@ -41,7 +40,6 @@ from .core import (
 __all__ = [
     "ForceTensorField",
     "GaugeConnection",
-    "VelocityPair",
     "OrbitRelation",
     "CharacteristicField",
     "Verdict",
@@ -142,21 +140,6 @@ class GaugeConnection:
         if not np.all(np.isfinite(a)):
             raise EvaluationError(f"gauge connection non-finite at {x}")
         return a
-
-
-@dataclass(frozen=True)
-class VelocityPair:
-    """Momenta p^i_j arranged as a (d, 2) array."""
-
-    p: np.ndarray
-
-    def __init__(self, p):
-        arr = np.atleast_2d(np.asarray(p, dtype=float))
-        if arr.shape[1] != 2:
-            raise DomainError(f"velocity pair must have shape (d, 2), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("velocity pair must be finite")
-        object.__setattr__(self, "p", arr)
 
 
 @dataclass(frozen=True)
@@ -313,10 +296,7 @@ def orbit_relation_1d(F: ForceTensorField, A: GaugeConnection | None, x: float,
         raise DegeneratePointError(f"{which} vanishes at x={x}; orbit function undefined")
     phi = fp[0, 0] * fp[0, 1] / denom
 
-    if isinstance(p, VelocityPair):
-        p1, p2 = p.p[0]
-    else:
-        p1, p2 = np.asarray(p, dtype=float).reshape(2)
+    p1, p2 = np.asarray(p, dtype=float).reshape(2)
     a1, a2 = (0.0, 0.0) if A is None else A.values_at(x)
     pscale = max(1.0, abs(p1 - a1), abs(p2 - a2))
     if abs(p2 - a2) <= tol.abs_tol * pscale:
@@ -375,14 +355,15 @@ class _RankOneSolution:
                 continue
             n = max(1, int(math.ceil(abs(target) / step)))
             h = target / n
-            s, x, v = 0.0, self.x0, self.v0
+            x, v = self.x0, self.v0
             seg_s, seg_x, seg_v = [], [], []
-            for _ in range(n):
+            for k in range(1, n + 1):
                 x, v = self._rk4(x, v, h)
-                s += h
+                # knots from the index, not a running sum, so the last one is target
+                s = target * k / n
                 if not (math.isfinite(x) and abs(x) <= blowup):
-                    raise TruncationError(
-                        f"trajectory exceeded |x| <= {blowup:g} near s={s:.6g}", last_valid=s - h)
+                    raise TruncationError(f"trajectory exceeded |x| <= {blowup:g} near s={s:.6g}",
+                                          last_valid=target * (k - 1) / n)
                 seg_s.append(s)
                 seg_x.append(x)
                 seg_v.append(v)
@@ -497,25 +478,15 @@ def integrate_rank_one_1d(g, c, x0: float, v0: float, grid: Grid2T,
 # two and three space dimensions
 # ---------------------------------------------------------------------------
 
-def _row_order(d: int):
-    if d == 2:
-        return [(i, k) for i in range(2) for k in range(2)]
-    return [(i, k) for k in range(2) for i in range(3)]
-
-
 def _constraint_matrix_from_tensor(T: np.ndarray, d: int) -> np.ndarray:
-    rows = []
-    for (i, k) in _row_order(d):
-        row = []
-        for m in range(d):
-            row.append(T[i, 1, k, m])
-            row.append(-T[i, 0, k, m])
-        rows.append(row)
-    return np.asarray(rows)
+    M = np.stack([T[:, 1], -T[:, 0]], axis=-1)  # [i, k, m, j]
+    if d == 3:
+        M = M.transpose(1, 0, 2, 3)
+    return M.reshape(2 * d, 2 * d)
 
 
 def build_constraint_matrix(F: ForceTensorField, x,
-                            tol: Tolerances = Tolerances()) -> SmallMatrix:
+                            tol: Tolerances = Tolerances()) -> np.ndarray:
     """The homogeneous velocity system: 4x4 for d=2, 6x6 for d=3.
 
     Row r, for d=2, pairs (space index i, time index k) with i outermost;
@@ -524,8 +495,7 @@ def build_constraint_matrix(F: ForceTensorField, x,
     """
     if F.d == 1:
         raise DomainError("dimension 1 is handled by the *_1d operations")
-    T = F.derivative_tensor(x, tol)
-    return SmallMatrix.from_array(_constraint_matrix_from_tensor(T, F.d))
+    return _constraint_matrix_from_tensor(F.derivative_tensor(x, tol), F.d)
 
 
 def admissibility_determinant(F: ForceTensorField, x,
@@ -569,21 +539,11 @@ def _chain_field(M: np.ndarray, use_printed_column: bool) -> np.ndarray:
     column 6 instead makes each stage a genuine elimination step, and that
     corrected variant is what the null-space oracle confirms.
     """
-    c = M
     P = 0 if use_printed_column else 5
-    A1 = np.empty((5, 5))
-    for m in range(5):
-        for n in range(5):
-            A1[m, n] = c[m, n] * c[5, P] - c[m, P] * c[5, n]
-    A2 = np.empty((4, 4))
-    for m in range(4):
-        for n in range(4):
-            A2[m, n] = A1[m, n] * A1[4, 4] - A1[m, 4] * A1[4, n]
-    A3 = np.empty((3, 3))
-    for m in range(3):
-        for n in range(3):
-            A3[m, n] = A2[m, n] * A2[3, 3] - A2[m, 3] * A2[3, n]
-    return np.array([A3[1, j] * A3[2, 2] - A3[1, 2] * A3[2, j] for j in range(2)])
+    A1 = M[:5, :5] * M[5, P] - np.outer(M[:5, P], M[5, :5])
+    A2 = A1[:4, :4] * A1[4, 4] - np.outer(A1[:4, 4], A1[4, :4])
+    A3 = A2[:3, :3] * A2[3, 3] - np.outer(A2[:3, 3], A2[3, :3])
+    return A3[1, :2] * A3[2, 2] - A3[1, 2] * A3[2, :2]
 
 
 def _appendix_fields_3d(T: np.ndarray, variant: str = "corrected"):
@@ -643,20 +603,20 @@ def _cross_validate(appendix, kernel, d: int):
     return worst
 
 
-def _field_report(F: ForceTensorField, x, tol: Tolerances, variant: str) -> ParallelFieldReport:
-    T = F.derivative_tensor(x, tol)
-    M = _constraint_matrix_from_tensor(T, F.d)
-    kernel = null_space(M, tol)
-    if F.d == 2:
+def _field_report(T: np.ndarray, tol: Tolerances, variant: str) -> ParallelFieldReport:
+    """Field report from the derivative tensor T of a d = 2 or 3 force."""
+    d = T.shape[0]
+    kernel = null_space(_constraint_matrix_from_tensor(T, d), tol)
+    if d == 2:
         appendix = _appendix_fields_2d(T)
     else:
         appendix = _appendix_fields_3d(T, variant)
-    dirs = _kernel_directions(kernel, F.d, tol)
-    residual = _cross_validate(appendix, kernel, F.d)
+    dirs = _kernel_directions(kernel, d, tol)
+    residual = _cross_validate(appendix, kernel, d)
     discrepancy = None
     if residual is not None and not (residual < CROSS_VALIDATION_TOL):
         parts = []
-        for i in range(F.d):
+        for i in range(d):
             status, vec = dirs[i]
             oracle_txt = np.array2string(vec, precision=6) if vec is not None else status
             parts.append(f"coordinate {i + 1}: printed={np.array2string(appendix[i], precision=6)} "
@@ -664,7 +624,7 @@ def _field_report(F: ForceTensorField, x, tol: Tolerances, variant: str) -> Para
         discrepancy = (f"printed determinant fields fail kernel cross-validation "
                        f"(residual {residual:.3e}); " + "; ".join(parts))
     return ParallelFieldReport(
-        d=F.d,
+        d=d,
         appendix=tuple(np.asarray(a, dtype=float) for a in appendix),
         oracle=tuple(vec for _, vec in dirs),
         oracle_status=tuple(status for status, _ in dirs),
@@ -680,7 +640,7 @@ def parallel_fields_2d(F: ForceTensorField, x,
     against the kernel of the velocity system."""
     if F.d != 2:
         raise DomainError(f"parallel_fields_2d needs d=2, got d={F.d}")
-    return _field_report(F, x, tol, "corrected")
+    return _field_report(F.derivative_tensor(x, tol), tol, "corrected")
 
 
 def parallel_fields_3d(F: ForceTensorField, x, tol: Tolerances = Tolerances(),
@@ -693,7 +653,7 @@ def parallel_fields_3d(F: ForceTensorField, x, tol: Tolerances = Tolerances(),
     """
     if F.d != 3:
         raise DomainError(f"parallel_fields_3d needs d=3, got d={F.d}")
-    return _field_report(F, x, tol, variant)
+    return _field_report(F.derivative_tensor(x, tol), tol, variant)
 
 
 def curl_residual(field_on_surface, grid: Grid2T) -> float:
@@ -756,9 +716,9 @@ def classify(F: ForceTensorField, x, trajectory: TrajectorySurface | None = None
             verdict = Verdict.DEGENERATE
         return ConstraintReport(det_val, kdim, fields, curls, 0.0, verdict)
 
-    pf = _field_report(F, x, tol, "corrected")
-    M = build_constraint_matrix(F, x, tol)
-    det_val = float(determinant(M))
+    T = F.derivative_tensor(x, tol)
+    pf = _field_report(T, tol, "corrected")
+    det_val = float(determinant(_constraint_matrix_from_tensor(T, F.d)))
     if pf.kernel_dim == 0:
         fields = CharacteristicField(vectors=tuple(np.zeros(2) for _ in range(F.d)),
                                      degenerate=tuple(True for _ in range(F.d)))
@@ -799,7 +759,7 @@ def fields_map_1d(F: ForceTensorField, tol: Tolerances):
 
 def fields_map_nd(F: ForceTensorField, tol: Tolerances):
     def at(position):
-        report = _field_report(F, position, tol, "corrected")
+        report = _field_report(F.derivative_tensor(position, tol), tol, "corrected")
         return tuple(v if v is not None else np.zeros(2) for v in report.oracle)
     return at
 

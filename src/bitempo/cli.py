@@ -89,32 +89,38 @@ def _get(cfg, section: str, key: str, cast=str, default=_REQUIRED):
         raise DomainError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from exc
 
 
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
 def _floats(raw: str) -> list:
-    parts = raw.replace(",", " ").split()
-    return [float(p) for p in parts]
+    return [_float(p) for p in raw.replace(",", " ").split()]
 
 
 def _tolerances(cfg) -> Tolerances:
     return Tolerances(
-        fd_step=_get(cfg, "tolerances", "fd_step", float, 1e-5),
-        abs_tol=_get(cfg, "tolerances", "abs_tol", float, 1e-10),
-        rel_tol=_get(cfg, "tolerances", "rel_tol", float, 1e-9),
+        fd_step=_get(cfg, "tolerances", "fd_step", _float, 1e-5),
+        abs_tol=_get(cfg, "tolerances", "abs_tol", _float, 1e-10),
+        rel_tol=_get(cfg, "tolerances", "rel_tol", _float, 1e-9),
     )
 
 
 def _grid(cfg, need_space: bool = False) -> Grid2T:
     kwargs = dict(
-        t1_min=_get(cfg, "grid", "t1_min", float),
-        t1_max=_get(cfg, "grid", "t1_max", float),
-        t2_min=_get(cfg, "grid", "t2_min", float),
-        t2_max=_get(cfg, "grid", "t2_max", float),
+        t1_min=_get(cfg, "grid", "t1_min", _float),
+        t1_max=_get(cfg, "grid", "t1_max", _float),
+        t2_min=_get(cfg, "grid", "t2_min", _float),
+        t2_max=_get(cfg, "grid", "t2_max", _float),
         n1=_get(cfg, "grid", "n1", int),
         n2=_get(cfg, "grid", "n2", int),
     )
     if need_space or cfg.has_option("grid", "nx"):
         kwargs.update(
-            x_min=_get(cfg, "grid", "x_min", float),
-            x_max=_get(cfg, "grid", "x_max", float),
+            x_min=_get(cfg, "grid", "x_min", _float),
+            x_max=_get(cfg, "grid", "x_max", _float),
             nx=_get(cfg, "grid", "nx", int),
         )
     return Grid2T(**kwargs)
@@ -129,33 +135,37 @@ def _force(cfg) -> classical.ForceTensorField:
     if family == "zero":
         return classical.zero_force(d)
     if family == "rank_one":
-        c = _floats(_get(cfg, "force", "c"))
+        c = _get(cfg, "force", "c", _floats)
         if len(c) != 2:
             raise DomainError(f"[force] c needs 2 entries, got {len(c)}")
         if d == 1:
-            coeffs = np.asarray(_floats(_get(cfg, "force", "g_poly")))
+            coeffs = np.asarray(_get(cfg, "force", "g_poly", _floats))
             return classical.rank_one_force(c, lambda x: np.polyval(coeffs, x), d=1)
-        g_const = np.asarray(_floats(_get(cfg, "force", "g_const")))
-        g_linear = np.asarray(_floats(_get(cfg, "force", "g_linear"))).reshape(d, d)
+        g_const = np.asarray(_get(cfg, "force", "g_const", _floats))
+        g_linear = np.asarray(_get(cfg, "force", "g_linear", _floats))
         if g_const.size != d:
             raise DomainError(f"[force] g_const needs {d} entries")
+        if g_linear.size != d * d:
+            raise DomainError(f"[force] g_linear needs {d * d} entries, got {g_linear.size}")
+        g_linear = g_linear.reshape(d, d)
         return classical.rank_one_force(c, lambda p: g_const + g_linear @ p, d=d)
     if family == "polynomial":
         if d != 1:
             raise DomainError("polynomial forces are d=1; use affine for d >= 2")
         coeffs = {}
         for key in ("11", "12", "21", "22"):
-            raw = _get(cfg, "force", f"f{key}_poly", str, None)
-            if raw is not None:
-                coeffs[key] = _floats(raw)
+            poly = _get(cfg, "force", f"f{key}_poly", _floats, None)
+            if poly is not None:
+                coeffs[key] = poly
         if not coeffs:
             raise DomainError("polynomial force needs at least one fjk_poly key")
         return classical.polynomial_force_1d(coeffs)
-    linear = np.asarray(_floats(_get(cfg, "force", "linear")))
+    linear = np.asarray(_get(cfg, "force", "linear", _floats))
     if linear.size != d * 2 * 2 * d:
         raise DomainError(f"[force] linear needs {d * 4 * d} entries, got {linear.size}")
-    const_raw = _get(cfg, "force", "const", str, None)
-    const = None if const_raw is None else np.asarray(_floats(const_raw)).reshape(d, 2, 2)
+    const = _get(cfg, "force", "const", _floats, None)
+    if const is not None and len(const) != d * 2 * 2:
+        raise DomainError(f"[force] const needs {d * 4} entries, got {len(const)}")
     return classical.affine_force(d, linear.reshape(d, 2, 2, d), const)
 
 
@@ -192,6 +202,12 @@ def _write_table(path: str, columns: list, rows, fmt: str):
         _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _grid_rows(axes, *fields) -> np.ndarray:
+    """One row per grid point: the axis values, then each field's sample."""
+    coords = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([np.ravel(a) for a in (*coords, *fields)])
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -221,7 +237,7 @@ def _echo_config(cfg) -> dict:
 def _run_classical_check(cfg):
     tol = _tolerances(cfg)
     force = _force(cfg)
-    x = _floats(_get(cfg, "point", "x"))
+    x = _get(cfg, "point", "x", _floats)
     if len(x) != force.d:
         raise DomainError(f"[point] x needs {force.d} coordinates, got {len(x)}")
     point = x[0] if force.d == 1 else np.asarray(x)
@@ -249,11 +265,11 @@ def _run_classical_integrate(cfg):
     d = _get(cfg, "force", "dimension", int)
     if family != "rank_one" or d != 1:
         raise DomainError("classical-integrate needs a rank_one force with dimension 1")
-    c = _floats(_get(cfg, "force", "c"))
-    coeffs = np.asarray(_floats(_get(cfg, "force", "g_poly")))
+    c = _get(cfg, "force", "c", _floats)
+    coeffs = np.asarray(_get(cfg, "force", "g_poly", _floats))
     g = lambda x: np.polyval(coeffs, x)
-    x0 = _get(cfg, "initial", "x0", float)
-    v0 = _get(cfg, "initial", "v0", float)
+    x0 = _get(cfg, "initial", "x0", _float)
+    v0 = _get(cfg, "initial", "v0", _float)
     grid = _grid(cfg)
     surface = classical.integrate_rank_one_1d(g, c, x0, v0, grid, tol=tol)
     force = classical.rank_one_force(c, g, d=1)
@@ -303,21 +319,25 @@ def _run_classical_integrate(cfg):
 
 
 def _run_quantum_fluct(cfg):
-    e1 = _floats(_get(cfg, "system", "e1"))
-    e2 = _floats(_get(cfg, "system", "e2"))
+    e1 = _get(cfg, "system", "e1", _floats)
+    e2 = _get(cfg, "system", "e2", _floats)
     n = len(e1)
-    x0 = np.asarray(_floats(_get(cfg, "system", "x0_real")), dtype=complex)
+    x0 = np.asarray(_get(cfg, "system", "x0_real", _floats), dtype=complex)
     if x0.size != n * n:
         raise DomainError(f"[system] x0_real needs {n * n} entries, got {x0.size}")
     x0 = x0.reshape(n, n)
-    imag_raw = _get(cfg, "system", "x0_imag", str, None)
-    if imag_raw is not None:
-        x0 = x0 + 1j * np.asarray(_floats(imag_raw)).reshape(n, n)
-    psi = np.asarray(_floats(_get(cfg, "system", "psi_real")), dtype=complex)
-    psi_imag_raw = _get(cfg, "system", "psi_imag", str, None)
-    if psi_imag_raw is not None:
-        psi = psi + 1j * np.asarray(_floats(psi_imag_raw))
-    hbar = _get(cfg, "system", "hbar", float, 1.0)
+    x0_imag = _get(cfg, "system", "x0_imag", _floats, None)
+    if x0_imag is not None:
+        if len(x0_imag) != n * n:
+            raise DomainError(f"[system] x0_imag needs {n * n} entries, got {len(x0_imag)}")
+        x0 = x0 + 1j * np.reshape(x0_imag, (n, n))
+    psi = np.asarray(_get(cfg, "system", "psi_real", _floats), dtype=complex)
+    psi_imag = _get(cfg, "system", "psi_imag", _floats, None)
+    if psi_imag is not None:
+        if len(psi_imag) != psi.size:
+            raise DomainError(f"[system] psi_imag needs {psi.size} entries, got {len(psi_imag)}")
+        psi = psi + 1j * np.asarray(psi_imag)
+    hbar = _get(cfg, "system", "hbar", _float, 1.0)
     system = quantum.TwoTimeQuantumSystem(e1, e2, x0)
     state = quantum.StateVector.normalized(psi)
     grid = _grid(cfg)
@@ -336,11 +356,8 @@ def _run_quantum_fluct(cfg):
             vb = quantum.evolve_element(system, a, b, pt2, hbar)
             tau2_dep = max(tau2_dep, abs(va - vb))
 
-    rows = []
-    for i, t1 in enumerate(grid.t1_values):
-        for j, t2 in enumerate(grid.t2_values):
-            rows.append((t1, t2, trace.mean[i, j].real, trace.mean[i, j].imag,
-                         trace.second_moment[i, j], trace.variance[i, j]))
+    rows = _grid_rows((grid.t1_values, grid.t2_values), trace.mean.real, trace.mean.imag,
+                      trace.second_moment, trace.variance)
     payload = {
         "n_levels": n,
         "hbar": hbar,
@@ -356,12 +373,12 @@ def _run_quantum_fluct(cfg):
 
 def _run_uncertainty(cfg):
     budget = quantum.UncertaintyBudget(
-        dE1=_get(cfg, "budget", "de1", float),
-        dE2=_get(cfg, "budget", "de2", float),
-        ddE1=_get(cfg, "budget", "dde1", float),
-        ddE2=_get(cfg, "budget", "dde2", float),
-        t=TimePlanePoint(_get(cfg, "budget", "t1", float), _get(cfg, "budget", "t2", float)),
-        hbar=_get(cfg, "budget", "hbar", float, 1.0),
+        dE1=_get(cfg, "budget", "de1", _float),
+        dE2=_get(cfg, "budget", "de2", _float),
+        ddE1=_get(cfg, "budget", "dde1", _float),
+        ddE2=_get(cfg, "budget", "dde2", _float),
+        t=TimePlanePoint(_get(cfg, "budget", "t1", _float), _get(cfg, "budget", "t2", _float)),
+        hbar=_get(cfg, "budget", "hbar", _float, 1.0),
     )
     vis = quantum.uncertainty_visibility(budget)
     swept = abs(budget.dE1 * budget.t.t1 + budget.dE2 * budget.t.t2) / budget.hbar
@@ -435,26 +452,23 @@ def _run_continuity(cfg):
             payload["refinement_ratio_Q1"] = report.dQ1_residual / fine_report.dQ1_residual
         if fine_report.dQ2_residual > 0:
             payload["refinement_ratio_Q2"] = report.dQ2_residual / fine_report.dQ2_residual
-    rows = []
-    for i, t1 in enumerate(grid.t1_values):
-        rows.append((t1, report.Q1[i]))
+    rows = _grid_rows((grid.t1_values,), report.Q1)
     return payload, [("charge_q1", "charge_q1.csv", ["t1", "Q1"], rows)]
 
 
 def _run_dirac(cfg):
     tol = _tolerances(cfg)
-    k = _floats(_get(cfg, "wave", "k"))
+    k = _get(cfg, "wave", "k", _floats)
     if len(k) != 3:
         raise DomainError(f"[wave] k needs 3 components, got {len(k)}")
-    m = _get(cfg, "wave", "m", float)
+    m = _get(cfg, "wave", "m", _float)
     part = _get(cfg, "wave", "part", str, "imaginary")
     sol = dirac.solve_plane_wave(k, m, tol)
     for key, attr in (("rescale_plus", "plus"), ("rescale_minus", "minus")):
-        raw = _get(cfg, "wave", key, str, None)
-        if raw is not None:
-            re_im = _floats(raw)
+        re_im = _get(cfg, "wave", key, _floats, None)
+        if re_im is not None:
             if len(re_im) != 2:
-                raise DomainError(f"[wave] {key} needs 're im', got {raw!r}")
+                raise DomainError(f"[wave] {key} needs 're im', got {len(re_im)} entries")
             sol = sol.rescaled(**{attr: complex(re_im[0], re_im[1])})
     grid = _grid(cfg, need_space=True)
 
@@ -495,23 +509,18 @@ def _run_dirac(cfg):
         "hermiticity_defect_wave": dirac.hermiticity_defect([(k[1], k[2])], m),
         "hermiticity_defect_generic": dirac.hermiticity_defect(m=m),
     }
-    j1, j2, j3 = dirac.current_grid(sol, grid, part)
-    rows = []
-    xv = grid.x_values
-    for ix, x in enumerate(xv):
-        for i, t1 in enumerate(grid.t1_values):
-            for j, t2 in enumerate(grid.t2_values):
-                rows.append((x, t1, t2, j1[ix, i, j], j2[ix, i, j], j3[ix, i, j]))
+    rows = _grid_rows((grid.x_values, grid.t1_values, grid.t2_values),
+                      *dirac.current_grid(sol, grid, part))
     columns = ["x", "t1", "t2", "j1", "j2", "jx"]
     return payload, [("current", "current.csv", columns, rows)]
 
 
 def _run_mass_spectrum(cfg):
-    m = _get(cfg, "sweep", "m", float)
-    hbar = _get(cfg, "sweep", "hbar", float, 1.0)
-    c = _get(cfg, "sweep", "c", float, 1.0)
-    omega_min = _get(cfg, "sweep", "omega_min", float, 0.0)
-    omega_max = _get(cfg, "sweep", "omega_max", float)
+    m = _get(cfg, "sweep", "m", _float)
+    hbar = _get(cfg, "sweep", "hbar", _float, 1.0)
+    c = _get(cfg, "sweep", "c", _float, 1.0)
+    omega_min = _get(cfg, "sweep", "omega_min", _float, 0.0)
+    omega_max = _get(cfg, "sweep", "omega_max", _float)
     count = _get(cfg, "sweep", "count", int, 41)
     if count < 2:
         raise DomainError("[sweep] count must be at least 2")
@@ -620,19 +629,19 @@ def validate_config(config_path: str) -> list:
     if command in ("classical-check", "classical-integrate"):
         probe(lambda: _force(cfg))
         if command == "classical-check":
-            probe(lambda: _floats(_get(cfg, "point", "x")))
+            probe(lambda: _get(cfg, "point", "x", _floats))
         else:
-            probe(lambda: (_get(cfg, "initial", "x0", float),
-                           _get(cfg, "initial", "v0", float)))
+            probe(lambda: (_get(cfg, "initial", "x0", _float),
+                           _get(cfg, "initial", "v0", _float)))
             probe(lambda: _grid(cfg))
     elif command == "quantum-fluct":
         probe(lambda: _grid(cfg))
-        probe(lambda: (_floats(_get(cfg, "system", "e1")),
-                       _floats(_get(cfg, "system", "e2")),
-                       _floats(_get(cfg, "system", "x0_real")),
-                       _floats(_get(cfg, "system", "psi_real"))))
+        probe(lambda: (_get(cfg, "system", "e1", _floats),
+                       _get(cfg, "system", "e2", _floats),
+                       _get(cfg, "system", "x0_real", _floats),
+                       _get(cfg, "system", "psi_real", _floats)))
     elif command == "uncertainty":
-        probe(lambda: [_get(cfg, "budget", key, float) for key in
+        probe(lambda: [_get(cfg, "budget", key, _float) for key in
                        ("de1", "de2", "dde1", "dde2", "t1", "t2")])
     elif command == "continuity":
         probe(lambda: _grid(cfg, need_space=True))
@@ -643,10 +652,10 @@ def validate_config(config_path: str) -> list:
         probe(check_source)
     elif command == "dirac":
         probe(lambda: _grid(cfg, need_space=True))
-        probe(lambda: (_floats(_get(cfg, "wave", "k")), _get(cfg, "wave", "m", float)))
+        probe(lambda: (_get(cfg, "wave", "k", _floats), _get(cfg, "wave", "m", _float)))
     elif command == "mass-spectrum":
-        probe(lambda: (_get(cfg, "sweep", "m", float),
-                       _get(cfg, "sweep", "omega_max", float)))
+        probe(lambda: (_get(cfg, "sweep", "m", _float),
+                       _get(cfg, "sweep", "omega_max", _float)))
     probe(lambda: _tolerances(cfg))
     return diagnostics
 

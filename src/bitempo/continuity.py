@@ -81,7 +81,7 @@ class SeparabilityReport:
     residual: float
     r1: np.ndarray
     r2: np.ndarray
-    sweeps: int
+    sweeps: int  # always 1: the fit is one closed-form pass, not an iteration
     passed: bool
 
 
@@ -159,32 +159,23 @@ def _as_3d(rho) -> np.ndarray:
     return arr
 
 
-def separability_check(rho, tol: Tolerances = Tolerances(),
-                       max_sweeps: int = 100) -> SeparabilityReport:
+def separability_check(rho, tol: Tolerances = Tolerances()) -> SeparabilityReport:
     """Least-squares fit of rho(x, t1, t2) to r1(x, t1) + r2(x, t2).
 
-    Alternating projections onto the two subspaces converge to the global
-    least-squares fit; the relative Frobenius residual measures how far the
-    samples are from exact separability.  Accepts (n1, n2) arrays too, for
-    time-plane-only fields.
+    On a full grid the fit is the two-way mean decomposition: r1 is the mean
+    over t2, r2 the mean over t1 less the mean over both.  The relative
+    Frobenius residual measures how far the samples are from exact
+    separability.  Accepts (n1, n2) arrays too, for time-plane-only fields.
     """
     R = _as_3d(rho)
     scale = float(np.linalg.norm(R))
-    r1 = np.zeros(R.shape[:2])
-    r2 = np.zeros((R.shape[0], R.shape[2]))
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        r1_new = (R - r2[:, None, :]).mean(axis=2)
-        r2_new = (R - r1_new[:, :, None]).mean(axis=1)
-        delta = max(float(np.max(np.abs(r1_new - r1))), float(np.max(np.abs(r2_new - r2))))
-        r1, r2 = r1_new, r2_new
-        if delta <= 1e-15 * max(1.0, scale):
-            break
+    r1 = R.mean(axis=2)
+    r2 = R.mean(axis=1) - r1.mean(axis=1)[:, None]
     fit = r1[:, :, None] + r2[:, None, :]
     residual = float(np.linalg.norm(R - fit)) / max(scale, 1e-300)
     if np.asarray(rho).ndim == 2:
         r1, r2 = r1[0], r2[0]
-    return SeparabilityReport(residual=residual, r1=r1, r2=r2, sweeps=sweeps,
+    return SeparabilityReport(residual=residual, r1=r1, r2=r2, sweeps=1,
                               passed=residual < tol.rel_tol)
 
 
@@ -300,7 +291,7 @@ def manufactured_current(grid: Grid2T, with_source: bool = False,
     j2 = np.broadcast_to(j2, shape).copy()
     jx = np.broadcast_to(jx, shape).copy()
 
-    ix_integral = math.sqrt(math.pi) * math.erf(grid.x_max)  # symmetric range assumed
+    ix_integral = 0.5 * math.sqrt(math.pi) * (math.erf(grid.x_max) - math.erf(grid.x_min))
     it2_integral = 0.5 * length2
 
     if with_source:

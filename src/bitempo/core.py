@@ -9,7 +9,7 @@ pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "TimePlanePoint",
     "Grid2T",
     "Tolerances",
-    "SmallMatrix",
     "central_difference",
     "partial_difference",
     "determinant",
@@ -92,9 +91,6 @@ class TimePlanePoint:
     def __post_init__(self):
         if not (math.isfinite(self.t1) and math.isfinite(self.t2)):
             raise DomainError(f"time-plane point must be finite, got ({self.t1}, {self.t2})")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t1, self.t2])
 
 
 @dataclass(frozen=True)
@@ -195,39 +191,7 @@ class Tolerances:
         return self.fd_step * max(1.0, scale)
 
 
-@dataclass(frozen=True)
-class SmallMatrix:
-    """A dense matrix with at most 8 rows and columns, row-major entries."""
-
-    rows: int
-    cols: int
-    entries: tuple = field(repr=False)
-
-    def __init__(self, rows: int, cols: int, entries):
-        if not (1 <= rows <= MAX_DIM and 1 <= cols <= MAX_DIM):
-            raise DomainError(f"matrix dimensions must be in 1..{MAX_DIM}, got {rows}x{cols}")
-        flat = tuple(np.asarray(entries).ravel().tolist())
-        if len(flat) != rows * cols:
-            raise DomainError(f"expected {rows * cols} entries, got {len(flat)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", flat)
-
-    @classmethod
-    def from_array(cls, arr) -> "SmallMatrix":
-        a = np.asarray(arr)
-        if a.ndim != 2:
-            raise DomainError(f"expected a 2-d array, got shape {a.shape}")
-        return cls(a.shape[0], a.shape[1], a)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.entries).reshape(self.rows, self.cols)
-
-
 def _as_matrix(m) -> np.ndarray:
-    if isinstance(m, SmallMatrix):
-        return m.array
     a = np.asarray(m)
     if a.ndim != 2:
         raise DomainError(f"expected a matrix, got array of shape {a.shape}")
@@ -268,28 +232,11 @@ def partial_difference(f, x, axis: int, step: float) -> np.ndarray:
 
 
 def determinant(m):
-    """Determinant of a small square matrix by partially pivoted elimination.
-
-    Deterministic for a given input; supports real and complex entries.
-    """
+    """Determinant of a small square matrix; supports real and complex entries."""
     a = _as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DomainError(f"determinant needs a square matrix, got {a.shape}")
-    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=True)
-    n = a.shape[0]
-    det = a.dtype.type(1.0)
-    for col in range(n):
-        pivot = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[pivot, col] == 0:
-            return a.dtype.type(0.0)
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            det = -det
-        det *= a[col, col]
-        a[col + 1:, col:] -= np.outer(a[col + 1:, col] / a[col, col], a[col, col:])
-    if not np.iscomplexobj(np.asarray(m)):
-        det = det.real
-    return det
+    return np.linalg.det(a)
 
 
 def null_space(m, tol: Tolerances = Tolerances()) -> list[np.ndarray]:

@@ -106,9 +106,6 @@ class SpacingPair:
     n: int
     m: int
 
-    def swapped(self) -> "SpacingPair":
-        return SpacingPair(-self.d1, -self.d2, self.m, self.n)
-
 
 @dataclass(frozen=True)
 class ElementCharacteristic:
@@ -268,30 +265,30 @@ def variance_trace(sys: TwoTimeQuantumSystem, psi: StateVector, grid: Grid2T,
                    hbar: float = 1.0) -> FluctuationTrace:
     """First and second moments of the evolved observable over a grid.
 
-    The second moment comes from the matrix square of the evolved
-    observable, so degenerate element pairs contribute their constant terms
-    exactly.
+    The evolved observable is D X0 D^dagger with the level phases
+    D = diag(exp(i (E1 t1 + E2 t2) / hbar)), so X(t) psi comes from one
+    product with X0 for all grid points at once; the second moment is
+    |X(t) psi|^2, and degenerate element pairs contribute their constant
+    terms exactly.
     """
     if hbar <= 0:
         raise DomainError("hbar must be positive")
     v = psi.psi
     if v.size != sys.n_levels:
         raise DomainError(f"state has {v.size} amplitudes for {sys.n_levels} levels")
-    d1, d2 = sys.spacing_matrices()
-    mean = np.empty((grid.n1, grid.n2), dtype=complex)
-    second = np.empty((grid.n1, grid.n2), dtype=complex)
-    for i, t1 in enumerate(grid.t1_values):
-        for j, t2 in enumerate(grid.t2_values):
-            xt = sys.X0 * np.exp(1j * (d1 * t1 + d2 * t2) / hbar)
-            xv = xt @ v
-            mean[i, j] = np.vdot(v, xv)
-            second[i, j] = np.vdot(xv, xv)
-    variance = second.real - mean.real ** 2
+    phase = (np.multiply.outer(grid.t1_values, sys.E1)[:, None, :]
+             + np.multiply.outer(grid.t2_values, sys.E2)[None, :, :]) / hbar
+    # X(t) psi itself, not w^dagger X0 w with w = D^dagger psi: the moments then
+    # take the same products as the per-point form X(t) = X0 * exp(i dE t)
+    xv = np.exp(1j * phase) * ((np.exp(-1j * phase) * v) @ sys.X0.T)
+    mean = (v.conj() @ xv[..., None])[..., 0]
+    second = (xv.conj()[..., None, :] @ xv[..., :, None])[..., 0, 0].real
+    variance = second - mean.real ** 2
     if np.max(np.abs(mean.imag)) > 1e-10:
         raise DomainError("mean acquired an imaginary part; X0 is not Hermitian enough")
     if np.min(variance) < -1e-10:
         raise DomainError("variance went negative; X0 is not Hermitian enough")
-    return FluctuationTrace(grid=grid, mean=mean, second_moment=second.real, variance=variance)
+    return FluctuationTrace(grid=grid, mean=mean, second_moment=second, variance=variance)
 
 
 def uncertainty_visibility(budget: UncertaintyBudget, margin_low: float = 0.1) -> Visibility:

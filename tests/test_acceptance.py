@@ -124,7 +124,7 @@ def test_criterion_03_higher_dimensional_determinants():
             cvec = rng.uniform(0.5, 1.5, size=2)
             force = cl.rank_one_force(cvec, lambda p, L=lin: L @ p, d=d)
             x = rng.uniform(-1, 1, size=d)
-            m = cl.build_constraint_matrix(force, x).array
+            m = cl.build_constraint_matrix(force, x)
             smax = np.linalg.svd(m, compute_uv=False)[0]
             det = float(determinant(m))
             det_ok = det_ok and abs(det) < 1e-10 * max(smax, 1e-30) ** (2 * d)

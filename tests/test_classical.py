@@ -146,6 +146,16 @@ class TestRankOneIntegrator:
         T1, T2 = np.meshgrid(grid.t1_values, grid.t2_values, indexing="ij")
         np.testing.assert_allclose(surf.values, np.cos(T1 + 2 * T2), atol=1e-6)
 
+    def test_last_knot_lands_on_range_end(self):
+        # summing the step drifted the last knot below the largest s on the grid
+        w2, c, x0, v0 = 2.490084, (1.26, 0.767), 0.579, -0.502
+        grid = Grid2T(0, 5.669, 0, 5.669, 101, 101)
+        surf = cl.integrate_rank_one_1d(lambda x: -w2 * x, c, x0, v0, grid)
+        w = math.sqrt(w2)
+        s = surf.s_of(*np.meshgrid(grid.t1_values, grid.t2_values, indexing="ij"))
+        np.testing.assert_allclose(surf.values, x0 * np.cos(w * s) + v0 / w * np.sin(w * s),
+                                   atol=1e-6)
+
     def test_zero_force_constant_surface(self):
         grid = Grid2T(-1, 1, -1, 1, 5, 5)
         surf = cl.integrate_rank_one_1d(lambda x: 0.0, (1, 1), 0.7, 0.0, grid)
@@ -216,7 +226,7 @@ class TestRankOneIntegrator:
 class TestConstraintMatrix:
     def test_zero_force_zero_matrix(self):
         m = cl.build_constraint_matrix(cl.zero_force(2), (0.1, 0.2))
-        np.testing.assert_allclose(m.array, 0.0, atol=1e-12)
+        np.testing.assert_allclose(m, 0.0, atol=1e-12)
 
     def test_d1_rejected(self):
         with pytest.raises(DomainError):
@@ -230,7 +240,7 @@ class TestConstraintMatrix:
             const = rng.normal(size=d)
             force = cl.rank_one_force(c, lambda p, lin=lin, const=const: const + lin @ p, d=d)
             x = rng.uniform(-1, 1, size=d)
-            m = cl.build_constraint_matrix(force, x).array
+            m = cl.build_constraint_matrix(force, x)
             for _ in range(3):
                 u = rng.normal(size=d)
                 v = np.concatenate([[c[0] * ui, c[1] * ui] for ui in u])
@@ -242,11 +252,11 @@ class TestConstraintMatrix:
         d = 2
         rng = np.random.default_rng(10)
         lin = rng.normal(size=(d, 2, 2, d))
-        base = cl.build_constraint_matrix(cl.affine_force(d, lin, symmetrize=False), (0.3, 0.4)).array
+        base = cl.build_constraint_matrix(cl.affine_force(d, lin, symmetrize=False), (0.3, 0.4))
         i0, j0, k0, m0 = 1, 0, 1, 1  # F^2_{12,y}
         lin2 = lin.copy()
         lin2[i0, j0, k0, m0] += 0.5
-        bumped = cl.build_constraint_matrix(cl.affine_force(d, lin2, symmetrize=False), (0.3, 0.4)).array
+        bumped = cl.build_constraint_matrix(cl.affine_force(d, lin2, symmetrize=False), (0.3, 0.4))
         diff = np.abs(bumped - base) > 1e-9
         expected = np.zeros_like(diff)
         row = 2 * i0 + k0  # d=2 row order: space index outer, time index inner
@@ -266,7 +276,7 @@ class TestAdmissibilityDeterminant:
                 lin = rng.normal(size=(d, d))
                 force = cl.rank_one_force((1.0, -0.7), lambda p, lin=lin: lin @ p, d=d)
                 x = rng.uniform(-1, 1, size=d)
-                m = cl.build_constraint_matrix(force, x).array
+                m = cl.build_constraint_matrix(force, x)
                 smax = np.linalg.svd(m, compute_uv=False)[0]
                 det = cl.admissibility_determinant(force, x)
                 assert abs(det) < 1e-10 * max(smax, 1e-30) ** (2 * d)
@@ -277,7 +287,7 @@ class TestAdmissibilityDeterminant:
             lin = rng.normal(size=(d, 2, 2, d))
             force = cl.affine_force(d, lin)
             x = rng.uniform(-1, 1, size=d)
-            m = cl.build_constraint_matrix(force, x).array
+            m = cl.build_constraint_matrix(force, x)
             smax = np.linalg.svd(m, compute_uv=False)[0]
             assert abs(cl.admissibility_determinant(force, x)) > 1e-6 * smax ** (2 * d)
 
@@ -424,6 +434,24 @@ class TestClassify:
                 scaled = cl.ForceTensorField(force.d, lambda p, f=force, s=lam: s * f.eval(p),
                                              force.symmetric_flag)
                 assert cl.classify(scaled, (0.4, -0.2)).verdict is cl.classify(force, (0.4, -0.2)).verdict
+
+    def test_one_derivative_tensor_per_call(self, monkeypatch):
+        calls = []
+        original = cl.ForceTensorField.derivative_tensor
+
+        def counted(self, x, tol=TOL):
+            calls.append(x)
+            return original(self, x, tol)
+
+        monkeypatch.setattr(cl.ForceTensorField, "derivative_tensor", counted)
+        rng = np.random.default_rng(23)
+        for d in (2, 3):
+            rank_one = cl.rank_one_force((1.0, 2.0), lambda p, a=rng.normal(size=(d, d)): a @ p, d=d)
+            generic = cl.affine_force(d, rng.normal(size=(d, 2, 2, d)))
+            for force in (rank_one, generic, tuned_affine_force(d, rng)):
+                calls.clear()
+                cl.classify(force, rng.uniform(-1, 1, size=d))
+                assert len(calls) == 1
 
     def test_1d_rank_one(self):
         force = cl.rank_one_force((1.0, 2.0), lambda x: -x)

@@ -24,6 +24,9 @@ def all_scenarios():
     return sorted(f for f in os.listdir(SCENARIO_DIR) if f.endswith(".ini"))
 
 
+GRID = "[grid]\nt1_min = 0\nt1_max = 1\nt2_min = 0\nt2_max = 1\nn1 = 5\nn2 = 5\n"
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -180,6 +183,24 @@ n1 = 5
 n2 = 5
 """)
         assert cli.main(["classical-integrate", "--config", config, "--out", str(tmp_path)]) == 4
+
+    @pytest.mark.parametrize("command, sections, key", [
+        ("classical-check", "[force]\nfamily = rank_one\ndimension = 2\nc = 1 2\n"
+         "g_const = 0.5 -0.3\ng_linear = -1 0.4 0.2\n[point]\nx = 0.4 -0.2\n", "[force] g_linear"),
+        ("classical-check", "[force]\nfamily = affine\ndimension = 1\nlinear = 1 2 2 3\n"
+         "const = 1 2 3\n[point]\nx = 0.1\n", "[force] const"),
+        ("classical-check", "[force]\nfamily = rank_one\ndimension = 1\nc = 1 abc\n"
+         "g_poly = -1 0\n[point]\nx = 0.1\n", "[force] c"),
+        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\nx0_imag = 0 1 -1\n"
+         "psi_real = 1 1\n" + GRID, "[system] x0_imag"),
+        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
+         "psi_imag = 0.5\n" + GRID, "[system] psi_imag"),
+        ("mass-spectrum", "[sweep]\nm = 1.0\nomega_max = nan\n", "[sweep] omega_max"),
+    ], ids=["g_linear", "const", "c", "x0_imag", "psi_imag", "omega_max"])
+    def test_bad_value_exits_3_naming_key(self, tmp_path, capsys, command, sections, key):
+        config = write(tmp_path, "bad.ini", f"[scenario]\ncommand = {command}\n{sections}")
+        assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 3
+        assert key in capsys.readouterr().err
 
     def test_no_subcommand_exits_2(self):
         assert cli.main([]) == 2

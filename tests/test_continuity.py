@@ -64,11 +64,13 @@ class TestCharges:
         assert report.dQ1_residual < 1e-6
 
     def test_known_source_rate(self):
-        grid = Grid2T(0.0, 2.0, 0.0, 3.0, 401, 161, x_min=-6.0, x_max=6.0, nx=81)
-        current, rate = ct.manufactured_current(grid, with_source=True)
-        report = ct.charges(current)
-        dq1 = (report.Q1[2:] - report.Q1[:-2]) / (2 * grid.d1)
-        np.testing.assert_allclose(dq1, rate(grid.t1_values[1:-1]), atol=1e-4)
+        # the asymmetric range checks that the rate integrates over [x_min, x_max]
+        for x_min in (-6.0, 0.0):
+            grid = Grid2T(0.0, 2.0, 0.0, 3.0, 401, 161, x_min=x_min, x_max=6.0, nx=81)
+            current, rate = ct.manufactured_current(grid, with_source=True)
+            report = ct.charges(current)
+            dq1 = (report.Q1[2:] - report.Q1[:-2]) / (2 * grid.d1)
+            np.testing.assert_allclose(dq1, rate(grid.t1_values[1:-1]), atol=1e-4)
 
     def test_boundary_warning_on_nondecaying(self):
         grid = space_grid(9, 9, 9)
@@ -99,6 +101,22 @@ class TestCharges:
         field = ct.CurrentField(grid=grid, j1=j1, j2=zero, j_space=zero)
         report = ct.charges(field, alpha=2.0, beta=1.0)
         assert report.Q_total[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+def alternating_separable_fit(R, max_sweeps=100):
+    """Reference: alternating projections onto r1(x, t1) and r2(x, t2)."""
+    r1 = np.zeros(R.shape[:2])
+    r2 = np.zeros((R.shape[0], R.shape[2]))
+    scale = float(np.linalg.norm(R))
+    for _ in range(max_sweeps):
+        r1_new = (R - r2[:, None, :]).mean(axis=2)
+        r2_new = (R - r1_new[:, :, None]).mean(axis=1)
+        delta = max(float(np.max(np.abs(r1_new - r1))), float(np.max(np.abs(r2_new - r2))))
+        r1, r2 = r1_new, r2_new
+        if delta <= 1e-15 * max(1.0, scale):
+            break
+    residual = float(np.linalg.norm(R - r1[:, :, None] - r2[:, None, :])) / max(scale, 1e-300)
+    return r1, r2, residual
 
 
 class TestSeparability:
@@ -137,6 +155,20 @@ class TestSeparability:
         base_abs = base.residual * np.linalg.norm(rho)
         shifted_abs = shifted.residual * np.linalg.norm(rho + add)
         assert shifted_abs == pytest.approx(base_abs, rel=1e-8)
+
+    def test_matches_alternating_projections(self):
+        rng = np.random.default_rng(7)
+        grid = space_grid(13, 11, 9)
+        x = grid.x_values[:, None, None]
+        t1 = grid.t1_values[None, :, None]
+        t2 = grid.t2_values[None, None, :]
+        noisy = separable_density(grid) + np.exp(-x ** 2) * np.sin(t1) * np.cos(t2)
+        for rho in (noisy, rng.normal(size=(5, 7, 6)), rng.normal(size=(1, 8, 9))):
+            report = ct.separability_check(rho)
+            r1, r2, residual = alternating_separable_fit(rho)
+            np.testing.assert_allclose(report.r1, r1, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(report.r2, r2, rtol=0, atol=1e-12)
+            assert report.residual == pytest.approx(residual, abs=1e-12)
 
     def test_two_dimensional_input(self):
         t1 = np.linspace(0, 1, 11)[:, None]

@@ -8,7 +8,6 @@ from bitempo.core import (
     DomainError,
     EvaluationError,
     Grid2T,
-    SmallMatrix,
     TimePlanePoint,
     Tolerances,
     central_difference,
@@ -96,11 +95,6 @@ class TestDeterminant:
         with pytest.raises(DomainError):
             determinant(np.eye(9))
 
-    def test_small_matrix_wrapper(self):
-        m = SmallMatrix(2, 2, [1, 2, 3, 4])
-        assert determinant(m) == pytest.approx(-2.0)
-        np.testing.assert_array_equal(m.array, [[1, 2], [3, 4]])
-
 
 class TestNullSpace:
     def test_identity_has_empty_kernel(self):
@@ -184,7 +178,3 @@ class TestTypes:
         t = Tolerances(fd_step=1e-5)
         assert t.step_for(100.0) == pytest.approx(1e-3)
         assert t.step_for(0.01) == pytest.approx(1e-5)
-
-    def test_small_matrix_entry_count(self):
-        with pytest.raises(DomainError):
-            SmallMatrix(2, 2, [1, 2, 3])

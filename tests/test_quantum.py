@@ -204,6 +204,24 @@ class TestVarianceTrace:
                 assert abs(mean - trace.mean[i, j]) < 1e-10
                 assert abs(second - trace.second_moment[i, j]) < 1e-10
 
+    def test_matches_per_point_loop(self):
+        # reference: the per-point loop the closed form replaced
+        rng = np.random.default_rng(11)
+        sys_ = random_system(rng, n=32)
+        psi = q.StateVector.normalized(rng.normal(size=32) + 1j * rng.normal(size=32))
+        hbar = 0.7
+        grid = Grid2T(-1, 2, 0, 3, 6, 5)
+        trace = q.variance_trace(sys_, psi, grid, hbar)
+        tol = 1e-12 * max(1.0, np.linalg.norm(sys_.X0) ** 2)
+        for i, t1 in enumerate(grid.t1_values):
+            for j, t2 in enumerate(grid.t2_values):
+                xv = q.evolve_matrix(sys_, TimePlanePoint(t1, t2), hbar) @ psi.psi
+                mean = np.vdot(psi.psi, xv)
+                second = np.vdot(xv, xv).real
+                assert abs(mean - trace.mean[i, j]) < tol
+                assert abs(second - trace.second_moment[i, j]) < tol
+                assert abs(second - mean.real ** 2 - trace.variance[i, j]) < tol
+
     def test_degenerate_pairs_kept(self):
         # identical spectra in both generators: evolution is trivial but the
         # off-diagonal constants must still feed the second moment
