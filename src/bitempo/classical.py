@@ -46,6 +46,7 @@ __all__ = [
     "ParallelFieldReport",
     "ConstraintReport",
     "TrajectorySurface",
+    "SurfaceCheck",
     "rank_one_force",
     "polynomial_force_1d",
     "affine_force",
@@ -53,6 +54,7 @@ __all__ = [
     "consistency_residual_1d",
     "orbit_relation_1d",
     "characteristic_field_1d",
+    "check_surface",
     "integrate_rank_one_1d",
     "build_constraint_matrix",
     "admissibility_determinant",
@@ -76,19 +78,29 @@ class ForceTensorField:
     ``eval`` receives a scalar position for d=1 and a length-d array
     otherwise, and must return an array of shape (2, 2) resp. (d, 2, 2).
     The force must be autonomous: it never sees t1 or t2.
+
+    For d=1, ``tensor_at`` and ``derivative_tensor`` also take a 1-d array
+    of N positions and return shapes (N, 1, 2, 2) and (N, 1, 2, 2, 1).
+    With ``batch_eval`` set, ``eval`` itself maps an (N,) array to
+    (N, 2, 2) (the builders below all do); otherwise a batch is evaluated
+    one position at a time.
     """
 
     d: int
     eval: callable
     symmetric_flag: bool = True
+    batch_eval: bool = False
 
     def __post_init__(self):
         if self.d not in (1, 2, 3):
             raise DomainError(f"spatial dimension must be 1, 2 or 3, got {self.d}")
 
     def tensor_at(self, x) -> np.ndarray:
-        """Force tensor at a position, always shaped (d, 2, 2)."""
+        """Force tensor at a position, shaped (d, 2, 2); (N, 1, 2, 2) for a
+        d = 1 batch of N positions."""
         if self.d == 1:
+            if np.ndim(x) == 1:
+                return self._tensors_1d(np.asarray(x, dtype=float))
             pos = float(np.asarray(x).reshape(()))
             out = np.asarray(self.eval(pos), dtype=float)
             if out.shape == (2, 2):
@@ -102,8 +114,32 @@ class ForceTensorField:
             raise EvaluationError(f"force tensor non-finite at {x!r}")
         return out
 
+    def _tensors_1d(self, pos: np.ndarray) -> np.ndarray:
+        """Tensors at a batch of d = 1 positions, shaped (N, 1, 2, 2)."""
+        if not self.batch_eval:
+            return np.stack([self.tensor_at(p) for p in pos])
+        out = np.asarray(self.eval(pos), dtype=float)
+        if out.shape == pos.shape + (2, 2):
+            out = out[:, None]
+        if out.shape != pos.shape + (1, 2, 2):
+            raise DomainError(f"force eval returned shape {out.shape} for {pos.size} positions, "
+                              f"expected {pos.shape + (1, 2, 2)}")
+        finite = np.isfinite(out).all(axis=(1, 2, 3))
+        if not finite.all():
+            raise EvaluationError(f"force tensor non-finite at {float(pos[np.argmin(finite)])!r}")
+        return out
+
     def derivative_tensor(self, x, tol: Tolerances = Tolerances()) -> np.ndarray:
-        """Central-difference derivatives T[i, j, k, m] = dF^i_{jk}/dx^m."""
+        """Central-difference derivatives T[i, j, k, m] = dF^i_{jk}/dx^m.
+
+        A d = 1 batch of N positions gives shape (N, 1, 2, 2, 1); each
+        position takes its own step fd_step * max(1, |x|).
+        """
+        if self.d == 1:
+            pos = np.asarray(x, dtype=float)
+            step = tol.fd_step * np.maximum(1.0, np.abs(pos))
+            diff = self.tensor_at(pos + step) - self.tensor_at(pos - step)
+            return (diff / (2.0 * step)[..., None, None, None])[..., None]
         x = np.atleast_1d(np.asarray(x, dtype=float))
         step = tol.step_for(x)
         cols = []
@@ -212,7 +248,8 @@ def rank_one_force(c, g, d: int = 1) -> ForceTensorField:
     c = np.asarray(c, dtype=float).reshape(2)
     cc = np.outer(c, c)
     if d == 1:
-        return ForceTensorField(1, lambda x: cc * float(g(x)))
+        gv = _vectorized_scalar_map(g)
+        return ForceTensorField(1, lambda x: cc * gv(x)[..., None, None], batch_eval=True)
     def evaluate(pos):
         gv = np.asarray(g(np.asarray(pos, dtype=float)), dtype=float).reshape(d)
         return np.einsum("i,jk->ijk", gv, cc)
@@ -232,13 +269,13 @@ def polynomial_force_1d(coeffs: dict) -> ForceTensorField:
     symmetric = np.array_equal(polys.get("12", np.zeros(1)), polys.get("21", np.zeros(1)))
 
     def evaluate(x):
-        out = np.zeros((2, 2))
+        out = np.zeros(np.shape(x) + (2, 2))
         for (j, k), key in (((0, 0), "11"), ((0, 1), "12"), ((1, 0), "21"), ((1, 1), "22")):
             if key in polys:
-                out[j, k] = np.polyval(polys[key], x)
+                out[..., j, k] = np.polyval(polys[key], x)
         return out
 
-    return ForceTensorField(1, evaluate, symmetric_flag=symmetric)
+    return ForceTensorField(1, evaluate, symmetric_flag=symmetric, batch_eval=True)
 
 
 def affine_force(d: int, linear, const=None, symmetrize: bool = True) -> ForceTensorField:
@@ -253,7 +290,9 @@ def affine_force(d: int, linear, const=None, symmetrize: bool = True) -> ForceTe
         lin = 0.5 * (lin + lin.transpose(0, 2, 1, 3))
         con = 0.5 * (con + con.transpose(0, 2, 1))
     if d == 1:
-        return ForceTensorField(1, lambda x: con[0] + lin[0, :, :, 0] * x)
+        slope = lin[0, :, :, 0]
+        return ForceTensorField(1, lambda x: con[0] + slope * np.asarray(x)[..., None, None],
+                                batch_eval=True)
     def evaluate(pos):
         return con + np.einsum("ijkm,m->ijk", lin, np.asarray(pos, dtype=float))
     return ForceTensorField(d, evaluate)
@@ -267,18 +306,71 @@ def zero_force(d: int) -> ForceTensorField:
 # one space dimension
 # ---------------------------------------------------------------------------
 
-def _primes_1d(F: ForceTensorField, x: float, tol: Tolerances) -> np.ndarray:
-    """Matrix of x-derivatives F'_{jk} at a point, shape (2, 2)."""
+def _primes_1d(F: ForceTensorField, x, tol: Tolerances) -> np.ndarray:
+    """x-derivatives F'_{jk}: shape (2, 2) at a point, (N, 2, 2) at N positions."""
     if F.d != 1:
         raise DomainError("this operation needs a one-dimensional force")
-    return F.derivative_tensor(x, tol)[0, :, :, 0]
+    return F.derivative_tensor(x, tol)[..., 0, :, :, 0]
+
+
+def _prime_scale(fp: np.ndarray):
+    return np.maximum(1.0, np.max(np.abs(fp), axis=(-2, -1))) ** 2
+
+
+def _orbit_function(fp: np.ndarray, tol: Tolerances):
+    """Phi = F'_11 F'_12 / (F'_21 F'_22) from primes (..., 2, 2), and where
+    the denominator vanishes so that Phi is undefined."""
+    denom = fp[..., 1, 0] * fp[..., 1, 1]
+    undefined = np.abs(denom) <= tol.abs_tol * _prime_scale(fp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = fp[..., 0, 0] * fp[..., 0, 1] / denom
+    return phi, undefined
+
+
+def _ratio_squared(q1, q2, tol: Tolerances):
+    """(q1 / q2)^2 for gauge-shifted momenta q_j = p_j - A_j, and where q2
+    vanishes so that the ratio is undefined."""
+    undefined = np.abs(q2) <= tol.abs_tol * np.maximum(1.0, np.maximum(np.abs(q1), np.abs(q2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # float_power rounds as libm pow, like ``** 2`` on a scalar; ``** 2``
+        # on an array squares, which differs in the last bit about once in 1000
+        ratio_sq = np.float_power(q1 / q2, 2)
+    return ratio_sq, undefined
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray):
+    """Dot products of the rows of (..., 2) arrays, each rounded as np.dot
+    rounds a single pair (which a plain multiply-and-sum does not)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _characteristic(fp: np.ndarray, x, tol: Tolerances):
+    """Directions (sqrt(F'_22 F'_21), -sqrt(F'_11 F'_12)) shaped (..., 2) and
+    their degenerate flags, from primes (..., 2, 2) at positions x.
+
+    Raises at the first position, in row-major order, where a radicand is
+    negative beyond tolerance.
+    """
+    r1 = fp[..., 1, 1] * fp[..., 1, 0]
+    r2 = fp[..., 0, 0] * fp[..., 0, 1]
+    thresh = tol.abs_tol * _prime_scale(fp)
+    negative = (r1 < -thresh) | (r2 < -thresh)
+    if np.any(negative):
+        k = int(np.argmax(negative))
+        a, b, t = (np.ravel(v)[k] for v in (r1, r2, thresh))
+        bad = "F'_22*F'_21" if a < -t else "F'_11*F'_12"
+        raise ComplexCharacteristicError(
+            f"radicand {bad} = {min(a, b):.3e} < 0 at x={np.ravel(x)[k]}: complex characteristics")
+    vec = np.stack([np.sqrt(np.maximum(r1, 0.0)), -np.sqrt(np.maximum(r2, 0.0))], axis=-1)
+    return vec, np.sqrt(_rowdot(vec, vec)) <= np.sqrt(thresh)
 
 
 def consistency_residual_1d(F: ForceTensorField, A: GaugeConnection | None,
                             x: float, tol: Tolerances = Tolerances()) -> float:
-    """|F'_11 F'_22 - F'_12 F'_21| at x; zero is necessary for two-time motion."""
+    """|F'_11 F'_22 - F'_12 F'_21| at x (or at each of N positions); zero is
+    necessary for two-time motion."""
     fp = _primes_1d(F, x, tol)
-    return abs(fp[0, 0] * fp[1, 1] - fp[0, 1] * fp[1, 0])
+    return np.abs(fp[..., 0, 0] * fp[..., 1, 1] - fp[..., 0, 1] * fp[..., 1, 0])
 
 
 def orbit_relation_1d(F: ForceTensorField, A: GaugeConnection | None, x: float,
@@ -289,21 +381,22 @@ def orbit_relation_1d(F: ForceTensorField, A: GaugeConnection | None, x: float,
     any consistent motion.  The ratio is invariant under rescaling p.
     """
     fp = _primes_1d(F, x, tol)
-    scale = max(1.0, float(np.max(np.abs(fp)))) ** 2
-    denom = fp[1, 0] * fp[1, 1]
-    if abs(denom) <= tol.abs_tol * scale:
+    phi, undefined = _orbit_function(fp, tol)
+    if undefined:
         which = "F'_21" if abs(fp[1, 0]) <= abs(fp[1, 1]) else "F'_22"
         raise DegeneratePointError(f"{which} vanishes at x={x}; orbit function undefined")
-    phi = fp[0, 0] * fp[0, 1] / denom
-
     p1, p2 = np.asarray(p, dtype=float).reshape(2)
     a1, a2 = (0.0, 0.0) if A is None else A.values_at(x)
-    pscale = max(1.0, abs(p1 - a1), abs(p2 - a2))
-    if abs(p2 - a2) <= tol.abs_tol * pscale:
+    ratio_sq, undefined = _ratio_squared(p1 - a1, p2 - a2, tol)
+    if undefined:
         raise DegeneratePointError(f"p2 - A2 vanishes at x={x}; momentum ratio undefined")
-    ratio_sq = ((p1 - a1) / (p2 - a2)) ** 2
     return OrbitRelation(phi=float(phi), ratio_squared=float(ratio_sq),
                          residual=float(abs(ratio_sq - phi)))
+
+
+def _field_1d(fp: np.ndarray, x, tol: Tolerances) -> CharacteristicField:
+    vec, degenerate = _characteristic(fp, x, tol)
+    return CharacteristicField(vectors=(vec,), degenerate=(bool(degenerate),))
 
 
 def characteristic_field_1d(F: ForceTensorField, x: float,
@@ -315,38 +408,99 @@ def characteristic_field_1d(F: ForceTensorField, x: float,
     raise instead of being silently absolutized; a zero field is returned
     with its degenerate flag set.
     """
-    fp = _primes_1d(F, x, tol)
-    scale = max(1.0, float(np.max(np.abs(fp)))) ** 2
-    r1 = fp[1, 1] * fp[1, 0]
-    r2 = fp[0, 0] * fp[0, 1]
-    thresh = tol.abs_tol * scale
-    if r1 < -thresh or r2 < -thresh:
-        bad = "F'_22*F'_21" if r1 < -thresh else "F'_11*F'_12"
-        raise ComplexCharacteristicError(
-            f"radicand {bad} = {min(r1, r2):.3e} < 0 at x={x}: complex characteristics")
-    vec = np.array([math.sqrt(max(r1, 0.0)), -math.sqrt(max(r2, 0.0))])
-    degenerate = bool(np.linalg.norm(vec) <= math.sqrt(thresh))
-    return CharacteristicField(vectors=(vec,), degenerate=(degenerate,))
+    return _field_1d(_primes_1d(F, x, tol), x, tol)
+
+
+@dataclass(frozen=True)
+class SurfaceCheck:
+    """The d = 1 constraints of a force checked along a sampled surface.
+
+    ``phi``, ``ratio_squared`` and ``residual`` are (n1, n2) grids of the
+    orbit relation, NaN wherever the orbit function or the momentum ratio is
+    undefined.  The two scalars are worst cases over the interior grid
+    points: ``orthogonality_residual`` of |v . grad x| / (|v| max(1, |grad x|))
+    for the characteristic direction v wherever it is nonzero, and
+    ``orbit_residual`` of the finite orbit residuals.
+    """
+
+    phi: np.ndarray
+    ratio_squared: np.ndarray
+    residual: np.ndarray
+    orthogonality_residual: float
+    orbit_residual: float
+
+
+def check_surface(F: ForceTensorField, surface: TrajectorySurface,
+                  tol: Tolerances = Tolerances()) -> SurfaceCheck:
+    """Orbit relation at every grid point and characteristic orthogonality at
+    every interior grid point of a surface x(t1, t2) with momenta c_j X'.
+
+    One batched FD derivative at the sampled positions serves both checks.
+    grad x is a central difference of the dense surface evaluator with step
+    fd_step * max(1, extent) along each time axis.  A complex characteristic
+    raises at the first interior point in row-major order.
+    """
+    grid, x = surface.grid, surface.values
+    fp = _primes_1d(F, x.ravel(), tol).reshape(x.shape + (2, 2))
+    phi, phi_undefined = _orbit_function(fp, tol)
+    ratio_sq, ratio_undefined = _ratio_squared(*surface.grid_momenta, tol)
+    undefined = phi_undefined | ratio_undefined
+    residual = np.where(undefined, np.nan, np.abs(ratio_sq - phi))
+
+    inner = (slice(1, -1), slice(1, -1))
+    vec, _ = _characteristic(fp[inner], x[inner], tol)
+    T1, T2 = np.meshgrid(grid.t1_values[1:-1], grid.t2_values[1:-1], indexing="ij")
+    step1 = tol.fd_step * max(1.0, abs(grid.t1_max - grid.t1_min))
+    step2 = tol.fd_step * max(1.0, abs(grid.t2_max - grid.t2_min))
+    grad = np.stack([
+        (surface.position(T1 + step1, T2) - surface.position(T1 - step1, T2)) / (2 * step1),
+        (surface.position(T1, T2 + step2) - surface.position(T1, T2 - step2)) / (2 * step2),
+    ], axis=-1)
+    norm = np.sqrt(_rowdot(vec, vec))
+    moving = norm > 0
+    ortho = (np.abs(_rowdot(vec, grad))[moving]
+             / (norm * np.maximum(1.0, np.sqrt(_rowdot(grad, grad))))[moving])
+    inner_residual = residual[inner]
+    return SurfaceCheck(
+        phi=np.where(undefined, np.nan, phi),
+        ratio_squared=np.where(undefined, np.nan, ratio_sq),
+        residual=residual,
+        orthogonality_residual=float(np.max(ortho, initial=0.0)),
+        orbit_residual=float(np.max(inner_residual[np.isfinite(inner_residual)], initial=0.0)),
+    )
 
 
 # ---------------------------------------------------------------------------
 # rank-one reference integrator
 # ---------------------------------------------------------------------------
 
+def _rk4(g, x, v, h):
+    """One classical RK4 step of X'' = g(X); on floats or on arrays alike."""
+    k1x, k1v = v, g(x)
+    k2x, k2v = v + 0.5 * h * k1v, g(x + 0.5 * h * k1x)
+    k3x, k3v = v + 0.5 * h * k2v, g(x + 0.5 * h * k2x)
+    k4x, k4v = v + h * k3v, g(x + h * k3x)
+    return (x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
+            v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
+
+
 class _RankOneSolution:
     """Dense solution of X'' = g(X) with fixed-step classical RK4 knots.
 
-    Queries between knots take a single partial RK4 step from the knot at or
-    below the target, so evaluation error stays at the knot accuracy.
+    The knots are stepped on Python floats through ``g``; queries between
+    knots take a single partial RK4 step from the knot at or below the
+    target through the array map ``gv``, so evaluation error stays at the
+    knot accuracy.
     """
 
-    def __init__(self, g, x0: float, v0: float, s_min: float, s_max: float,
+    def __init__(self, g, gv, x0: float, v0: float, s_min: float, s_max: float,
                  step: float, blowup: float):
-        self.g = g
+        self.g = gv
         self.x0 = float(x0)
         self.v0 = float(v0)
         self.blowup = float(blowup)
         self.step = float(step)
+        g_float = lambda x: float(g(x))
         knots = [0.0]
         xs = [self.x0]
         vs = [self.v0]
@@ -358,7 +512,7 @@ class _RankOneSolution:
             x, v = self.x0, self.v0
             seg_s, seg_x, seg_v = [], [], []
             for k in range(1, n + 1):
-                x, v = self._rk4(x, v, h)
+                x, v = _rk4(g_float, x, v, h)
                 # knots from the index, not a running sum, so the last one is target
                 s = target * k / n
                 if not (math.isfinite(x) and abs(x) <= blowup):
@@ -375,15 +529,6 @@ class _RankOneSolution:
         self.knot_x = np.asarray(xs)[order]
         self.knot_v = np.asarray(vs)[order]
 
-    def _rk4(self, x, v, h):
-        g = self.g
-        k1x, k1v = v, g(x)
-        k2x, k2v = v + 0.5 * h * k1v, g(x + 0.5 * h * k1x)
-        k3x, k3v = v + 0.5 * h * k2v, g(x + 0.5 * h * k2x)
-        k4x, k4v = v + h * k3v, g(x + h * k3x)
-        return (x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
-                v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
-
     def evaluate(self, s):
         """X and X' at arbitrary parameters inside the integrated range."""
         s_arr = np.asarray(s, dtype=float)
@@ -393,15 +538,7 @@ class _RankOneSolution:
             raise DomainError(f"query outside integrated range [{lo:g}, {hi:g}]")
         idx = np.clip(np.searchsorted(self.knot_s, flat, side="right") - 1,
                       0, len(self.knot_s) - 1)
-        h = flat - self.knot_s[idx]
-        x, v = self.knot_x[idx], self.knot_v[idx]
-        g = self.g
-        k1x, k1v = v, g(x)
-        k2x, k2v = v + 0.5 * h * k1v, g(x + 0.5 * h * k1x)
-        k3x, k3v = v + 0.5 * h * k2v, g(x + 0.5 * h * k2x)
-        k4x, k4v = v + h * k3v, g(x + h * k3x)
-        xo = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        vo = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        xo, vo = _rk4(self.g, self.knot_x[idx], self.knot_v[idx], flat - self.knot_s[idx])
         return xo.reshape(s_arr.shape), vo.reshape(s_arr.shape)
 
 
@@ -427,13 +564,23 @@ class TrajectorySurface:
         v = self.solution.evaluate(self.s_of(t1, t2))[1]
         return self.c[0] * v, self.c[1] * v
 
+    @property
+    def grid_momenta(self):
+        """(p1, p2) = (c1 X', c2 X') at the grid points."""
+        return self.c[0] * self.velocity, self.c[1] * self.velocity
+
 
 def _vectorized_scalar_map(g):
-    probe = np.asarray(g(np.array([0.0, 0.5])))
-    if probe.shape == (2,):
+    """g as an elementwise map over arrays: g itself when a probe shows it
+    maps an array elementwise, np.vectorize(g) otherwise."""
+    try:
+        with np.errstate(all="ignore"):
+            elementwise = np.shape(g(np.array([0.0, 0.5]))) == (2,)
+    except (TypeError, ValueError):  # a map of floats only; a real fault reappears per point
+        elementwise = False
+    if elementwise:
         return lambda x: np.asarray(g(x), dtype=float)
-    vec = np.vectorize(g, otypes=[float])
-    return lambda x: vec(x)
+    return np.vectorize(g, otypes=[float])
 
 
 def integrate_rank_one_1d(g, c, x0: float, v0: float, grid: Grid2T,
@@ -458,9 +605,9 @@ def integrate_rank_one_1d(g, c, x0: float, v0: float, grid: Grid2T,
     span = max(s_max - s_min, 1e-6)
 
     h = step if step is not None else min(1e-2, span / 256.0)
-    sol = _RankOneSolution(gv, x0, v0, s_min, s_max, h, blowup)
+    sol = _RankOneSolution(g, gv, x0, v0, s_min, s_max, h, blowup)
     for _ in range(12):
-        finer = _RankOneSolution(gv, x0, v0, s_min, s_max, h / 2.0, blowup)
+        finer = _RankOneSolution(g, gv, x0, v0, s_min, s_max, h / 2.0, blowup)
         probe = sol.knot_s
         xa, _ = sol.evaluate(probe)
         xb, _ = finer.evaluate(probe)
@@ -707,7 +854,7 @@ def classify(F: ForceTensorField, x, trajectory: TrajectorySurface | None = None
             fields = CharacteristicField(vectors=(np.zeros(2),), degenerate=(True,))
             return ConstraintReport(det_val, 0, fields, None, 0.0,
                                     Verdict.NO_TWO_TIME_MOTION)
-        fields = characteristic_field_1d(F, x, tol)
+        fields = _field_1d(fp, x, tol)
         if fields.degenerate[0]:
             return ConstraintReport(det_val, kdim, fields, None, 0.0, Verdict.DEGENERATE)
         curls = _curls_along(fields_map_1d(F, tol), trajectory, 1)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import math
 import os
@@ -126,6 +127,33 @@ def _grid(cfg, need_space: bool = False) -> Grid2T:
     return Grid2T(**kwargs)
 
 
+def _rank_one_c(cfg) -> list:
+    c = _get(cfg, "force", "c", _floats)
+    if len(c) != 2:
+        raise DomainError(f"[force] c needs 2 entries, got {len(c)}")
+    return c
+
+
+def _g_poly(cfg):
+    """g from [force] g_poly as a Horner closure over Python floats; on floats
+    and on arrays it rounds exactly as np.polyval does."""
+    coeffs = _get(cfg, "force", "g_poly", _floats)
+
+    def g(x):
+        y = 0.0
+        for a in coeffs:
+            y = y * x + a
+        return y
+    return g
+
+
+def _integrate_force(cfg):
+    """(c, g) of the d = 1 rank-one force that classical-integrate needs."""
+    if _get(cfg, "force", "family") != "rank_one" or _get(cfg, "force", "dimension", int) != 1:
+        raise DomainError("classical-integrate needs a rank_one force with dimension 1")
+    return _rank_one_c(cfg), _g_poly(cfg)
+
+
 def _force(cfg) -> classical.ForceTensorField:
     family = _get(cfg, "force", "family")
     if family not in FORCE_FAMILIES:
@@ -135,12 +163,9 @@ def _force(cfg) -> classical.ForceTensorField:
     if family == "zero":
         return classical.zero_force(d)
     if family == "rank_one":
-        c = _get(cfg, "force", "c", _floats)
-        if len(c) != 2:
-            raise DomainError(f"[force] c needs 2 entries, got {len(c)}")
+        c = _rank_one_c(cfg)
         if d == 1:
-            coeffs = np.asarray(_get(cfg, "force", "g_poly", _floats))
-            return classical.rank_one_force(c, lambda x: np.polyval(coeffs, x), d=1)
+            return classical.rank_one_force(c, _g_poly(cfg), d=1)
         g_const = np.asarray(_get(cfg, "force", "g_const", _floats))
         g_linear = np.asarray(_get(cfg, "force", "g_linear", _floats))
         if g_const.size != d:
@@ -173,17 +198,15 @@ def _force(cfg) -> classical.ForceTensorField:
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    return f"{float(v):.17g}"
-
-
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, chunks):
+    """Write an iterable of text chunks to path, replacing it only when all
+    of them are written."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -191,15 +214,27 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+_BLOCK_ROWS = 4096  # rows formatted at a time, so a table's text is never all in memory
+
+
+def _row_blocks(rows, width: int):
+    """Rows of floats as comma-joined 17-significant-digit strings, one
+    template per row, a block of rows at a time."""
+    template = ",".join(["%.17g"] * width)
+    values = np.asarray(rows, dtype=float)
+    for start in range(0, len(values), _BLOCK_ROWS):
+        yield [template % tuple(row) for row in values[start:start + _BLOCK_ROWS].tolist()]
+
+
 def _write_table(path: str, columns: list, rows, fmt: str):
+    blocks = _row_blocks(rows, len(columns))
     if fmt == "json":
         payload = {"columns": list(columns),
-                   "rows": [[_fmt(v) for v in row] for row in rows]}
-        _atomic_write(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+                   "rows": [line.split(",") for block in blocks for line in block]}
+        _atomic_write(path, (json.dumps(payload, indent=1, sort_keys=True), "\n"))
     else:
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        _atomic_write(path, "\n".join(lines) + "\n")
+        _atomic_write(path, itertools.chain([",".join(columns) + "\n"],
+                                            ("\n".join(block) + "\n" for block in blocks)))
 
 
 def _grid_rows(axes, *fields) -> np.ndarray:
@@ -261,64 +296,29 @@ def _run_classical_check(cfg):
 
 def _run_classical_integrate(cfg):
     tol = _tolerances(cfg)
-    family = _get(cfg, "force", "family")
-    d = _get(cfg, "force", "dimension", int)
-    if family != "rank_one" or d != 1:
-        raise DomainError("classical-integrate needs a rank_one force with dimension 1")
-    c = _get(cfg, "force", "c", _floats)
-    coeffs = np.asarray(_get(cfg, "force", "g_poly", _floats))
-    g = lambda x: np.polyval(coeffs, x)
+    c, g = _integrate_force(cfg)
     x0 = _get(cfg, "initial", "x0", _float)
     v0 = _get(cfg, "initial", "v0", _float)
     grid = _grid(cfg)
     surface = classical.integrate_rank_one_1d(g, c, x0, v0, grid, tol=tol)
-    force = classical.rank_one_force(c, g, d=1)
-
-    t1v, t2v = grid.t1_values, grid.t2_values
-    step1 = tol.fd_step * max(1.0, abs(grid.t1_max - grid.t1_min))
-    step2 = tol.fd_step * max(1.0, abs(grid.t2_max - grid.t2_min))
-    T1, T2 = np.meshgrid(t1v[1:-1], t2v[1:-1], indexing="ij")
-    grad1 = (surface.position(T1 + step1, T2) - surface.position(T1 - step1, T2)) / (2 * step1)
-    grad2 = (surface.position(T1, T2 + step2) - surface.position(T1, T2 - step2)) / (2 * step2)
-
-    ortho = 0.0
-    orbit_res = 0.0
-    rows = []
-    for i, t1 in enumerate(t1v):
-        for j, t2 in enumerate(t2v):
-            xval = surface.values[i, j]
-            p1, p2 = c[0] * surface.velocity[i, j], c[1] * surface.velocity[i, j]
-            phi = ratio = resid = float("nan")
-            try:
-                orb = classical.orbit_relation_1d(force, None, xval, (p1, p2), tol)
-                phi, ratio, resid = orb.phi, orb.ratio_squared, orb.residual
-            except DomainError:
-                pass
-            rows.append((t1, t2, xval, p1, p2, phi, ratio, resid))
-            if 0 < i < grid.n1 - 1 and 0 < j < grid.n2 - 1:
-                field = classical.characteristic_field_1d(force, xval, tol)
-                vec = field.vectors[0]
-                norm = float(np.linalg.norm(vec))
-                if norm > 0:
-                    grad = np.array([grad1[i - 1, j - 1], grad2[i - 1, j - 1]])
-                    denom = norm * max(1.0, float(np.linalg.norm(grad)))
-                    ortho = max(ortho, abs(float(vec @ grad)) / denom)
-                if math.isfinite(resid):
-                    orbit_res = max(orbit_res, resid)
+    check = classical.check_surface(classical.rank_one_force(c, g, d=1), surface, tol)
     payload = {
         "c": c,
         "x0": x0,
         "v0": v0,
         "max_abs_x": float(np.max(np.abs(surface.values))),
-        "orthogonality_residual": ortho,
-        "orbit_residual": orbit_res,
+        "orthogonality_residual": check.orthogonality_residual,
+        "orbit_residual": check.orbit_residual,
         "grid": [grid.n1, grid.n2],
     }
+    rows = _grid_rows((grid.t1_values, grid.t2_values), surface.values, *surface.grid_momenta,
+                      check.phi, check.ratio_squared, check.residual)
     columns = ["t1", "t2", "x", "p1", "p2", "phi", "ratio_squared", "orbit_residual"]
     return payload, [("surface", "surface.csv", columns, rows)]
 
 
-def _run_quantum_fluct(cfg):
+def _quantum_system(cfg):
+    """The size-checked quantum-fluct system, initial state and hbar."""
     e1 = _get(cfg, "system", "e1", _floats)
     e2 = _get(cfg, "system", "e2", _floats)
     n = len(e1)
@@ -338,8 +338,12 @@ def _run_quantum_fluct(cfg):
             raise DomainError(f"[system] psi_imag needs {psi.size} entries, got {len(psi_imag)}")
         psi = psi + 1j * np.asarray(psi_imag)
     hbar = _get(cfg, "system", "hbar", _float, 1.0)
-    system = quantum.TwoTimeQuantumSystem(e1, e2, x0)
-    state = quantum.StateVector.normalized(psi)
+    return quantum.TwoTimeQuantumSystem(e1, e2, x0), quantum.StateVector.normalized(psi), hbar
+
+
+def _run_quantum_fluct(cfg):
+    system, state, hbar = _quantum_system(cfg)
+    n = system.n_levels
     grid = _grid(cfg)
     trace = quantum.variance_trace(system, state, grid, hbar)
 
@@ -605,7 +609,7 @@ def run_scenario(config_path: str, out_dir: str | None = None, fmt: str = "csv",
             "report_file": report_name,
         },
     }
-    _atomic_write(report_path, json.dumps(report, indent=1, sort_keys=True) + "\n")
+    _atomic_write(report_path, (json.dumps(report, indent=1, sort_keys=True), "\n"))
     return report
 
 
@@ -626,20 +630,17 @@ def validate_config(config_path: str) -> list:
         except BitempoError as exc:
             diagnostics.append(f"unexpected: {exc}")
 
-    if command in ("classical-check", "classical-integrate"):
+    if command == "classical-check":
         probe(lambda: _force(cfg))
-        if command == "classical-check":
-            probe(lambda: _get(cfg, "point", "x", _floats))
-        else:
-            probe(lambda: (_get(cfg, "initial", "x0", _float),
-                           _get(cfg, "initial", "v0", _float)))
-            probe(lambda: _grid(cfg))
+        probe(lambda: _get(cfg, "point", "x", _floats))
+    elif command == "classical-integrate":
+        probe(lambda: _integrate_force(cfg))
+        probe(lambda: (_get(cfg, "initial", "x0", _float),
+                       _get(cfg, "initial", "v0", _float)))
+        probe(lambda: _grid(cfg))
     elif command == "quantum-fluct":
         probe(lambda: _grid(cfg))
-        probe(lambda: (_get(cfg, "system", "e1", _floats),
-                       _get(cfg, "system", "e2", _floats),
-                       _get(cfg, "system", "x0_real", _floats),
-                       _get(cfg, "system", "psi_real", _floats)))
+        probe(lambda: _quantum_system(cfg))
     elif command == "uncertainty":
         probe(lambda: [_get(cfg, "budget", key, _float) for key in
                        ("de1", "de2", "dde1", "dde2", "t1", "t2")])

@@ -9,6 +9,7 @@ from bitempo.core import (
     ComplexCharacteristicError,
     DegeneratePointError,
     DomainError,
+    EvaluationError,
     Grid2T,
     Tolerances,
     TruncationError,
@@ -221,6 +222,164 @@ class TestRankOneIntegrator:
                 checked += 1
         assert checked > 300
         assert worst < 1e-6
+
+
+def batch_forces():
+    """d = 1 forces from every builder, plus a hand-made field whose eval
+    only takes floats and a rank-one g that only takes floats."""
+    return {
+        "rank_one": cl.rank_one_force((0.8, -1.3), lambda x: np.polyval([-0.3, 0.0, -1.0, 0.0], x)),
+        "rank_one_float_g": cl.rank_one_force((1.1, 0.6), lambda x: math.sin(x) - x),
+        "polynomial": cl.polynomial_force_1d({"11": [0.5, -1.0, 0.2], "12": [1.0, 0.0],
+                                              "21": [-0.4, 0.3], "22": [2.0, 0.0, 0.0, 1.0]}),
+        "affine": cl.affine_force(1, [[[[1.5]], [[-0.25]]], [[[0.75]], [[2.0]]]],
+                                  [0.1, 0.2, 0.3, 0.4]),
+        "float_eval": cl.ForceTensorField(1, lambda x: np.array([[math.cos(x), x], [x, x * x]])),
+    }
+
+
+class TestBatchedForce1D:
+    POSITIONS = np.array([-3.7, -1.0, -0.2, 0.0, 0.45, 1.0, 2.5, 40.0])
+
+    @pytest.mark.parametrize("name", sorted(batch_forces()))
+    def test_batch_equals_per_point(self, name):
+        force = batch_forces()[name]
+        tensors = force.tensor_at(self.POSITIONS)
+        derivs = force.derivative_tensor(self.POSITIONS, TOL)
+        assert tensors.shape == (self.POSITIONS.size, 1, 2, 2)
+        assert derivs.shape == (self.POSITIONS.size, 1, 2, 2, 1)
+        residuals = cl.consistency_residual_1d(force, None, self.POSITIONS)
+        for k, x in enumerate(self.POSITIONS):
+            assert tensors[k].tobytes() == force.tensor_at(x).tobytes()
+            assert derivs[k].tobytes() == force.derivative_tensor(x, TOL).tobytes()
+            assert residuals[k] == cl.consistency_residual_1d(force, None, x)
+
+    def test_fd_step_scales_per_point(self):
+        # F = x^3: the central difference is 3 x^2 + h^2 with h = fd_step max(1, |x|)
+        force = cl.polynomial_force_1d({"11": [1.0, 0.0, 0.0, 0.0]})
+        x = np.array([0.5, 100.0])
+        tol = Tolerances(fd_step=1e-3)
+        h = tol.fd_step * np.maximum(1.0, np.abs(x))
+        got = force.derivative_tensor(x, tol)[:, 0, 0, 0, 0]
+        np.testing.assert_allclose(got, 3 * x ** 2 + h ** 2, rtol=1e-9)
+
+    def test_non_finite_batch_raises(self):
+        force = cl.rank_one_force((1.0, 1.0), lambda x: 1.0 / x)
+        with np.errstate(divide="ignore"), pytest.raises(EvaluationError, match="at 0.0"):
+            force.tensor_at(np.array([1.0, 0.0, 2.0]))
+
+    def test_batch_eval_shape_checked(self):
+        force = cl.ForceTensorField(1, lambda x: np.zeros((3, 3)), batch_eval=True)
+        with pytest.raises(DomainError):
+            force.tensor_at(np.array([1.0, 2.0]))
+
+
+def surface_check_by_point(force, surface, tol=TOL):
+    """The per-point orbit/characteristic loop that check_surface replaces."""
+    grid = surface.grid
+    step1 = tol.fd_step * max(1.0, abs(grid.t1_max - grid.t1_min))
+    step2 = tol.fd_step * max(1.0, abs(grid.t2_max - grid.t2_min))
+    T1, T2 = np.meshgrid(grid.t1_values[1:-1], grid.t2_values[1:-1], indexing="ij")
+    grad1 = (surface.position(T1 + step1, T2) - surface.position(T1 - step1, T2)) / (2 * step1)
+    grad2 = (surface.position(T1, T2 + step2) - surface.position(T1, T2 - step2)) / (2 * step2)
+    phi, ratio, resid = (np.full((grid.n1, grid.n2), np.nan) for _ in range(3))
+    ortho = orbit = 0.0
+    for i in range(grid.n1):
+        for j in range(grid.n2):
+            x = surface.values[i, j]
+            p = (surface.c[0] * surface.velocity[i, j], surface.c[1] * surface.velocity[i, j])
+            try:
+                orb = cl.orbit_relation_1d(force, None, x, p, tol)
+                phi[i, j], ratio[i, j], resid[i, j] = orb.phi, orb.ratio_squared, orb.residual
+            except DomainError:
+                pass
+            if 0 < i < grid.n1 - 1 and 0 < j < grid.n2 - 1:
+                vec = cl.characteristic_field_1d(force, x, tol).vectors[0]
+                norm = float(np.linalg.norm(vec))
+                if norm > 0:
+                    grad = np.array([grad1[i - 1, j - 1], grad2[i - 1, j - 1]])
+                    denom = norm * max(1.0, float(np.linalg.norm(grad)))
+                    ortho = max(ortho, abs(float(vec @ grad)) / denom)
+                if math.isfinite(resid[i, j]):
+                    orbit = max(orbit, resid[i, j])
+    return phi, ratio, resid, ortho, orbit
+
+
+class TestCheckSurface:
+    @pytest.mark.parametrize("coeffs, c", [([-1.44, 0.0], (1.0, 2.0)),
+                                           ([-0.3, 0.0, -1.0, 0.0], (0.7, 1.3))],
+                             ids=["harmonic", "cubic"])
+    def test_matches_per_point_loop(self, coeffs, c):
+        g = lambda x: np.polyval(coeffs, x)
+        grid = Grid2T(0.0, 5.0, 0.0, 5.0, 31, 27)
+        surface = cl.integrate_rank_one_1d(g, c, 1.0, 0.0, grid)
+        force = cl.rank_one_force(c, g)
+        check = cl.check_surface(force, surface)
+        phi, ratio, resid, ortho, orbit = surface_check_by_point(force, surface)
+        # v0 = 0 leaves p2 = 0 at t = (0, 0): the orbit relation is undefined there
+        assert np.isnan(phi[0, 0]) and np.isfinite(phi).sum() > 0.9 * phi.size
+        for got, want in ((check.phi, phi), (check.ratio_squared, ratio), (check.residual, resid)):
+            assert got.shape == (grid.n1, grid.n2)
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+            assert got.tobytes() == want.tobytes()
+        assert check.orbit_residual == orbit
+        assert abs(check.orthogonality_residual - ortho) <= 1e-15
+        assert check.orthogonality_residual < 1e-4 and check.orbit_residual < 1e-6
+
+    @pytest.mark.parametrize("force, c", [
+        (cl.rank_one_force((1.0, -0.8), lambda x: -x), (1.0, -0.8)),
+        # F'_21 = F'_12 = x: the radicands turn negative only where x < 0
+        (cl.polynomial_force_1d({"11": [1.0, 0.0], "12": [0.5, 0.0, 0.0], "22": [1.0, 0.0]}),
+         (1.0, 1.0)),
+    ], ids=["opposite_signs", "sign_change"])
+    def test_complex_characteristic_matches_first_point(self, force, c):
+        grid = Grid2T(0.0, 4.0, 0.0, 4.0, 17, 17)
+        surface = cl.integrate_rank_one_1d(lambda x: -x, c, 1.0, 0.3, grid)
+        expected = None
+        for i in range(1, grid.n1 - 1):
+            for j in range(1, grid.n2 - 1):
+                try:
+                    cl.characteristic_field_1d(force, surface.values[i, j])
+                except ComplexCharacteristicError as exc:
+                    expected = str(exc)
+                    break
+            if expected is not None:
+                break
+        assert expected is not None
+        with pytest.raises(ComplexCharacteristicError) as info:
+            cl.check_surface(force, surface)
+        assert str(info.value) == expected
+
+    def test_batched_ratio_rounds_as_per_point(self):
+        # array ** 2 squares while scalar ** 2 calls pow; they differ about once in 1000
+        rng = np.random.default_rng(31)
+        q1, q2 = rng.normal(size=(2, 20000))
+        batched, _ = cl._ratio_squared(q1, q2, TOL)
+        for k in range(q1.size):
+            single, _ = cl._ratio_squared(q1[k], q2[k], TOL)
+            assert batched[k] == single == (q1[k] / q2[k]) ** 2
+
+    def test_force_off_the_surface_fails(self):
+        # a surface of X'' = -X checked against the force of X'' = -4 X
+        grid = Grid2T(0.0, 3.0, 0.0, 3.0, 21, 21)
+        surface = cl.integrate_rank_one_1d(lambda x: -x, (1.0, 2.0), 1.0, 0.0, grid)
+        check = cl.check_surface(cl.rank_one_force((2.0, 1.0), lambda x: -4.0 * x), surface)
+        assert check.orbit_residual > 1.0
+        assert check.orthogonality_residual > 0.1
+
+    def test_one_derivative_for_the_whole_surface(self, monkeypatch):
+        calls = []
+        original = cl.ForceTensorField.derivative_tensor
+
+        def counted(self, x, tol=TOL):
+            calls.append(np.shape(x))
+            return original(self, x, tol)
+
+        grid = Grid2T(0.0, 2.0, 0.0, 2.0, 11, 9)
+        surface = cl.integrate_rank_one_1d(lambda x: -x, (1.0, 2.0), 1.0, 0.0, grid)
+        monkeypatch.setattr(cl.ForceTensorField, "derivative_tensor", counted)
+        cl.check_surface(cl.rank_one_force((1.0, 2.0), lambda x: -x), surface)
+        assert calls == [(11 * 9,)]
 
 
 class TestConstraintMatrix:
@@ -444,6 +603,11 @@ class TestClassify:
             return original(self, x, tol)
 
         monkeypatch.setattr(cl.ForceTensorField, "derivative_tensor", counted)
+        for force in (cl.rank_one_force((1.0, 2.0), lambda x: -x),
+                      cl.polynomial_force_1d({"11": [1.0, 0.0], "22": [1.0, 0.0]})):
+            calls.clear()
+            cl.classify(force, 0.3)
+            assert len(calls) == 1
         rng = np.random.default_rng(23)
         for d in (2, 3):
             rank_one = cl.rank_one_force((1.0, 2.0), lambda p, a=rng.normal(size=(d, d)): a @ p, d=d)

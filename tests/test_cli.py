@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from bitempo import cli
+from bitempo import classical, cli
 from bitempo.core import ConfigError
 
 try:  # Python 3.9+: importlib.resources.files
@@ -196,7 +196,9 @@ n2 = 5
         ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
          "psi_imag = 0.5\n" + GRID, "[system] psi_imag"),
         ("mass-spectrum", "[sweep]\nm = 1.0\nomega_max = nan\n", "[sweep] omega_max"),
-    ], ids=["g_linear", "const", "c", "x0_imag", "psi_imag", "omega_max"])
+        ("classical-integrate", "[force]\nfamily = rank_one\ndimension = 1\nc = 1 2 3\n"
+         "g_poly = -1 0\n[initial]\nx0 = 1\nv0 = 0\n" + GRID, "[force] c"),
+    ], ids=["g_linear", "const", "c", "x0_imag", "psi_imag", "omega_max", "integrate_c"])
     def test_bad_value_exits_3_naming_key(self, tmp_path, capsys, command, sections, key):
         config = write(tmp_path, "bad.ini", f"[scenario]\ncommand = {command}\n{sections}")
         assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 3
@@ -204,6 +206,19 @@ n2 = 5
 
     def test_no_subcommand_exits_2(self):
         assert cli.main([]) == 2
+
+    def test_integrate_takes_at_most_two_derivatives(self, tmp_path, monkeypatch):
+        calls = []
+        original = classical.ForceTensorField.derivative_tensor
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(classical.ForceTensorField, "derivative_tensor", counted)
+        assert cli.main(["classical-integrate", "--config", scenario_path("classical_harmonic.ini"),
+                         "--out", str(tmp_path)]) == 0
+        assert 1 <= len(calls) <= 2
 
 
 class TestValidate:
@@ -233,6 +248,20 @@ n2 = 5
 """)
         assert cli.main(["validate", "--config", config]) == 2
         assert "at least 3 points" in capsys.readouterr().err
+
+    def test_wrong_size_x0_imag_rejected(self, tmp_path, capsys):
+        config = write(tmp_path, "imag.ini", "[scenario]\ncommand = quantum-fluct\n[system]\n"
+                       "e1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\nx0_imag = 0 1 -1\n"
+                       "psi_real = 1 1\n" + GRID)
+        assert cli.main(["validate", "--config", config]) == 2
+        assert "[system] x0_imag" in capsys.readouterr().err
+
+    def test_integrate_force_family_checked(self, tmp_path, capsys):
+        config = write(tmp_path, "fam.ini", "[scenario]\ncommand = classical-integrate\n[force]\n"
+                       "family = polynomial\ndimension = 1\nf11_poly = 1 0\n"
+                       "[initial]\nx0 = 1\nv0 = 0\n" + GRID)
+        assert cli.main(["validate", "--config", config]) == 2
+        assert "needs a rank_one force" in capsys.readouterr().err
 
     def test_unknown_force_family_suggests(self, tmp_path, capsys):
         config = write(tmp_path, "fam.ini", """
