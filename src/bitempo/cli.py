@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import itertools
 import json
 import math
 import os
@@ -194,6 +193,67 @@ def _force(cfg) -> classical.ForceTensorField:
     return classical.affine_force(d, linear.reshape(d, 2, 2, d), const)
 
 
+def _point(cfg, force: classical.ForceTensorField) -> list:
+    x = _get(cfg, "point", "x", _floats)
+    if len(x) != force.d:
+        raise DomainError(f"[point] x needs {force.d} coordinates, got {len(x)}")
+    return x
+
+
+def _budget(cfg) -> quantum.UncertaintyBudget:
+    return quantum.UncertaintyBudget(
+        dE1=_get(cfg, "budget", "de1", _float),
+        dE2=_get(cfg, "budget", "de2", _float),
+        ddE1=_get(cfg, "budget", "dde1", _float),
+        ddE2=_get(cfg, "budget", "dde2", _float),
+        t=TimePlanePoint(_get(cfg, "budget", "t1", _float), _get(cfg, "budget", "t2", _float)),
+        hbar=_get(cfg, "budget", "hbar", _float, 1.0),
+    )
+
+
+def _current_source(cfg) -> str:
+    source = _get(cfg, "current", "source", str, "builtin")
+    if not (source in ("builtin", "builtin-sourced") or source.startswith("file:")):
+        raise DomainError(f"unknown current source {source!r}; "
+                          "use builtin, builtin-sourced or file:<path>")
+    return source
+
+
+def _wave(cfg):
+    """(k, m, part, rescales) of [wave]; rescales maps each branch named by a
+    rescale_plus/rescale_minus key to its complex factor."""
+    k = _get(cfg, "wave", "k", _floats)
+    if len(k) != 3:
+        raise DomainError(f"[wave] k needs 3 components, got {len(k)}")
+    m = _get(cfg, "wave", "m", _float)
+    part = _get(cfg, "wave", "part", str, "imaginary")
+    if part not in ("imaginary", "real"):
+        raise DomainError(f"[wave] part must be 'imaginary' or 'real', got {part!r}")
+    rescales = {}
+    for key, branch in (("rescale_plus", "plus"), ("rescale_minus", "minus")):
+        re_im = _get(cfg, "wave", key, _floats, None)
+        if re_im is not None:
+            if len(re_im) != 2:
+                raise DomainError(f"[wave] {key} needs 're im', got {len(re_im)} entries")
+            rescales[branch] = complex(re_im[0], re_im[1])
+    return k, m, part, rescales
+
+
+def _sweep(cfg):
+    """(m, hbar, c, omegas) of the [sweep] section."""
+    m = _get(cfg, "sweep", "m", _float)
+    hbar = _get(cfg, "sweep", "hbar", _float, 1.0)
+    c = _get(cfg, "sweep", "c", _float, 1.0)
+    omega_min = _get(cfg, "sweep", "omega_min", _float, 0.0)
+    omega_max = _get(cfg, "sweep", "omega_max", _float)
+    count = _get(cfg, "sweep", "count", int, 41)
+    if count < 2:
+        raise DomainError("[sweep] count must be at least 2")
+    if min(m, omega_min, omega_max) < 0 or min(hbar, c) <= 0:
+        raise DomainError("[sweep] needs m, omega_min, omega_max >= 0 and hbar, c > 0")
+    return m, hbar, c, np.linspace(omega_min, omega_max, count)
+
+
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
@@ -217,24 +277,35 @@ def _atomic_write(path: str, chunks):
 _BLOCK_ROWS = 4096  # rows formatted at a time, so a table's text is never all in memory
 
 
-def _row_blocks(rows, width: int):
-    """Rows of floats as comma-joined 17-significant-digit strings, one
-    template per row, a block of rows at a time."""
-    template = ",".join(["%.17g"] * width)
-    values = np.asarray(rows, dtype=float)
-    for start in range(0, len(values), _BLOCK_ROWS):
-        yield [template % tuple(row) for row in values[start:start + _BLOCK_ROWS].tolist()]
-
-
 def _write_table(path: str, columns: list, rows, fmt: str):
-    blocks = _row_blocks(rows, len(columns))
+    """Write rows of floats as 17-significant-digit text under a header of
+    column names: CSV lines, or the JSON object {"columns": [...],
+    "rows": [[...]]} with every value a string, laid out as
+    json.dumps(indent=1, sort_keys=True) lays it out.  Both formats fill a
+    block of rows with one % operation, their row template repeated with a
+    separator, and differ only in head, row template, separator and tail."""
+    values = np.asarray(rows, dtype=float)
     if fmt == "json":
-        payload = {"columns": list(columns),
-                   "rows": [line.split(",") for block in blocks for line in block]}
-        _atomic_write(path, (json.dumps(payload, indent=1, sort_keys=True), "\n"))
+        names = json.dumps(list(columns), indent=1).replace("\n", "\n ")
+        head = '{\n "columns": %s,\n "rows": [' % names
+        template = "  [\n" + ",\n".join(['   "%.17g"'] * len(columns)) + "\n  ]"
+        sep, tail = ",\n", "]\n}\n"
+        if len(values):  # a non-empty list opens and closes on lines of its own
+            head, tail = head + "\n", "\n ]\n}\n"
     else:
-        _atomic_write(path, itertools.chain([",".join(columns) + "\n"],
-                                            ("\n".join(block) + "\n" for block in blocks)))
+        head, tail = ",".join(columns) + "\n", ""
+        template, sep = ",".join(["%.17g"] * len(columns)) + "\n", ""
+
+    def chunks():
+        yield head
+        for start in range(0, len(values), _BLOCK_ROWS):
+            block = values[start:start + _BLOCK_ROWS]
+            if start:
+                yield sep
+            yield sep.join([template] * len(block)) % tuple(block.ravel().tolist())
+        yield tail
+
+    _atomic_write(path, chunks())
 
 
 def _grid_rows(axes, *fields) -> np.ndarray:
@@ -272,9 +343,7 @@ def _echo_config(cfg) -> dict:
 def _run_classical_check(cfg):
     tol = _tolerances(cfg)
     force = _force(cfg)
-    x = _get(cfg, "point", "x", _floats)
-    if len(x) != force.d:
-        raise DomainError(f"[point] x needs {force.d} coordinates, got {len(x)}")
+    x = _point(cfg, force)
     point = x[0] if force.d == 1 else np.asarray(x)
     report = classical.classify(force, point, tol=tol)
     payload = {
@@ -338,6 +407,8 @@ def _quantum_system(cfg):
             raise DomainError(f"[system] psi_imag needs {psi.size} entries, got {len(psi_imag)}")
         psi = psi + 1j * np.asarray(psi_imag)
     hbar = _get(cfg, "system", "hbar", _float, 1.0)
+    if hbar <= 0:
+        raise DomainError("[system] hbar must be positive")
     return quantum.TwoTimeQuantumSystem(e1, e2, x0), quantum.StateVector.normalized(psi), hbar
 
 
@@ -346,20 +417,6 @@ def _run_quantum_fluct(cfg):
     n = system.n_levels
     grid = _grid(cfg)
     trace = quantum.variance_trace(system, state, grid, hbar)
-
-    tau2_dep = 0.0
-    for a in range(n):
-        for b in range(n):
-            ec = quantum.element_characteristic(system, a, b)
-            if ec.degenerate:
-                continue
-            tau1 = 0.37
-            pt1 = quantum.inverse_rotate_times(ec, tau1, 0.21)
-            pt2 = quantum.inverse_rotate_times(ec, tau1, -0.83)
-            va = quantum.evolve_element(system, a, b, pt1, hbar)
-            vb = quantum.evolve_element(system, a, b, pt2, hbar)
-            tau2_dep = max(tau2_dep, abs(va - vb))
-
     rows = _grid_rows((grid.t1_values, grid.t2_values), trace.mean.real, trace.mean.imag,
                       trace.second_moment, trace.variance)
     payload = {
@@ -368,7 +425,7 @@ def _run_quantum_fluct(cfg):
         "variance_min": float(np.min(trace.variance)),
         "variance_max": float(np.max(trace.variance)),
         "mean_imag_max": float(np.max(np.abs(trace.mean.imag))),
-        "tau2_dependence": tau2_dep,
+        "tau2_dependence": quantum.tau2_dependence(system, hbar),
         "grid": [grid.n1, grid.n2],
     }
     columns = ["t1", "t2", "mean_re", "mean_im", "second_moment", "variance"]
@@ -376,14 +433,7 @@ def _run_quantum_fluct(cfg):
 
 
 def _run_uncertainty(cfg):
-    budget = quantum.UncertaintyBudget(
-        dE1=_get(cfg, "budget", "de1", _float),
-        dE2=_get(cfg, "budget", "de2", _float),
-        ddE1=_get(cfg, "budget", "dde1", _float),
-        ddE2=_get(cfg, "budget", "dde2", _float),
-        t=TimePlanePoint(_get(cfg, "budget", "t1", _float), _get(cfg, "budget", "t2", _float)),
-        hbar=_get(cfg, "budget", "hbar", _float, 1.0),
-    )
+    budget = _budget(cfg)
     vis = quantum.uncertainty_visibility(budget)
     swept = abs(budget.dE1 * budget.t.t1 + budget.dE2 * budget.t.t2) / budget.hbar
     payload = {
@@ -426,16 +476,12 @@ def _load_current_file(path: str, grid: Grid2T) -> continuity.CurrentField:
 def _run_continuity(cfg):
     tol = _tolerances(cfg)
     grid = _grid(cfg, need_space=True)
-    source = _get(cfg, "current", "source", str, "builtin")
-    if source == "builtin":
-        current, _ = continuity.manufactured_current(grid)
-    elif source == "builtin-sourced":
-        current, _ = continuity.manufactured_current(grid, with_source=True)
-    elif source.startswith("file:"):
+    source = _current_source(cfg)
+    if source.startswith("file:"):
         current = _load_current_file(source[5:], grid)
     else:
-        raise DomainError(f"unknown current source {source!r}; "
-                          "use builtin, builtin-sourced or file:<path>")
+        current, _ = continuity.manufactured_current(
+            grid, with_source=source == "builtin-sourced")
     report = continuity.charges(current, tol=tol)
     payload = {
         "source": source,
@@ -462,18 +508,10 @@ def _run_continuity(cfg):
 
 def _run_dirac(cfg):
     tol = _tolerances(cfg)
-    k = _get(cfg, "wave", "k", _floats)
-    if len(k) != 3:
-        raise DomainError(f"[wave] k needs 3 components, got {len(k)}")
-    m = _get(cfg, "wave", "m", _float)
-    part = _get(cfg, "wave", "part", str, "imaginary")
+    k, m, part, rescales = _wave(cfg)
     sol = dirac.solve_plane_wave(k, m, tol)
-    for key, attr in (("rescale_plus", "plus"), ("rescale_minus", "minus")):
-        re_im = _get(cfg, "wave", key, _floats, None)
-        if re_im is not None:
-            if len(re_im) != 2:
-                raise DomainError(f"[wave] {key} needs 're im', got {len(re_im)} entries")
-            sol = sol.rescaled(**{attr: complex(re_im[0], re_im[1])})
+    for branch, factor in rescales.items():
+        sol = sol.rescaled(**{branch: factor})
     grid = _grid(cfg, need_space=True)
 
     conservation = 0.0
@@ -520,15 +558,7 @@ def _run_dirac(cfg):
 
 
 def _run_mass_spectrum(cfg):
-    m = _get(cfg, "sweep", "m", _float)
-    hbar = _get(cfg, "sweep", "hbar", _float, 1.0)
-    c = _get(cfg, "sweep", "c", _float, 1.0)
-    omega_min = _get(cfg, "sweep", "omega_min", _float, 0.0)
-    omega_max = _get(cfg, "sweep", "omega_max", _float)
-    count = _get(cfg, "sweep", "count", int, 41)
-    if count < 2:
-        raise DomainError("[sweep] count must be at least 2")
-    omegas = np.linspace(omega_min, omega_max, count)
+    m, hbar, c, omegas = _sweep(cfg)
     rows = []
     consistent = True
     tachyon_count = 0
@@ -551,7 +581,7 @@ def _run_mass_spectrum(cfg):
         "boundary_omega": m * c ** 2 / hbar,
         "tachyonic_count": tachyon_count,
         "classification_consistent": consistent,
-        "count": count,
+        "count": len(omegas),
     }
     columns = ["omega", "m_eff", "tachyonic", "tau", "R", "c_tau_gt_R"]
     return payload, [("table", "mass_spectrum.csv", columns, rows)]
@@ -624,15 +654,19 @@ def validate_config(config_path: str) -> list:
 
     def probe(fn):
         try:
-            fn()
+            return fn()
         except (DomainError, ConfigError) as exc:
             diagnostics.append(str(exc))
         except BitempoError as exc:
             diagnostics.append(f"unexpected: {exc}")
+        return None
 
     if command == "classical-check":
-        probe(lambda: _force(cfg))
-        probe(lambda: _get(cfg, "point", "x", _floats))
+        force = probe(lambda: _force(cfg))
+        if force is None:
+            probe(lambda: _get(cfg, "point", "x", _floats))
+        else:
+            probe(lambda: _point(cfg, force))
     elif command == "classical-integrate":
         probe(lambda: _integrate_force(cfg))
         probe(lambda: (_get(cfg, "initial", "x0", _float),
@@ -642,21 +676,15 @@ def validate_config(config_path: str) -> list:
         probe(lambda: _grid(cfg))
         probe(lambda: _quantum_system(cfg))
     elif command == "uncertainty":
-        probe(lambda: [_get(cfg, "budget", key, _float) for key in
-                       ("de1", "de2", "dde1", "dde2", "t1", "t2")])
+        probe(lambda: _budget(cfg))
     elif command == "continuity":
         probe(lambda: _grid(cfg, need_space=True))
-        def check_source():
-            source = _get(cfg, "current", "source", str, "builtin")
-            if not (source in ("builtin", "builtin-sourced") or source.startswith("file:")):
-                raise DomainError(f"unknown current source {source!r}")
-        probe(check_source)
+        probe(lambda: _current_source(cfg))
     elif command == "dirac":
         probe(lambda: _grid(cfg, need_space=True))
-        probe(lambda: (_get(cfg, "wave", "k", _floats), _get(cfg, "wave", "m", _float)))
+        probe(lambda: _wave(cfg))
     elif command == "mass-spectrum":
-        probe(lambda: (_get(cfg, "sweep", "m", _float),
-                       _get(cfg, "sweep", "omega_max", _float)))
+        probe(lambda: _sweep(cfg))
     probe(lambda: _tolerances(cfg))
     return diagnostics
 

@@ -286,11 +286,6 @@ def manufactured_current(grid: Grid2T, with_source: bool = False,
     j2 = -w * rp * s + 0.2 * wp * s * (1.0 + 0.5 * np.sin(t1))
     jx = 0.3 * x * w * rp * np.cos(t2) + 0.2 * w * sp * (1.0 + 0.5 * np.sin(t1))
 
-    shape = (grid.nx, grid.n1, grid.n2)
-    j1 = np.broadcast_to(j1, shape).copy()
-    j2 = np.broadcast_to(j2, shape).copy()
-    jx = np.broadcast_to(jx, shape).copy()
-
     ix_integral = 0.5 * math.sqrt(math.pi) * (math.erf(grid.x_max) - math.erf(grid.x_min))
     it2_integral = 0.5 * length2
 

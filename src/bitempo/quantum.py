@@ -41,6 +41,7 @@ __all__ = [
     "element_characteristic",
     "rotate_times",
     "inverse_rotate_times",
+    "tau2_dependence",
     "variance_trace",
     "uncertainty_visibility",
     "angle_and_width",
@@ -261,6 +262,34 @@ def inverse_rotate_times(ec: ElementCharacteristic, tau1: float, tau2: float) ->
     return TimePlanePoint(ct * tau1 - st * tau2, st * tau1 + ct * tau2)
 
 
+# rotated coordinates of the two time-plane points tau2_dependence compares:
+# one shared tau1, two tau2 values
+_PROBE_TAU1 = 0.37
+_PROBE_TAU2 = (0.21, -0.83)
+
+
+def tau2_dependence(sys: TwoTimeQuantumSystem, hbar: float = 1.0) -> float:
+    """Largest change of any element with a non-degenerate spacing pair
+    between the two time-plane points whose rotated coordinates are
+    (tau1, tau2) = (0.37, 0.21) and (0.37, -0.83).
+
+    Each element depends on its own tau1 only, so this is an identity that
+    holds by construction: the result measures the rounding of the rotation
+    and of the phases, never a physical tau2 dependence.  Degenerate pairs,
+    which have no rotation angle, are left out.
+    """
+    if hbar <= 0:
+        raise DomainError("hbar must be positive")
+    d1, d2 = sys.spacing_matrices()
+    theta = np.arctan2(d2, d1)
+    ct, st = np.cos(theta), np.sin(theta)
+    tau1 = _PROBE_TAU1
+    phases = [(d1 * (ct * tau1 - st * t2) + d2 * (st * tau1 + ct * t2)) / hbar
+              for t2 in _PROBE_TAU2]
+    change = np.abs(sys.X0 * np.exp(1j * phases[0]) - sys.X0 * np.exp(1j * phases[1]))
+    return float(np.max(change, where=(d1 != 0.0) | (d2 != 0.0), initial=0.0))
+
+
 def variance_trace(sys: TwoTimeQuantumSystem, psi: StateVector, grid: Grid2T,
                    hbar: float = 1.0) -> FluctuationTrace:
     """First and second moments of the evolved observable over a grid.
@@ -280,7 +309,11 @@ def variance_trace(sys: TwoTimeQuantumSystem, psi: StateVector, grid: Grid2T,
              + np.multiply.outer(grid.t2_values, sys.E2)[None, :, :]) / hbar
     # X(t) psi itself, not w^dagger X0 w with w = D^dagger psi: the moments then
     # take the same products as the per-point form X(t) = X0 * exp(i dE t)
-    xv = np.exp(1j * phase) * ((np.exp(-1j * phase) * v) @ sys.X0.T)
+    e = np.exp(1j * phase)
+    xv = (np.conj(e) * v) @ sys.X0.T
+    # e first: numpy's complex product is not bitwise commutative, and
+    # `e * <temporary>` would be evaluated in place as temporary * e
+    np.multiply(e, xv, out=xv)
     mean = (v.conj() @ xv[..., None])[..., 0]
     second = (xv.conj()[..., None, :] @ xv[..., :, None])[..., 0, 0].real
     variance = second - mean.real ** 2

@@ -85,6 +85,65 @@ class TestBundledScenarios:
         assert f"{val:.17g}" == first[2].strip()
 
 
+def reference_table(columns, rows, fmt):
+    """The table text as the writer laid it out before it had one row
+    template per format: CSV lines, split back into strings for JSON and
+    encoded by json.dumps."""
+    template = ",".join(["%.17g"] * len(columns))
+    lines = [template % tuple(row) for row in np.asarray(rows, dtype=float).tolist()]
+    if fmt == "json":
+        payload = {"columns": list(columns), "rows": [line.split(",") for line in lines]}
+        return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    return "".join(line + "\n" for line in [",".join(columns)] + lines)
+
+
+def table_values(path):
+    """Column names and float rows of a data file in either format."""
+    if path.endswith(".json"):
+        with open(path) as fh:
+            payload = json.load(fh)
+        return payload["columns"], [[float(v) for v in row] for row in payload["rows"]]
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    return lines[0].split(","), [[float(v) for v in line.split(",")] for line in lines[1:]]
+
+
+class TestWriteTable:
+    SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 1e-300, -1e300, 0.1, 5e-324]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_rows", [0, 1, 4096, 4097, 8193])
+    def test_matches_reference_layout(self, tmp_path, fmt, n_rows):
+        columns = ["t1", "t2", "mean_re", "mean_im", "second_moment", "variance",
+                   "c_tau_gt_R", "x"]
+        rows = np.random.default_rng(n_rows).normal(size=(n_rows, len(columns)))
+        rows *= 10.0 ** np.random.default_rng(n_rows + 1).integers(-300, 300, size=rows.shape)
+        for i, value in enumerate(self.SPECIALS):
+            if i < n_rows:
+                rows[i] = value
+                rows[-1 - i, i] = value
+        path = str(tmp_path / f"table.{fmt}")
+        cli._write_table(path, columns, rows, fmt)
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert fh.read() == reference_table(columns, rows, fmt)
+
+    def test_json_rows_equal_csv_rows_for_bundled_scenarios(self, tmp_path):
+        tables = 0
+        for name in all_scenarios():
+            csv_report = cli.run_scenario(scenario_path(name), str(tmp_path / "csv"), "csv")
+            json_report = cli.run_scenario(scenario_path(name), str(tmp_path / "json"), "json")
+            csv_files = csv_report["comparable"]["artifacts"]
+            json_files = json_report["comparable"]["artifacts"]
+            assert [a[:-4] for a in csv_files] == [a[:-5] for a in json_files]
+            for csv_name, json_name in zip(csv_files, json_files):
+                csv_columns, csv_rows = table_values(str(tmp_path / "csv" / csv_name))
+                json_columns, json_rows = table_values(str(tmp_path / "json" / json_name))
+                assert json_columns == csv_columns
+                assert np.array(json_rows).tobytes() == np.array(csv_rows).tobytes()
+                tables += 1
+        assert tables >= 5
+
+
 class TestCurrentFileRoundTrip:
     def test_dirac_current_feeds_continuity(self, tmp_path):
         report = cli.run_scenario(scenario_path("dirac_plane_wave.ini"), str(tmp_path))
@@ -255,6 +314,39 @@ n2 = 5
                        "psi_real = 1 1\n" + GRID)
         assert cli.main(["validate", "--config", config]) == 2
         assert "[system] x0_imag" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, sections, key", [
+        ("classical-check", "[force]\nfamily = rank_one\ndimension = 2\nc = 1 2\n"
+         "g_const = 0.5 -0.3\ng_linear = -1 0.4 0.2 0.1\n[point]\nx = 0.4\n", "[point] x"),
+        ("dirac", "[wave]\nk = 1 0\nm = 1\n" + GRID + "x_min = -1\nx_max = 1\nnx = 5\n",
+         "[wave] k"),
+        ("dirac", "[wave]\nk = 1 0 0\nm = 1\nrescale_plus = 1 0 0\n" + GRID
+         + "x_min = -1\nx_max = 1\nnx = 5\n", "[wave] rescale_plus"),
+        ("dirac", "[wave]\nk = 1 0 0\nm = 1\npart = both\n" + GRID
+         + "x_min = -1\nx_max = 1\nnx = 5\n", "[wave] part"),
+        ("mass-spectrum", "[sweep]\nm = 1.0\nomega_max = 2.0\ncount = 1\n", "[sweep] count"),
+        ("mass-spectrum", "[sweep]\nm = 1.0\nomega_max = 2.0\nhbar = -1\n", "[sweep]"),
+        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
+         "hbar = 0\n" + GRID, "[system] hbar"),
+        ("uncertainty", "[budget]\nde1 = 1\nde2 = 1\ndde1 = 0\ndde2 = 0\nt1 = 3\nt2 = 3\n"
+         "hbar = abc\n", "[budget] hbar"),
+    ], ids=["point_x", "wave_k", "rescale_plus", "wave_part", "sweep_count", "sweep_hbar",
+            "system_hbar", "budget_hbar"])
+    def test_rejects_what_run_rejects(self, tmp_path, capsys, command, sections, key):
+        config = write(tmp_path, "bad.ini", f"[scenario]\ncommand = {command}\n{sections}")
+        assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 3
+        assert key in capsys.readouterr().err
+        assert cli.main(["validate", "--config", config]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_bad_force_and_missing_point_both_named(self, tmp_path, capsys):
+        config = write(tmp_path, "both.ini", "[scenario]\ncommand = classical-check\n"
+                       "[force]\nfamily = rank_one\ndimension = 2\nc = 1 2 3\n"
+                       "g_const = 0.5 -0.3\ng_linear = -1 0.4 0.2 0.1\n")
+        assert cli.main(["validate", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "[force] c" in err
+        assert "[point]" in err
 
     def test_integrate_force_family_checked(self, tmp_path, capsys):
         config = write(tmp_path, "fam.ini", "[scenario]\ncommand = classical-integrate\n[force]\n"

@@ -169,6 +169,41 @@ class TestRotation:
             q.rotate_times(ec, TimePlanePoint(1.0, 1.0))
 
 
+class TestTau2Dependence:
+    @staticmethod
+    def per_element(sys_, hbar):
+        # reference: the per-element loop the array expression replaced
+        tau1, tau2 = 0.37, (0.21, -0.83)
+        worst = 0.0
+        for n in range(sys_.n_levels):
+            for m in range(sys_.n_levels):
+                ec = q.element_characteristic(sys_, n, m)
+                if ec.degenerate:
+                    continue
+                a = q.evolve_element(sys_, n, m, q.inverse_rotate_times(ec, tau1, tau2[0]), hbar)
+                b = q.evolve_element(sys_, n, m, q.inverse_rotate_times(ec, tau1, tau2[1]), hbar)
+                worst = max(worst, abs(a - b))
+        return worst
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_element_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = random_system(rng, n=32)
+        if seed % 2:  # repeated levels give degenerate off-diagonal pairs
+            sys_ = q.TwoTimeQuantumSystem(np.round(sys_.E1), np.round(sys_.E2), sys_.X0)
+        hbar = rng.uniform(0.5, 2.0)
+        tol = 1e-14 * max(1.0, float(np.max(np.abs(sys_.X0))))
+        assert abs(q.tau2_dependence(sys_, hbar) - self.per_element(sys_, hbar)) < tol
+
+    def test_degenerate_pairs_left_out(self):
+        sys_ = q.TwoTimeQuantumSystem([1, 1], [2, 2], [[0.0, 0.7], [0.7, 0.0]])
+        assert q.tau2_dependence(sys_) == 0.0
+
+    def test_nonpositive_hbar_rejected(self):
+        with pytest.raises(DomainError):
+            q.tau2_dependence(random_system(np.random.default_rng(1)), hbar=0.0)
+
+
 class TestVarianceTrace:
     def test_eigenstate_of_diagonal_observable(self):
         sys_ = q.TwoTimeQuantumSystem([0, 1, 2], [0, 2, 1], np.diag([0.3, -0.4, 1.1]))
@@ -221,6 +256,26 @@ class TestVarianceTrace:
                 assert abs(mean - trace.mean[i, j]) < tol
                 assert abs(second - trace.second_moment[i, j]) < tol
                 assert abs(second - mean.real ** 2 - trace.variance[i, j]) < tol
+
+    def test_conjugate_phases_match_second_exp(self):
+        # reference: the conjugate phases taken from a second complex exp; the
+        # moments must agree bit for bit
+        rng = np.random.default_rng(21)
+        sys_ = random_system(rng, n=32)
+        psi = q.StateVector.normalized(rng.normal(size=32) + 1j * rng.normal(size=32))
+        hbar = 0.8
+        grid = Grid2T(0, 2, -1, 1, 101, 101)
+        trace = q.variance_trace(sys_, psi, grid, hbar)
+        phase = (np.multiply.outer(grid.t1_values, sys_.E1)[:, None, :]
+                 + np.multiply.outer(grid.t2_values, sys_.E2)[None, :, :]) / hbar
+        conjugate = np.exp(-1j * phase)
+        product = (conjugate * psi.psi) @ sys_.X0.T
+        phases = np.exp(1j * phase)
+        xv = phases * product
+        mean = (psi.psi.conj() @ xv[..., None])[..., 0]
+        second = (xv.conj()[..., None, :] @ xv[..., :, None])[..., 0, 0].real
+        assert trace.mean.tobytes() == mean.tobytes()
+        assert trace.second_moment.tobytes() == second.tobytes()
 
     def test_degenerate_pairs_kept(self):
         # identical spectra in both generators: evolution is trivial but the
