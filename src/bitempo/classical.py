@@ -231,7 +231,6 @@ class ConstraintReport:
     determinant_value: float
     kernel_dim: int
     fields: CharacteristicField
-    curl_residuals: tuple | None
     parallelism_defect: float
     verdict: Verdict
     orthogonality_residual: float | None = None
@@ -834,15 +833,13 @@ def _pairwise_defect(directions) -> float:
     return worst
 
 
-def classify(F: ForceTensorField, x, trajectory: TrajectorySurface | None = None,
-             tol: Tolerances = Tolerances(), curl_tol: float = 1e-4) -> ConstraintReport:
+def classify(F: ForceTensorField, x, tol: Tolerances = Tolerances()) -> ConstraintReport:
     """Full admissibility verdict for a force at a point.
 
     Full-rank velocity system: no two-time motion.  Rank-deficient with all
-    characteristic directions parallel: effectively one time.  Rank-deficient
-    with genuinely different directions (and curl-free fields where a
-    trajectory makes that measurable): two-time admissible.  Vanishing
-    fields: degenerate.
+    characteristic directions parallel (always so at d = 1): effectively one
+    time.  Rank-deficient with genuinely different directions: two-time
+    admissible.  Vanishing fields: degenerate.
     """
     if F.d == 1:
         fp = _primes_1d(F, x, tol)
@@ -852,16 +849,11 @@ def classify(F: ForceTensorField, x, trajectory: TrajectorySurface | None = None
         kdim = len(kernel)
         if kdim == 0:
             fields = CharacteristicField(vectors=(np.zeros(2),), degenerate=(True,))
-            return ConstraintReport(det_val, 0, fields, None, 0.0,
-                                    Verdict.NO_TWO_TIME_MOTION)
+            return ConstraintReport(det_val, 0, fields, 0.0, Verdict.NO_TWO_TIME_MOTION)
         fields = _field_1d(fp, x, tol)
         if fields.degenerate[0]:
-            return ConstraintReport(det_val, kdim, fields, None, 0.0, Verdict.DEGENERATE)
-        curls = _curls_along(fields_map_1d(F, tol), trajectory, 1)
-        verdict = Verdict.EFFECTIVE_ONE_TIME
-        if curls is not None and max(curls) > curl_tol:
-            verdict = Verdict.DEGENERATE
-        return ConstraintReport(det_val, kdim, fields, curls, 0.0, verdict)
+            return ConstraintReport(det_val, kdim, fields, 0.0, Verdict.DEGENERATE)
+        return ConstraintReport(det_val, kdim, fields, 0.0, Verdict.EFFECTIVE_ONE_TIME)
 
     T = F.derivative_tensor(x, tol)
     pf = _field_report(T, tol, "corrected")
@@ -869,8 +861,7 @@ def classify(F: ForceTensorField, x, trajectory: TrajectorySurface | None = None
     if pf.kernel_dim == 0:
         fields = CharacteristicField(vectors=tuple(np.zeros(2) for _ in range(F.d)),
                                      degenerate=tuple(True for _ in range(F.d)))
-        return ConstraintReport(det_val, 0, fields, None, 0.0,
-                                Verdict.NO_TWO_TIME_MOTION,
+        return ConstraintReport(det_val, 0, fields, 0.0, Verdict.NO_TWO_TIME_MOTION,
                                 pf.orthogonality_residual, pf.discrepancy)
 
     vectors, degenerate = [], []
@@ -885,38 +876,11 @@ def classify(F: ForceTensorField, x, trajectory: TrajectorySurface | None = None
     defined = [v for v, dgn in zip(vectors, degenerate) if not dgn]
     defect = _pairwise_defect(defined)
 
-    curls = _curls_along(fields_map_nd(F, tol), trajectory, F.d)
     if not defined:
         verdict = Verdict.DEGENERATE
     elif defect <= CROSS_VALIDATION_TOL:
         verdict = Verdict.EFFECTIVE_ONE_TIME
-    elif curls is None or max(curls) <= curl_tol:
-        verdict = Verdict.TWO_TIME_ADMISSIBLE
     else:
-        verdict = Verdict.DEGENERATE
-    return ConstraintReport(det_val, pf.kernel_dim, fields, curls, defect, verdict,
+        verdict = Verdict.TWO_TIME_ADMISSIBLE
+    return ConstraintReport(det_val, pf.kernel_dim, fields, defect, verdict,
                             pf.orthogonality_residual, pf.discrepancy)
-
-
-def fields_map_1d(F: ForceTensorField, tol: Tolerances):
-    def at(position):
-        return characteristic_field_1d(F, float(position), tol).vectors
-    return at
-
-
-def fields_map_nd(F: ForceTensorField, tol: Tolerances):
-    def at(position):
-        report = _field_report(F.derivative_tensor(position, tol), tol, "corrected")
-        return tuple(v if v is not None else np.zeros(2) for v in report.oracle)
-    return at
-
-
-def _curls_along(fields_at, trajectory, d: int):
-    if trajectory is None:
-        return None
-    residuals = []
-    for i in range(d):
-        def component(t1, t2, _i=i):
-            return fields_at(trajectory.position(t1, t2))[_i]
-        residuals.append(curl_residual(component, trajectory.grid))
-    return tuple(residuals)

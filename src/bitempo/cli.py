@@ -35,7 +35,7 @@ from .core import (
     Grid2T,
     TimePlanePoint,
     Tolerances,
-    central_difference,
+    central_difference,  # noqa: F401 -- benchmarks/tests reads cli.central_difference
 )
 
 __all__ = ["main", "run_scenario", "validate_config", "load_config", "COMMANDS"]
@@ -126,6 +126,10 @@ def _grid(cfg, need_space: bool = False) -> Grid2T:
     return Grid2T(**kwargs)
 
 
+def _space_grid(cfg) -> Grid2T:
+    return _grid(cfg, need_space=True)
+
+
 def _rank_one_c(cfg) -> list:
     c = _get(cfg, "force", "c", _floats)
     if len(c) != 2:
@@ -193,11 +197,17 @@ def _force(cfg) -> classical.ForceTensorField:
     return classical.affine_force(d, linear.reshape(d, 2, 2, d), const)
 
 
-def _point(cfg, force: classical.ForceTensorField) -> list:
+def _point(cfg) -> list:
     x = _get(cfg, "point", "x", _floats)
-    if len(x) != force.d:
-        raise DomainError(f"[point] x needs {force.d} coordinates, got {len(x)}")
+    d = _get(cfg, "force", "dimension", int)
+    if len(x) != d:
+        raise DomainError(f"[point] x needs {d} coordinates, got {len(x)}")
     return x
+
+
+def _initial(cfg):
+    """(x0, v0) of the [initial] section."""
+    return _get(cfg, "initial", "x0", _float), _get(cfg, "initial", "v0", _float)
 
 
 def _budget(cfg) -> quantum.UncertaintyBudget:
@@ -209,6 +219,36 @@ def _budget(cfg) -> quantum.UncertaintyBudget:
         t=TimePlanePoint(_get(cfg, "budget", "t1", _float), _get(cfg, "budget", "t2", _float)),
         hbar=_get(cfg, "budget", "hbar", _float, 1.0),
     )
+
+
+def _quantum_system(cfg):
+    """The size-checked quantum-fluct system, initial state and hbar."""
+    e1 = _get(cfg, "system", "e1", _floats)
+    e2 = _get(cfg, "system", "e2", _floats)
+    n = len(e1)
+    if len(e2) != n:
+        raise DomainError(f"[system] e2 needs {n} entries, got {len(e2)}")
+    x0 = np.asarray(_get(cfg, "system", "x0_real", _floats), dtype=complex)
+    if x0.size != n * n:
+        raise DomainError(f"[system] x0_real needs {n * n} entries, got {x0.size}")
+    x0 = x0.reshape(n, n)
+    x0_imag = _get(cfg, "system", "x0_imag", _floats, None)
+    if x0_imag is not None:
+        if len(x0_imag) != n * n:
+            raise DomainError(f"[system] x0_imag needs {n * n} entries, got {len(x0_imag)}")
+        x0 = x0 + 1j * np.reshape(x0_imag, (n, n))
+    psi = np.asarray(_get(cfg, "system", "psi_real", _floats), dtype=complex)
+    if psi.size != n:
+        raise DomainError(f"[system] psi_real needs {n} entries, got {psi.size}")
+    psi_imag = _get(cfg, "system", "psi_imag", _floats, None)
+    if psi_imag is not None:
+        if len(psi_imag) != psi.size:
+            raise DomainError(f"[system] psi_imag needs {psi.size} entries, got {len(psi_imag)}")
+        psi = psi + 1j * np.asarray(psi_imag)
+    hbar = _get(cfg, "system", "hbar", _float, 1.0)
+    if hbar <= 0:
+        raise DomainError("[system] hbar must be positive")
+    return quantum.TwoTimeQuantumSystem(e1, e2, x0), quantum.StateVector.normalized(psi), hbar
 
 
 def _current_source(cfg) -> str:
@@ -336,14 +376,12 @@ def _echo_config(cfg) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command runners: each returns (comparable_payload, data_files)
+# command runners: each takes the values of its command's section parsers
+# (see _COMMANDS) and returns (comparable_payload, data_files)
 # data_files: list of (config_key, default_name, columns, rows)
 # ---------------------------------------------------------------------------
 
-def _run_classical_check(cfg):
-    tol = _tolerances(cfg)
-    force = _force(cfg)
-    x = _point(cfg, force)
+def _run_classical_check(tol, force, x):
     point = x[0] if force.d == 1 else np.asarray(x)
     report = classical.classify(force, point, tol=tol)
     payload = {
@@ -363,12 +401,9 @@ def _run_classical_check(cfg):
     return payload, []
 
 
-def _run_classical_integrate(cfg):
-    tol = _tolerances(cfg)
-    c, g = _integrate_force(cfg)
-    x0 = _get(cfg, "initial", "x0", _float)
-    v0 = _get(cfg, "initial", "v0", _float)
-    grid = _grid(cfg)
+def _run_classical_integrate(tol, force, initial, grid):
+    c, g = force
+    x0, v0 = initial
     surface = classical.integrate_rank_one_1d(g, c, x0, v0, grid, tol=tol)
     check = classical.check_surface(classical.rank_one_force(c, g, d=1), surface, tol)
     payload = {
@@ -386,36 +421,9 @@ def _run_classical_integrate(cfg):
     return payload, [("surface", "surface.csv", columns, rows)]
 
 
-def _quantum_system(cfg):
-    """The size-checked quantum-fluct system, initial state and hbar."""
-    e1 = _get(cfg, "system", "e1", _floats)
-    e2 = _get(cfg, "system", "e2", _floats)
-    n = len(e1)
-    x0 = np.asarray(_get(cfg, "system", "x0_real", _floats), dtype=complex)
-    if x0.size != n * n:
-        raise DomainError(f"[system] x0_real needs {n * n} entries, got {x0.size}")
-    x0 = x0.reshape(n, n)
-    x0_imag = _get(cfg, "system", "x0_imag", _floats, None)
-    if x0_imag is not None:
-        if len(x0_imag) != n * n:
-            raise DomainError(f"[system] x0_imag needs {n * n} entries, got {len(x0_imag)}")
-        x0 = x0 + 1j * np.reshape(x0_imag, (n, n))
-    psi = np.asarray(_get(cfg, "system", "psi_real", _floats), dtype=complex)
-    psi_imag = _get(cfg, "system", "psi_imag", _floats, None)
-    if psi_imag is not None:
-        if len(psi_imag) != psi.size:
-            raise DomainError(f"[system] psi_imag needs {psi.size} entries, got {len(psi_imag)}")
-        psi = psi + 1j * np.asarray(psi_imag)
-    hbar = _get(cfg, "system", "hbar", _float, 1.0)
-    if hbar <= 0:
-        raise DomainError("[system] hbar must be positive")
-    return quantum.TwoTimeQuantumSystem(e1, e2, x0), quantum.StateVector.normalized(psi), hbar
-
-
-def _run_quantum_fluct(cfg):
-    system, state, hbar = _quantum_system(cfg)
+def _run_quantum_fluct(setup, grid):
+    system, state, hbar = setup
     n = system.n_levels
-    grid = _grid(cfg)
     trace = quantum.variance_trace(system, state, grid, hbar)
     rows = _grid_rows((grid.t1_values, grid.t2_values), trace.mean.real, trace.mean.imag,
                       trace.second_moment, trace.variance)
@@ -432,13 +440,11 @@ def _run_quantum_fluct(cfg):
     return payload, [("trace", "trace.csv", columns, rows)]
 
 
-def _run_uncertainty(cfg):
-    budget = _budget(cfg)
+def _run_uncertainty(budget):
     vis = quantum.uncertainty_visibility(budget)
-    swept = abs(budget.dE1 * budget.t.t1 + budget.dE2 * budget.t.t2) / budget.hbar
     payload = {
         "visibility": vis.value,
-        "swept_phase_over_two_pi": swept / (2.0 * math.pi),
+        "swept_phase_over_two_pi": budget.swept_phase / (2.0 * math.pi),
     }
     report = quantum.angle_and_width(budget)
     payload.update(
@@ -455,7 +461,7 @@ def _run_uncertainty(cfg):
 def _load_current_file(path: str, grid: Grid2T) -> continuity.CurrentField:
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise DomainError(f"cannot read current samples from {path}: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 6:
         raise DomainError("current sample file needs columns x,t1,t2,j1,j2,jx")
@@ -473,10 +479,7 @@ def _load_current_file(path: str, grid: Grid2T) -> continuity.CurrentField:
     )
 
 
-def _run_continuity(cfg):
-    tol = _tolerances(cfg)
-    grid = _grid(cfg, need_space=True)
-    source = _current_source(cfg)
+def _run_continuity(tol, grid, source):
     if source.startswith("file:"):
         current = _load_current_file(source[5:], grid)
     else:
@@ -506,26 +509,11 @@ def _run_continuity(cfg):
     return payload, [("charge_q1", "charge_q1.csv", ["t1", "Q1"], rows)]
 
 
-def _run_dirac(cfg):
-    tol = _tolerances(cfg)
-    k, m, part, rescales = _wave(cfg)
+def _run_dirac(tol, wave, grid):
+    k, m, part, rescales = wave
     sol = dirac.solve_plane_wave(k, m, tol)
     for branch, factor in rescales.items():
         sol = sol.rescaled(**{branch: factor})
-    grid = _grid(cfg, need_space=True)
-
-    conservation = 0.0
-    probes = [(-0.4, 0.3, 0.7), (0.9, -0.6, 0.1), (0.2, 0.8, -0.9)]
-    for pos in probes:
-        div = 0.0
-        for mu, sgn in ((0, 1.0), (1, 1.0), (2, -1.0)):
-            def comp(u, mu=mu, pos=pos):
-                q = list(pos)
-                q[mu] = u
-                return dirac.dirac_current(sol, q, part)[mu]
-            div += sgn * central_difference(comp, pos[mu], tol.step_for(pos))
-        conservation = max(conservation, abs(div))
-
     pos_report = dirac.positivity_check(sol, grid, tol)
     density = dirac.dirac_density_separability(sol, grid, part=part, tol=tol)
     gset = dirac.gamma_set()
@@ -537,7 +525,7 @@ def _run_dirac(cfg):
         "clifford_defect": gset.clifford_defect(),
         "psi_plus": [[sol.psi_plus[i].real, sol.psi_plus[i].imag] for i in range(2)],
         "psi_minus": [[sol.psi_minus[i].real, sol.psi_minus[i].imag] for i in range(2)],
-        "conservation_residual": conservation,
+        "conservation_residual": dirac.conservation_residual(sol, part, tol),
         "positivity": {
             "lhs_im": pos_report.lhs_im, "rhs_im": pos_report.rhs_im,
             "lhs_re": pos_report.lhs_re, "rhs_re": pos_report.rhs_re,
@@ -557,8 +545,8 @@ def _run_dirac(cfg):
     return payload, [("current", "current.csv", columns, rows)]
 
 
-def _run_mass_spectrum(cfg):
-    m, hbar, c, omegas = _sweep(cfg)
+def _run_mass_spectrum(sweep):
+    m, hbar, c, omegas = sweep
     rows = []
     consistent = True
     tachyon_count = 0
@@ -587,14 +575,17 @@ def _run_mass_spectrum(cfg):
     return payload, [("table", "mass_spectrum.csv", columns, rows)]
 
 
-_RUNNERS = {
-    "classical-check": _run_classical_check,
-    "classical-integrate": _run_classical_integrate,
-    "quantum-fluct": _run_quantum_fluct,
-    "uncertainty": _run_uncertainty,
-    "continuity": _run_continuity,
-    "dirac": _run_dirac,
-    "mass-spectrum": _run_mass_spectrum,
+# command -> (section parsers, runner).  A run calls the parsers in order and
+# passes their values to the runner; validate calls the same parsers.
+_COMMANDS = {
+    "classical-check": ((_tolerances, _force, _point), _run_classical_check),
+    "classical-integrate": ((_tolerances, _integrate_force, _initial, _grid),
+                            _run_classical_integrate),
+    "quantum-fluct": ((_quantum_system, _grid), _run_quantum_fluct),
+    "uncertainty": ((_budget,), _run_uncertainty),
+    "continuity": ((_tolerances, _space_grid, _current_source), _run_continuity),
+    "dirac": ((_tolerances, _wave, _space_grid), _run_dirac),
+    "mass-spectrum": ((_sweep,), _run_mass_spectrum),
 }
 
 
@@ -615,7 +606,8 @@ def run_scenario(config_path: str, out_dir: str | None = None, fmt: str = "csv",
         raise ConfigError(
             f"config names command {command!r} but {expected_command!r} was invoked")
     started = time.perf_counter()
-    payload, tables = _RUNNERS[command](cfg)
+    parsers, runner = _COMMANDS[command]
+    payload, tables = runner(*(parse(cfg) for parse in parsers))
 
     directory = out_dir or os.path.dirname(os.path.abspath(config_path))
     artifacts = []
@@ -644,49 +636,22 @@ def run_scenario(config_path: str, out_dir: str | None = None, fmt: str = "csv",
 
 
 def validate_config(config_path: str) -> list:
-    """Schema diagnostics for a scenario file without running it."""
-    diagnostics = []
+    """Diagnostics of a run's parse stage: every section parser of the
+    config's command runs, and each distinct failure is one line."""
     try:
         cfg = load_config(config_path)
     except ConfigError as exc:
         return [str(exc)]
-    command = cfg.get("scenario", "command")
-
-    def probe(fn):
+    parsers, _ = _COMMANDS[cfg.get("scenario", "command")]
+    diagnostics = []
+    for parse in parsers:
         try:
-            return fn()
+            parse(cfg)
         except (DomainError, ConfigError) as exc:
             diagnostics.append(str(exc))
         except BitempoError as exc:
             diagnostics.append(f"unexpected: {exc}")
-        return None
-
-    if command == "classical-check":
-        force = probe(lambda: _force(cfg))
-        if force is None:
-            probe(lambda: _get(cfg, "point", "x", _floats))
-        else:
-            probe(lambda: _point(cfg, force))
-    elif command == "classical-integrate":
-        probe(lambda: _integrate_force(cfg))
-        probe(lambda: (_get(cfg, "initial", "x0", _float),
-                       _get(cfg, "initial", "v0", _float)))
-        probe(lambda: _grid(cfg))
-    elif command == "quantum-fluct":
-        probe(lambda: _grid(cfg))
-        probe(lambda: _quantum_system(cfg))
-    elif command == "uncertainty":
-        probe(lambda: _budget(cfg))
-    elif command == "continuity":
-        probe(lambda: _grid(cfg, need_space=True))
-        probe(lambda: _current_source(cfg))
-    elif command == "dirac":
-        probe(lambda: _grid(cfg, need_space=True))
-        probe(lambda: _wave(cfg))
-    elif command == "mass-spectrum":
-        probe(lambda: _sweep(cfg))
-    probe(lambda: _tolerances(cfg))
-    return diagnostics
+    return list(dict.fromkeys(diagnostics))
 
 
 def main(argv=None) -> int:
@@ -736,6 +701,9 @@ def main(argv=None) -> int:
         return 4
     except BitempoError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 
 

@@ -26,6 +26,7 @@ from .core import (
     Grid2T,
     OnShellError,
     Tolerances,
+    central_difference,
     determinant,
     null_space,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "momentum_operator",
     "solve_plane_wave",
     "dirac_current",
+    "conservation_residual",
     "current_grid",
     "positivity_check",
     "effective_hamiltonian",
@@ -248,6 +250,26 @@ def dirac_current(sol: PlaneWaveSolution, pos, part: str = "imaginary") -> np.nd
     phi = sol.phase(np.asarray(pos, dtype=float).reshape(3))
     j = _current_from_bilinear(sol, phi, part)
     return np.array([float(c) for c in j])
+
+
+_CONSERVATION_PROBES = ((-0.4, 0.3, 0.7), (0.9, -0.6, 0.1), (0.2, 0.8, -0.9))
+
+
+def conservation_residual(sol: PlaneWaveSolution, part: str = "imaginary",
+                          tol: Tolerances = Tolerances()) -> float:
+    """Max |d1 j1 + d2 j2 - dx jx| over three fixed probe positions, each
+    derivative a central difference of dirac_current along one coordinate."""
+    worst = 0.0
+    for pos in _CONSERVATION_PROBES:
+        div = 0.0
+        for mu, sgn in ((0, 1.0), (1, 1.0), (2, -1.0)):
+            def comp(u, mu=mu, pos=pos):
+                q = list(pos)
+                q[mu] = u
+                return dirac_current(sol, q, part)[mu]
+            div += sgn * central_difference(comp, pos[mu], tol.step_for(pos))
+        worst = max(worst, abs(div))
+    return worst
 
 
 def current_grid(sol: PlaneWaveSolution, grid: Grid2T, part: str = "imaginary"):

@@ -77,6 +77,8 @@ class TwoTimeQuantumSystem:
             raise DomainError(f"shape mismatch: E1 {e1.shape}, E2 {e2.shape}, X0 {x0.shape}")
         if not (np.all(np.isfinite(e1)) and np.all(np.isfinite(e2))):
             raise DomainError("spectra must be finite")
+        if not np.all(np.isfinite(x0)):
+            raise DomainError("X0 must be finite")
         scale = max(1.0, float(np.max(np.abs(x0))))
         if np.max(np.abs(x0 - x0.conj().T)) > HERMITICITY_ATOL * scale:
             raise DomainError("X0 must be Hermitian to 1e-12")
@@ -173,6 +175,11 @@ class UncertaintyBudget:
         vals = (self.dE1, self.dE2, self.ddE1, self.ddE2)
         if not all(math.isfinite(v) for v in vals):
             raise DomainError("budget entries must be finite")
+
+    @property
+    def swept_phase(self) -> float:
+        """|dE1 t1 + dE2 t2| / hbar, the phase the spacing pair sweeps by t."""
+        return abs(self.dE1 * self.t.t1 + self.dE2 * self.t.t2) / self.hbar
 
 
 @dataclass(frozen=True)
@@ -331,7 +338,7 @@ def uncertainty_visibility(budget: UncertaintyBudget, margin_low: float = 0.1) -
     turn nothing moves (frozen); at or past a full turn the element
     oscillates; in between sits the threshold regime.
     """
-    s = abs(budget.dE1 * budget.t.t1 + budget.dE2 * budget.t.t2) / budget.hbar
+    s = budget.swept_phase
     if s < 2.0 * math.pi * margin_low:
         return Visibility.FROZEN
     if s >= 2.0 * math.pi:

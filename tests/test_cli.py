@@ -263,6 +263,27 @@ n2 = 5
         assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 3
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, sections", [
+        ("uncertainty", "[budget]\nde1 = 1e308\nde2 = 1\ndde1 = 0\ndde2 = 0\nt1 = 3\nt2 = 3\n"),
+        ("dirac", "[wave]\nk = 1 0 0\nm = 1e308\n" + GRID + "x_min = -1\nx_max = 1\nnx = 5\n"),
+        ("mass-spectrum", "[sweep]\nm = 1e308\nomega_max = 2\n"),
+        ("mass-spectrum", "[sweep]\nm = 1\nomega_max = 1e308\n"),
+        ("classical-integrate", "[force]\nfamily = rank_one\ndimension = 1\nc = 1e308 1e308\n"
+         "g_poly = -1 0\n[initial]\nx0 = 1\nv0 = 0\n" + GRID),
+    ], ids=["uncertainty_de1", "dirac_m", "sweep_m", "sweep_omega_max", "integrate_c"])
+    def test_overflow_exits_4(self, tmp_path, capsys, command, sections):
+        config = write(tmp_path, "huge.ini", f"[scenario]\ncommand = {command}\n{sections}")
+        assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 4
+        assert "numerical failure:" in capsys.readouterr().err
+
+    def test_non_numeric_current_file_exits_3(self, tmp_path, capsys):
+        samples = write(tmp_path, "current.csv", "x,t1,t2,j1,j2,jx\n0,0,0,1,abc,0\n")
+        config = write(tmp_path, "file.ini", "[scenario]\ncommand = continuity\n"
+                       f"[current]\nsource = file:{samples}\n" + GRID
+                       + "x_min = -1\nx_max = 1\nnx = 5\n")
+        assert cli.main(["continuity", "--config", config, "--out", str(tmp_path)]) == 3
+        assert samples in capsys.readouterr().err
+
     def test_no_subcommand_exits_2(self):
         assert cli.main([]) == 2
 
@@ -330,8 +351,12 @@ n2 = 5
          "hbar = 0\n" + GRID, "[system] hbar"),
         ("uncertainty", "[budget]\nde1 = 1\nde2 = 1\ndde1 = 0\ndde2 = 0\nt1 = 3\nt2 = 3\n"
          "hbar = abc\n", "[budget] hbar"),
+        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1 1\n"
+         + GRID, "[system] psi_real"),
+        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2 3\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
+         + GRID, "[system] e2"),
     ], ids=["point_x", "wave_k", "rescale_plus", "wave_part", "sweep_count", "sweep_hbar",
-            "system_hbar", "budget_hbar"])
+            "system_hbar", "budget_hbar", "psi_real", "e2"])
     def test_rejects_what_run_rejects(self, tmp_path, capsys, command, sections, key):
         config = write(tmp_path, "bad.ini", f"[scenario]\ncommand = {command}\n{sections}")
         assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 3
@@ -347,6 +372,20 @@ n2 = 5
         err = capsys.readouterr().err
         assert "[force] c" in err
         assert "[point]" in err
+
+    def test_unread_section_ignored(self, tmp_path):
+        # quantum-fluct reads no [tolerances]; validate and run agree on that
+        config = write(tmp_path, "tol.ini", "[scenario]\ncommand = quantum-fluct\n[system]\n"
+                       "e1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
+                       "[tolerances]\nfd_step = nan\n" + GRID)
+        assert cli.main(["validate", "--config", config]) == 0
+        assert cli.main(["quantum-fluct", "--config", config, "--out", str(tmp_path)]) == 0
+
+    def test_diagnostics_not_repeated(self, tmp_path):
+        # _force and _point both read [force] dimension
+        config = write(tmp_path, "dim.ini", "[scenario]\ncommand = classical-check\n"
+                       "[force]\nfamily = zero\n[point]\nx = 0.1\n")
+        assert cli.validate_config(config) == ["missing required key [force] dimension"]
 
     def test_integrate_force_family_checked(self, tmp_path, capsys):
         config = write(tmp_path, "fam.ini", "[scenario]\ncommand = classical-integrate\n[force]\n"

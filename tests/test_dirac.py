@@ -9,6 +9,7 @@ from bitempo.core import (
     DomainError,
     Grid2T,
     OnShellError,
+    Tolerances,
     central_difference,
     determinant,
 )
@@ -135,6 +136,21 @@ class TestCurrent:
                 for _ in range(3):
                     pos = rng.uniform(-1, 1, size=3)
                     assert abs(divergence(sol, pos, part)) < 1e-6
+
+    def test_conservation_residual_matches_probe_loop(self):
+        # the probe loop the CLI ran before conservation_residual existed
+        probes = [(-0.4, 0.3, 0.7), (0.9, -0.6, 0.1), (0.2, 0.8, -0.9)]
+        rng = np.random.default_rng(7)
+        for part in ("imaginary", "real"):
+            for fd_step in (1e-5, 1e-3):
+                tol = Tolerances(fd_step=fd_step)
+                k, m = random_on_shell(rng)
+                sol = dr.solve_plane_wave(k, m, tol).rescaled(
+                    plus=complex(*rng.normal(size=2)), minus=complex(*rng.normal(size=2)))
+                got = dr.conservation_residual(sol, part, tol)
+                assert got == max(abs(divergence(sol, pos, part, tol.step_for(pos)))
+                                  for pos in probes)
+                assert got < 1e-4
 
     def test_conservation_second_order_in_step(self):
         rng = np.random.default_rng(4)

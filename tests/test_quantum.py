@@ -320,6 +320,13 @@ class TestVarianceTrace:
         with pytest.raises(DomainError):
             q.TwoTimeQuantumSystem([0, 1], [0, 1], [[0, 1], [0.5, 0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_x0_rejected(self, bad):
+        # NaN passes the Hermiticity comparison, and the trace guards compare
+        # False on NaN too, so only this check stops an all-NaN trace
+        with pytest.raises(DomainError, match="X0 must be finite"):
+            q.TwoTimeQuantumSystem([0, 1], [0, 2], [[bad, 1], [1, 0]])
+
     def test_state_norm_enforced(self):
         with pytest.raises(DomainError):
             q.StateVector([1, 1])
@@ -341,6 +348,7 @@ class TestVisibility:
                                     TimePlanePoint(*rng.uniform(-4, 4, size=2)),
                                     hbar=rng.uniform(0.5, 2))
             swept = measure_swept_phase(b)
+            assert b.swept_phase == pytest.approx(swept, rel=1e-9, abs=1e-12)
             if swept < 0.2 * math.pi:
                 expected = q.Visibility.FROZEN
             elif swept >= 2 * math.pi:
