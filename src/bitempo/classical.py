@@ -73,91 +73,80 @@ CROSS_VALIDATION_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ForceTensorField:
-    """A force tensor field x -> F^i_{jk}(x) in d space dimensions.
+    """A force tensor field x -> F^i_{jk}(x) in d space dimensions; it never
+    sees t1 or t2.
 
-    ``eval`` receives a scalar position for d=1 and a length-d array
-    otherwise, and must return an array of shape (2, 2) resp. (d, 2, 2).
-    The force must be autonomous: it never sees t1 or t2.
-
-    For d=1, ``tensor_at`` and ``derivative_tensor`` also take a 1-d array
-    of N positions and return shapes (N, 1, 2, 2) and (N, 1, 2, 2, 1).
-    With ``batch_eval`` set, ``eval`` itself maps an (N,) array to
-    (N, 2, 2) (the builders below all do); otherwise a batch is evaluated
-    one position at a time.
+    ``tensor_at`` and ``derivative_tensor`` take positions shaped (..., d),
+    or plain numbers at d = 1, and return (..., d, 2, 2) and (..., d, 2, 2, d);
+    each position takes its own FD step fd_step * max(1, max_m |x^m|).  With
+    ``batch_eval`` set (as by the builders below), ``eval`` maps (..., d) to
+    (..., d, 2, 2) in one call; otherwise it takes one position, a float at
+    d = 1 and a length-d array at d >= 2, and returns (d, 2, 2) or, at d = 1,
+    (2, 2).
     """
 
     d: int
     eval: callable
-    symmetric_flag: bool = True
     batch_eval: bool = False
 
     def __post_init__(self):
         if self.d not in (1, 2, 3):
             raise DomainError(f"spatial dimension must be 1, 2 or 3, got {self.d}")
 
-    def tensor_at(self, x) -> np.ndarray:
-        """Force tensor at a position, shaped (d, 2, 2); (N, 1, 2, 2) for a
-        d = 1 batch of N positions."""
+    @property
+    def _point_shape(self) -> tuple:
+        """Shape of one position as ``tensor_at`` takes it."""
+        return () if self.d == 1 else (self.d,)
+
+    def _positions(self, x) -> np.ndarray:
+        """Positions as a float array shaped (..., d)."""
+        pos = np.asarray(x, dtype=float)
         if self.d == 1:
-            if np.ndim(x) == 1:
-                return self._tensors_1d(np.asarray(x, dtype=float))
-            pos = float(np.asarray(x).reshape(()))
-            out = np.asarray(self.eval(pos), dtype=float)
-            if out.shape == (2, 2):
-                out = out[None, :, :]
-        else:
-            pos = np.asarray(x, dtype=float).reshape(self.d)
-            out = np.asarray(self.eval(pos), dtype=float)
-        if out.shape != (self.d, 2, 2):
-            raise DomainError(f"force eval returned shape {out.shape}, expected {(self.d, 2, 2)}")
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError(f"force tensor non-finite at {x!r}")
+            return pos[..., None]
+        if pos.shape[-1:] != (self.d,):
+            raise DomainError(f"a d={self.d} position needs {self.d} coordinates, "
+                              f"got an array of shape {pos.shape}")
+        return pos
+
+    def _shaped(self, out, shape: tuple) -> np.ndarray:
+        """eval's values at positions of the given shape, checked and shaped
+        shape + (2, 2); at d = 1 the space axis may be left out."""
+        out = np.asarray(out, dtype=float)
+        if self.d == 1 and out.shape == shape[:-1] + (2, 2):
+            out = out[..., None, :, :]
+        if out.shape != shape + (2, 2):
+            raise DomainError(f"force eval returned shape {out.shape}, expected {shape + (2, 2)}")
         return out
 
-    def _tensors_1d(self, pos: np.ndarray) -> np.ndarray:
-        """Tensors at a batch of d = 1 positions, shaped (N, 1, 2, 2)."""
-        if not self.batch_eval:
-            return np.stack([self.tensor_at(p) for p in pos])
-        out = np.asarray(self.eval(pos), dtype=float)
-        if out.shape == pos.shape + (2, 2):
-            out = out[:, None]
-        if out.shape != pos.shape + (1, 2, 2):
-            raise DomainError(f"force eval returned shape {out.shape} for {pos.size} positions, "
-                              f"expected {pos.shape + (1, 2, 2)}")
-        finite = np.isfinite(out).all(axis=(1, 2, 3))
+    def tensor_at(self, x) -> np.ndarray:
+        """Force tensors at positions (..., d), shaped (..., d, 2, 2)."""
+        pos = self._positions(x)
+        if self.batch_eval:
+            out = self._shaped(self.eval(pos), pos.shape)
+        else:
+            out = np.array([self._shaped(self.eval(float(p[0]) if self.d == 1 else p), p.shape)
+                            for p in pos.reshape(-1, self.d)]).reshape(pos.shape + (2, 2))
+        finite = np.isfinite(out).all(axis=(-3, -2, -1))
         if not finite.all():
-            raise EvaluationError(f"force tensor non-finite at {float(pos[np.argmin(finite)])!r}")
+            where = pos.reshape((-1,) + self._point_shape)[np.argmin(finite.ravel())]
+            raise EvaluationError(f"force tensor non-finite at {where.tolist()!r}")
         return out
 
     def derivative_tensor(self, x, tol: Tolerances = Tolerances()) -> np.ndarray:
-        """Central-difference derivatives T[i, j, k, m] = dF^i_{jk}/dx^m.
+        """Central-difference derivatives T[..., i, j, k, m] = dF^i_{jk}/dx^m,
+        from one ``tensor_at`` call at both sides along every axis m."""
+        pos = self._positions(x)
+        step = tol.fd_step * np.maximum(1.0, np.max(np.abs(pos), axis=-1))
+        shift = step[..., None, None] * np.eye(self.d)  # [..., m, coordinate]
+        points = pos[..., None, :] + np.stack([shift, -shift])  # [side, ..., m, coordinate]
+        t = self.tensor_at(points.reshape(points.shape[:-1] + self._point_shape))
+        diff = (t[0] - t[1]) / (2.0 * step)[..., None, None, None, None]
+        return np.moveaxis(diff, -4, -1)
 
-        A d = 1 batch of N positions gives shape (N, 1, 2, 2, 1); each
-        position takes its own step fd_step * max(1, |x|).
-        """
-        if self.d == 1:
-            pos = np.asarray(x, dtype=float)
-            step = tol.fd_step * np.maximum(1.0, np.abs(pos))
-            diff = self.tensor_at(pos + step) - self.tensor_at(pos - step)
-            return (diff / (2.0 * step)[..., None, None, None])[..., None]
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        step = tol.step_for(x)
-        cols = []
-        for m in range(self.d):
-            e = np.zeros(self.d)
-            e[m] = step
-            hi = self.tensor_at(x + e)
-            lo = self.tensor_at(x - e)
-            cols.append((hi - lo) / (2.0 * step))
-        return np.stack(cols, axis=-1)
-
-    def symmetry_defect(self, points, tol: Tolerances = Tolerances()) -> float:
+    def symmetry_defect(self, points) -> float:
         """Max |F^i_{12} - F^i_{21}| over sample points (0 when symmetric)."""
-        worst = 0.0
-        for x in points:
-            t = self.tensor_at(x)
-            worst = max(worst, float(np.max(np.abs(t[:, 0, 1] - t[:, 1, 0]))))
-        return worst
+        t = self.tensor_at(points)
+        return float(np.max(np.abs(t[..., 0, 1] - t[..., 1, 0]), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -240,19 +229,21 @@ class ConstraintReport:
 def rank_one_force(c, g, d: int = 1) -> ForceTensorField:
     """Force family F^i_{jk} = c_j c_k G^i(x).
 
-    For d=1, ``g`` is a scalar map; otherwise it maps a position to a
-    length-d array.  Every admissibility constraint holds identically on
+    For d=1, ``g`` is a scalar map, applied to a batch elementwise;
+    otherwise it maps one position to a length-d array and is called once
+    per position.  Every admissibility constraint holds identically on
     this family.
     """
     c = np.asarray(c, dtype=float).reshape(2)
     cc = np.outer(c, c)
     if d == 1:
         gv = _vectorized_scalar_map(g)
-        return ForceTensorField(1, lambda x: cc * gv(x)[..., None, None], batch_eval=True)
-    def evaluate(pos):
-        gv = np.asarray(g(np.asarray(pos, dtype=float)), dtype=float).reshape(d)
-        return np.einsum("i,jk->ijk", gv, cc)
-    return ForceTensorField(d, evaluate)
+    else:
+        def gv(pos):
+            pos = np.asarray(pos, dtype=float)
+            return np.array([np.asarray(g(p), dtype=float).reshape(d)
+                             for p in pos.reshape(-1, d)]).reshape(pos.shape)
+    return ForceTensorField(d, lambda x: cc * gv(x)[..., None, None], batch_eval=True)
 
 
 def polynomial_force_1d(coeffs: dict) -> ForceTensorField:
@@ -265,7 +256,6 @@ def polynomial_force_1d(coeffs: dict) -> ForceTensorField:
     polys = {key: np.asarray(val, dtype=float) for key, val in coeffs.items()}
     if "21" not in polys and "12" in polys:
         polys["21"] = polys["12"]
-    symmetric = np.array_equal(polys.get("12", np.zeros(1)), polys.get("21", np.zeros(1)))
 
     def evaluate(x):
         out = np.zeros(np.shape(x) + (2, 2))
@@ -274,7 +264,7 @@ def polynomial_force_1d(coeffs: dict) -> ForceTensorField:
                 out[..., j, k] = np.polyval(polys[key], x)
         return out
 
-    return ForceTensorField(1, evaluate, symmetric_flag=symmetric, batch_eval=True)
+    return ForceTensorField(1, evaluate, batch_eval=True)
 
 
 def affine_force(d: int, linear, const=None, symmetrize: bool = True) -> ForceTensorField:
@@ -289,12 +279,11 @@ def affine_force(d: int, linear, const=None, symmetrize: bool = True) -> ForceTe
         lin = 0.5 * (lin + lin.transpose(0, 2, 1, 3))
         con = 0.5 * (con + con.transpose(0, 2, 1))
     if d == 1:
-        slope = lin[0, :, :, 0]
-        return ForceTensorField(1, lambda x: con[0] + slope * np.asarray(x)[..., None, None],
+        # a product: a one-term einsum sum starts from +0.0, so loses a -0.0
+        return ForceTensorField(1, lambda x: con + lin[..., 0] * np.asarray(x)[..., None, None],
                                 batch_eval=True)
-    def evaluate(pos):
-        return con + np.einsum("ijkm,m->ijk", lin, np.asarray(pos, dtype=float))
-    return ForceTensorField(d, evaluate)
+    return ForceTensorField(d, lambda x: con + np.einsum("ijkm,...m->...ijk", lin, x),
+                            batch_eval=True)
 
 
 def zero_force(d: int) -> ForceTensorField:
@@ -306,7 +295,7 @@ def zero_force(d: int) -> ForceTensorField:
 # ---------------------------------------------------------------------------
 
 def _primes_1d(F: ForceTensorField, x, tol: Tolerances) -> np.ndarray:
-    """x-derivatives F'_{jk}: shape (2, 2) at a point, (N, 2, 2) at N positions."""
+    """x-derivatives F'_{jk}, shaped (..., 2, 2) for positions shaped (...)."""
     if F.d != 1:
         raise DomainError("this operation needs a one-dimensional force")
     return F.derivative_tensor(x, tol)[..., 0, :, :, 0]
@@ -598,9 +587,12 @@ def integrate_rank_one_1d(g, c, x0: float, v0: float, grid: Grid2T,
     gv = _vectorized_scalar_map(g)
 
     t1v, t2v = grid.t1_values, grid.t2_values
-    s_grid = np.add.outer(c[0] * t1v, c[1] * t2v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_grid = np.add.outer(c[0] * t1v, c[1] * t2v)
     s_min = min(0.0, float(s_grid.min()))
     s_max = max(0.0, float(s_grid.max()))
+    if not (np.isfinite(s_grid).all() and math.isfinite(s_max - s_min)):
+        raise EvaluationError(f"s = c1 t1 + c2 t2 overflows on the grid: c = ({c[0]:g}, {c[1]:g})")
     span = max(s_max - s_min, 1e-6)
 
     h = step if step is not None else min(1e-2, span / 256.0)
@@ -841,39 +833,25 @@ def classify(F: ForceTensorField, x, tol: Tolerances = Tolerances()) -> Constrai
     time.  Rank-deficient with genuinely different directions: two-time
     admissible.  Vanishing fields: degenerate.
     """
-    if F.d == 1:
-        fp = _primes_1d(F, x, tol)
-        M = np.array([[fp[1, 0], -fp[0, 0]], [fp[1, 1], -fp[0, 1]]])
-        det_val = float(determinant(M))
-        kernel = null_space(M, tol)
-        kdim = len(kernel)
-        if kdim == 0:
-            fields = CharacteristicField(vectors=(np.zeros(2),), degenerate=(True,))
-            return ConstraintReport(det_val, 0, fields, 0.0, Verdict.NO_TWO_TIME_MOTION)
-        fields = _field_1d(fp, x, tol)
-        if fields.degenerate[0]:
-            return ConstraintReport(det_val, kdim, fields, 0.0, Verdict.DEGENERATE)
-        return ConstraintReport(det_val, kdim, fields, 0.0, Verdict.EFFECTIVE_ONE_TIME)
-
     T = F.derivative_tensor(x, tol)
-    pf = _field_report(T, tol, "corrected")
-    det_val = float(determinant(_constraint_matrix_from_tensor(T, F.d)))
-    if pf.kernel_dim == 0:
+    M = _constraint_matrix_from_tensor(T, F.d)
+    pf = _field_report(T, tol, "corrected") if F.d > 1 else None
+    det_val = float(determinant(M))
+    kdim = len(null_space(M, tol)) if pf is None else pf.kernel_dim
+    checks = (None, None) if pf is None else (pf.orthogonality_residual, pf.discrepancy)
+    if kdim == 0:
         fields = CharacteristicField(vectors=tuple(np.zeros(2) for _ in range(F.d)),
-                                     degenerate=tuple(True for _ in range(F.d)))
-        return ConstraintReport(det_val, 0, fields, 0.0, Verdict.NO_TWO_TIME_MOTION,
-                                pf.orthogonality_residual, pf.discrepancy)
+                                     degenerate=(True,) * F.d)
+        return ConstraintReport(det_val, 0, fields, 0.0, Verdict.NO_TWO_TIME_MOTION, *checks)
 
-    vectors, degenerate = [], []
-    for status, vec in zip(pf.oracle_status, pf.oracle):
-        if status == "direction":
-            vectors.append(vec)
-            degenerate.append(False)
-        else:
-            vectors.append(np.zeros(2))
-            degenerate.append(True)
-    fields = CharacteristicField(vectors=tuple(vectors), degenerate=tuple(degenerate))
-    defined = [v for v, dgn in zip(vectors, degenerate) if not dgn]
+    if pf is None:
+        fields = _field_1d(T[0, :, :, 0], x, tol)
+    else:
+        found = [status == "direction" for status in pf.oracle_status]
+        fields = CharacteristicField(
+            vectors=tuple(vec if ok else np.zeros(2) for ok, vec in zip(found, pf.oracle)),
+            degenerate=tuple(not ok for ok in found))
+    defined = [v for v, dgn in zip(fields.vectors, fields.degenerate) if not dgn]
     defect = _pairwise_defect(defined)
 
     if not defined:
@@ -882,5 +860,4 @@ def classify(F: ForceTensorField, x, tol: Tolerances = Tolerances()) -> Constrai
         verdict = Verdict.EFFECTIVE_ONE_TIME
     else:
         verdict = Verdict.TWO_TIME_ADMISSIBLE
-    return ConstraintReport(det_val, pf.kernel_dim, fields, defect, verdict,
-                            pf.orthogonality_residual, pf.discrepancy)
+    return ConstraintReport(det_val, kdim, fields, defect, verdict, *checks)

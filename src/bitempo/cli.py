@@ -40,16 +40,6 @@ from .core import (
 
 __all__ = ["main", "run_scenario", "validate_config", "load_config", "COMMANDS"]
 
-COMMANDS = (
-    "classical-check",
-    "classical-integrate",
-    "quantum-fluct",
-    "uncertainty",
-    "continuity",
-    "dirac",
-    "mass-spectrum",
-)
-
 FORCE_FAMILIES = ("rank_one", "polynomial", "affine", "zero")
 
 _REQUIRED = object()
@@ -587,6 +577,7 @@ _COMMANDS = {
     "dirac": ((_tolerances, _wave, _space_grid), _run_dirac),
     "mass-spectrum": ((_sweep,), _run_mass_spectrum),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 # ---------------------------------------------------------------------------

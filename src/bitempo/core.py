@@ -26,6 +26,8 @@ __all__ = [
     "TimePlanePoint",
     "Grid2T",
     "Tolerances",
+    "finite",
+    "finite_power",
     "central_difference",
     "partial_difference",
     "determinant",
@@ -79,6 +81,23 @@ def _require_finite(value, what: str):
     arr = np.asarray(value)
     if not np.all(np.isfinite(arr)):
         raise EvaluationError(f"non-finite value in {what}: {value!r}")
+
+
+def finite(value: float, name: str) -> float:
+    """value itself; EvaluationError naming the quantity when it overflowed
+    to inf or NaN."""
+    if not math.isfinite(value):
+        raise EvaluationError(f"{name} overflows: got {value!r}")
+    return value
+
+
+def finite_power(base: float, exponent: int, name: str) -> float:
+    """float(base) ** exponent, rounded as Python rounds it, or
+    EvaluationError naming the quantity when the power overflows."""
+    try:
+        return finite(float(base) ** exponent, name)
+    except OverflowError:
+        raise EvaluationError(f"{name} overflows: ({base:.6g})^{exponent}") from None
 
 
 @dataclass(frozen=True)

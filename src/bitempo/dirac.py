@@ -28,6 +28,8 @@ from .core import (
     Tolerances,
     central_difference,
     determinant,
+    finite,
+    finite_power,
     null_space,
 )
 from .continuity import CurrentField, SeparabilityReport, charges, separability_check
@@ -94,7 +96,9 @@ def momentum_operator(k) -> np.ndarray:
 
 def _on_shell_residual(k, m: float) -> float:
     k = np.asarray(k, dtype=float).reshape(3)
-    return float(k[0] ** 2 + k[1] ** 2 - k[2] ** 2 - m ** 2)
+    m_sq = finite_power(m, 2, "m^2")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return finite(float(k[0] ** 2 + k[1] ** 2 - k[2] ** 2 - m_sq), "k1^2 + k2^2 - k3^2 - m^2")
 
 
 @dataclass(frozen=True)
@@ -340,7 +344,8 @@ def effective_mode_mass(m: float, omega: float, hbar: float = 1.0,
     second time, with the period-versus-Compton-length classification."""
     if m < 0 or omega < 0 or hbar <= 0 or c <= 0:
         raise DomainError("need m >= 0, omega >= 0, hbar > 0, c > 0")
-    m_eff_sq = m ** 2 - (hbar * omega / c ** 2) ** 2
+    m_eff_sq = (finite_power(m, 2, "m^2")
+                - finite_power(hbar * omega / finite_power(c, 2, "c^2"), 2, "(hbar omega / c^2)^2"))
     tachyonic = m_eff_sq < 0
     m_eff = math.sqrt(m_eff_sq) if not tachyonic else float("nan")
     tau = math.inf if omega == 0 else 2.0 * math.pi / omega

@@ -23,7 +23,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DomainError, Grid2T, TimePlanePoint, Tolerances
+from .core import (DomainError, EvaluationError, Grid2T, TimePlanePoint, Tolerances, finite,
+                   finite_power)
 
 __all__ = [
     "TwoTimeQuantumSystem",
@@ -317,13 +318,17 @@ def variance_trace(sys: TwoTimeQuantumSystem, psi: StateVector, grid: Grid2T,
     # X(t) psi itself, not w^dagger X0 w with w = D^dagger psi: the moments then
     # take the same products as the per-point form X(t) = X0 * exp(i dE t)
     e = np.exp(1j * phase)
-    xv = (np.conj(e) * v) @ sys.X0.T
-    # e first: numpy's complex product is not bitwise commutative, and
-    # `e * <temporary>` would be evaluated in place as temporary * e
-    np.multiply(e, xv, out=xv)
-    mean = (v.conj() @ xv[..., None])[..., 0]
-    second = (xv.conj()[..., None, :] @ xv[..., :, None])[..., 0, 0].real
-    variance = second - mean.real ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        xv = (np.conj(e) * v) @ sys.X0.T
+        # e first: numpy's complex product is not bitwise commutative, and
+        # `e * <temporary>` would be evaluated in place as temporary * e
+        np.multiply(e, xv, out=xv)
+        mean = (v.conj() @ xv[..., None])[..., 0]
+        second = (xv.conj()[..., None, :] @ xv[..., :, None])[..., 0, 0].real
+        variance = second - mean.real ** 2
+    if not (np.isfinite(mean).all() and np.isfinite(variance).all()):
+        raise EvaluationError("the moments <X> and <X^2> overflow: "
+                              f"largest |X0| entry {np.max(np.abs(sys.X0)):.6g}")
     if np.max(np.abs(mean.imag)) > 1e-10:
         raise DomainError("mean acquired an imaginary part; X0 is not Hermitian enough")
     if np.min(variance) < -1e-10:
@@ -364,13 +369,14 @@ def angle_and_width(budget: UncertaintyBudget) -> AngleWidthReport:
         raise UncertaintyDomainError(
             f"t*sqrt(dE1^2+dE2^2) = {q:.6g} < hbar = {hbar:.6g}: "
             "cos(phi) would exceed 1")
-    num = budget.dE1 * budget.ddE1 + budget.dE2 * budget.ddE2
-    bound = num / de ** 2
-    lowest = hbar * num / (t * de ** 3)
+    num = finite(budget.dE1 * budget.ddE1 + budget.dE2 * budget.ddE2, "dE1*ddE1 + dE2*ddE2")
+    de_sq = finite_power(de, 2, "dE^2 = dE1^2 + dE2^2")
+    bound = finite(num / de_sq, "bound")
+    lowest = finite(hbar * num / (t * finite_power(de, 3, "dE^3")), "dphi_lowest_order")
     if abs(q - hbar) <= 1e-12 * hbar:
         return AngleWidthReport(phi=0.0, dphi_exact=math.inf,
                                 dphi_lowest_order=lowest, bound=bound, singular=True)
     phi = math.acos(hbar / q)
-    exact = hbar * num / (de ** 2 * math.sqrt(q * q - hbar * hbar))
+    exact = finite(hbar * num / (de_sq * math.sqrt(q * q - hbar * hbar)), "dphi_exact")
     return AngleWidthReport(phi=phi, dphi_exact=exact,
                             dphi_lowest_order=lowest, bound=bound)

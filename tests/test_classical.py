@@ -274,6 +274,102 @@ class TestBatchedForce1D:
             force.tensor_at(np.array([1.0, 2.0]))
 
 
+def forces_of_dimension(d):
+    """d >= 2 forces from every builder, plus a hand-made field evaluated
+    one position at a time that records what its eval receives."""
+    rng = np.random.default_rng(30 + d)
+    L, lin, const = rng.normal(size=(d, d)), rng.normal(size=(d, 2, 2, d)), rng.normal(size=d * 4)
+    seen = []
+
+    def by_point(p):
+        seen.append(p)
+        return np.einsum("ijkm,m->ijk", lin, np.sin(p)) + const.reshape(d, 2, 2)
+
+    return {
+        "rank_one": cl.rank_one_force((0.8, -1.3), lambda p: L @ p + np.cos(p), d=d),
+        "affine": cl.affine_force(d, lin, const),
+        "affine_unsymmetrized": cl.affine_force(d, lin, symmetrize=False),
+        "zero": cl.zero_force(d),
+        "by_point": cl.ForceTensorField(d, by_point),
+    }, seen
+
+
+def derivative_by_axis(force, x, tol=TOL):
+    """The per-axis central difference that derivative_tensor replaces: 2d
+    single-point tensor_at calls with the step of the whole position."""
+    x = np.asarray(x, dtype=float)
+    step = tol.step_for(x)
+    cols = []
+    for m in range(force.d):
+        e = np.zeros(force.d)
+        e[m] = step
+        cols.append((force.tensor_at(x + e) - force.tensor_at(x - e)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
+
+
+class TestBatchedForce:
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_batch_equals_per_point(self, d):
+        rng = np.random.default_rng(40 + d)
+        forces = batch_forces() if d == 1 else forces_of_dimension(d)[0]
+        positions = rng.uniform(-2.0, 2.0, size=(3, 4) + ((d,) if d > 1 else ()))
+        positions[0, 0] = 0.0
+        positions[1, 1] *= 60.0
+        for name, force in forces.items():
+            tensors = force.tensor_at(positions)
+            derivs = force.derivative_tensor(positions, TOL)
+            assert tensors.shape == (3, 4, d, 2, 2), name
+            assert derivs.shape == (3, 4, d, 2, 2, d), name
+            for idx in np.ndindex(3, 4):
+                assert tensors[idx].tobytes() == force.tensor_at(positions[idx]).tobytes(), name
+                assert derivs[idx].tobytes() == force.derivative_tensor(positions[idx], TOL).tobytes()
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_derivative_equals_per_axis_loop(self, d):
+        rng = np.random.default_rng(50 + d)
+        forces, _ = forces_of_dimension(d)
+        forces["tuned"] = tuned_affine_force(d, rng)
+        positions = rng.uniform(-1.5, 1.5, size=(25, d)) * rng.choice([1.0, 40.0], size=(25, 1))
+        positions[0] = 0.0
+        positions[1, 0] = -0.0
+        for name, force in forces.items():
+            derivs = force.derivative_tensor(positions, TOL)
+            for k, x in enumerate(positions):
+                assert derivs[k].tobytes() == derivative_by_axis(force, x).tobytes(), name
+
+    def test_per_point_eval_sees_one_position(self):
+        for d in (2, 3):
+            forces, seen = forces_of_dimension(d)
+            forces["by_point"].derivative_tensor(np.zeros((2, 3, d)), TOL)
+            assert len(seen) == 2 * 3 * 2 * d
+            assert all(isinstance(p, np.ndarray) and p.shape == (d,) for p in seen)
+        seen = []
+        force = cl.ForceTensorField(1, lambda x: seen.append(x) or np.full((2, 2), x))
+        force.derivative_tensor(np.array([0.5, 1.5]), TOL)
+        assert len(seen) == 4 and all(type(x) is float for x in seen)
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_wrong_length_position_raises(self, d):
+        force = cl.affine_force(d, np.ones((d, 2, 2, d)))
+        for x in (np.zeros(d + 1), np.zeros((4, d - 1)), 0.5):
+            with pytest.raises(DomainError, match="coordinates"):
+                force.tensor_at(x)
+            with pytest.raises(DomainError, match="coordinates"):
+                force.derivative_tensor(x, TOL)
+
+    def test_non_finite_names_position(self):
+        force = cl.rank_one_force((1.0, 1.0), lambda p: 1.0 / p, d=2)
+        with np.errstate(divide="ignore"), pytest.raises(EvaluationError, match=r"at \[1.0, 0.0\]"):
+            force.tensor_at(np.array([[1.0, 2.0], [1.0, 0.0]]))
+
+    def test_symmetry_defect_over_a_batch(self):
+        lin = np.zeros((2, 2, 2, 2))
+        lin[1, 0, 1, 0] = 3.0
+        force = cl.affine_force(2, lin, symmetrize=False)
+        assert force.symmetry_defect([(0.5, 0.0), (-2.0, 1.0)]) == 6.0
+        assert force.symmetry_defect(np.empty((0, 2))) == 0.0
+
+
 def surface_check_by_point(force, surface, tol=TOL):
     """The per-point orbit/characteristic loop that check_surface replaces."""
     grid = surface.grid
@@ -590,8 +686,7 @@ class TestClassify:
         generic = cl.affine_force(2, rng.normal(size=(2, 2, 2, 2)))
         for lam in (1e-3, 0.1, 7.0, 1e3):
             for force in (base, generic):
-                scaled = cl.ForceTensorField(force.d, lambda p, f=force, s=lam: s * f.eval(p),
-                                             force.symmetric_flag)
+                scaled = cl.ForceTensorField(force.d, lambda p, f=force, s=lam: s * f.eval(p))
                 assert cl.classify(scaled, (0.4, -0.2)).verdict is cl.classify(force, (0.4, -0.2)).verdict
 
     def test_one_derivative_tensor_per_call(self, monkeypatch):

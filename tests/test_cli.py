@@ -263,18 +263,25 @@ n2 = 5
         assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 3
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, sections", [
-        ("uncertainty", "[budget]\nde1 = 1e308\nde2 = 1\ndde1 = 0\ndde2 = 0\nt1 = 3\nt2 = 3\n"),
-        ("dirac", "[wave]\nk = 1 0 0\nm = 1e308\n" + GRID + "x_min = -1\nx_max = 1\nnx = 5\n"),
-        ("mass-spectrum", "[sweep]\nm = 1e308\nomega_max = 2\n"),
-        ("mass-spectrum", "[sweep]\nm = 1\nomega_max = 1e308\n"),
+    @pytest.mark.parametrize("command, sections, quantity", [
+        ("uncertainty", "[budget]\nde1 = 1e308\nde2 = 1\ndde1 = 0\ndde2 = 0\nt1 = 3\nt2 = 3\n",
+         "dE^2 = dE1^2 + dE2^2 overflows"),
+        ("dirac", "[wave]\nk = 1 0 0\nm = 1e308\n" + GRID + "x_min = -1\nx_max = 1\nnx = 5\n",
+         "m^2 overflows"),
+        ("mass-spectrum", "[sweep]\nm = 1e308\nomega_max = 2\n", "m^2 overflows"),
+        ("mass-spectrum", "[sweep]\nm = 1\nomega_max = 1e308\n", "(hbar omega / c^2)^2 overflows"),
         ("classical-integrate", "[force]\nfamily = rank_one\ndimension = 1\nc = 1e308 1e308\n"
-         "g_poly = -1 0\n[initial]\nx0 = 1\nv0 = 0\n" + GRID),
-    ], ids=["uncertainty_de1", "dirac_m", "sweep_m", "sweep_omega_max", "integrate_c"])
-    def test_overflow_exits_4(self, tmp_path, capsys, command, sections):
+         "g_poly = -1 0\n[initial]\nx0 = 1\nv0 = 0\n" + GRID, "s = c1 t1 + c2 t2 overflows"),
+        ("uncertainty", "[budget]\nde1 = 1\nde2 = 1\ndde1 = 1e308\ndde2 = 1e308\nt1 = 3\nt2 = 3\n",
+         "dE1*ddE1 + dE2*ddE2 overflows"),
+        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 1e308 1e308 1e308 1e308\n"
+         "psi_real = 1 1\n" + GRID, "the moments <X> and <X^2> overflow"),
+    ], ids=["uncertainty_de1", "dirac_m", "sweep_m", "sweep_omega_max", "integrate_c",
+            "uncertainty_dde", "fluct_x0"])
+    def test_overflow_exits_4(self, tmp_path, capsys, command, sections, quantity):
         config = write(tmp_path, "huge.ini", f"[scenario]\ncommand = {command}\n{sections}")
         assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 4
-        assert "numerical failure:" in capsys.readouterr().err
+        assert f"numerical failure: {quantity}" in capsys.readouterr().err
 
     def test_non_numeric_current_file_exits_3(self, tmp_path, capsys):
         samples = write(tmp_path, "current.csv", "x,t1,t2,j1,j2,jx\n0,0,0,1,abc,0\n")

@@ -12,6 +12,8 @@ from bitempo.core import (
     Tolerances,
     central_difference,
     determinant,
+    finite,
+    finite_power,
     null_space,
     partial_difference,
 )
@@ -178,3 +180,21 @@ class TestTypes:
         t = Tolerances(fd_step=1e-5)
         assert t.step_for(100.0) == pytest.approx(1e-3)
         assert t.step_for(0.01) == pytest.approx(1e-5)
+
+
+class TestFinite:
+    def test_finite_values_pass_through(self):
+        assert finite(2.5, "x") == 2.5
+        assert finite_power(3.0, 2, "x^2") == 9.0
+        assert finite_power(1e-200, 2, "x^2") == 0.0
+
+    @pytest.mark.parametrize("call", [
+        lambda: finite(math.inf, "x^2"),
+        lambda: finite(math.nan, "x^2"),
+        lambda: finite_power(1e308, 2, "x^2"),
+        lambda: finite_power(math.inf, 2, "x^2"),
+        lambda: finite_power(np.float64(1e200), 2, "x^2"),
+    ])
+    def test_overflow_names_quantity(self, call):
+        with pytest.raises(EvaluationError, match=r"^x\^2 overflows"):
+            call()

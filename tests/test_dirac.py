@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from bitempo import dirac as dr
 from bitempo.core import (
     DegenerateKernelError,
     DomainError,
+    EvaluationError,
     Grid2T,
     OnShellError,
     Tolerances,
@@ -57,6 +59,14 @@ class TestPlaneWaveSolver:
         # phase gauge: first nonzero component real positive
         assert sol.psi_plus[0].imag == pytest.approx(0.0, abs=1e-14)
         assert sol.psi_plus[0].real > 0
+
+    @pytest.mark.parametrize("k, m, quantity", [
+        ((1.0, 0.0, 0.0), 1e308, "m^2"),
+        ((1e200, 0.0, 0.0), 1.0, "k1^2 + k2^2 - k3^2 - m^2"),
+    ])
+    def test_overflow_names_quantity(self, k, m, quantity):
+        with pytest.raises(EvaluationError, match=re.escape(quantity) + " overflows"):
+            dr.solve_plane_wave(k, m)
 
     def test_off_shell_rejected(self):
         with pytest.raises(OnShellError, match="residual"):
@@ -276,6 +286,16 @@ class TestModeMass:
     def test_negative_inputs_rejected(self):
         with pytest.raises(DomainError):
             dr.effective_mode_mass(-1.0, 0.5)
+
+    @pytest.mark.parametrize("args, quantity", [
+        ((1e308, 1.0), "m^2"),
+        ((1.0, 1e308), "(hbar omega / c^2)^2"),
+        ((1.0, 1e300, 1e10), "(hbar omega / c^2)^2"),
+        ((1.0, 1.0, 1.0, 1e200), "c^2"),
+    ])
+    def test_overflow_names_quantity(self, args, quantity):
+        with pytest.raises(EvaluationError, match=re.escape(quantity) + " overflows"):
+            dr.effective_mode_mass(*args)
 
 
 class TestDensitySeparability:

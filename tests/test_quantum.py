@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from bitempo import quantum as q
-from bitempo.core import DomainError, Grid2T, TimePlanePoint
+from bitempo.core import DomainError, EvaluationError, Grid2T, TimePlanePoint
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -205,6 +206,12 @@ class TestTau2Dependence:
 
 
 class TestVarianceTrace:
+    def test_overflow_named_before_hermiticity(self):
+        sys_ = q.TwoTimeQuantumSystem([0, 1], [0, 2], np.full((2, 2), 1e308))
+        psi = q.StateVector.normalized([1, 1])
+        with pytest.raises(EvaluationError, match=re.escape("<X> and <X^2> overflow")):
+            q.variance_trace(sys_, psi, Grid2T(0, 1, 0, 1, 5, 5))
+
     def test_eigenstate_of_diagonal_observable(self):
         sys_ = q.TwoTimeQuantumSystem([0, 1, 2], [0, 2, 1], np.diag([0.3, -0.4, 1.1]))
         psi = q.StateVector([1, 0, 0])
@@ -376,6 +383,17 @@ class TestAngleAndWidth:
         assert report.singular
         assert report.phi == 0.0
         assert math.isinf(report.dphi_exact)
+
+    @pytest.mark.parametrize("budget, quantity", [
+        ((1.0, 1.0, 1e308, 1e308, 3.0, 3.0), "dE1*ddE1 + dE2*ddE2"),
+        ((1e308, 1.0, 0.0, 0.0, 3.0, 3.0), "dE^2 = dE1^2 + dE2^2"),
+        ((1e103, 0.0, 0.0, 0.0, 3.0, 3.0), "dE^3"),
+        ((1e-10, 0.0, 1e300, 0.0, 1e11, 0.0), "bound"),
+    ])
+    def test_overflow_names_quantity(self, budget, quantity):
+        b = q.UncertaintyBudget(*budget[:4], TimePlanePoint(*budget[4:]))
+        with pytest.raises(EvaluationError, match=re.escape(quantity) + " overflows"):
+            q.angle_and_width(b)
 
     def test_zero_spacings_rejected(self):
         b = q.UncertaintyBudget(0, 0, 0.1, 0.1, TimePlanePoint(1, 1))
