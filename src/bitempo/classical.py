@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import (
     ComplexCharacteristicError,
-    DegeneratePointError,
     DomainError,
     EvaluationError,
     Grid2T,
@@ -39,8 +38,6 @@ from .core import (
 
 __all__ = [
     "ForceTensorField",
-    "GaugeConnection",
-    "OrbitRelation",
     "CharacteristicField",
     "Verdict",
     "ParallelFieldReport",
@@ -65,6 +62,9 @@ __all__ = [
 ]
 
 CROSS_VALIDATION_TOL = 1e-8
+# RK4 knots integrate_rank_one_1d may lay over all its step sizes together;
+# the bundled harmonic scenario takes about 13.2k
+RK4_KNOT_BUDGET = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -150,42 +150,11 @@ class ForceTensorField:
 
 
 @dataclass(frozen=True)
-class GaugeConnection:
-    """Gauge pair x -> (A_1, A_2); only meaningful for one space dimension."""
-
-    d: int
-    eval: callable
-
-    def __post_init__(self):
-        if self.d != 1:
-            raise DomainError("gauge connections are only supported for d = 1")
-
-    def values_at(self, x: float) -> np.ndarray:
-        a = np.asarray(self.eval(float(x)), dtype=float).reshape(2)
-        if not np.all(np.isfinite(a)):
-            raise EvaluationError(f"gauge connection non-finite at {x}")
-        return a
-
-
-@dataclass(frozen=True)
-class OrbitRelation:
-    """Orbit data at one phase-space point: Phi(x), the squared momentum
-    ratio, and their mismatch."""
-
-    phi: float
-    ratio_squared: float
-    residual: float
-
-
-@dataclass(frozen=True)
 class CharacteristicField:
     """Per-coordinate characteristic directions in the (t1, t2) plane."""
 
     vectors: tuple
     degenerate: tuple
-
-    def __iter__(self):
-        return iter(self.vectors)
 
 
 class Verdict(str, Enum):
@@ -217,6 +186,10 @@ class ParallelFieldReport:
 
 @dataclass(frozen=True)
 class ConstraintReport:
+    """A verdict at one point.  ``orthogonality_residual`` and ``discrepancy``
+    come from the d >= 2 field report, ``consistency_residual`` from the
+    d = 1 primes."""
+
     determinant_value: float
     kernel_dim: int
     fields: CharacteristicField
@@ -224,6 +197,7 @@ class ConstraintReport:
     verdict: Verdict
     orthogonality_residual: float | None = None
     discrepancy: str | None = None
+    consistency_residual: float | None = None
 
 
 def rank_one_force(c, g, d: int = 1) -> ForceTensorField:
@@ -291,39 +265,12 @@ def zero_force(d: int) -> ForceTensorField:
 
 
 # ---------------------------------------------------------------------------
-# one space dimension
+# one space dimension: functions of the primes F'_{jk} = dF_{jk}/dx, shaped
+# (..., 2, 2) and taken from one derivative_tensor call
 # ---------------------------------------------------------------------------
-
-def _primes_1d(F: ForceTensorField, x, tol: Tolerances) -> np.ndarray:
-    """x-derivatives F'_{jk}, shaped (..., 2, 2) for positions shaped (...)."""
-    if F.d != 1:
-        raise DomainError("this operation needs a one-dimensional force")
-    return F.derivative_tensor(x, tol)[..., 0, :, :, 0]
-
 
 def _prime_scale(fp: np.ndarray):
     return np.maximum(1.0, np.max(np.abs(fp), axis=(-2, -1))) ** 2
-
-
-def _orbit_function(fp: np.ndarray, tol: Tolerances):
-    """Phi = F'_11 F'_12 / (F'_21 F'_22) from primes (..., 2, 2), and where
-    the denominator vanishes so that Phi is undefined."""
-    denom = fp[..., 1, 0] * fp[..., 1, 1]
-    undefined = np.abs(denom) <= tol.abs_tol * _prime_scale(fp)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = fp[..., 0, 0] * fp[..., 0, 1] / denom
-    return phi, undefined
-
-
-def _ratio_squared(q1, q2, tol: Tolerances):
-    """(q1 / q2)^2 for gauge-shifted momenta q_j = p_j - A_j, and where q2
-    vanishes so that the ratio is undefined."""
-    undefined = np.abs(q2) <= tol.abs_tol * np.maximum(1.0, np.maximum(np.abs(q1), np.abs(q2)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # float_power rounds as libm pow, like ``** 2`` on a scalar; ``** 2``
-        # on an array squares, which differs in the last bit about once in 1000
-        ratio_sq = np.float_power(q1 / q2, 2)
-    return ratio_sq, undefined
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray):
@@ -332,71 +279,62 @@ def _rowdot(a: np.ndarray, b: np.ndarray):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _characteristic(fp: np.ndarray, x, tol: Tolerances):
-    """Directions (sqrt(F'_22 F'_21), -sqrt(F'_11 F'_12)) shaped (..., 2) and
-    their degenerate flags, from primes (..., 2, 2) at positions x.
+def consistency_residual_1d(fp: np.ndarray) -> np.ndarray:
+    """|F'_11 F'_22 - F'_12 F'_21| for primes (..., 2, 2); zero is necessary
+    for two-time motion."""
+    return np.abs(fp[..., 0, 0] * fp[..., 1, 1] - fp[..., 0, 1] * fp[..., 1, 0])
 
-    Raises at the first position, in row-major order, where a radicand is
-    negative beyond tolerance.
+
+def orbit_relation_1d(fp: np.ndarray, q1, q2, tol: Tolerances = Tolerances()):
+    """The orbit function Phi = F'_11 F'_12 / (F'_21 F'_22) against the
+    squared momentum ratio (q1 / q2)^2, which must agree along any consistent
+    motion.
+
+    Takes primes (..., 2, 2) and gauge-shifted momenta q_j = p_j - A_j shaped
+    (...); the ratio is invariant under rescaling q.  Returns the arrays phi,
+    ratio_squared and residual = |ratio_squared - phi|, each NaN wherever
+    F'_21 F'_22 or q2 vanishes within tolerance.
+    """
+    q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
+    denom = fp[..., 1, 0] * fp[..., 1, 1]
+    undefined = ((np.abs(denom) <= tol.abs_tol * _prime_scale(fp))
+                 | (np.abs(q2) <= tol.abs_tol * np.maximum(1.0, np.maximum(np.abs(q1), np.abs(q2)))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = fp[..., 0, 0] * fp[..., 0, 1] / denom
+        # float_power rounds as libm pow, like ``** 2`` on a scalar; ``** 2``
+        # on an array squares, which differs in the last bit about once in 1000
+        ratio_sq = np.float_power(q1 / q2, 2)
+        residual = np.abs(ratio_sq - phi)
+    return tuple(np.where(undefined, np.nan, v) for v in (phi, ratio_sq, residual))
+
+
+def characteristic_field_1d(fp: np.ndarray, x, tol: Tolerances = Tolerances()):
+    """Directions along which x(t1, t2) is constant, shaped (..., 2), and
+    their degenerate flags, from primes (..., 2, 2) at positions x (...).
+
+    The direction is the paper's (sqrt(F'_22 F'_21), -sqrt(F'_11 F'_12)).
+    On a consistent force the two radicands share a sign; where both are
+    negative beyond tolerance the real direction is
+    (sqrt|F'_22 F'_21|, +sqrt|F'_11 F'_12|), the paper's up to a common
+    factor i.  Raises at the first position, in row-major order, where the
+    radicands have opposite signs beyond tolerance.  A zero direction is
+    returned with its degenerate flag set.
     """
     r1 = fp[..., 1, 1] * fp[..., 1, 0]
     r2 = fp[..., 0, 0] * fp[..., 0, 1]
     thresh = tol.abs_tol * _prime_scale(fp)
     negative = (r1 < -thresh) | (r2 < -thresh)
-    if np.any(negative):
-        k = int(np.argmax(negative))
+    mixed = negative & ((r1 > thresh) | (r2 > thresh))
+    if np.any(mixed):
+        k = int(np.argmax(mixed))
         a, b, t = (np.ravel(v)[k] for v in (r1, r2, thresh))
         bad = "F'_22*F'_21" if a < -t else "F'_11*F'_12"
         raise ComplexCharacteristicError(
             f"radicand {bad} = {min(a, b):.3e} < 0 at x={np.ravel(x)[k]}: complex characteristics")
-    vec = np.stack([np.sqrt(np.maximum(r1, 0.0)), -np.sqrt(np.maximum(r2, 0.0))], axis=-1)
+    sign = np.where(negative, -1.0, 1.0)
+    vec = np.stack([np.sqrt(np.maximum(sign * r1, 0.0)),
+                    -sign * np.sqrt(np.maximum(sign * r2, 0.0))], axis=-1)
     return vec, np.sqrt(_rowdot(vec, vec)) <= np.sqrt(thresh)
-
-
-def consistency_residual_1d(F: ForceTensorField, A: GaugeConnection | None,
-                            x: float, tol: Tolerances = Tolerances()) -> float:
-    """|F'_11 F'_22 - F'_12 F'_21| at x (or at each of N positions); zero is
-    necessary for two-time motion."""
-    fp = _primes_1d(F, x, tol)
-    return np.abs(fp[..., 0, 0] * fp[..., 1, 1] - fp[..., 0, 1] * fp[..., 1, 0])
-
-
-def orbit_relation_1d(F: ForceTensorField, A: GaugeConnection | None, x: float,
-                      p, tol: Tolerances = Tolerances()) -> OrbitRelation:
-    """Evaluate the orbit function Phi(x) against the squared momentum ratio.
-
-    Phi = F'_11 F'_12 / (F'_21 F'_22) must equal ((p1-A1)/(p2-A2))^2 along
-    any consistent motion.  The ratio is invariant under rescaling p.
-    """
-    fp = _primes_1d(F, x, tol)
-    phi, undefined = _orbit_function(fp, tol)
-    if undefined:
-        which = "F'_21" if abs(fp[1, 0]) <= abs(fp[1, 1]) else "F'_22"
-        raise DegeneratePointError(f"{which} vanishes at x={x}; orbit function undefined")
-    p1, p2 = np.asarray(p, dtype=float).reshape(2)
-    a1, a2 = (0.0, 0.0) if A is None else A.values_at(x)
-    ratio_sq, undefined = _ratio_squared(p1 - a1, p2 - a2, tol)
-    if undefined:
-        raise DegeneratePointError(f"p2 - A2 vanishes at x={x}; momentum ratio undefined")
-    return OrbitRelation(phi=float(phi), ratio_squared=float(ratio_sq),
-                         residual=float(abs(ratio_sq - phi)))
-
-
-def _field_1d(fp: np.ndarray, x, tol: Tolerances) -> CharacteristicField:
-    vec, degenerate = _characteristic(fp, x, tol)
-    return CharacteristicField(vectors=(vec,), degenerate=(bool(degenerate),))
-
-
-def characteristic_field_1d(F: ForceTensorField, x: float,
-                            tol: Tolerances = Tolerances()) -> CharacteristicField:
-    """Direction (sqrt(F'_22 F'_21), -sqrt(F'_11 F'_12)) along which x(t1,t2)
-    is constant.
-
-    Negative radicands mean the characteristic direction is not real and
-    raise instead of being silently absolutized; a zero field is returned
-    with its degenerate flag set.
-    """
-    return _field_1d(_primes_1d(F, x, tol), x, tol)
 
 
 @dataclass(frozen=True)
@@ -428,15 +366,14 @@ def check_surface(F: ForceTensorField, surface: TrajectorySurface,
     fd_step * max(1, extent) along each time axis.  A complex characteristic
     raises at the first interior point in row-major order.
     """
+    if F.d != 1:
+        raise DomainError(f"check_surface needs a one-dimensional force, got d={F.d}")
     grid, x = surface.grid, surface.values
-    fp = _primes_1d(F, x.ravel(), tol).reshape(x.shape + (2, 2))
-    phi, phi_undefined = _orbit_function(fp, tol)
-    ratio_sq, ratio_undefined = _ratio_squared(*surface.grid_momenta, tol)
-    undefined = phi_undefined | ratio_undefined
-    residual = np.where(undefined, np.nan, np.abs(ratio_sq - phi))
+    fp = F.derivative_tensor(x.ravel(), tol)[:, 0, :, :, 0].reshape(x.shape + (2, 2))
+    phi, ratio_sq, residual = orbit_relation_1d(fp, *surface.grid_momenta, tol)
 
     inner = (slice(1, -1), slice(1, -1))
-    vec, _ = _characteristic(fp[inner], x[inner], tol)
+    vec, _ = characteristic_field_1d(fp[inner], x[inner], tol)
     T1, T2 = np.meshgrid(grid.t1_values[1:-1], grid.t2_values[1:-1], indexing="ij")
     step1 = tol.fd_step * max(1.0, abs(grid.t1_max - grid.t1_min))
     step2 = tol.fd_step * max(1.0, abs(grid.t2_max - grid.t2_min))
@@ -450,9 +387,7 @@ def check_surface(F: ForceTensorField, surface: TrajectorySurface,
              / (norm * np.maximum(1.0, np.sqrt(_rowdot(grad, grad))))[moving])
     inner_residual = residual[inner]
     return SurfaceCheck(
-        phi=np.where(undefined, np.nan, phi),
-        ratio_squared=np.where(undefined, np.nan, ratio_sq),
-        residual=residual,
+        phi, ratio_sq, residual,
         orthogonality_residual=float(np.max(ortho, initial=0.0)),
         orbit_residual=float(np.max(inner_residual[np.isfinite(inner_residual)], initial=0.0)),
     )
@@ -486,16 +421,14 @@ class _RankOneSolution:
         self.g = gv
         self.x0 = float(x0)
         self.v0 = float(v0)
-        self.blowup = float(blowup)
-        self.step = float(step)
         g_float = lambda x: float(g(x))
         knots = [0.0]
         xs = [self.x0]
         vs = [self.v0]
-        for target, direction in ((s_max, +1.0), (s_min, -1.0)):
-            if direction * target <= 0:
+        for target in (s_max, s_min):
+            if target == 0:
                 continue
-            n = max(1, int(math.ceil(abs(target) / step)))
+            n = int(_steps_to(target, step))
             h = target / n
             x, v = self.x0, self.v0
             seg_s, seg_x, seg_v = [], [], []
@@ -547,11 +480,6 @@ class TrajectorySurface:
         """x at arbitrary (t1, t2), not restricted to grid points."""
         return self.solution.evaluate(self.s_of(t1, t2))[0]
 
-    def momenta(self, t1, t2):
-        """(p1, p2) = (c1 X', c2 X') at arbitrary (t1, t2)."""
-        v = self.solution.evaluate(self.s_of(t1, t2))[1]
-        return self.c[0] * v, self.c[1] * v
-
     @property
     def grid_momenta(self):
         """(p1, p2) = (c1 X', c2 X') at the grid points."""
@@ -571,6 +499,12 @@ def _vectorized_scalar_map(g):
     return np.vectorize(g, otypes=[float])
 
 
+def _steps_to(target: float, step: float) -> float:
+    """RK4 steps of at most ``step`` from s = 0 to target; inf when the count
+    passes the float range."""
+    return max(1.0, float(np.ceil(abs(target) / step))) if target else 0.0
+
+
 def integrate_rank_one_1d(g, c, x0: float, v0: float, grid: Grid2T,
                           step: float | None = None,
                           tol: Tolerances = Tolerances(),
@@ -580,6 +514,8 @@ def integrate_rank_one_1d(g, c, x0: float, v0: float, grid: Grid2T,
     Substituting p_j = c_j X' reduces the two-time system to X''(s) = g(X)
     along s = c1 t1 + c2 t2.  Integrated with fixed-step RK4; the step is
     accepted once halving it changes the solution by less than rel_tol.
+    Before each step size is integrated, the knots of all step sizes so far
+    are checked against RK4_KNOT_BUDGET.
     """
     c = np.asarray(c, dtype=float).reshape(2)
     if np.allclose(c, 0.0):
@@ -596,18 +532,21 @@ def integrate_rank_one_1d(g, c, x0: float, v0: float, grid: Grid2T,
     span = max(s_max - s_min, 1e-6)
 
     h = step if step is not None else min(1e-2, span / 256.0)
-    sol = _RankOneSolution(g, gv, x0, v0, s_min, s_max, h, blowup)
-    for _ in range(12):
-        finer = _RankOneSolution(g, gv, x0, v0, s_min, s_max, h / 2.0, blowup)
-        probe = sol.knot_s
-        xa, _ = sol.evaluate(probe)
-        xb, _ = finer.evaluate(probe)
-        scale = max(1.0, float(np.max(np.abs(xb))))
-        if float(np.max(np.abs(xa - xb))) < tol.rel_tol * scale:
-            sol = finer
-            break
-        h /= 2.0
+    sol, knots = None, 0.0
+    for _ in range(13):  # the first step size and up to 12 halvings
+        knots += _steps_to(s_max, h) + _steps_to(s_min, h)
+        if not knots <= RK4_KNOT_BUDGET:
+            raise EvaluationError(f"RK4 over s in [{s_min:g}, {s_max:g}] needs {knots:.4g} knots "
+                                  f"by step {h:.4g}, past the budget of {RK4_KNOT_BUDGET}")
+        finer = _RankOneSolution(g, gv, x0, v0, s_min, s_max, h, blowup)
+        if sol is not None:
+            xa, _ = sol.evaluate(sol.knot_s)
+            xb, _ = finer.evaluate(sol.knot_s)
+            if float(np.max(np.abs(xa - xb))) < tol.rel_tol * max(1.0, float(np.max(np.abs(xb)))):
+                sol = finer
+                break
         sol = finer
+        h /= 2.0
     values, vel = sol.evaluate(s_grid)
     return TrajectorySurface(grid=grid, c=c, values=values, velocity=vel, solution=sol)
 
@@ -835,17 +774,23 @@ def classify(F: ForceTensorField, x, tol: Tolerances = Tolerances()) -> Constrai
     """
     T = F.derivative_tensor(x, tol)
     M = _constraint_matrix_from_tensor(T, F.d)
-    pf = _field_report(T, tol, "corrected") if F.d > 1 else None
     det_val = float(determinant(M))
-    kdim = len(null_space(M, tol)) if pf is None else pf.kernel_dim
-    checks = (None, None) if pf is None else (pf.orthogonality_residual, pf.discrepancy)
+    if F.d == 1:
+        fp = T[0, :, :, 0]
+        kdim = len(null_space(M, tol))
+        checks = (None, None, float(consistency_residual_1d(fp)))
+    else:
+        pf = _field_report(T, tol, "corrected")
+        kdim = pf.kernel_dim
+        checks = (pf.orthogonality_residual, pf.discrepancy)
     if kdim == 0:
         fields = CharacteristicField(vectors=tuple(np.zeros(2) for _ in range(F.d)),
                                      degenerate=(True,) * F.d)
         return ConstraintReport(det_val, 0, fields, 0.0, Verdict.NO_TWO_TIME_MOTION, *checks)
 
-    if pf is None:
-        fields = _field_1d(T[0, :, :, 0], x, tol)
+    if F.d == 1:
+        vec, degenerate = characteristic_field_1d(fp, x, tol)
+        fields = CharacteristicField(vectors=(vec,), degenerate=(bool(degenerate),))
     else:
         found = [status == "direction" for status in pf.oracle_status]
         fields = CharacteristicField(

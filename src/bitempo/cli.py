@@ -387,7 +387,7 @@ def _run_classical_check(tol, force, x):
         "discrepancy": report.discrepancy,
     }
     if force.d == 1:
-        payload["consistency_residual"] = classical.consistency_residual_1d(force, None, point, tol)
+        payload["consistency_residual"] = report.consistency_residual
     return payload, []
 
 
@@ -431,20 +431,18 @@ def _run_quantum_fluct(setup, grid):
 
 
 def _run_uncertainty(budget):
-    vis = quantum.uncertainty_visibility(budget)
-    payload = {
-        "visibility": vis.value,
-        "swept_phase_over_two_pi": budget.swept_phase / (2.0 * math.pi),
-    }
+    # the angle first: its dE^2 overflow is named before the swept phase's
     report = quantum.angle_and_width(budget)
-    payload.update(
-        phi=report.phi,
-        cos_phi=math.cos(report.phi),
-        dphi_exact=report.dphi_exact,
-        dphi_lowest_order=report.dphi_lowest_order,
-        bound=report.bound,
-        singular=report.singular,
-    )
+    payload = {
+        "visibility": quantum.uncertainty_visibility(budget).value,
+        "swept_phase_over_two_pi": budget.swept_phase / (2.0 * math.pi),
+        "phi": report.phi,
+        "cos_phi": math.cos(report.phi),
+        "dphi_exact": report.dphi_exact,
+        "dphi_lowest_order": report.dphi_lowest_order,
+        "bound": report.bound,
+        "singular": report.singular,
+    }
     return payload, []
 
 

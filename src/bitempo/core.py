@@ -18,7 +18,6 @@ __all__ = [
     "EvaluationError",
     "TruncationError",
     "DomainError",
-    "DegeneratePointError",
     "ComplexCharacteristicError",
     "DegenerateKernelError",
     "OnShellError",
@@ -29,7 +28,6 @@ __all__ = [
     "finite",
     "finite_power",
     "central_difference",
-    "partial_difference",
     "determinant",
     "null_space",
 ]
@@ -55,10 +53,6 @@ class TruncationError(EvaluationError):
 
 class DomainError(BitempoError):
     """Inputs violate a documented precondition."""
-
-
-class DegeneratePointError(DomainError):
-    """A denominator or pivot vanished at the evaluation point."""
 
 
 class ComplexCharacteristicError(DomainError):
@@ -232,21 +226,6 @@ def central_difference(f, at: float, step: float) -> float:
     for v, p in ((hi, at + step), (lo, at - step)):
         if not np.all(np.isfinite(v)):
             raise EvaluationError(f"map returned non-finite value {v!r} at {p}")
-    return (hi - lo) / (2.0 * step)
-
-
-def partial_difference(f, x, axis: int, step: float) -> np.ndarray:
-    """Central difference of an array-valued map over R^d along one axis."""
-    if step <= 0:
-        raise DomainError(f"step must be positive, got {step}")
-    x = np.asarray(x, dtype=float)
-    e = np.zeros_like(x)
-    e[axis] = step
-    hi = np.asarray(f(x + e))
-    lo = np.asarray(f(x - e))
-    for v, p in ((hi, x + e), (lo, x - e)):
-        if not np.all(np.isfinite(v)):
-            raise EvaluationError(f"map returned non-finite value at {p}")
     return (hi - lo) / (2.0 * step)
 
 

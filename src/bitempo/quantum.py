@@ -180,7 +180,8 @@ class UncertaintyBudget:
     @property
     def swept_phase(self) -> float:
         """|dE1 t1 + dE2 t2| / hbar, the phase the spacing pair sweeps by t."""
-        return abs(self.dE1 * self.t.t1 + self.dE2 * self.t.t2) / self.hbar
+        return finite(abs(self.dE1 * self.t.t1 + self.dE2 * self.t.t2) / self.hbar,
+                      "swept phase |dE1 t1 + dE2 t2| / hbar")
 
 
 @dataclass(frozen=True)
@@ -351,6 +352,14 @@ def uncertainty_visibility(budget: UncertaintyBudget, margin_low: float = 0.1) -
     return Visibility.THRESHOLD
 
 
+def _divisor(value: float, name: str) -> float:
+    """value itself; EvaluationError naming the quantity when it overflowed or
+    underflowed to 0."""
+    if value == 0.0:
+        raise EvaluationError(f"{name} underflows to 0")
+    return finite(value, name)
+
+
 def angle_and_width(budget: UncertaintyBudget) -> AngleWidthReport:
     """Angle between the elapsed-time vector and the spacing vector, and the
     spread of that angle induced by spacing fluctuations.
@@ -370,13 +379,16 @@ def angle_and_width(budget: UncertaintyBudget) -> AngleWidthReport:
             f"t*sqrt(dE1^2+dE2^2) = {q:.6g} < hbar = {hbar:.6g}: "
             "cos(phi) would exceed 1")
     num = finite(budget.dE1 * budget.ddE1 + budget.dE2 * budget.ddE2, "dE1*ddE1 + dE2*ddE2")
-    de_sq = finite_power(de, 2, "dE^2 = dE1^2 + dE2^2")
+    de_sq = _divisor(finite_power(de, 2, "dE^2 = dE1^2 + dE2^2"), "dE^2 = dE1^2 + dE2^2")
+    q = finite(q, "q = t*dE")
     bound = finite(num / de_sq, "bound")
-    lowest = finite(hbar * num / (t * finite_power(de, 3, "dE^3")), "dphi_lowest_order")
+    de_cube = _divisor(finite_power(de, 3, "dE^3"), "dE^3")
+    lowest = finite(hbar * num / _divisor(t * de_cube, "t*dE^3"), "dphi_lowest_order")
     if abs(q - hbar) <= 1e-12 * hbar:
         return AngleWidthReport(phi=0.0, dphi_exact=math.inf,
                                 dphi_lowest_order=lowest, bound=bound, singular=True)
     phi = math.acos(hbar / q)
-    exact = finite(hbar * num / (de_sq * math.sqrt(q * q - hbar * hbar)), "dphi_exact")
+    width = de_sq * math.sqrt(finite(q * q, "q^2") - hbar * hbar)
+    exact = finite(hbar * num / _divisor(width, "dE^2 sqrt(q^2 - hbar^2)"), "dphi_exact")
     return AngleWidthReport(phi=phi, dphi_exact=exact,
                             dphi_lowest_order=lowest, bound=bound)

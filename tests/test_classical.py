@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from bitempo import classical as cl
 from bitempo.core import (
     ComplexCharacteristicError,
-    DegeneratePointError,
     DomainError,
     EvaluationError,
     Grid2T,
@@ -26,10 +25,15 @@ def random_rank_one_1d(rng):
     return cl.rank_one_force(c, g), c, coeffs
 
 
+def primes(force, x, tol=TOL):
+    """The d = 1 primes F'_{jk} at positions x, shaped np.shape(x) + (2, 2)."""
+    return force.derivative_tensor(x, tol)[..., 0, :, :, 0]
+
+
 def normalized_consistency(force, x):
-    fp = force.derivative_tensor(x, TOL)[0, :, :, 0]
+    fp = primes(force, x)
     scale = max(1.0, abs(fp[0, 0] * fp[1, 1]), abs(fp[0, 1] * fp[1, 0]))
-    return cl.consistency_residual_1d(force, None, x, TOL) / scale
+    return cl.consistency_residual_1d(fp) / scale
 
 
 def tuned_affine_force(d, rng):
@@ -58,15 +62,15 @@ def tuned_affine_force(d, rng):
 class TestConsistency1D:
     def test_rank_one_identity(self):
         force = cl.rank_one_force((1.0, 2.0), lambda x: -x)
-        assert cl.consistency_residual_1d(force, None, 0.7) == pytest.approx(0.0, abs=1e-9)
+        assert cl.consistency_residual_1d(primes(force, 0.7)) == pytest.approx(0.0, abs=1e-9)
 
     def test_diagonal_linear_force(self):
         force = cl.polynomial_force_1d({"11": [1.0, 0.0], "22": [1.0, 0.0]})
-        assert cl.consistency_residual_1d(force, None, 0.3) == pytest.approx(1.0, abs=1e-8)
+        assert cl.consistency_residual_1d(primes(force, 0.3)) == pytest.approx(1.0, abs=1e-8)
 
     def test_constant_force(self):
         force = cl.polynomial_force_1d({"11": [2.0], "12": [0.5], "22": [-1.0]})
-        assert cl.consistency_residual_1d(force, None, 1.1) == pytest.approx(0.0, abs=1e-12)
+        assert cl.consistency_residual_1d(primes(force, 1.1)) == pytest.approx(0.0, abs=1e-12)
 
     def test_random_rank_one_vanishes(self):
         rng = np.random.default_rng(5)
@@ -86,58 +90,95 @@ class TestConsistency1D:
 class TestOrbitRelation:
     def test_rank_one_worked_values(self):
         force = cl.rank_one_force((1.0, 2.0), lambda x: -x)
-        orb = cl.orbit_relation_1d(force, None, 0.3, (1.0, 2.0))
-        assert orb.phi == pytest.approx(0.25, abs=1e-9)
-        assert orb.ratio_squared == pytest.approx(0.25)
-        assert orb.residual == pytest.approx(0.0, abs=1e-9)
+        phi, ratio_sq, residual = cl.orbit_relation_1d(primes(force, 0.3), 1.0, 2.0)
+        assert phi == pytest.approx(0.25, abs=1e-9)
+        assert ratio_sq == pytest.approx(0.25)
+        assert residual == pytest.approx(0.0, abs=1e-9)
 
     @given(st.floats(0.1, 10).flatmap(lambda lam: st.sampled_from([lam, -lam])))
     @settings(max_examples=25, deadline=None)
     def test_momentum_scale_invariance(self, lam):
-        force = cl.rank_one_force((1.0, 2.0), lambda x: -x)
-        base = cl.orbit_relation_1d(force, None, 0.3, (1.0, 2.0))
-        scaled = cl.orbit_relation_1d(force, None, 0.3, (lam, 2 * lam))
-        assert scaled.ratio_squared == pytest.approx(base.ratio_squared, rel=1e-12)
-        assert scaled.phi == base.phi
+        fp = primes(cl.rank_one_force((1.0, 2.0), lambda x: -x), 0.3)
+        base = cl.orbit_relation_1d(fp, 1.0, 2.0)
+        scaled = cl.orbit_relation_1d(fp, lam, 2 * lam)
+        assert scaled[1] == pytest.approx(base[1], rel=1e-12)
+        assert scaled[0] == base[0]
 
     def test_vanishing_prime_is_degenerate(self):
+        # F'_21 = 0: Phi is undefined, so all three values are NaN
         force = cl.polynomial_force_1d({"11": [1.0, 0.0], "22": [1.0, 0.0]})
-        with pytest.raises(DegeneratePointError, match="F'_2"):
-            cl.orbit_relation_1d(force, None, 0.3, (1.0, 2.0))
+        assert all(np.isnan(v) for v in cl.orbit_relation_1d(primes(force, 0.3), 1.0, 2.0))
 
     def test_vanishing_momentum_denominator(self):
         force = cl.rank_one_force((1.0, 2.0), lambda x: -x)
-        with pytest.raises(DegeneratePointError, match="p2"):
-            cl.orbit_relation_1d(force, None, 0.3, (1.0, 0.0))
+        assert all(np.isnan(v) for v in cl.orbit_relation_1d(primes(force, 0.3), 1.0, 0.0))
 
     def test_gauge_shift_enters_ratio(self):
-        force = cl.rank_one_force((1.0, 2.0), lambda x: -x)
-        gauge = cl.GaugeConnection(1, lambda x: (0.5, -0.5))
-        orb = cl.orbit_relation_1d(force, gauge, 0.3, (1.0, 1.5))
-        assert orb.ratio_squared == pytest.approx(((1.0 - 0.5) / (1.5 + 0.5)) ** 2)
+        # p - A = (1, 2) lies along c: the shifted momenta satisfy the relation, p itself not
+        fp = primes(cl.rank_one_force((1.0, 2.0), lambda x: -x), 0.3)
+        p, a = np.array([1.5, 1.5]), np.array([0.5, -0.5])
+        assert cl.orbit_relation_1d(fp, *(p - a))[2] == pytest.approx(0.0, abs=1e-9)
+        assert cl.orbit_relation_1d(fp, *p)[2] == pytest.approx(0.75, abs=1e-9)
+
+    def test_nan_only_where_undefined(self):
+        # F'_11 = x^2, F'_12 = F'_21 = 1, F'_22 = x: Phi = x, undefined at x = 0
+        force = cl.polynomial_force_1d({"11": [1 / 3, 0.0, 0.0, 0.0], "12": [1.0, 0.0],
+                                        "22": [0.5, 0.0, 0.0]})
+        x = np.array([[0.5, 0.0], [1.5, -2.0]])
+        q2 = np.array([[1.0, 1.0], [0.0, 3.0]])
+        phi, ratio_sq, residual = cl.orbit_relation_1d(primes(force, x), np.ones((2, 2)), q2)
+        undefined = np.array([[False, True], [True, False]])
+        for v in (phi, ratio_sq, residual):
+            assert v.shape == (2, 2)
+            np.testing.assert_array_equal(np.isnan(v), undefined)
+        np.testing.assert_allclose(phi[~undefined], [0.5, -2.0], atol=1e-8)
+        np.testing.assert_allclose(residual[~undefined], [0.5, 2.0 + 1.0 / 9.0], atol=1e-8)
 
 
 class TestCharacteristicField1D:
     def test_rank_one_direction(self):
         force = cl.rank_one_force((1.0, 2.0), lambda x: -x)
-        field = cl.characteristic_field_1d(force, 0.3)
-        vec = field.vectors[0]
+        vec, degenerate = cl.characteristic_field_1d(primes(force, 0.3), 0.3)
         np.testing.assert_allclose(vec, [math.sqrt(8.0), -math.sqrt(2.0)], atol=1e-8)
         # parallel to (2, -1)
         assert vec[0] * (-1.0) - vec[1] * 2.0 == pytest.approx(0.0, abs=1e-8)
-        assert not field.degenerate[0]
+        assert not degenerate
 
     def test_constant_force_degenerate(self):
         force = cl.polynomial_force_1d({"11": [2.0], "12": [1.0], "22": [3.0]})
-        field = cl.characteristic_field_1d(force, 0.0)
-        np.testing.assert_array_equal(field.vectors[0], [0.0, 0.0])
-        assert field.degenerate[0]
+        vec, degenerate = cl.characteristic_field_1d(primes(force, 0.0), 0.0)
+        np.testing.assert_array_equal(vec, [0.0, 0.0])
+        assert degenerate
 
     def test_negative_radicand_raises(self):
-        force = cl.polynomial_force_1d({"11": [1.0, 0.0], "12": [-1.0, 0.0],
-                                        "21": [-1.0, 0.0], "22": [1.0, 0.0]})
-        with pytest.raises(ComplexCharacteristicError):
-            cl.characteristic_field_1d(force, 0.5)
+        # F'_22 F'_21 = -1 < 0 < F'_11 F'_12 = 1: radicands of opposite sign
+        force = cl.polynomial_force_1d({"11": [1.0, 0.0], "12": [1.0, 0.0], "22": [-1.0, 0.0]})
+        with pytest.raises(ComplexCharacteristicError, match=r"F'_22\*F'_21 = -1.000e\+00 < 0"):
+            cl.characteristic_field_1d(primes(force, 0.5), 0.5)
+
+    @pytest.mark.parametrize("c", [(1.0, -0.7), (-0.6, 1.3)])
+    def test_both_radicands_negative_give_real_direction(self, c):
+        # rank one with c1 c2 < 0: both radicands are negative, and the direction
+        # (sqrt|F'_22 F'_21|, +sqrt|F'_11 F'_12|) is orthogonal to grad x ~ (c1, c2)
+        c1, c2 = c
+        force = cl.rank_one_force(c, lambda x: -x)
+        x = np.array([-0.8, 0.3, 1.7])
+        vec, degenerate = cl.characteristic_field_1d(primes(force, x), x)
+        np.testing.assert_allclose(vec, np.tile([abs(c1 * c2 ** 3) ** 0.5,
+                                                 abs(c1 ** 3 * c2) ** 0.5], (3, 1)), rtol=1e-8)
+        assert not degenerate.any()
+        assert np.max(np.abs(vec @ np.array([c1, c2]))) < 1e-8
+
+    def test_batch_equals_per_point(self):
+        # F'_11 = F'_22 = x, F'_12 = F'_21 = 1: both radicands are x
+        force = cl.polynomial_force_1d({"11": [0.5, 0.0, 0.0], "12": [1.0, 0.0],
+                                        "22": [0.5, 0.0, 0.0]})
+        x = np.array([[0.2, -0.9, 2.0], [-0.1, 0.0, -1e-12]])
+        vec, degenerate = cl.characteristic_field_1d(primes(force, x), x)
+        assert vec.shape == (2, 3, 2) and degenerate.shape == (2, 3)
+        for idx in np.ndindex(x.shape):
+            one, flag = cl.characteristic_field_1d(primes(force, x[idx]), x[idx])
+            assert vec[idx].tobytes() == one.tobytes() and degenerate[idx] == flag
 
 
 class TestRankOneIntegrator:
@@ -192,36 +233,26 @@ class TestRankOneIntegrator:
         force = cl.rank_one_force((1.0, 2.0), lambda x: -x)
         surf = cl.integrate_rank_one_1d(lambda x: -x, (1, 2), 1.0, 0.0, grid)
         h = 1e-3
-        worst = 0.0
-        for t1 in grid.t1_values[1:-1:4]:
-            for t2 in grid.t2_values[1:-1:4]:
-                vec = cl.characteristic_field_1d(force, float(surf.position(t1, t2))).vectors[0]
-                if np.linalg.norm(vec) == 0:
-                    continue
-                g1 = (surf.position(t1 + h, t2) - surf.position(t1 - h, t2)) / (2 * h)
-                g2 = (surf.position(t1, t2 + h) - surf.position(t1, t2 - h)) / (2 * h)
-                dot = abs(vec[0] * g1 + vec[1] * g2) / np.linalg.norm(vec)
-                worst = max(worst, float(dot))
-        assert worst < 1e-4
+        t1, t2 = np.meshgrid(grid.t1_values[1:-1:4], grid.t2_values[1:-1:4], indexing="ij")
+        x = surf.position(t1, t2)
+        vec, _ = cl.characteristic_field_1d(primes(force, x), x)
+        g1 = (surf.position(t1 + h, t2) - surf.position(t1 - h, t2)) / (2 * h)
+        g2 = (surf.position(t1, t2 + h) - surf.position(t1, t2 - h)) / (2 * h)
+        norm = np.hypot(vec[..., 0], vec[..., 1])
+        moving = norm > 0
+        assert moving.sum() > 20
+        dot = np.abs(vec[..., 0] * g1 + vec[..., 1] * g2)[moving] / norm[moving]
+        assert np.max(dot) < 1e-4
 
     def test_orbit_invariance_along_trajectory(self):
         grid = Grid2T(0, 2 * math.pi, 0, 2 * math.pi, 21, 21)
         force = cl.rank_one_force((1.0, 2.0), lambda x: -x)
         surf = cl.integrate_rank_one_1d(lambda x: -x, (1, 2), 1.0, 0.0, grid)
-        worst = 0.0
-        checked = 0
-        for i, t1 in enumerate(grid.t1_values):
-            for j, t2 in enumerate(grid.t2_values):
-                p1 = surf.c[0] * surf.velocity[i, j]
-                p2 = surf.c[1] * surf.velocity[i, j]
-                try:
-                    orb = cl.orbit_relation_1d(force, None, surf.values[i, j], (p1, p2))
-                except DegeneratePointError:
-                    continue
-                worst = max(worst, orb.residual)
-                checked += 1
-        assert checked > 300
-        assert worst < 1e-6
+        p1, p2 = surf.c[0] * surf.velocity, surf.c[1] * surf.velocity
+        _, _, residual = cl.orbit_relation_1d(primes(force, surf.values), p1, p2)
+        checked = np.isfinite(residual)
+        assert checked.sum() > 300
+        assert np.max(residual[checked]) < 1e-6
 
 
 def batch_forces():
@@ -248,11 +279,11 @@ class TestBatchedForce1D:
         derivs = force.derivative_tensor(self.POSITIONS, TOL)
         assert tensors.shape == (self.POSITIONS.size, 1, 2, 2)
         assert derivs.shape == (self.POSITIONS.size, 1, 2, 2, 1)
-        residuals = cl.consistency_residual_1d(force, None, self.POSITIONS)
+        residuals = cl.consistency_residual_1d(primes(force, self.POSITIONS))
         for k, x in enumerate(self.POSITIONS):
             assert tensors[k].tobytes() == force.tensor_at(x).tobytes()
             assert derivs[k].tobytes() == force.derivative_tensor(x, TOL).tobytes()
-            assert residuals[k] == cl.consistency_residual_1d(force, None, x)
+            assert residuals[k] == cl.consistency_residual_1d(primes(force, x))
 
     def test_fd_step_scales_per_point(self):
         # F = x^3: the central difference is 3 x^2 + h^2 with h = fd_step max(1, |x|)
@@ -371,7 +402,8 @@ class TestBatchedForce:
 
 
 def surface_check_by_point(force, surface, tol=TOL):
-    """The per-point orbit/characteristic loop that check_surface replaces."""
+    """check_surface's quantities written out point by point on Python
+    floats, from the primes of a single-point derivative_tensor call."""
     grid = surface.grid
     step1 = tol.fd_step * max(1.0, abs(grid.t1_max - grid.t1_min))
     step2 = tol.fd_step * max(1.0, abs(grid.t2_max - grid.t2_min))
@@ -382,20 +414,23 @@ def surface_check_by_point(force, surface, tol=TOL):
     ortho = orbit = 0.0
     for i in range(grid.n1):
         for j in range(grid.n2):
-            x = surface.values[i, j]
-            p = (surface.c[0] * surface.velocity[i, j], surface.c[1] * surface.velocity[i, j])
-            try:
-                orb = cl.orbit_relation_1d(force, None, x, p, tol)
-                phi[i, j], ratio[i, j], resid[i, j] = orb.phi, orb.ratio_squared, orb.residual
-            except DomainError:
-                pass
+            (f11, f12), (f21, f22) = primes(force, surface.values[i, j], tol).tolist()
+            q1, q2 = (float(c * surface.velocity[i, j]) for c in surface.c)
+            thresh = tol.abs_tol * max(1.0, abs(f11), abs(f12), abs(f21), abs(f22)) ** 2
+            if abs(f21 * f22) > thresh and abs(q2) > tol.abs_tol * max(1.0, abs(q1), abs(q2)):
+                phi[i, j] = f11 * f12 / (f21 * f22)
+                ratio[i, j] = (q1 / q2) ** 2
+                resid[i, j] = abs(ratio[i, j] - phi[i, j])
             if 0 < i < grid.n1 - 1 and 0 < j < grid.n2 - 1:
-                vec = cl.characteristic_field_1d(force, x, tol).vectors[0]
-                norm = float(np.linalg.norm(vec))
-                if norm > 0:
-                    grad = np.array([grad1[i - 1, j - 1], grad2[i - 1, j - 1]])
-                    denom = norm * max(1.0, float(np.linalg.norm(grad)))
-                    ortho = max(ortho, abs(float(vec @ grad)) / denom)
+                r1, r2 = f22 * f21, f11 * f12
+                if min(r1, r2) < -thresh:  # both negative: the direction's sign flips
+                    v1, v2 = math.sqrt(max(-r1, 0.0)), math.sqrt(max(-r2, 0.0))
+                else:
+                    v1, v2 = math.sqrt(max(r1, 0.0)), -math.sqrt(max(r2, 0.0))
+                g1, g2 = grad1[i - 1, j - 1], grad2[i - 1, j - 1]
+                if math.hypot(v1, v2) > 0:
+                    denom = math.hypot(v1, v2) * max(1.0, math.hypot(g1, g2))
+                    ortho = max(ortho, abs(v1 * g1 + v2 * g2) / denom)
                 if math.isfinite(resid[i, j]):
                     orbit = max(orbit, resid[i, j])
     return phi, ratio, resid, ortho, orbit
@@ -403,8 +438,9 @@ def surface_check_by_point(force, surface, tol=TOL):
 
 class TestCheckSurface:
     @pytest.mark.parametrize("coeffs, c", [([-1.44, 0.0], (1.0, 2.0)),
-                                           ([-0.3, 0.0, -1.0, 0.0], (0.7, 1.3))],
-                             ids=["harmonic", "cubic"])
+                                           ([-0.3, 0.0, -1.0, 0.0], (0.7, 1.3)),
+                                           ([-0.8, 0.0], (-1.1, 0.6))],
+                             ids=["harmonic", "cubic", "opposite_c"])
     def test_matches_per_point_loop(self, coeffs, c):
         g = lambda x: np.polyval(coeffs, x)
         grid = Grid2T(0.0, 5.0, 0.0, 5.0, 31, 27)
@@ -422,20 +458,21 @@ class TestCheckSurface:
         assert abs(check.orthogonality_residual - ortho) <= 1e-15
         assert check.orthogonality_residual < 1e-4 and check.orbit_residual < 1e-6
 
-    @pytest.mark.parametrize("force, c", [
-        (cl.rank_one_force((1.0, -0.8), lambda x: -x), (1.0, -0.8)),
-        # F'_21 = F'_12 = x: the radicands turn negative only where x < 0
-        (cl.polynomial_force_1d({"11": [1.0, 0.0], "12": [0.5, 0.0, 0.0], "22": [1.0, 0.0]}),
-         (1.0, 1.0)),
+    @pytest.mark.parametrize("force", [
+        # F'_22 F'_21 = -1 < 0 < F'_11 F'_12 = 1 everywhere
+        cl.polynomial_force_1d({"11": [1.0, 0.0], "12": [1.0, 0.0], "22": [-1.0, 0.0]}),
+        # F'_22 F'_21 = x against F'_11 F'_12 = 1: opposite signs only where x < 0
+        cl.polynomial_force_1d({"11": [1.0, 0.0], "12": [1.0, 0.0], "22": [0.5, 0.0, 0.0]}),
     ], ids=["opposite_signs", "sign_change"])
-    def test_complex_characteristic_matches_first_point(self, force, c):
+    def test_complex_characteristic_matches_first_point(self, force):
         grid = Grid2T(0.0, 4.0, 0.0, 4.0, 17, 17)
-        surface = cl.integrate_rank_one_1d(lambda x: -x, c, 1.0, 0.3, grid)
+        surface = cl.integrate_rank_one_1d(lambda x: -x, (1.0, 1.0), 1.0, 0.3, grid)
         expected = None
         for i in range(1, grid.n1 - 1):
             for j in range(1, grid.n2 - 1):
+                x = surface.values[i, j]
                 try:
-                    cl.characteristic_field_1d(force, surface.values[i, j])
+                    cl.characteristic_field_1d(primes(force, x), x)
                 except ComplexCharacteristicError as exc:
                     expected = str(exc)
                     break
@@ -446,14 +483,26 @@ class TestCheckSurface:
             cl.check_surface(force, surface)
         assert str(info.value) == expected
 
+    def test_opposite_sign_witness(self):
+        # c1 c2 < 0: both radicands are negative, and x = cos(t1 - 0.7 t2) is still a motion
+        c = (1.0, -0.7)
+        grid = Grid2T(0.0, 2 * math.pi, 0.0, 2 * math.pi, 101, 101)
+        surface = cl.integrate_rank_one_1d(lambda x: -x, c, 1.0, 0.0, grid)
+        check = cl.check_surface(cl.rank_one_force(c, lambda x: -x), surface)
+        T1, T2 = np.meshgrid(grid.t1_values, grid.t2_values, indexing="ij")
+        assert np.max(np.abs(surface.values - np.cos(T1 - 0.7 * T2))) < 1e-6
+        assert check.orthogonality_residual < 1e-4
+        assert check.orbit_residual < 1e-6
+
     def test_batched_ratio_rounds_as_per_point(self):
         # array ** 2 squares while scalar ** 2 calls pow; they differ about once in 1000
         rng = np.random.default_rng(31)
         q1, q2 = rng.normal(size=(2, 20000))
-        batched, _ = cl._ratio_squared(q1, q2, TOL)
+        fp = np.ones((2, 2))
+        _, batched, _ = cl.orbit_relation_1d(np.broadcast_to(fp, (q1.size, 2, 2)), q1, q2)
         for k in range(q1.size):
-            single, _ = cl._ratio_squared(q1[k], q2[k], TOL)
-            assert batched[k] == single == (q1[k] / q2[k]) ** 2
+            _, single, _ = cl.orbit_relation_1d(fp, q1[k], q2[k])
+            assert batched[k] == single == (float(q1[k]) / float(q2[k])) ** 2
 
     def test_force_off_the_surface_fails(self):
         # a surface of X'' = -X checked against the force of X'' = -4 X
@@ -713,9 +762,12 @@ class TestClassify:
                 assert len(calls) == 1
 
     def test_1d_rank_one(self):
-        force = cl.rank_one_force((1.0, 2.0), lambda x: -x)
-        report = cl.classify(force, 0.3)
-        assert report.verdict is cl.Verdict.EFFECTIVE_ONE_TIME
+        for c in ((1.0, 2.0), (1.0, -0.7)):  # c1 c2 < 0 leaves both radicands negative
+            report = cl.classify(cl.rank_one_force(c, lambda x: -x), 0.3)
+            assert report.verdict is cl.Verdict.EFFECTIVE_ONE_TIME
+            assert report.consistency_residual < 1e-9
+            vec = report.fields.vectors[0]
+            assert abs(vec @ c) < 1e-8 * np.linalg.norm(vec)
 
     def test_1d_generic_no_motion(self):
         force = cl.polynomial_force_1d({"11": [1.0, 0.0], "22": [1.0, 0.0]})

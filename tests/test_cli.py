@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -276,12 +277,29 @@ n2 = 5
          "dE1*ddE1 + dE2*ddE2 overflows"),
         ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 1e308 1e308 1e308 1e308\n"
          "psi_real = 1 1\n" + GRID, "the moments <X> and <X^2> overflow"),
+        ("uncertainty", "[budget]\nde1 = 1e-200\nde2 = 0\ndde1 = 1\ndde2 = 0\nt1 = 1e201\nt2 = 0\n",
+         "dE^2 = dE1^2 + dE2^2 underflows to 0"),
+        ("uncertainty", "[budget]\nde1 = 1e100\nde2 = 0\ndde1 = 1\ndde2 = 0\nt1 = 1e210\nt2 = 0\n",
+         "q = t*dE overflows"),
     ], ids=["uncertainty_de1", "dirac_m", "sweep_m", "sweep_omega_max", "integrate_c",
-            "uncertainty_dde", "fluct_x0"])
+            "uncertainty_dde", "fluct_x0", "uncertainty_de_underflow", "uncertainty_q"])
     def test_overflow_exits_4(self, tmp_path, capsys, command, sections, quantity):
         config = write(tmp_path, "huge.ini", f"[scenario]\ncommand = {command}\n{sections}")
         assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 4
         assert f"numerical failure: {quantity}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c", ["1e200 1e200", "1e306 1e306"])
+    def test_knot_budget_exits_4_quickly(self, tmp_path, capsys, c):
+        # 2e202 knots at step 0.01; a count past the float range ends the same way
+        config = write(tmp_path, "far.ini", "[scenario]\ncommand = classical-integrate\n[force]\n"
+                       f"family = rank_one\ndimension = 1\nc = {c}\ng_poly = -1 0\n"
+                       "[initial]\nx0 = 1\nv0 = 0\n" + GRID)
+        started = time.perf_counter()
+        assert cli.main(["classical-integrate", "--config", config, "--out", str(tmp_path)]) == 4
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert "numerical failure: RK4 over s in [0, " in err
+        assert "knots" in err and f"budget of {classical.RK4_KNOT_BUDGET}" in err
 
     def test_non_numeric_current_file_exits_3(self, tmp_path, capsys):
         samples = write(tmp_path, "current.csv", "x,t1,t2,j1,j2,jx\n0,0,0,1,abc,0\n")
@@ -306,6 +324,60 @@ n2 = 5
         assert cli.main(["classical-integrate", "--config", scenario_path("classical_harmonic.ini"),
                          "--out", str(tmp_path)]) == 0
         assert 1 <= len(calls) <= 2
+
+
+    def test_check_d1_takes_one_derivative(self, tmp_path, monkeypatch):
+        calls = []
+        original = classical.ForceTensorField.derivative_tensor
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        config = write(tmp_path, "d1.ini", "[scenario]\ncommand = classical-check\n[force]\n"
+                       "family = rank_one\ndimension = 1\nc = 1 2\ng_poly = -1 0 0\n"
+                       "[point]\nx = 0.3\n")
+        monkeypatch.setattr(classical.ForceTensorField, "derivative_tensor", counted)
+        report = cli.run_scenario(config, str(tmp_path))
+        assert len(calls) == 1
+        results = report["comparable"]["results"]
+        assert results["verdict"] == "effective_one_time"
+        assert results["consistency_residual"] < 1e-9
+
+
+class TestOppositeSignWitness:
+    def test_integrates_and_checks(self, tmp_path):
+        # c1 c2 < 0: x = cos(t1 - 0.7 t2), with both characteristic radicands negative
+        config = write(tmp_path, "opposite.ini", """
+[scenario]
+command = classical-integrate
+
+[force]
+family = rank_one
+dimension = 1
+c = 1.0 -0.7
+g_poly = -1 0
+
+[initial]
+x0 = 1.0
+v0 = 0.0
+
+[grid]
+t1_min = 0.0
+t1_max = 6.283185307179586
+t2_min = 0.0
+t2_max = 6.283185307179586
+n1 = 101
+n2 = 101
+""")
+        assert cli.main(["classical-integrate", "--config", config, "--out", str(tmp_path)]) == 0
+        data = np.loadtxt(tmp_path / "surface.csv", delimiter=",", skiprows=1)
+        t1, t2, x = data[:, 0], data[:, 1], data[:, 2]
+        np.testing.assert_allclose(x, np.cos(t1 - 0.7 * t2), atol=1e-6)
+        with open(tmp_path / "report.json") as fh:
+            results = json.load(fh)["comparable"]["results"]
+        assert results["orthogonality_residual"] < 1e-4
+        assert results["orbit_residual"] < 1e-6
 
 
 class TestValidate:

@@ -15,7 +15,6 @@ from bitempo.core import (
     finite,
     finite_power,
     null_space,
-    partial_difference,
 )
 
 
@@ -57,11 +56,6 @@ class TestCentralDifference:
     def test_positive_step_required(self):
         with pytest.raises(DomainError):
             central_difference(math.sin, 0.0, 0.0)
-
-    def test_partial_difference_vector_valued(self):
-        f = lambda p: np.array([p[0] * p[1], p[1] ** 2])
-        got = partial_difference(f, [1.0, 2.0], axis=1, step=1e-5)
-        np.testing.assert_allclose(got, [1.0, 4.0], atol=1e-8)
 
 
 class TestDeterminant:

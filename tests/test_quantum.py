@@ -348,6 +348,11 @@ class TestVisibility:
         b = q.UncertaintyBudget(1, 2, 0, 0, TimePlanePoint(2 * math.pi, 0))
         assert q.uncertainty_visibility(b) is q.Visibility.OSCILLATING
 
+    def test_swept_phase_overflow_named(self):
+        b = q.UncertaintyBudget(1e10, 0, 0, 0, TimePlanePoint(1e10, 0), hbar=1e-300)
+        with pytest.raises(EvaluationError, match="swept phase .* overflows"):
+            q.uncertainty_visibility(b)
+
     def test_agrees_with_phase_measurement(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
@@ -389,10 +394,22 @@ class TestAngleAndWidth:
         ((1e308, 1.0, 0.0, 0.0, 3.0, 3.0), "dE^2 = dE1^2 + dE2^2"),
         ((1e103, 0.0, 0.0, 0.0, 3.0, 3.0), "dE^3"),
         ((1e-10, 0.0, 1e300, 0.0, 1e11, 0.0), "bound"),
+        ((1e100, 0.0, 1.0, 0.0, 1e210, 0.0), "q = t*dE"),
+        ((1e100, 0.0, 1.0, 0.0, 1e60, 0.0), "t*dE^3"),
+        ((1.0, 0.0, 1.0, 0.0, 1e160, 0.0), "q^2"),
     ])
     def test_overflow_names_quantity(self, budget, quantity):
         b = q.UncertaintyBudget(*budget[:4], TimePlanePoint(*budget[4:]))
         with pytest.raises(EvaluationError, match=re.escape(quantity) + " overflows"):
+            q.angle_and_width(b)
+
+    @pytest.mark.parametrize("budget, quantity", [
+        ((1e-200, 0.0, 1.0, 0.0, 1e201, 0.0), "dE^2 = dE1^2 + dE2^2"),
+        ((1e-110, 0.0, 1.0, 0.0, 1e111, 0.0), "dE^3"),
+    ])
+    def test_underflow_names_quantity(self, budget, quantity):
+        b = q.UncertaintyBudget(*budget[:4], TimePlanePoint(*budget[4:]))
+        with pytest.raises(EvaluationError, match=re.escape(quantity) + " underflows to 0"):
             q.angle_and_width(b)
 
     def test_zero_spacings_rejected(self):
