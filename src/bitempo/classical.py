@@ -121,11 +121,12 @@ class ForceTensorField:
     def tensor_at(self, x) -> np.ndarray:
         """Force tensors at positions (..., d), shaped (..., d, 2, 2)."""
         pos = self._positions(x)
-        if self.batch_eval:
-            out = self._shaped(self.eval(pos), pos.shape)
-        else:
-            out = np.array([self._shaped(self.eval(float(p[0]) if self.d == 1 else p), p.shape)
-                            for p in pos.reshape(-1, self.d)]).reshape(pos.shape + (2, 2))
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below names the position
+            if self.batch_eval:
+                out = self._shaped(self.eval(pos), pos.shape)
+            else:
+                out = np.array([self._shaped(self.eval(float(p[0]) if self.d == 1 else p), p.shape)
+                                for p in pos.reshape(-1, self.d)]).reshape(pos.shape + (2, 2))
         finite = np.isfinite(out).all(axis=(-3, -2, -1))
         if not finite.all():
             where = pos.reshape((-1,) + self._point_shape)[np.argmin(finite.ravel())]
@@ -269,6 +270,25 @@ def zero_force(d: int) -> ForceTensorField:
 # (..., 2, 2) and taken from one derivative_tensor call
 # ---------------------------------------------------------------------------
 
+# primes up to this size keep every product of two of them, and every
+# difference of two such products, finite
+_PRIME_LIMIT = math.sqrt(np.finfo(float).max / 2)
+
+
+def _primes_1d(T: np.ndarray, x) -> np.ndarray:
+    """The primes F'_{jk} = T[..., 0, j, k, 0] of a d = 1 derivative tensor
+    at positions x (...).  Raises EvaluationError at the first position, in
+    row-major order, where their products would overflow."""
+    fp = T[..., 0, :, :, 0]
+    size = np.max(np.abs(fp), axis=(-2, -1))
+    fits = size <= _PRIME_LIMIT
+    if not np.all(fits):
+        k = int(np.argmin(np.ravel(fits)))
+        raise EvaluationError(f"products of the primes F'_jk overflow at x={np.ravel(x)[k]}: "
+                              f"got max|F'_jk| = {np.ravel(size)[k]:.6g}")
+    return fp
+
+
 def _prime_scale(fp: np.ndarray):
     return np.maximum(1.0, np.max(np.abs(fp), axis=(-2, -1))) ** 2
 
@@ -369,7 +389,7 @@ def check_surface(F: ForceTensorField, surface: TrajectorySurface,
     if F.d != 1:
         raise DomainError(f"check_surface needs a one-dimensional force, got d={F.d}")
     grid, x = surface.grid, surface.values
-    fp = F.derivative_tensor(x.ravel(), tol)[:, 0, :, :, 0].reshape(x.shape + (2, 2))
+    fp = _primes_1d(F.derivative_tensor(x.ravel(), tol), x.ravel()).reshape(x.shape + (2, 2))
     phi, ratio_sq, residual = orbit_relation_1d(fp, *surface.grid_momenta, tol)
 
     inner = (slice(1, -1), slice(1, -1))
@@ -513,9 +533,10 @@ def integrate_rank_one_1d(g, c, x0: float, v0: float, grid: Grid2T,
 
     Substituting p_j = c_j X' reduces the two-time system to X''(s) = g(X)
     along s = c1 t1 + c2 t2.  Integrated with fixed-step RK4; the step is
-    accepted once halving it changes the solution by less than rel_tol.
-    Before each step size is integrated, the knots of all step sizes so far
-    are checked against RK4_KNOT_BUDGET.
+    accepted once halving it changes the solution by less than rel_tol, and
+    EvaluationError is raised when 12 halvings do not get there.  Before
+    each step size is integrated, the knots of all step sizes so far are
+    checked against RK4_KNOT_BUDGET.
     """
     c = np.asarray(c, dtype=float).reshape(2)
     if np.allclose(c, 0.0):
@@ -542,11 +563,17 @@ def integrate_rank_one_1d(g, c, x0: float, v0: float, grid: Grid2T,
         if sol is not None:
             xa, _ = sol.evaluate(sol.knot_s)
             xb, _ = finer.evaluate(sol.knot_s)
-            if float(np.max(np.abs(xa - xb))) < tol.rel_tol * max(1.0, float(np.max(np.abs(xb)))):
+            change = float(np.max(np.abs(xa - xb)))
+            scale = max(1.0, float(np.max(np.abs(xb))))
+            if change < tol.rel_tol * scale:
                 sol = finer
                 break
         sol = finer
         h /= 2.0
+    else:
+        raise EvaluationError(f"RK4 did not converge in 12 halvings to step {2 * h:.4g}: the last "
+                              f"changed x by {change / scale:.3e} of max(1, |x|), "
+                              f"not below rel_tol = {tol.rel_tol:g}")
     values, vel = sol.evaluate(s_grid)
     return TrajectorySurface(grid=grid, c=c, values=values, velocity=vel, solution=sol)
 
@@ -773,10 +800,10 @@ def classify(F: ForceTensorField, x, tol: Tolerances = Tolerances()) -> Constrai
     admissible.  Vanishing fields: degenerate.
     """
     T = F.derivative_tensor(x, tol)
+    fp = _primes_1d(T, x) if F.d == 1 else None
     M = _constraint_matrix_from_tensor(T, F.d)
     det_val = float(determinant(M))
     if F.d == 1:
-        fp = T[0, :, :, 0]
         kdim = len(null_space(M, tol))
         checks = (None, None, float(consistency_residual_1d(fp)))
     else:

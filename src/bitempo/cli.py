@@ -304,7 +304,19 @@ def _atomic_write(path: str, chunks):
         raise
 
 
-_BLOCK_ROWS = 4096  # rows formatted at a time, so a table's text is never all in memory
+_BLOCK_ROWS = 2048  # rows formatted at a time, so a table's text is never all in memory
+
+
+def _fill(template: str, block: np.ndarray) -> str:
+    """template % the %.17g texts of block's values in row-major order.
+
+    Each distinct bit pattern is formatted once and its text gathered into
+    every cell that holds it, so repeated values (grid axes, near-constant
+    columns) cost one %.17g each, and -0.0 keeps its own text.  The
+    temporaries are freed on return, before the next block is formatted."""
+    bits, inverse = np.unique(block.reshape(-1).view(np.int64), return_inverse=True)
+    texts = ("%.17g\n" * len(bits) % tuple(bits.view(float).tolist())).split("\n")
+    return template % tuple(np.array(texts, dtype=object)[inverse].tolist())
 
 
 def _write_table(path: str, columns: list, rows, fmt: str):
@@ -318,13 +330,13 @@ def _write_table(path: str, columns: list, rows, fmt: str):
     if fmt == "json":
         names = json.dumps(list(columns), indent=1).replace("\n", "\n ")
         head = '{\n "columns": %s,\n "rows": [' % names
-        template = "  [\n" + ",\n".join(['   "%.17g"'] * len(columns)) + "\n  ]"
+        template = "  [\n" + ",\n".join(['   "%s"'] * len(columns)) + "\n  ]"
         sep, tail = ",\n", "]\n}\n"
         if len(values):  # a non-empty list opens and closes on lines of its own
             head, tail = head + "\n", "\n ]\n}\n"
     else:
         head, tail = ",".join(columns) + "\n", ""
-        template, sep = ",".join(["%.17g"] * len(columns)) + "\n", ""
+        template, sep = ",".join(["%s"] * len(columns)) + "\n", ""
 
     def chunks():
         yield head
@@ -332,7 +344,7 @@ def _write_table(path: str, columns: list, rows, fmt: str):
             block = values[start:start + _BLOCK_ROWS]
             if start:
                 yield sep
-            yield sep.join([template] * len(block)) % tuple(block.ravel().tolist())
+            yield _fill(sep.join([template] * len(block)), block)
         yield tail
 
     _atomic_write(path, chunks())

@@ -223,6 +223,16 @@ class TestRankOneIntegrator:
         with pytest.raises(TruncationError):
             cl.integrate_rank_one_1d(lambda x: x ** 3, (1, 1), 2.0, 5.0, grid, blowup=1e3)
 
+    def test_non_convergence_raises(self):
+        grid = Grid2T(0.0, 1.0, 0.0, 1.0, 5, 5)
+        surface = cl.integrate_rank_one_1d(lambda x: -x, (1, 1), 1.0, 0.0, grid, step=2.0)
+        assert len(surface.solution.knot_s) == 257
+        with pytest.raises(EvaluationError, match=r"RK4 did not converge in 12 halvings to step "
+                           r"0\.0004883: the last changed x by \d\.\d{3}e-\d+ of max\(1, \|x\|\), "
+                           r"not below rel_tol = 1e-30"):
+            cl.integrate_rank_one_1d(lambda x: -x, (1, 1), 1.0, 0.0, grid, step=2.0,
+                                     tol=Tolerances(rel_tol=1e-30))
+
     def test_zero_direction_rejected(self):
         grid = Grid2T(0, 1, 0, 1, 3, 3)
         with pytest.raises(DomainError):
@@ -511,6 +521,13 @@ class TestCheckSurface:
         check = cl.check_surface(cl.rank_one_force((2.0, 1.0), lambda x: -4.0 * x), surface)
         assert check.orbit_residual > 1.0
         assert check.orthogonality_residual > 0.1
+
+    def test_overflowing_primes_raise(self):
+        grid = Grid2T(0.0, 1.0, 0.0, 1.0, 5, 5)
+        surface = cl.integrate_rank_one_1d(lambda x: -x, (1.0, 1.0), 1.0, 0.0, grid)
+        with pytest.raises(EvaluationError, match=r"products of the primes F'_jk overflow at x=1\.0: "
+                           r"got max\|F'_jk\| = 1e\+300"):
+            cl.check_surface(cl.rank_one_force((1.0, 1.0), lambda x: -1e300 * x), surface)
 
     def test_one_derivative_for_the_whole_surface(self, monkeypatch):
         calls = []

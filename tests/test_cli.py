@@ -2,6 +2,7 @@ import json
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ class TestWriteTable:
     SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 1e-300, -1e300, 0.1, 5e-324]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("n_rows", [0, 1, 4096, 4097, 8193])
+    @pytest.mark.parametrize("n_rows", [0, 1, 2048, 2049, 4096, 4097, 8193])
     def test_matches_reference_layout(self, tmp_path, fmt, n_rows):
         columns = ["t1", "t2", "mean_re", "mean_im", "second_moment", "variance",
                    "c_tau_gt_R", "x"]
@@ -127,6 +128,25 @@ class TestWriteTable:
         cli._write_table(path, columns, rows, fmt)
         with open(path, encoding="utf-8", newline="") as fh:
             assert fh.read() == reference_table(columns, rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_rows", [1, 2048, 2049, 4100])
+    def test_repeated_values_keep_their_bits(self, tmp_path, fmt, n_rows):
+        # a few distinct values fill every cell; 0.0 and -0.0 compare equal but
+        # print differently, so a writer that merged equal floats would fail here
+        negative_nan = np.array(0xFFF8000000000000, dtype=np.uint64).view(float)
+        pool = [0.0, -0.0, math.nan, negative_nan, math.inf, -math.inf, 5e-324, 0.1, -2.5]
+        rows = np.random.default_rng(n_rows).choice(pool, size=(n_rows, 6))
+        rows[0] = [0.0, -0.0, math.nan, math.inf, -math.inf, -0.0]
+        if n_rows > cli._BLOCK_ROWS:  # the same values on both sides of a block boundary
+            rows[cli._BLOCK_ROWS - 1] = [-0.0, 0.0, -math.inf, math.nan, 0.0, math.inf]
+            rows[cli._BLOCK_ROWS] = [0.0, -0.0, math.inf, -math.inf, -0.0, math.nan]
+        path = str(tmp_path / f"table.{fmt}")
+        cli._write_table(path, list("abcdef"), rows, fmt)
+        with open(path, encoding="utf-8", newline="") as fh:
+            # compared line by line: a failing string comparison this long diffs slowly
+            lines = fh.read().split("\n")
+        assert lines == reference_table(list("abcdef"), rows, fmt).split("\n")
 
     def test_json_rows_equal_csv_rows_for_bundled_scenarios(self, tmp_path):
         tables = 0
@@ -300,6 +320,21 @@ n2 = 5
         err = capsys.readouterr().err
         assert "numerical failure: RK4 over s in [0, " in err
         assert "knots" in err and f"budget of {classical.RK4_KNOT_BUDGET}" in err
+
+    @pytest.mark.parametrize("x, message", [
+        ("1.2e154", "numerical failure: products of the primes F'_jk overflow at x=1.2e+154: "
+                    "got max|F'_jk| = 2.4e+154\n"),
+        ("1e160", "numerical failure: force tensor non-finite at 1.00001e+160\n"),
+    ], ids=["prime_products", "force_tensor"])
+    def test_d1_overflow_exits_4_without_warnings(self, tmp_path, capsys, x, message):
+        config = write(tmp_path, "huge_d1.ini", "[scenario]\ncommand = classical-check\n[force]\n"
+                       "family = polynomial\ndimension = 1\nf11_poly = 1 0 0\n"
+                       f"f12_poly = 1 0 0\nf22_poly = 1 0 0\n[point]\nx = {x}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["classical-check", "--config", config, "--out", str(tmp_path)]) == 4
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == message
 
     def test_non_numeric_current_file_exits_3(self, tmp_path, capsys):
         samples = write(tmp_path, "current.csv", "x,t1,t2,j1,j2,jx\n0,0,0,1,abc,0\n")
