@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -306,17 +307,179 @@ def _atomic_write(path: str, chunks):
 
 _BLOCK_ROWS = 2048  # rows formatted at a time, so a table's text is never all in memory
 
+# _format17 works on 1e-270 <= |v| < 1e270 with array operations; its
+# tables run over the decimal exponents E of that window, one more each side.
+_E_MIN, _E_MAX = -271, 271
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into 26-bit halves
+# Byte offsets in the 32-byte source row of one value: "000" and the 17
+# digits, ".", "-", two NULs, then the NUL-padded exponent text ("e-270").
+_ZERO, _DOT, _MINUS, _NUL, _EXP = 0, 20, 21, 22, 24
+_WIDTH = 24  # longest %.17g text of a double: "-2.2250738585072014e-308"
+_GATHER_ROWS = 1024  # values per byte gather, which keeps its index array small
 
-def _fill(template: str, block: np.ndarray) -> str:
+
+def _pow10():
+    """10**(16 - E) for E in [_E_MIN, _E_MAX] as the double-double hi + lo,
+    from Python ints, with hi's Veltkamp halves.  It takes about 1 ms and is
+    built at import: built during the first write, its big-int temporaries
+    raised the peak memory of a run."""
+    hi, lo = [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        if e <= 16:
+            power = 10 ** (16 - e)
+            hi.append(float(power))
+            lo.append(float(power - int(hi[-1])))
+        else:
+            power = 10 ** (e - 16)
+            hi.append(1 / power)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * power) / (den * power))
+    hi = np.array(hi)
+    split = _SPLIT * hi
+    head = split - (split - hi)
+    return hi, head, hi - head, np.array(lo)
+
+
+_POW10 = _pow10()
+
+
+def _layout(form: int, digits: int) -> list:
+    """Source byte offsets of one non-negative %.17g text, NUL-padded to
+    _WIDTH - 1 so that a sign still fits.
+
+    form 0..20 is %g's fixed notation for the decimal exponent form - 4;
+    21 and 22 are its exponent notation with a 2- or 3-digit exponent.
+    digits counts the significant digits, trailing zeros stripped."""
+    sig = list(range(3, 3 + digits))
+    if form >= 21:
+        body = sig[:1] + ([_DOT] + sig[1:] if digits > 1 else [])
+        body += list(range(_EXP, _EXP + form - 17))
+    elif form <= 3:  # 0.ddd, 0.0ddd, ...
+        body = [_ZERO, _DOT] + [_ZERO] * (3 - form) + sig
+    else:
+        point = form - 3  # digits before the decimal point
+        body = list(range(3, 3 + point))
+        if digits > point:
+            body += [_DOT] + sig[point:]
+    return body + [_NUL] * (_WIDTH - 1 - len(body))
+
+
+@functools.cache
+def _text_tables():
+    """The %04d bytes of 0..9999 as uint32 and their trailing-zero counts
+    (4 for 0), each E's exponent text and first layout row, and the layout
+    rows: _layout's for each (form, digits), then the same with a leading
+    "-".  Built on the first write, in about 1 ms."""
+    i = np.arange(10000)
+    chunks = np.empty((10000, 4), np.uint8)
+    trailing = np.zeros(10000, np.intp)
+    for k in range(4):
+        chunks[:, 3 - k] = i // 10 ** k % 10 + 48
+        trailing += i % 10 ** (k + 1) == 0
+    exps = range(_E_MIN, _E_MAX + 1)
+    exp_text = np.array([b"e%+03d" % e for e in exps], dtype="S8").view(np.uint64)
+    form = [e + 4 if -4 <= e < 17 else 21 + (abs(e) >= 100) for e in exps]
+    layouts = np.empty((23, 17, 2, _WIDTH), np.uint8)
+    for f in range(23):
+        for d in range(17):
+            layouts[f, d, 0, :-1] = _layout(f, d + 1)
+    layouts[..., 0, -1] = _NUL
+    layouts[..., 1, 0] = _MINUS
+    layouts[..., 1, 1:] = layouts[..., 0, :-1]
+    return (chunks.view(np.uint32)[:, 0], trailing, exp_text, np.array(form) * 17 * 2,
+            layouts.reshape(-1, _WIDTH))
+
+
+def _digits17(x: np.ndarray):
+    """(N, row of E, exact) for the float64 array x: N = round(|v| * 10**(16 - E))
+    in [1e16, 1e17) and E the decimal exponent of "%.17g" % v, where exact.
+
+    T = |v| * 10**(16 - E), with E = floor(log10|v|) corrected once, is
+    Dekker's error-free product ph + t of |v| and the double-double
+    10**(16 - E) (Numer. Math. 18, 1971).  N = ph + rint(t) rounds T
+    half-even, as %.17g does, since ph >= 2**53 is an even integer.  t is
+    exact where 10**(16 - E) is a double; elsewhere its error is below
+    2**-47, so there a fraction of t within 1e-6 of 1/2 counts as a possible
+    tie.  exact is false, and N is 1e16, at zeros, NaN, infinities, |v|
+    outside [1e-270, 1e270), possible ties and T outside [1e16, 1e17)."""
+    hi, hi_head, hi_tail, lo = _POW10
+    a = np.abs(x)
+    inside = (a >= 1e-270) & (a < 1e270)
+    a[~inside] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp) - _E_MIN  # table row of E
+    ph = a * hi[e]
+    e += ph >= 1e17
+    e -= ph < 1e16
+    low = lo[e]
+    ph = a * hi[e]
+    a_head = _SPLIT * a
+    a_head -= a_head - a
+    a_tail = a - a_head
+    t = ((a_head * hi_head[e] - ph) + a_head * hi_tail[e] + a_tail * hi_head[e]
+         + a_tail * hi_tail[e]) + a * low
+    n = ph.astype(np.int64) + np.rint(t).astype(np.int64)
+    exact = inside & (ph - 1e16 + t >= 0) & (ph - 1e17 + t < 0)
+    exact &= (low == 0) | (np.abs(t - np.floor(t) - 0.5) > 1e-6)
+    n[~exact] = 10 ** 16
+    carry = n == 10 ** 17  # T rounded up into the next decade
+    n[carry] = 10 ** 16
+    e += carry
+    return n, e, exact
+
+
+def _glyphs17(x: np.ndarray):
+    """(exact, source, layout) for the float64 array x: row i of source
+    holds the 32 bytes "000", the 17 digits of N from _digits17, ".", "-",
+    two NULs and the exponent text of x[i], and row i of layout lists the
+    source bytes of its %.17g text."""
+    n, e, exact = _digits17(x)
+    chunks, trailing, exp_text, form, layouts = _text_tables()
+    upper, lower = np.divmod(n, 10 ** 8)
+    lead, upper = np.divmod(upper, 10 ** 8)
+    c1, c2 = np.divmod(upper, 10 ** 4)
+    c3, c4 = np.divmod(lower, 10 ** 4)
+    source = np.empty((len(x), 8), np.uint32)
+    for column, chunk in enumerate((lead, c1, c2, c3, c4)):
+        source[:, column] = chunks[chunk]
+    source[:, 5] = int.from_bytes(b".-\0\0", "little")
+    source.view(np.uint64)[:, 3] = exp_text[e]
+    z4, z3, z2 = trailing[c4], trailing[c3], trailing[c2]
+    zeros = z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * trailing[c1]))
+    layout = layouts[form[e] + 2 * (16 - zeros) + (x < 0)]  # row (form, digits - 1, sign)
+    return exact, source.view(np.uint8).reshape(-1), layout
+
+
+def _format17(values) -> list:
+    """The ASCII bytes of "%.17g" % v for each float v of the 1-D values.
+
+    Each text is a byte gather from its row of _glyphs17, _GATHER_ROWS
+    values at a time; where _digits17 is not exact it is the scalar
+    "%.17g" % v instead.  _digits17 and _glyphs17 are functions of their
+    own so that their temporaries are freed before the texts are made."""
+    x = np.asarray(values, dtype=float)
+    exact, source, layout = _glyphs17(x)
+    texts = []
+    for start in range(0, len(x), _GATHER_ROWS):
+        rows = layout[start:start + _GATHER_ROWS]
+        rows = rows + 32 * np.arange(start, start + len(rows))[:, None]
+        texts += source[rows].view(f"S{_WIDTH}")[:, 0].tolist()
+    for i in np.flatnonzero(~exact).tolist():
+        texts[i] = b"%.17g" % x[i]
+    return texts
+
+
+def _fill(template: bytes, block: np.ndarray) -> str:
     """template % the %.17g texts of block's values in row-major order.
 
-    Each distinct bit pattern is formatted once and its text gathered into
-    every cell that holds it, so repeated values (grid axes, near-constant
-    columns) cost one %.17g each, and -0.0 keeps its own text.  The
-    temporaries are freed on return, before the next block is formatted."""
+    Each distinct bit pattern is formatted once, by _format17, and its text
+    gathered into every cell that holds it, so repeated values (grid axes,
+    near-constant columns) cost one text each, and -0.0 keeps its own text.
+    The texts are freed before the filled bytes are decoded, and the other
+    temporaries on return, before the next block is formatted."""
     bits, inverse = np.unique(block.reshape(-1).view(np.int64), return_inverse=True)
-    texts = ("%.17g\n" * len(bits) % tuple(bits.view(float).tolist())).split("\n")
-    return template % tuple(np.array(texts, dtype=object)[inverse].tolist())
+    filled = template % tuple(
+        np.array(_format17(bits.view(float)), dtype=object)[inverse].tolist())
+    return filled.decode()
 
 
 def _write_table(path: str, columns: list, rows, fmt: str):
@@ -344,7 +507,7 @@ def _write_table(path: str, columns: list, rows, fmt: str):
             block = values[start:start + _BLOCK_ROWS]
             if start:
                 yield sep
-            yield _fill(sep.join([template] * len(block)), block)
+            yield _fill(sep.join([template] * len(block)).encode(), block)
         yield tail
 
     _atomic_write(path, chunks())
@@ -599,16 +762,22 @@ def run_scenario(config_path: str, out_dir: str | None = None, fmt: str = "csv",
     """Execute one scenario file and write its report and data files.
 
     Returns the full report dictionary; the "scenario" and "comparable"
-    sections are deterministic for a fixed config.
+    sections are deterministic for a fixed config.  "meta" holds the wall
+    time of the run and of its stages: parse (reading the config and its
+    section parsers), compute (the command's runner) and write (the data
+    files).
     """
+    started = time.perf_counter()
     cfg = load_config(config_path)
     command = cfg.get("scenario", "command")
     if expected_command is not None and command != expected_command:
         raise ConfigError(
             f"config names command {command!r} but {expected_command!r} was invoked")
-    started = time.perf_counter()
     parsers, runner = _COMMANDS[command]
-    payload, tables = runner(*(parse(cfg) for parse in parsers))
+    parsed_args = [parse(cfg) for parse in parsers]
+    parsed = time.perf_counter()
+    payload, tables = runner(*parsed_args)
+    computed = time.perf_counter()
 
     directory = out_dir or os.path.dirname(os.path.abspath(config_path))
     artifacts = []
@@ -619,6 +788,7 @@ def run_scenario(config_path: str, out_dir: str | None = None, fmt: str = "csv",
         path = os.path.join(directory, name)
         _write_table(path, columns, rows, fmt)
         artifacts.append(name)
+    written = time.perf_counter()
 
     report_name = _get(cfg, "output", "report", str, "report.json")
     report_path = os.path.join(directory, report_name)
@@ -628,6 +798,8 @@ def run_scenario(config_path: str, out_dir: str | None = None, fmt: str = "csv",
                                  "artifacts": sorted(artifacts)}),
         "meta": {
             "duration_s": time.perf_counter() - started,
+            "stages": {"parse": parsed - started, "compute": computed - parsed,
+                       "write": written - computed},
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "report_file": report_name,
         },

@@ -3,9 +3,11 @@ import math
 import os
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bitempo import classical, cli
 from bitempo.core import ConfigError
@@ -55,6 +57,19 @@ class TestBundledScenarios:
         for key in ("scenario", "comparable"):
             assert json.dumps(r1[key], sort_keys=True) == json.dumps(r2[key], sort_keys=True)
         assert r1["meta"]["timestamp"] != "" and "duration_s" in r1["meta"]
+
+    def test_meta_stage_timers(self, tmp_path):
+        path = scenario_path("classical_harmonic.ini")
+        r1 = cli.run_scenario(path, str(tmp_path / "a"))
+        r2 = cli.run_scenario(path, str(tmp_path / "b"))
+        for report in (r1, r2):
+            stages = report["meta"]["stages"]
+            assert sorted(stages) == ["compute", "parse", "write"]
+            assert all(math.isfinite(s) and s >= 0 for s in stages.values())
+            assert sum(stages.values()) <= report["meta"]["duration_s"]
+            assert sorted(report["comparable"]) == ["artifacts", "command", "results"]
+        assert json.dumps(r1["comparable"], sort_keys=True) == json.dumps(r2["comparable"],
+                                                                          sort_keys=True)
 
     def test_harmonic_surface_matches_closed_form(self, tmp_path):
         report = cli.run_scenario(scenario_path("classical_harmonic.ini"), str(tmp_path))
@@ -127,7 +142,9 @@ class TestWriteTable:
         path = str(tmp_path / f"table.{fmt}")
         cli._write_table(path, columns, rows, fmt)
         with open(path, encoding="utf-8", newline="") as fh:
-            assert fh.read() == reference_table(columns, rows, fmt)
+            # compared line by line: a failing string comparison this long diffs slowly
+            lines = fh.read().split("\n")
+        assert lines == reference_table(columns, rows, fmt).split("\n")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n_rows", [1, 2048, 2049, 4100])
@@ -148,6 +165,22 @@ class TestWriteTable:
             lines = fh.read().split("\n")
         assert lines == reference_table(list("abcdef"), rows, fmt).split("\n")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bundled_files_equal_per_cell_17g(self, tmp_path, fmt):
+        # 17 significant digits read back exactly, so re-rendering the parsed
+        # floats one cell at a time must give the written file byte for byte
+        tables = 0
+        for name in all_scenarios():
+            out = tmp_path / name
+            report = cli.run_scenario(scenario_path(name), str(out), fmt)
+            for artifact in report["comparable"]["artifacts"]:
+                columns, rows = table_values(str(out / artifact))
+                with open(out / artifact, encoding="utf-8", newline="") as fh:
+                    lines = fh.read().split("\n")
+                assert lines == reference_table(columns, rows, fmt).split("\n"), artifact
+                tables += 1
+        assert tables >= 5
+
     def test_json_rows_equal_csv_rows_for_bundled_scenarios(self, tmp_path):
         tables = 0
         for name in all_scenarios():
@@ -163,6 +196,81 @@ class TestWriteTable:
                 assert np.array(json_rows).tobytes() == np.array(csv_rows).tobytes()
                 tables += 1
         assert tables >= 5
+
+
+def near_ties():
+    """Doubles v whose T = |v| * 10**(16 - E), E the decimal exponent of v,
+    is within 1e-14 of a half-integer but not on it, where 10**(16 - E) is
+    not a double: T = m 2**k / 5**q (E = 16 + q) and T = m 5**p / 2**s
+    (E = 16 - p), with the mantissa m solved from a congruence."""
+    found = []
+    for q in (20, 21, 22):
+        mod = 5 ** q
+        for k in range(q, q + 120):
+            for c in ((mod + 1) // 2, (mod - 1) // 2):
+                m = c * pow(2 ** (k - q), -1, mod) % mod
+                m += -(-(2 ** 52 - m) // mod) * mod  # the first solution >= 2**52
+                found += [math.ldexp(n, k) for n in range(m, 2 ** 53, mod)
+                          if 10 ** (16 + q) <= n * 2 ** k < 10 ** (17 + q)]
+    for p in (23, 24):
+        for s in range(45, 53):
+            mod = 2 ** s
+            for c in (mod // 2 + 1, mod // 2 - 1):
+                m = c * pow(5 ** p, -1, mod) % mod
+                m += -(-(2 ** 52 - m) // mod) * mod
+                found += [math.ldexp(n, -(s + p)) for n in range(m, 2 ** 53, mod)
+                          if 10 ** 16 * mod <= n * 5 ** p < 10 ** 17 * mod]
+    return found
+
+
+def edge_values():
+    """Zeros, NaN of both signs, infinities, the extreme doubles, 10**k with
+    both neighbours over the whole double range, %g's switch points, values
+    that round up into the next decade, and ties exactly half-way."""
+    negative_nan = float(np.array(0xFFF8000000000000, dtype=np.uint64).view(float))
+    values = [0.0, -0.0, math.nan, negative_nan, math.inf, -math.inf, 5e-324,
+              2.2250738585072014e-308, 2.2250738585072009e-308, 1.7976931348623157e308,
+              1e-5, 1e-4, math.nextafter(1e-4, 0), 1e16, 1e17, math.nextafter(1e17, 0),
+              2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 54 - 2, 123456789012345678.0]
+    for k in range(-323, 309):
+        power = float(f"1e{k}")
+        values += [power, math.nextafter(power, 0), math.nextafter(power, math.inf),
+                   float(f"9.9999999999999999e{k}"), float(f"9.99999999999999995e{k}")]
+    values += [m / 4 for m in range(2 ** 53 - 4001, 2 ** 53, 2)]  # ties T = 2.5 m, t exact
+    values += [math.ldexp(m, -24) for m in range(3, 17, 2)]     # ties T = m 5**23 / 2
+    values += near_ties()
+    return values + [-v for v in values]
+
+
+class TestFormat17:
+    @staticmethod
+    def check(values):
+        x = np.array(values, dtype=float)
+        assert [t.decode() for t in cli._format17(x)] == ["%.17g" % v for v in x.tolist()]
+
+    def test_edge_values(self):
+        self.check(edge_values())
+
+    def test_near_ties_are_near_ties(self):
+        # without the band around 1/2, test_edge_values fails on some of these
+        ties = near_ties()
+        assert len(ties) > 100
+        for v in ties:
+            scaled = Fraction(v) * Fraction(10) ** (16 - math.floor(math.log10(v)))
+            assert 0 < abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 10 ** 14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+    def test_bit_patterns(self, bits):
+        self.check(np.array(bits, dtype=np.uint64).view(float))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_floats(self, values):
+        self.check(values)
+
+    def test_empty(self):
+        assert cli._format17(np.empty(0)) == []
 
 
 class TestCurrentFileRoundTrip:
