@@ -65,6 +65,8 @@ CROSS_VALIDATION_TOL = 1e-8
 # RK4 knots integrate_rank_one_1d may lay over all its step sizes together;
 # the bundled harmonic scenario takes about 13.2k
 RK4_KNOT_BUDGET = 1_000_000
+# |X| past which integrate_rank_one_1d stops with TruncationError
+RK4_BLOWUP = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -76,18 +78,15 @@ class ForceTensorField:
     """A force tensor field x -> F^i_{jk}(x) in d space dimensions; it never
     sees t1 or t2.
 
-    ``tensor_at`` and ``derivative_tensor`` take positions shaped (..., d),
-    or plain numbers at d = 1, and return (..., d, 2, 2) and (..., d, 2, 2, d);
-    each position takes its own FD step fd_step * max(1, max_m |x^m|).  With
-    ``batch_eval`` set (as by the builders below), ``eval`` maps (..., d) to
-    (..., d, 2, 2) in one call; otherwise it takes one position, a float at
-    d = 1 and a length-d array at d >= 2, and returns (d, 2, 2) or, at d = 1,
-    (2, 2).
+    ``eval`` maps a batch of positions shaped (..., d) to tensors shaped
+    (..., d, 2, 2) in one call, at d = 1 too.  ``tensor_at`` and
+    ``derivative_tensor`` take positions shaped (..., d), or plain numbers at
+    d = 1, and return (..., d, 2, 2) and (..., d, 2, 2, d); each position
+    takes its own FD step fd_step * max(1, max_m |x^m|).
     """
 
     d: int
     eval: callable
-    batch_eval: bool = False
 
     def __post_init__(self):
         if self.d not in (1, 2, 3):
@@ -108,25 +107,14 @@ class ForceTensorField:
                               f"got an array of shape {pos.shape}")
         return pos
 
-    def _shaped(self, out, shape: tuple) -> np.ndarray:
-        """eval's values at positions of the given shape, checked and shaped
-        shape + (2, 2); at d = 1 the space axis may be left out."""
-        out = np.asarray(out, dtype=float)
-        if self.d == 1 and out.shape == shape[:-1] + (2, 2):
-            out = out[..., None, :, :]
-        if out.shape != shape + (2, 2):
-            raise DomainError(f"force eval returned shape {out.shape}, expected {shape + (2, 2)}")
-        return out
-
     def tensor_at(self, x) -> np.ndarray:
         """Force tensors at positions (..., d), shaped (..., d, 2, 2)."""
         pos = self._positions(x)
         with np.errstate(over="ignore", invalid="ignore"):  # the check below names the position
-            if self.batch_eval:
-                out = self._shaped(self.eval(pos), pos.shape)
-            else:
-                out = np.array([self._shaped(self.eval(float(p[0]) if self.d == 1 else p), p.shape)
-                                for p in pos.reshape(-1, self.d)]).reshape(pos.shape + (2, 2))
+            out = np.asarray(self.eval(pos), dtype=float)
+        expected = pos.shape + (2, 2)
+        if out.shape != expected:
+            raise DomainError(f"force eval returned shape {out.shape}, expected {expected}")
         finite = np.isfinite(out).all(axis=(-3, -2, -1))
         if not finite.all():
             where = pos.reshape((-1,) + self._point_shape)[np.argmin(finite.ravel())]
@@ -204,21 +192,22 @@ class ConstraintReport:
 def rank_one_force(c, g, d: int = 1) -> ForceTensorField:
     """Force family F^i_{jk} = c_j c_k G^i(x).
 
-    For d=1, ``g`` is a scalar map, applied to a batch elementwise;
-    otherwise it maps one position to a length-d array and is called once
-    per position.  Every admissibility constraint holds identically on
-    this family.
+    For d=1, ``g`` maps an array of positions elementwise, and its value
+    is broadcast against them, so a constant ``g`` works too; otherwise it
+    maps one position to a length-d array and is called once per position.
+    Every admissibility constraint holds identically on this family.
     """
     c = np.asarray(c, dtype=float).reshape(2)
     cc = np.outer(c, c)
     if d == 1:
-        gv = _vectorized_scalar_map(g)
+        def gv(x):
+            return np.broadcast_to(np.asarray(g(x), dtype=float), np.shape(x))
     else:
         def gv(pos):
             pos = np.asarray(pos, dtype=float)
             return np.array([np.asarray(g(p), dtype=float).reshape(d)
                              for p in pos.reshape(-1, d)]).reshape(pos.shape)
-    return ForceTensorField(d, lambda x: cc * gv(x)[..., None, None], batch_eval=True)
+    return ForceTensorField(d, lambda x: cc * gv(x)[..., None, None])
 
 
 def polynomial_force_1d(coeffs: dict) -> ForceTensorField:
@@ -239,7 +228,7 @@ def polynomial_force_1d(coeffs: dict) -> ForceTensorField:
                 out[..., j, k] = np.polyval(polys[key], x)
         return out
 
-    return ForceTensorField(1, evaluate, batch_eval=True)
+    return ForceTensorField(1, evaluate)
 
 
 def affine_force(d: int, linear, const=None, symmetrize: bool = True) -> ForceTensorField:
@@ -255,10 +244,8 @@ def affine_force(d: int, linear, const=None, symmetrize: bool = True) -> ForceTe
         con = 0.5 * (con + con.transpose(0, 2, 1))
     if d == 1:
         # a product: a one-term einsum sum starts from +0.0, so loses a -0.0
-        return ForceTensorField(1, lambda x: con + lin[..., 0] * np.asarray(x)[..., None, None],
-                                batch_eval=True)
-    return ForceTensorField(d, lambda x: con + np.einsum("ijkm,...m->...ijk", lin, x),
-                            batch_eval=True)
+        return ForceTensorField(1, lambda x: con + lin[..., 0] * np.asarray(x)[..., None, None])
+    return ForceTensorField(d, lambda x: con + np.einsum("ijkm,...m->...ijk", lin, x))
 
 
 def zero_force(d: int) -> ForceTensorField:
@@ -432,13 +419,12 @@ class _RankOneSolution:
 
     The knots are stepped on Python floats through ``g``; queries between
     knots take a single partial RK4 step from the knot at or below the
-    target through the array map ``gv``, so evaluation error stays at the
-    knot accuracy.
+    target through ``g`` on arrays, so evaluation error stays at the knot
+    accuracy.
     """
 
-    def __init__(self, g, gv, x0: float, v0: float, s_min: float, s_max: float,
-                 step: float, blowup: float):
-        self.g = gv
+    def __init__(self, g, x0: float, v0: float, s_min: float, s_max: float, step: float):
+        self.g = g
         self.x0 = float(x0)
         self.v0 = float(v0)
         g_float = lambda x: float(g(x))
@@ -456,9 +442,9 @@ class _RankOneSolution:
                 x, v = _rk4(g_float, x, v, h)
                 # knots from the index, not a running sum, so the last one is target
                 s = target * k / n
-                if not (math.isfinite(x) and abs(x) <= blowup):
-                    raise TruncationError(f"trajectory exceeded |x| <= {blowup:g} near s={s:.6g}",
-                                          last_valid=target * (k - 1) / n)
+                if not (math.isfinite(x) and abs(x) <= RK4_BLOWUP):
+                    raise TruncationError(f"trajectory exceeded |x| <= {RK4_BLOWUP:g} "
+                                          f"near s={s:.6g}", last_valid=target * (k - 1) / n)
                 seg_s.append(s)
                 seg_x.append(x)
                 seg_v.append(v)
@@ -506,19 +492,6 @@ class TrajectorySurface:
         return self.c[0] * self.velocity, self.c[1] * self.velocity
 
 
-def _vectorized_scalar_map(g):
-    """g as an elementwise map over arrays: g itself when a probe shows it
-    maps an array elementwise, np.vectorize(g) otherwise."""
-    try:
-        with np.errstate(all="ignore"):
-            elementwise = np.shape(g(np.array([0.0, 0.5]))) == (2,)
-    except (TypeError, ValueError):  # a map of floats only; a real fault reappears per point
-        elementwise = False
-    if elementwise:
-        return lambda x: np.asarray(g(x), dtype=float)
-    return np.vectorize(g, otypes=[float])
-
-
 def _steps_to(target: float, step: float) -> float:
     """RK4 steps of at most ``step`` from s = 0 to target; inf when the count
     passes the float range."""
@@ -527,12 +500,12 @@ def _steps_to(target: float, step: float) -> float:
 
 def integrate_rank_one_1d(g, c, x0: float, v0: float, grid: Grid2T,
                           step: float | None = None,
-                          tol: Tolerances = Tolerances(),
-                          blowup: float = 1e6) -> TrajectorySurface:
+                          tol: Tolerances = Tolerances()) -> TrajectorySurface:
     """Reference solution for the rank-one family F_{jk} = c_j c_k g(x).
 
     Substituting p_j = c_j X' reduces the two-time system to X''(s) = g(X)
-    along s = c1 t1 + c2 t2.  Integrated with fixed-step RK4; the step is
+    along s = c1 t1 + c2 t2; ``g`` takes floats and arrays, elementwise.
+    Integrated with fixed-step RK4 until |X| passes RK4_BLOWUP; the step is
     accepted once halving it changes the solution by less than rel_tol, and
     EvaluationError is raised when 12 halvings do not get there.  Before
     each step size is integrated, the knots of all step sizes so far are
@@ -541,7 +514,6 @@ def integrate_rank_one_1d(g, c, x0: float, v0: float, grid: Grid2T,
     c = np.asarray(c, dtype=float).reshape(2)
     if np.allclose(c, 0.0):
         raise DomainError("rank-one direction c must be nonzero")
-    gv = _vectorized_scalar_map(g)
 
     t1v, t2v = grid.t1_values, grid.t2_values
     with np.errstate(over="ignore", invalid="ignore"):
@@ -559,7 +531,7 @@ def integrate_rank_one_1d(g, c, x0: float, v0: float, grid: Grid2T,
         if not knots <= RK4_KNOT_BUDGET:
             raise EvaluationError(f"RK4 over s in [{s_min:g}, {s_max:g}] needs {knots:.4g} knots "
                                   f"by step {h:.4g}, past the budget of {RK4_KNOT_BUDGET}")
-        finer = _RankOneSolution(g, gv, x0, v0, s_min, s_max, h, blowup)
+        finer = _RankOneSolution(g, x0, v0, s_min, s_max, h)
         if sol is not None:
             xa, _ = sol.evaluate(sol.knot_s)
             xb, _ = finer.evaluate(sol.knot_s)
@@ -761,16 +733,16 @@ def parallel_fields_3d(F: ForceTensorField, x, tol: Tolerances = Tolerances(),
 
 
 def curl_residual(field_on_surface, grid: Grid2T) -> float:
-    """Max |d(field_2)/dt1 - d(field_1)/dt2| over interior grid points."""
+    """Max |d(field_2)/dt1 - d(field_1)/dt2| over interior grid points.
+
+    ``field_on_surface(t1, t2)`` is called once, on the (n1, n2) meshgrid of
+    the grid, and returns the pair (f1, f2), each broadcast to (n1, n2).
+    """
     if grid.n1 < 3 or grid.n2 < 3:
         raise DomainError("curl residual needs at least a 3x3 grid")
-    t1v, t2v = grid.t1_values, grid.t2_values
-    f1 = np.empty((grid.n1, grid.n2))
-    f2 = np.empty((grid.n1, grid.n2))
-    for i, t1 in enumerate(t1v):
-        for j, t2 in enumerate(t2v):
-            vec = np.asarray(field_on_surface(t1, t2), dtype=float).reshape(2)
-            f1[i, j], f2[i, j] = vec
+    T1, T2 = np.meshgrid(grid.t1_values, grid.t2_values, indexing="ij")
+    f1, f2 = (np.broadcast_to(np.asarray(f, dtype=float), T1.shape)
+              for f in field_on_surface(T1, T2))
     d1f2 = (f2[2:, 1:-1] - f2[:-2, 1:-1]) / (2.0 * grid.d1)
     d2f1 = (f1[1:-1, 2:] - f1[1:-1, :-2]) / (2.0 * grid.d2)
     return float(np.max(np.abs(d1f2 - d2f1)))

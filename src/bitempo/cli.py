@@ -824,6 +824,8 @@ def validate_config(config_path: str) -> list:
             diagnostics.append(str(exc))
         except BitempoError as exc:
             diagnostics.append(f"unexpected: {exc}")
+        except MemoryError as exc:
+            diagnostics.append(f"cannot allocate: {exc}")
     return list(dict.fromkeys(diagnostics))
 
 
@@ -877,6 +879,9 @@ def main(argv=None) -> int:
         return 4
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"numerical failure: cannot allocate: {exc}", file=sys.stderr)
         return 4
 
 

@@ -35,6 +35,13 @@ __all__ = [
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
+# largest |Int rho dx - 1| separable_average accepts on any time slice
+AVERAGE_NORM_TOL = 1e-8
+# largest separability fit residual ehrenfest_limit_residual accepts
+EHRENFEST_SEPARABLE_TOL = 1e-8
+# amplitude of the source manufactured_current adds to j1
+SOURCE_STRENGTH = 0.1
+
 
 @dataclass(frozen=True)
 class CurrentField:
@@ -179,11 +186,10 @@ def separability_check(rho, tol: Tolerances = Tolerances()) -> SeparabilityRepor
                               passed=residual < tol.rel_tol)
 
 
-def separable_average(rho, A, grid: Grid2T, tol: Tolerances = Tolerances(),
-                      norm_tol: float = 1e-8) -> AverageReport:
+def separable_average(rho, A, grid: Grid2T) -> AverageReport:
     """Average of a position function against a normalized density.
 
-    Every time slice must integrate to 1 within norm_tol; the averaged
+    Every time slice must integrate to 1 within AVERAGE_NORM_TOL; the averaged
     surface is then fitted as f1(t1) + f2(t2) and the fit residual reported.
     """
     R = _as_3d(rho)
@@ -192,25 +198,25 @@ def separable_average(rho, A, grid: Grid2T, tol: Tolerances = Tolerances(),
     xv = grid.x_values
     norms = _trapz(R, xv, axis=0)
     worst = np.unravel_index(np.argmax(np.abs(norms - 1.0)), norms.shape)
-    if abs(norms[worst] - 1.0) > norm_tol:
+    if abs(norms[worst] - 1.0) > AVERAGE_NORM_TOL:
         raise DomainError(
             f"density slice (i1={worst[0]}, i2={worst[1]}) integrates to "
-            f"{norms[worst]:.12g}, violating normalization by more than {norm_tol:g}")
+            f"{norms[worst]:.12g}, violating normalization by more than {AVERAGE_NORM_TOL:g}")
     avals = np.asarray(A(xv) if callable(A) else A, dtype=float).reshape(len(xv))
     values = _trapz(avals[:, None, None] * R, xv, axis=0)
-    fit = separability_check(values, tol)
+    fit = separability_check(values)
     return AverageReport(values=values, separability_residual=fit.residual,
                          f1=fit.r1, f2=fit.r2)
 
 
-def ehrenfest_limit_residual(mean_x, grid: Grid2T, force_11=None, force_22=None,
-                             tol: Tolerances = Tolerances(),
-                             sep_tol: float = 1e-8) -> EhrenfestReport:
+def ehrenfest_limit_residual(mean_x, grid: Grid2T, force_11=None,
+                             force_22=None) -> EhrenfestReport:
     """Residuals of the single-time classical limit for a mean position.
 
-    The input surface must already be separable, f(t1, t2) = f1 + f2.  The
-    report carries the worst mixed partial (it must vanish), and, per
-    diagonal force component, the variance across the other time of
+    The input surface must already be separable, f(t1, t2) = f1 + f2, to
+    within EHRENFEST_SEPARABLE_TOL.  The report carries the worst mixed
+    partial (it must vanish), and, per diagonal force component, the
+    variance across the other time of
     d^2 f/dt_j^2 - F_jj(f).  An autonomous diagonal force can only match a
     motion in which the other time component is frozen, so a nonzero
     cross defect is exactly the signature of attempted two-time motion.
@@ -218,8 +224,8 @@ def ehrenfest_limit_residual(mean_x, grid: Grid2T, force_11=None, force_22=None,
     f = np.asarray(mean_x, dtype=float)
     if f.shape != (grid.n1, grid.n2):
         raise DomainError(f"mean surface has shape {f.shape}, expected {(grid.n1, grid.n2)}")
-    fit = separability_check(f, tol)
-    if fit.residual > sep_tol:
+    fit = separability_check(f)
+    if fit.residual > EHRENFEST_SEPARABLE_TOL:
         raise DomainError(
             f"mean position is not separable (fit residual {fit.residual:.3e}); "
             "the continuity structure requires f1(t1) + f2(t2)")
@@ -254,8 +260,7 @@ def ehrenfest_limit_residual(mean_x, grid: Grid2T, force_11=None, force_22=None,
 # manufactured example
 # ---------------------------------------------------------------------------
 
-def manufactured_current(grid: Grid2T, with_source: bool = False,
-                         source_strength: float = 0.1):
+def manufactured_current(grid: Grid2T, with_source: bool = False):
     """Analytic current with decaying boundaries, divergence-free by
     construction (j1 = d2 phi + dx A, j2 = -d1 phi + dx B,
     j_space = d1 A + d2 B), plus an optional known source added to j1.
@@ -290,12 +295,12 @@ def manufactured_current(grid: Grid2T, with_source: bool = False,
     it2_integral = 0.5 * length2
 
     if with_source:
-        lam = source_strength * np.sin(np.pi * u1) ** 2
+        lam = SOURCE_STRENGTH * np.sin(np.pi * u1) ** 2
         j1 += lam * w * (0.5 + 0.3 * np.cos(2.0 * np.pi * u2))
 
         def source_rate(t1_point):
             uu = (np.asarray(t1_point, dtype=float) - a1) / length1
-            lam_prime = source_strength * np.pi * np.sin(2.0 * np.pi * uu) / length1
+            lam_prime = SOURCE_STRENGTH * np.pi * np.sin(2.0 * np.pi * uu) / length1
             return lam_prime * ix_integral * it2_integral
     else:
         def source_rate(t1_point):

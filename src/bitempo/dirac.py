@@ -32,7 +32,7 @@ from .core import (
     finite_power,
     null_space,
 )
-from .continuity import CurrentField, SeparabilityReport, charges, separability_check
+from .continuity import CurrentField, SeparabilityReport, _trapz, charges, separability_check
 
 __all__ = [
     "GammaSet",
@@ -370,15 +370,18 @@ def dirac_density_separability(sol: PlaneWaveSolution, grid: Grid2T,
                                tol: Tolerances = Tolerances()) -> DensityReport:
     """Density built from the time components of the plane-wave current.
 
-    rho(x, t1, t2) = alpha * Int dt2 j1 + beta * Int dt1 j2 is separable in
-    the two times, and so is the total charge P(t1, t2); both fits are run
-    through the continuity machinery and reported together with the raw
-    charge bookkeeping (plane waves do not decay, so expect boundary
-    warnings there).
+    rho(x, t1, t2) = alpha * Int dt2 j1 + beta * Int dt1 j2 is a function
+    of (x, t1) plus one of (x, t2) as built, and so the total charge
+    P(t1, t2) = Int rho dx is separable too.  Both fits are run through the
+    continuity machinery, so their residuals (the CLI's
+    density_separability_residual and total_charge_fit_residual) are
+    identities that hold by construction: they measure the rounding of the
+    fit, never a physical coupling of the two times.  They are reported
+    together with the raw charge bookkeeping (plane waves do not decay, so
+    expect boundary warnings there).
     """
     if not grid.has_space:
         raise DomainError("density separability needs a grid with a space axis")
-    _trapz = getattr(np, "trapezoid", None) or np.trapz
     j1, j2, j3 = current_grid(sol, grid, part)
     rho1 = _trapz(j1, grid.t2_values, axis=2)
     rho2 = _trapz(j2, grid.t1_values, axis=1)

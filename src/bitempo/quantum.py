@@ -23,8 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (DomainError, EvaluationError, Grid2T, TimePlanePoint, Tolerances, finite,
-                   finite_power)
+from .core import DomainError, EvaluationError, Grid2T, TimePlanePoint, finite, finite_power
 
 __all__ = [
     "TwoTimeQuantumSystem",
@@ -49,6 +48,8 @@ __all__ = [
 ]
 
 HERMITICITY_ATOL = 1e-12
+# share of a full turn below which uncertainty_visibility calls the phase frozen
+FROZEN_MARGIN = 0.1
 
 
 class UncertaintyDomainError(DomainError):
@@ -210,7 +211,7 @@ class Visibility(str, Enum):
 # operations
 # ---------------------------------------------------------------------------
 
-def check_generator_consistency(H1, H2, tol: Tolerances = Tolerances()) -> float:
+def check_generator_consistency(H1, H2) -> float:
     """Max entry magnitude of [H1, H2]; time-independent generator pairs
     must commute before they can define a shared-basis system."""
     h1 = np.asarray(H1, dtype=complex)
@@ -337,15 +338,15 @@ def variance_trace(sys: TwoTimeQuantumSystem, psi: StateVector, grid: Grid2T,
     return FluctuationTrace(grid=grid, mean=mean, second_moment=second, variance=variance)
 
 
-def uncertainty_visibility(budget: UncertaintyBudget, margin_low: float = 0.1) -> Visibility:
+def uncertainty_visibility(budget: UncertaintyBudget) -> Visibility:
     """Classify whether the evolved phase can complete an oscillation.
 
-    The swept phase is |dE1 t1 + dE2 t2| / hbar: below margin_low of a full
+    The swept phase is |dE1 t1 + dE2 t2| / hbar: below FROZEN_MARGIN of a full
     turn nothing moves (frozen); at or past a full turn the element
     oscillates; in between sits the threshold regime.
     """
     s = budget.swept_phase
-    if s < 2.0 * math.pi * margin_low:
+    if s < 2.0 * math.pi * FROZEN_MARGIN:
         return Visibility.FROZEN
     if s >= 2.0 * math.pi:
         return Visibility.OSCILLATING

@@ -220,8 +220,22 @@ class TestRankOneIntegrator:
 
     def test_blowup_truncation(self):
         grid = Grid2T(0, 10, 0, 10, 5, 5)
-        with pytest.raises(TruncationError):
-            cl.integrate_rank_one_1d(lambda x: x ** 3, (1, 1), 2.0, 5.0, grid, blowup=1e3)
+        with pytest.raises(TruncationError, match=r"\|x\| <= 1e\+06"):
+            cl.integrate_rank_one_1d(lambda x: x ** 3, (1, 1), 2.0, 5.0, grid)
+
+    @pytest.mark.parametrize("g0", (0.0, 0.5))
+    def test_constant_g_closed_form(self, g0):
+        # X'' = g0 is quadratic in s, on which RK4 is exact up to rounding
+        c, x0, v0 = np.array([0.8, -1.3]), 0.4, -0.9
+        grid = Grid2T(-1.0, 2.0, -0.5, 1.5, 7, 9)
+        surf = cl.integrate_rank_one_1d(lambda x: g0, c, x0, v0, grid)
+        s = np.add.outer(c[0] * grid.t1_values, c[1] * grid.t2_values)
+        np.testing.assert_allclose(surf.values, x0 + v0 * s + 0.5 * g0 * s ** 2,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(surf.velocity, v0 + g0 * s, rtol=0, atol=1e-12)
+        tensors = cl.rank_one_force(c, lambda x: g0).tensor_at(surf.values)
+        assert tensors.shape == (7, 9, 1, 2, 2)
+        np.testing.assert_array_equal(tensors, np.broadcast_to(g0 * np.outer(c, c), tensors.shape))
 
     def test_non_convergence_raises(self):
         grid = Grid2T(0.0, 1.0, 0.0, 1.0, 5, 5)
@@ -266,16 +280,20 @@ class TestRankOneIntegrator:
 
 
 def batch_forces():
-    """d = 1 forces from every builder, plus a hand-made field whose eval
-    only takes floats and a rank-one g that only takes floats."""
+    """d = 1 forces from every builder, plus a hand-made field and a rank-one
+    force whose g is a constant."""
+    def hand_made(x):
+        rows = (np.stack([np.cos(x), x], axis=-1), np.stack([x, x * x], axis=-1))
+        return np.stack(rows, axis=-2)
+
     return {
         "rank_one": cl.rank_one_force((0.8, -1.3), lambda x: np.polyval([-0.3, 0.0, -1.0, 0.0], x)),
-        "rank_one_float_g": cl.rank_one_force((1.1, 0.6), lambda x: math.sin(x) - x),
+        "rank_one_constant_g": cl.rank_one_force((1.1, 0.6), lambda x: 0.5),
         "polynomial": cl.polynomial_force_1d({"11": [0.5, -1.0, 0.2], "12": [1.0, 0.0],
                                               "21": [-0.4, 0.3], "22": [2.0, 0.0, 0.0, 1.0]}),
         "affine": cl.affine_force(1, [[[[1.5]], [[-0.25]]], [[[0.75]], [[2.0]]]],
                                   [0.1, 0.2, 0.3, 0.4]),
-        "float_eval": cl.ForceTensorField(1, lambda x: np.array([[math.cos(x), x], [x, x * x]])),
+        "hand_made": cl.ForceTensorField(1, hand_made),
     }
 
 
@@ -310,28 +328,29 @@ class TestBatchedForce1D:
             force.tensor_at(np.array([1.0, 0.0, 2.0]))
 
     def test_batch_eval_shape_checked(self):
-        force = cl.ForceTensorField(1, lambda x: np.zeros((3, 3)), batch_eval=True)
-        with pytest.raises(DomainError):
-            force.tensor_at(np.array([1.0, 2.0]))
+        # an output without the space axis is as wrong as any other shape
+        for out in (lambda x: np.zeros((3, 3)), lambda x: np.zeros(np.shape(x)[:-1] + (2, 2))):
+            with pytest.raises(DomainError, match="expected"):
+                cl.ForceTensorField(1, out).tensor_at(np.array([1.0, 2.0]))
 
 
 def forces_of_dimension(d):
-    """d >= 2 forces from every builder, plus a hand-made field evaluated
-    one position at a time that records what its eval receives."""
+    """d >= 2 forces from every builder, plus a hand-made field that records
+    what its eval receives."""
     rng = np.random.default_rng(30 + d)
     L, lin, const = rng.normal(size=(d, d)), rng.normal(size=(d, 2, 2, d)), rng.normal(size=d * 4)
     seen = []
 
-    def by_point(p):
+    def hand_made(p):
         seen.append(p)
-        return np.einsum("ijkm,m->ijk", lin, np.sin(p)) + const.reshape(d, 2, 2)
+        return np.einsum("ijkm,...m->...ijk", lin, np.sin(p)) + const.reshape(d, 2, 2)
 
     return {
         "rank_one": cl.rank_one_force((0.8, -1.3), lambda p: L @ p + np.cos(p), d=d),
         "affine": cl.affine_force(d, lin, const),
         "affine_unsymmetrized": cl.affine_force(d, lin, symmetrize=False),
         "zero": cl.zero_force(d),
-        "by_point": cl.ForceTensorField(d, by_point),
+        "hand_made": cl.ForceTensorField(d, hand_made),
     }, seen
 
 
@@ -378,16 +397,14 @@ class TestBatchedForce:
             for k, x in enumerate(positions):
                 assert derivs[k].tobytes() == derivative_by_axis(force, x).tobytes(), name
 
-    def test_per_point_eval_sees_one_position(self):
-        for d in (2, 3):
-            forces, seen = forces_of_dimension(d)
-            forces["by_point"].derivative_tensor(np.zeros((2, 3, d)), TOL)
-            assert len(seen) == 2 * 3 * 2 * d
-            assert all(isinstance(p, np.ndarray) and p.shape == (d,) for p in seen)
-        seen = []
-        force = cl.ForceTensorField(1, lambda x: seen.append(x) or np.full((2, 2), x))
-        force.derivative_tensor(np.array([0.5, 1.5]), TOL)
-        assert len(seen) == 4 and all(type(x) is float for x in seen)
+    def test_eval_sees_the_whole_batch(self):
+        for d in (1, 2, 3):
+            seen = []
+            force = cl.ForceTensorField(d, lambda p: seen.append(p) or np.zeros(p.shape + (2, 2)))
+            force.tensor_at(np.zeros((2, 3) + ((d,) if d > 1 else ())))
+            assert len(seen) == 1 and seen[0].shape == (2, 3, d)
+            force.derivative_tensor(np.zeros((2, 3) + ((d,) if d > 1 else ())), TOL)
+            assert len(seen) == 2 and seen[1].shape == (2, 2, 3, d, d)  # [side, ..., m, coordinate]
 
     @pytest.mark.parametrize("d", (2, 3))
     def test_wrong_length_position_raises(self, d):
@@ -697,7 +714,8 @@ class TestCurlResidual:
         direction = np.array([c[1], -c[0]])
 
         def field(t1, t2):
-            return magnitude(X(c[0] * t1 + c[1] * t2)) * direction
+            size = magnitude(X(c[0] * t1 + c[1] * t2))
+            return size * direction[0], size * direction[1]
 
         got = cl.curl_residual(field, grid)
         s_grid = np.add.outer(c[0] * grid.t1_values[1:-1], c[1] * grid.t2_values[1:-1])

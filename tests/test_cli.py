@@ -444,6 +444,23 @@ n2 = 5
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == message
 
+    # 10^15 float64 values are 7.11 PiB, which numpy refuses at once on any
+    # host, so nothing is allocated
+    @pytest.mark.parametrize("command, sections", [
+        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
+         + GRID.replace("n1 = 5", "n1 = 1000000000000000")),
+        ("classical-integrate", "[force]\nfamily = rank_one\ndimension = 1\nc = 1 2\n"
+         "g_poly = -1 0\n[initial]\nx0 = 1\nv0 = 0\n"
+         + GRID.replace("n1 = 5", "n1 = 1000000000000000")),
+        ("mass-spectrum", "[sweep]\nm = 1\nomega_max = 2\ncount = 1000000000000000\n"),
+    ], ids=["fluct_grid", "integrate_grid", "sweep_count"])
+    def test_count_too_large_to_allocate_exits_4(self, tmp_path, capsys, command, sections):
+        config = write(tmp_path, "vast.ini", f"[scenario]\ncommand = {command}\n{sections}")
+        assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: cannot allocate: ")
+        assert os.listdir(tmp_path) == ["vast.ini"]
+
     def test_non_numeric_current_file_exits_3(self, tmp_path, capsys):
         samples = write(tmp_path, "current.csv", "x,t1,t2,j1,j2,jx\n0,0,0,1,abc,0\n")
         config = write(tmp_path, "file.ini", "[scenario]\ncommand = continuity\n"
@@ -523,6 +540,20 @@ n2 = 101
         assert results["orbit_residual"] < 1e-6
 
 
+class TestConstantG:
+    @pytest.mark.parametrize("g_poly, g0", [("", 0.0), ("0.5", 0.5)], ids=["empty", "half"])
+    def test_surface_is_quadratic(self, tmp_path, g_poly, g0):
+        # X'' = g0 gives X = x0 + v0 s + g0 s^2 / 2, on which RK4 is exact up to rounding
+        config = write(tmp_path, "constant.ini", "[scenario]\ncommand = classical-integrate\n"
+                       "[force]\nfamily = rank_one\ndimension = 1\nc = 0.8 -1.3\n"
+                       f"g_poly = {g_poly}\n[initial]\nx0 = 0.4\nv0 = -0.9\n" + GRID)
+        assert cli.main(["classical-integrate", "--config", config, "--out", str(tmp_path)]) == 0
+        data = np.loadtxt(tmp_path / "surface.csv", delimiter=",", skiprows=1)
+        s = 0.8 * data[:, 0] - 1.3 * data[:, 1]
+        np.testing.assert_allclose(data[:, 2], 0.4 - 0.9 * s + 0.5 * g0 * s ** 2,
+                                   rtol=0, atol=1e-12)
+
+
 class TestValidate:
     def test_ok_output(self, capsys):
         assert cli.main(["validate", "--config",
@@ -550,6 +581,13 @@ n2 = 5
 """)
         assert cli.main(["validate", "--config", config]) == 2
         assert "at least 3 points" in capsys.readouterr().err
+
+    def test_sweep_count_too_large_to_allocate(self, tmp_path, capsys):
+        # [sweep] builds its omega array at parse time; 10^15 values are 7.11 PiB
+        config = write(tmp_path, "vast.ini", "[scenario]\ncommand = mass-spectrum\n[sweep]\n"
+                       "m = 1\nomega_max = 2\ncount = 1000000000000000\n")
+        assert cli.main(["validate", "--config", config]) == 2
+        assert capsys.readouterr().err.startswith("invalid: cannot allocate: ")
 
     def test_wrong_size_x0_imag_rejected(self, tmp_path, capsys):
         config = write(tmp_path, "imag.ini", "[scenario]\ncommand = quantum-fluct\n[system]\n"
