@@ -57,7 +57,6 @@ __all__ = [
     "admissibility_determinant",
     "parallel_fields_2d",
     "parallel_fields_3d",
-    "curl_residual",
     "classify",
 ]
 
@@ -131,11 +130,6 @@ class ForceTensorField:
         t = self.tensor_at(points.reshape(points.shape[:-1] + self._point_shape))
         diff = (t[0] - t[1]) / (2.0 * step)[..., None, None, None, None]
         return np.moveaxis(diff, -4, -1)
-
-    def symmetry_defect(self, points) -> float:
-        """Max |F^i_{12} - F^i_{21}| over sample points (0 when symmetric)."""
-        t = self.tensor_at(points)
-        return float(np.max(np.abs(t[..., 0, 1] - t[..., 1, 0]), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -730,22 +724,6 @@ def parallel_fields_3d(F: ForceTensorField, x, tol: Tolerances = Tolerances(),
     if F.d != 3:
         raise DomainError(f"parallel_fields_3d needs d=3, got d={F.d}")
     return _field_report(F.derivative_tensor(x, tol), tol, variant)
-
-
-def curl_residual(field_on_surface, grid: Grid2T) -> float:
-    """Max |d(field_2)/dt1 - d(field_1)/dt2| over interior grid points.
-
-    ``field_on_surface(t1, t2)`` is called once, on the (n1, n2) meshgrid of
-    the grid, and returns the pair (f1, f2), each broadcast to (n1, n2).
-    """
-    if grid.n1 < 3 or grid.n2 < 3:
-        raise DomainError("curl residual needs at least a 3x3 grid")
-    T1, T2 = np.meshgrid(grid.t1_values, grid.t2_values, indexing="ij")
-    f1, f2 = (np.broadcast_to(np.asarray(f, dtype=float), T1.shape)
-              for f in field_on_surface(T1, T2))
-    d1f2 = (f2[2:, 1:-1] - f2[:-2, 1:-1]) / (2.0 * grid.d1)
-    d2f1 = (f1[1:-1, 2:] - f1[1:-1, :-2]) / (2.0 * grid.d2)
-    return float(np.max(np.abs(d1f2 - d2f1)))
 
 
 # ---------------------------------------------------------------------------

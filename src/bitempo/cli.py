@@ -45,6 +45,10 @@ FORCE_FAMILIES = ("rank_one", "polynomial", "affine", "zero")
 
 _REQUIRED = object()
 
+# most points a parsed grid may hold, nx included; the bundled scenarios and
+# the benchmark's draws hold at most 61 x 41 x 41
+MAX_GRID_POINTS = 10 ** 7
+
 
 # ---------------------------------------------------------------------------
 # config access
@@ -114,7 +118,12 @@ def _grid(cfg, need_space: bool = False) -> Grid2T:
             x_max=_get(cfg, "grid", "x_max", _float),
             nx=_get(cfg, "grid", "nx", int),
         )
-    return Grid2T(**kwargs)
+    grid = Grid2T(**kwargs)
+    points = grid.n1 * grid.n2 * (grid.nx or 1)
+    if points > MAX_GRID_POINTS:
+        raise DomainError(f"[grid] holds {points} points, more than MAX_GRID_POINTS = "
+                          f"{MAX_GRID_POINTS}")
+    return grid
 
 
 def _space_grid(cfg) -> Grid2T:
@@ -283,6 +292,18 @@ def _sweep(cfg):
     if min(m, omega_min, omega_max) < 0 or min(hbar, c) <= 0:
         raise DomainError("[sweep] needs m, omega_min, omega_max >= 0 and hbar, c > 0")
     return m, hbar, c, np.linspace(omega_min, omega_max, count)
+
+
+def _file_name(raw: str) -> str:
+    if os.path.basename(raw) in ("", ".", ".."):
+        raise ValueError("not a file name")
+    return raw
+
+
+def _outputs(cfg) -> dict:
+    """The file names the [output] section sets, by key."""
+    keys = cfg.options("output") if cfg.has_section("output") else ()
+    return {key: _get(cfg, "output", key, _file_name) for key in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +760,8 @@ def _run_mass_spectrum(sweep):
 
 
 # command -> (section parsers, runner).  A run calls the parsers in order and
-# passes their values to the runner; validate calls the same parsers.
+# passes their values to the runner; validate calls the same parsers.  Both
+# also parse the [output] names with _outputs.
 _COMMANDS = {
     "classical-check": ((_tolerances, _force, _point), _run_classical_check),
     "classical-integrate": ((_tolerances, _integrate_force, _initial, _grid),
@@ -775,6 +797,7 @@ def run_scenario(config_path: str, out_dir: str | None = None, fmt: str = "csv",
             f"config names command {command!r} but {expected_command!r} was invoked")
     parsers, runner = _COMMANDS[command]
     parsed_args = [parse(cfg) for parse in parsers]
+    names = _outputs(cfg)
     parsed = time.perf_counter()
     payload, tables = runner(*parsed_args)
     computed = time.perf_counter()
@@ -782,7 +805,7 @@ def run_scenario(config_path: str, out_dir: str | None = None, fmt: str = "csv",
     directory = out_dir or os.path.dirname(os.path.abspath(config_path))
     artifacts = []
     for key, default_name, columns, rows in tables:
-        name = _get(cfg, "output", key, str, default_name)
+        name = names.get(key, default_name)
         if fmt == "json" and name.endswith(".csv"):
             name = name[:-4] + ".json"
         path = os.path.join(directory, name)
@@ -790,7 +813,7 @@ def run_scenario(config_path: str, out_dir: str | None = None, fmt: str = "csv",
         artifacts.append(name)
     written = time.perf_counter()
 
-    report_name = _get(cfg, "output", "report", str, "report.json")
+    report_name = names.get("report", "report.json")
     report_path = os.path.join(directory, report_name)
     report = {
         "scenario": _echo_config(cfg),
@@ -817,7 +840,7 @@ def validate_config(config_path: str) -> list:
         return [str(exc)]
     parsers, _ = _COMMANDS[cfg.get("scenario", "command")]
     diagnostics = []
-    for parse in parsers:
+    for parse in (*parsers, _outputs):
         try:
             parse(cfg)
         except (DomainError, ConfigError) as exc:

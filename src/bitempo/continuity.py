@@ -5,10 +5,9 @@ d1 j1 + d2 j2 - dx j_space = 0 with decaying boundaries yields one conserved
 charge per time axis: Q1(t1) integrates j1 over (t2, x) and Q2(t2)
 integrates j2 over (t1, x).  Any density normalized jointly in both times
 must then be a linear combination rho = alpha rho1(x, t1) + beta rho2(x, t2),
-which this module tests as a least-squares fit.  The same separability
-structure constrains averages, and in the classical limit it forces the mean
-position to move along a single time axis; the Ehrenfest residuals measure
-exactly that.
+which this module tests as a least-squares fit.  In the classical limit
+the same separability forces the mean position to move along a single time
+axis; the Ehrenfest residuals measure exactly that.
 """
 
 from __future__ import annotations
@@ -24,19 +23,15 @@ __all__ = [
     "CurrentField",
     "ChargeReport",
     "SeparabilityReport",
-    "AverageReport",
     "EhrenfestReport",
     "charges",
     "separability_check",
-    "separable_average",
     "ehrenfest_limit_residual",
     "manufactured_current",
 ]
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
-# largest |Int rho dx - 1| separable_average accepts on any time slice
-AVERAGE_NORM_TOL = 1e-8
 # largest separability fit residual ehrenfest_limit_residual accepts
 EHRENFEST_SEPARABLE_TOL = 1e-8
 # amplitude of the source manufactured_current adds to j1
@@ -90,14 +85,6 @@ class SeparabilityReport:
     r2: np.ndarray
     sweeps: int  # always 1: the fit is one closed-form pass, not an iteration
     passed: bool
-
-
-@dataclass(frozen=True)
-class AverageReport:
-    values: np.ndarray
-    separability_residual: float
-    f1: np.ndarray
-    f2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -184,29 +171,6 @@ def separability_check(rho, tol: Tolerances = Tolerances()) -> SeparabilityRepor
         r1, r2 = r1[0], r2[0]
     return SeparabilityReport(residual=residual, r1=r1, r2=r2, sweeps=1,
                               passed=residual < tol.rel_tol)
-
-
-def separable_average(rho, A, grid: Grid2T) -> AverageReport:
-    """Average of a position function against a normalized density.
-
-    Every time slice must integrate to 1 within AVERAGE_NORM_TOL; the averaged
-    surface is then fitted as f1(t1) + f2(t2) and the fit residual reported.
-    """
-    R = _as_3d(rho)
-    if not grid.has_space:
-        raise DomainError("separable_average needs a grid with a space axis")
-    xv = grid.x_values
-    norms = _trapz(R, xv, axis=0)
-    worst = np.unravel_index(np.argmax(np.abs(norms - 1.0)), norms.shape)
-    if abs(norms[worst] - 1.0) > AVERAGE_NORM_TOL:
-        raise DomainError(
-            f"density slice (i1={worst[0]}, i2={worst[1]}) integrates to "
-            f"{norms[worst]:.12g}, violating normalization by more than {AVERAGE_NORM_TOL:g}")
-    avals = np.asarray(A(xv) if callable(A) else A, dtype=float).reshape(len(xv))
-    values = _trapz(avals[:, None, None] * R, xv, axis=0)
-    fit = separability_check(values)
-    return AverageReport(values=values, separability_residual=fit.residual,
-                         f1=fit.r1, f2=fit.r2)
 
 
 def ehrenfest_limit_residual(mean_x, grid: Grid2T, force_11=None,

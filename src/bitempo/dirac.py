@@ -282,6 +282,10 @@ def current_grid(sol: PlaneWaveSolution, grid: Grid2T, part: str = "imaginary"):
     if part not in ("imaginary", "real"):
         raise DomainError(f"part must be 'imaginary' or 'real', got {part!r}")
     xv = grid.x_values if grid.has_space else np.array([0.0])
+    # |2 k.x| is at most this, which names an overflow without a pass over the grid
+    finite(2.0 * sum(abs(float(k)) * float(np.max(np.abs(v)))
+                     for k, v in zip(sol.k, (grid.t1_values, grid.t2_values, xv))),
+           "the phase 2 k.x")
     phi = (sol.k[0] * grid.t1_values[None, :, None]
            + sol.k[1] * grid.t2_values[None, None, :]
            + sol.k[2] * xv[:, None, None])
@@ -365,14 +369,13 @@ def effective_mode_mass(m: float, omega: float, hbar: float = 1.0,
 
 
 def dirac_density_separability(sol: PlaneWaveSolution, grid: Grid2T,
-                               alpha: float = 1.0, beta: float = 1.0,
                                part: str = "imaginary",
                                tol: Tolerances = Tolerances()) -> DensityReport:
     """Density built from the time components of the plane-wave current.
 
-    rho(x, t1, t2) = alpha * Int dt2 j1 + beta * Int dt1 j2 is a function
-    of (x, t1) plus one of (x, t2) as built, and so the total charge
-    P(t1, t2) = Int rho dx is separable too.  Both fits are run through the
+    rho(x, t1, t2) = Int dt2 j1 + Int dt1 j2 is a function of (x, t1) plus
+    one of (x, t2) as built, and so the total charge P(t1, t2) = Int rho dx
+    is separable too.  Both fits are run through the
     continuity machinery, so their residuals (the CLI's
     density_separability_residual and total_charge_fit_residual) are
     identities that hold by construction: they measure the rounding of the
@@ -385,12 +388,12 @@ def dirac_density_separability(sol: PlaneWaveSolution, grid: Grid2T,
     j1, j2, j3 = current_grid(sol, grid, part)
     rho1 = _trapz(j1, grid.t2_values, axis=2)
     rho2 = _trapz(j2, grid.t1_values, axis=1)
-    rho = alpha * rho1[:, :, None] + beta * rho2[:, None, :]
+    rho = rho1[:, :, None] + rho2[:, None, :]
     sep = separability_check(rho, tol)
     total = _trapz(rho, grid.x_values, axis=0)
     total_fit = separability_check(total, tol)
     field = CurrentField(grid=grid, j1=np.asarray(j1), j2=np.asarray(j2),
                          j_space=np.asarray(j3))
-    report = charges(field, alpha=alpha, beta=beta, tol=tol)
+    report = charges(field, tol=tol)
     return DensityReport(rho=rho, separability=sep, total_fit=total_fit,
                          charge_report=report)

@@ -35,11 +35,8 @@ __all__ = [
     "AngleWidthReport",
     "Visibility",
     "UncertaintyDomainError",
-    "check_generator_consistency",
     "evolve_element",
-    "evolve_matrix",
     "element_characteristic",
-    "rotate_times",
     "inverse_rotate_times",
     "tau2_dependence",
     "variance_trace",
@@ -211,21 +208,6 @@ class Visibility(str, Enum):
 # operations
 # ---------------------------------------------------------------------------
 
-def check_generator_consistency(H1, H2) -> float:
-    """Max entry magnitude of [H1, H2]; time-independent generator pairs
-    must commute before they can define a shared-basis system."""
-    h1 = np.asarray(H1, dtype=complex)
-    h2 = np.asarray(H2, dtype=complex)
-    if h1.shape != h2.shape or h1.ndim != 2 or h1.shape[0] != h1.shape[1]:
-        raise DomainError(f"need equal square matrices, got {h1.shape} and {h2.shape}")
-    for name, h in (("H1", h1), ("H2", h2)):
-        scale = max(1.0, float(np.max(np.abs(h))))
-        if np.max(np.abs(h - h.conj().T)) > 1e-10 * scale:
-            raise DomainError(f"{name} is not Hermitian")
-    comm = h1 @ h2 - h2 @ h1
-    return float(np.max(np.abs(comm)))
-
-
 def evolve_element(sys: TwoTimeQuantumSystem, n: int, m: int,
                    at: TimePlanePoint, hbar: float = 1.0) -> complex:
     """Element n, m of the evolved observable; its modulus never changes."""
@@ -234,15 +216,6 @@ def evolve_element(sys: TwoTimeQuantumSystem, n: int, m: int,
     sp = sys.spacing(n, m)
     phase = (sp.d1 * at.t1 + sp.d2 * at.t2) / hbar
     return complex(sys.X0[n, m] * np.exp(1j * phase))
-
-
-def evolve_matrix(sys: TwoTimeQuantumSystem, at: TimePlanePoint,
-                  hbar: float = 1.0) -> np.ndarray:
-    """Whole evolved observable matrix at one time-plane point."""
-    if hbar <= 0:
-        raise DomainError("hbar must be positive")
-    d1, d2 = sys.spacing_matrices()
-    return sys.X0 * np.exp(1j * (d1 * at.t1 + d2 * at.t2) / hbar)
 
 
 def element_characteristic(sys: TwoTimeQuantumSystem, n: int, m: int) -> ElementCharacteristic:
@@ -256,16 +229,9 @@ def element_characteristic(sys: TwoTimeQuantumSystem, n: int, m: int) -> Element
     return ElementCharacteristic(field=fieldvec, norm=norm, theta=theta, degenerate=False)
 
 
-def rotate_times(ec: ElementCharacteristic, at: TimePlanePoint) -> tuple:
-    """Rotated coordinates (tau1, tau2); the element depends on tau1 only."""
-    if ec.degenerate:
-        raise DomainError("degenerate characteristic has no rotation angle")
-    ct, st = math.cos(ec.theta), math.sin(ec.theta)
-    return (ct * at.t1 + st * at.t2, -st * at.t1 + ct * at.t2)
-
-
 def inverse_rotate_times(ec: ElementCharacteristic, tau1: float, tau2: float) -> TimePlanePoint:
-    """Time-plane point with the given rotated coordinates."""
+    """Time-plane point with rotated coordinates (tau1, tau2); the element
+    depends on tau1 only."""
     if ec.degenerate:
         raise DomainError("degenerate characteristic has no rotation angle")
     ct, st = math.cos(ec.theta), math.sin(ec.theta)
@@ -315,6 +281,10 @@ def variance_trace(sys: TwoTimeQuantumSystem, psi: StateVector, grid: Grid2T,
     v = psi.psi
     if v.size != sys.n_levels:
         raise DomainError(f"state has {v.size} amplitudes for {sys.n_levels} levels")
+    # |phase| is at most this, which names an overflow without a pass over the grid
+    finite(sum(float(np.max(np.abs(t))) * float(np.max(np.abs(e)))
+               for t, e in ((grid.t1_values, sys.E1), (grid.t2_values, sys.E2))) / float(hbar),
+           "the phase (E1 t1 + E2 t2) / hbar")
     phase = (np.multiply.outer(grid.t1_values, sys.E1)[:, None, :]
              + np.multiply.outer(grid.t2_values, sys.E2)[None, :, :]) / hbar
     # X(t) psi itself, not w^dagger X0 w with w = D^dagger psi: the moments then

@@ -420,12 +420,13 @@ class TestBatchedForce:
         with np.errstate(divide="ignore"), pytest.raises(EvaluationError, match=r"at \[1.0, 0.0\]"):
             force.tensor_at(np.array([[1.0, 2.0], [1.0, 0.0]]))
 
-    def test_symmetry_defect_over_a_batch(self):
+    def test_unsymmetrized_affine_keeps_asymmetry(self):
         lin = np.zeros((2, 2, 2, 2))
         lin[1, 0, 1, 0] = 3.0
         force = cl.affine_force(2, lin, symmetrize=False)
-        assert force.symmetry_defect([(0.5, 0.0), (-2.0, 1.0)]) == 6.0
-        assert force.symmetry_defect(np.empty((0, 2))) == 0.0
+        t = force.tensor_at(np.array([(0.5, 0.0), (-2.0, 1.0)]))
+        np.testing.assert_array_equal(t[..., 0, 1] - t[..., 1, 0], [[0.0, 1.5], [0.0, -6.0]])
+        assert force.tensor_at(np.empty((0, 2))).shape == (0, 2, 2, 2)
 
 
 def surface_check_by_point(force, surface, tol=TOL):
@@ -694,41 +695,6 @@ class TestParallelFields:
             cl.parallel_fields_3d(cl.zero_force(2), np.zeros(2))
 
 
-class TestCurlResidual:
-    def test_constant_field(self):
-        grid = Grid2T(0, 1, 0, 1, 9, 9)
-        assert cl.curl_residual(lambda t1, t2: (0.3, -0.7), grid) == pytest.approx(0.0)
-
-    def test_linear_rotation_field(self):
-        grid = Grid2T(-1, 1, -1, 1, 9, 9)
-        got = cl.curl_residual(lambda t1, t2: (t2, -t1), grid)
-        assert got == pytest.approx(2.0, abs=1e-12)
-
-    def test_chain_rule_oracle_rank_one(self):
-        c = np.array([1.0, 2.0])
-        grid = Grid2T(0, 1, 0, 1, 201, 201)
-        X = lambda s: np.cos(s)
-        Xp = lambda s: -np.sin(s)
-        magnitude = lambda x: 1.0 + 0.5 * x ** 2
-        mag_prime = lambda x: x
-        direction = np.array([c[1], -c[0]])
-
-        def field(t1, t2):
-            size = magnitude(X(c[0] * t1 + c[1] * t2))
-            return size * direction[0], size * direction[1]
-
-        got = cl.curl_residual(field, grid)
-        s_grid = np.add.outer(c[0] * grid.t1_values[1:-1], c[1] * grid.t2_values[1:-1])
-        expected = np.max(np.abs(mag_prime(X(s_grid)) * Xp(s_grid))) * (c[0] ** 2 + c[1] ** 2)
-        assert got == pytest.approx(expected, abs=1e-4 * expected)
-
-    def test_minimum_grid_accepted_smaller_rejected(self):
-        # grids below 3 points per axis cannot even be constructed
-        with pytest.raises(DomainError):
-            Grid2T(0, 1, 0, 1, 2, 5)
-        assert cl.curl_residual(lambda t1, t2: (t2, -t1), Grid2T(0, 1, 0, 1, 3, 3)) > 0
-
-
 class TestClassify:
     def test_rank_one_2d_effective_one_time(self):
         rng = np.random.default_rng(18)
@@ -810,8 +776,8 @@ class TestClassify:
         assert report.verdict is cl.Verdict.NO_TWO_TIME_MOTION
         assert report.kernel_dim == 0
 
-    def test_symmetry_defect_zero_for_symmetric(self):
+    def test_affine_force_symmetrized_by_default(self):
         rng = np.random.default_rng(22)
         force = cl.affine_force(2, rng.normal(size=(2, 2, 2, 2)))
-        points = [rng.uniform(-1, 1, size=2) for _ in range(5)]
-        assert force.symmetry_defect(points) < 1e-12
+        t = force.tensor_at(rng.uniform(-1, 1, size=(5, 2)))
+        assert np.max(np.abs(t[..., 0, 1] - t[..., 1, 0])) < 1e-12

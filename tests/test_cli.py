@@ -37,6 +37,19 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def forbid_runner(monkeypatch, command):
+    """Fail the test if the command's runner is reached."""
+    parsers, _ = cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command,
+                        (parsers, lambda *args: pytest.fail(f"{command} ran")))
+
+
+def output_keys():
+    for name in all_scenarios():
+        for key in cli.load_config(scenario_path(name)).options("output"):
+            yield pytest.param(name, key, id=f"{name[:-4]}-{key}")
+
+
 class TestBundledScenarios:
     def test_every_scenario_runs_clean(self, tmp_path):
         assert len(all_scenarios()) >= 7
@@ -409,8 +422,14 @@ n2 = 5
          "dE^2 = dE1^2 + dE2^2 underflows to 0"),
         ("uncertainty", "[budget]\nde1 = 1e100\nde2 = 0\ndde1 = 1\ndde2 = 0\nt1 = 1e210\nt2 = 0\n",
          "q = t*dE overflows"),
+        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
+         + GRID.replace("t2_min = 0", "t2_min = -1e308"),
+         "the phase (E1 t1 + E2 t2) / hbar overflows"),
+        ("dirac", "[wave]\nk = 1 0 0\nm = 1\n" + GRID.replace("t1_min = 0", "t1_min = -1e308")
+         + "x_min = -1\nx_max = 1\nnx = 5\n", "the phase 2 k.x overflows"),
     ], ids=["uncertainty_de1", "dirac_m", "sweep_m", "sweep_omega_max", "integrate_c",
-            "uncertainty_dde", "fluct_x0", "uncertainty_de_underflow", "uncertainty_q"])
+            "uncertainty_dde", "fluct_x0", "uncertainty_de_underflow", "uncertainty_q",
+            "fluct_phase", "dirac_phase"])
     def test_overflow_exits_4(self, tmp_path, capsys, command, sections, quantity):
         config = write(tmp_path, "huge.ini", f"[scenario]\ncommand = {command}\n{sections}")
         assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 4
@@ -447,19 +466,55 @@ n2 = 5
     # 10^15 float64 values are 7.11 PiB, which numpy refuses at once on any
     # host, so nothing is allocated
     @pytest.mark.parametrize("command, sections", [
-        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
-         + GRID.replace("n1 = 5", "n1 = 1000000000000000")),
-        ("classical-integrate", "[force]\nfamily = rank_one\ndimension = 1\nc = 1 2\n"
-         "g_poly = -1 0\n[initial]\nx0 = 1\nv0 = 0\n"
-         + GRID.replace("n1 = 5", "n1 = 1000000000000000")),
         ("mass-spectrum", "[sweep]\nm = 1\nomega_max = 2\ncount = 1000000000000000\n"),
-    ], ids=["fluct_grid", "integrate_grid", "sweep_count"])
+    ], ids=["sweep_count"])
     def test_count_too_large_to_allocate_exits_4(self, tmp_path, capsys, command, sections):
         config = write(tmp_path, "vast.ini", f"[scenario]\ncommand = {command}\n{sections}")
         assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: cannot allocate: ")
         assert os.listdir(tmp_path) == ["vast.ini"]
+
+    @pytest.mark.parametrize("command, sections, points", [
+        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
+         + GRID.replace("n1 = 5", "n1 = 1000000000000000"), 5 * 10 ** 15),
+        ("classical-integrate", "[force]\nfamily = rank_one\ndimension = 1\nc = 1 2\n"
+         "g_poly = -1 0\n[initial]\nx0 = 1\nv0 = 0\n"
+         + GRID.replace("n1 = 5", "n1 = 1000000000000000"), 5 * 10 ** 15),
+        ("continuity", GRID + "x_min = -1\nx_max = 1\nnx = 400001\n", 10000025),
+        ("dirac", "[wave]\nk = 1 0 0\nm = 1\n" + GRID.replace("n2 = 5", "n2 = 1000")
+         + "x_min = -1\nx_max = 1\nnx = 2001\n", 10005000),
+    ], ids=["fluct_grid", "integrate_grid", "continuity_grid", "dirac_grid"])
+    def test_grid_over_cap_rejected(self, tmp_path, capsys, monkeypatch, command, sections,
+                                    points):
+        # the runner, which allocates the grid, is replaced: nothing is computed
+        # even where a count passes the parse stage
+        config = write(tmp_path, "vast.ini", f"[scenario]\ncommand = {command}\n{sections}")
+        forbid_runner(monkeypatch, command)
+        message = f"[grid] holds {points} points, more than MAX_GRID_POINTS = 10000000\n"
+        assert cli.main(["validate", "--config", config]) == 2
+        assert capsys.readouterr().err == f"invalid: {message}"
+        assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"domain error: {message}"
+        assert os.listdir(tmp_path) == ["vast.ini"]
+
+    @pytest.mark.parametrize("name, key", output_keys())
+    @pytest.mark.parametrize("value", ["", "sub/"], ids=["empty", "directory"])
+    def test_output_name_rejected_in_parse(self, tmp_path, capsys, monkeypatch, name, key,
+                                           value):
+        cfg = cli.load_config(scenario_path(name))
+        cfg.set("output", key, value)
+        config = str(tmp_path / name)
+        with open(config, "w") as fh:
+            cfg.write(fh)
+        command = cfg.get("scenario", "command")
+        forbid_runner(monkeypatch, command)
+        message = f"bad value for [output] {key}: {value!r} (not a file name)\n"
+        assert cli.main(["validate", "--config", config]) == 2
+        assert capsys.readouterr().err == f"invalid: {message}"
+        assert cli.main([command, "--config", config, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"domain error: {message}"
+        assert not (tmp_path / "out").exists()
 
     def test_non_numeric_current_file_exits_3(self, tmp_path, capsys):
         samples = write(tmp_path, "current.csv", "x,t1,t2,j1,j2,jx\n0,0,0,1,abc,0\n")

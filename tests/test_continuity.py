@@ -178,39 +178,6 @@ class TestSeparability:
         assert ct.separability_check(np.sin(t1) * np.cos(t2)).residual > 1e-2
 
 
-class TestSeparableAverage:
-    def test_separable_density_gives_separable_average(self):
-        grid = space_grid(21, 19, 61)
-        rho = separable_density(grid)
-        report = ct.separable_average(rho, lambda x: x, grid)
-        assert report.separability_residual < 1e-8
-
-    def test_unit_function_gives_unit_average(self):
-        grid = space_grid(15, 17, 61)
-        rho = separable_density(grid)
-        report = ct.separable_average(rho, lambda x: np.ones_like(x), grid)
-        np.testing.assert_allclose(report.values, 1.0, atol=1e-12)
-
-    def test_product_density_flagged(self):
-        grid = space_grid(21, 19, 61)
-        rho = separable_density(grid)
-        x = grid.x_values[:, None, None]
-        t1 = grid.t1_values[None, :, None]
-        t2 = grid.t2_values[None, None, :]
-        rho = rho + 0.05 * (x - grid.x_values.mean()) * np.exp(-x ** 2) * t1 * t2
-        norms = _trapz(rho, grid.x_values, axis=0)
-        rho = rho / norms[None, :, :]
-        report = ct.separable_average(rho, lambda x: x, grid)
-        assert report.separability_residual > 1e-4
-
-    def test_normalization_violation_names_worst_slice(self):
-        grid = space_grid(5, 5, 21)
-        rho = separable_density(grid).copy()
-        rho[:, 2, 3] *= 1.5
-        with pytest.raises(DomainError, match=r"i1=2, i2=3"):
-            ct.separable_average(rho, lambda x: x, grid)
-
-
 class TestEhrenfestResiduals:
     def grid(self):
         return Grid2T(0, 2 * np.pi, 0, 2 * np.pi, 41, 41)
