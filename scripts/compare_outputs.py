@@ -7,6 +7,9 @@ every bundled scenario in csv and in json, and each config given after the
 revision in both formats, under both trees with ``PYTHONPATH`` set to that
 tree's ``src``.  Each run compares the exit code, stdout, every data file
 byte for byte and the report's ``comparable`` section, and prints one line.
+A line for a run that differs ends with the largest absolute difference
+between the numbers at the same place (same key path, or same row and
+column) in the ``comparable`` sections and the data files of both trees.
 The exit status is 1 if any run differs, 0 otherwise.  All output stays in
 the temporary directory, which is removed at the end.
 """
@@ -17,6 +20,7 @@ import argparse
 import configparser
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -63,12 +67,61 @@ def run(tree: str, config: str, fmt: str, out: str):
     return proc.returncode, proc.stdout, files
 
 
-def differences(config: str, a, b) -> list:
-    """What differs between two runs of one config."""
+def _leaves(obj, path=()):
+    """(key path, scalar) for every leaf of a parsed JSON value."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, (*path, key))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, (*path, i))
+    else:
+        yield path, obj
+
+
+def numbers(name: str, data: bytes, report: str) -> dict:
+    """{place: float} for the numeric cells of one output file: the leaves of
+    the report's ``comparable`` section or of a json table, the cells of a csv
+    table.  Numbers written as strings ("0.5", "nan") count; booleans do not."""
+    if name == report:
+        cells = _leaves(json.loads(data)["comparable"])
+    elif name.endswith(".json"):
+        cells = _leaves(json.loads(data))
+    else:
+        cells = (((r, c), cell) for r, line in enumerate(data.decode().splitlines())
+                 for c, cell in enumerate(line.split(",")))
+    out = {}
+    for place, value in cells:
+        if isinstance(value, bool):
+            continue
+        try:
+            out[place] = float(value)
+        except (TypeError, ValueError):
+            pass
+    return out
+
+
+def largest_difference(a: dict, b: dict) -> float:
+    """Largest |a - b| over the places both hold a number; a NaN against a
+    number counts as inf."""
+    largest = 0.0
+    for place in a.keys() & b.keys():
+        x, y = a[place], b[place]
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        d = abs(x - y)
+        largest = max(largest, math.inf if math.isnan(d) else d)
+    return largest
+
+
+def differences(config: str, a, b):
+    """(what differs between two runs of one config, the largest numeric
+    difference in the files both wrote)."""
     _, report = scenario_names(config)
     found = [what for what, i in (("exit code", 0), ("stdout", 1)) if a[i] != b[i]]
     files_a, files_b = a[2], b[2]
     found += [f"only one tree wrote {name}" for name in sorted(set(files_a) ^ set(files_b))]
+    largest = 0.0
     for name in sorted(set(files_a) & set(files_b)):
         if name == report:
             same = (json.loads(files_a[name])["comparable"]
@@ -77,7 +130,9 @@ def differences(config: str, a, b) -> list:
             same = files_a[name] == files_b[name]
         if not same:
             found.append(f"{name} comparable" if name == report else name)
-    return found
+            largest = max(largest, largest_difference(numbers(name, files_a[name], report),
+                                                      numbers(name, files_b[name], report)))
+    return found, largest
 
 
 def main(argv=None) -> int:
@@ -98,10 +153,11 @@ def main(argv=None) -> int:
                 key = f"{k:02d}-{fmt}"
                 old = run(old_tree, config, fmt, os.path.join(tmp, "out", "rev", key))
                 new = run(ROOT, config, fmt, os.path.join(tmp, "out", "tree", key))
-                found = differences(config, old, new)
+                found, largest = differences(config, old, new)
                 differ += bool(found)
                 label = f"{os.path.basename(config)} {fmt} (exit {new[0]})"
-                print(f"DIFF  {label}: {', '.join(found)}" if found else f"same  {label}")
+                print(f"DIFF  {label}: {', '.join(found)}; largest difference {largest:.3g}"
+                      if found else f"same  {label}")
     print(f"{len(configs) * len(FORMATS) - differ} of {len(configs) * len(FORMATS)} runs "
           f"identical to {args.rev}")
     return 1 if differ else 0

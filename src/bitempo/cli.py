@@ -852,7 +852,10 @@ def validate_config(config_path: str) -> list:
     return list(dict.fromkeys(diagnostics))
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls and looks sys.stderr up when it writes."""
     parser = argparse.ArgumentParser(
         prog="bitempo",
         description="Scenario runner for two-time dynamics checks.")
@@ -864,7 +867,11 @@ def main(argv=None) -> int:
         p.add_argument("--format", choices=("json", "csv"), default="csv")
     pv = sub.add_parser("validate", help="check a scenario file without running it")
     pv.add_argument("--config", required=True)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

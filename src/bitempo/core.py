@@ -106,6 +106,17 @@ class TimePlanePoint:
             raise DomainError(f"time-plane point must be finite, got ({self.t1}, {self.t2})")
 
 
+def _check_axis(lo: float, hi: float, n: int, name: str):
+    """DomainError unless the axis has finite ends, a finite span max - min > 0
+    and at least 3 points."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise DomainError(f"{name} axis needs finite max > min, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"{name} axis span max - min overflows: got [{lo}, {hi}]")
+    if n < 3:
+        raise DomainError(f"{name} axis needs at least 3 points, got {n}")
+
+
 @dataclass(frozen=True)
 class Grid2T:
     """Uniform rectangular grid over (t1, t2), optionally with a space axis.
@@ -125,21 +136,13 @@ class Grid2T:
     nx: int | None = None
 
     def __post_init__(self):
-        for lo, hi, n, name in ((self.t1_min, self.t1_max, self.n1, "t1"),
-                                (self.t2_min, self.t2_max, self.n2, "t2")):
-            if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-                raise DomainError(f"{name} axis needs finite max > min, got [{lo}, {hi}]")
-            if n < 3:
-                raise DomainError(f"{name} axis needs at least 3 points, got {n}")
+        _check_axis(self.t1_min, self.t1_max, self.n1, "t1")
+        _check_axis(self.t2_min, self.t2_max, self.n2, "t2")
         space = (self.x_min, self.x_max, self.nx)
         if any(v is not None for v in space):
             if any(v is None for v in space):
                 raise DomainError("space axis needs all of x_min, x_max, nx")
-            if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)
-                    and self.x_max > self.x_min):
-                raise DomainError(f"x axis needs finite max > min, got [{self.x_min}, {self.x_max}]")
-            if self.nx < 3:
-                raise DomainError(f"x axis needs at least 3 points, got {self.nx}")
+            _check_axis(*space, "x")
 
     @property
     def has_space(self) -> bool:

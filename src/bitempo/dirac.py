@@ -27,7 +27,6 @@ from .core import (
     OnShellError,
     Tolerances,
     central_difference,
-    determinant,
     finite,
     finite_power,
     null_space,

@@ -270,11 +270,14 @@ def variance_trace(sys: TwoTimeQuantumSystem, psi: StateVector, grid: Grid2T,
                    hbar: float = 1.0) -> FluctuationTrace:
     """First and second moments of the evolved observable over a grid.
 
-    The evolved observable is D X0 D^dagger with the level phases
-    D = diag(exp(i (E1 t1 + E2 t2) / hbar)), so X(t) psi comes from one
-    product with X0 for all grid points at once; the second moment is
-    |X(t) psi|^2, and degenerate element pairs contribute their constant
-    terms exactly.
+    The evolved observable is X(t) = D X0 D^dagger with the level phases
+    D = diag(exp(i (E1 t1 + E2 t2) / hbar)).  The two generators commute, so
+    D^dagger factors into one table per time axis, D1 = exp(-i E1 t1 / hbar)
+    (n1 x n) and D2 = exp(-i E2 t2 / hbar) (n2 x n), and one broadcast product
+    gives w = D^dagger psi = D1 D2 psi at every grid point.  One product with
+    X0 gives y = X0 w, and the moments are <X> = w^dagger X0 w = w^dagger y
+    and <X^2> = |X(t) psi|^2 = |X0 w|^2 = |y|^2; degenerate element pairs
+    contribute their constant terms exactly.
     """
     if hbar <= 0:
         raise DomainError("hbar must be positive")
@@ -285,18 +288,16 @@ def variance_trace(sys: TwoTimeQuantumSystem, psi: StateVector, grid: Grid2T,
     finite(sum(float(np.max(np.abs(t))) * float(np.max(np.abs(e)))
                for t, e in ((grid.t1_values, sys.E1), (grid.t2_values, sys.E2))) / float(hbar),
            "the phase (E1 t1 + E2 t2) / hbar")
-    phase = (np.multiply.outer(grid.t1_values, sys.E1)[:, None, :]
-             + np.multiply.outer(grid.t2_values, sys.E2)[None, :, :]) / hbar
-    # X(t) psi itself, not w^dagger X0 w with w = D^dagger psi: the moments then
-    # take the same products as the per-point form X(t) = X0 * exp(i dE t)
-    e = np.exp(1j * phase)
+    d1 = np.exp(-1j * (np.multiply.outer(grid.t1_values, sys.E1) / hbar))
+    d2 = np.exp(-1j * (np.multiply.outer(grid.t2_values, sys.E2) / hbar))
+    w = d1[:, None, :] * (d2 * v)
     with np.errstate(over="ignore", invalid="ignore"):
-        xv = (np.conj(e) * v) @ sys.X0.T
-        # e first: numpy's complex product is not bitwise commutative, and
-        # `e * <temporary>` would be evaluated in place as temporary * e
-        np.multiply(e, xv, out=xv)
-        mean = (v.conj() @ xv[..., None])[..., 0]
-        second = (xv.conj()[..., None, :] @ xv[..., :, None])[..., 0, 0].real
+        y = (w.reshape(-1, v.size) @ sys.X0.T).reshape(w.shape)
+        # w is spent once y is formed, so it is conjugated in place
+        mean = (np.conj(w, out=w)[..., None, :] @ y[..., :, None])[..., 0, 0]
+        # |y|^2 as a real dot product of the interleaved real and imaginary parts
+        yf = y.view(float)
+        second = (yf[..., None, :] @ yf[..., :, None])[..., 0, 0]
         variance = second - mean.real ** 2
     if not (np.isfinite(mean).all() and np.isfinite(variance).all()):
         raise EvaluationError("the moments <X> and <X^2> overflow: "

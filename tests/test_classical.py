@@ -12,7 +12,6 @@ from bitempo.core import (
     Grid2T,
     Tolerances,
     TruncationError,
-    null_space,
 )
 
 TOL = Tolerances()

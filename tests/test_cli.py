@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -498,6 +500,29 @@ n2 = 5
         assert capsys.readouterr().err == f"domain error: {message}"
         assert os.listdir(tmp_path) == ["vast.ini"]
 
+    @pytest.mark.parametrize("command, sections, axis, ends", [
+        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
+         + GRID.replace("t2_min = 0", "t2_min = -1e308").replace("t2_max = 1", "t2_max = 1e308"),
+         "t2", "[-1e+308, 1e+308]"),
+        ("continuity", GRID + "x_min = -1e308\nx_max = 1e308\nnx = 5\n", "x",
+         "[-1e+308, 1e+308]"),
+    ], ids=["fluct_t2", "continuity_x"])
+    def test_grid_span_overflow_rejected(self, tmp_path, capsys, monkeypatch, command, sections,
+                                         axis, ends):
+        # both ends are finite, so only the span check stops the run before
+        # linspace warns about the overflowing spacing
+        config = write(tmp_path, "wide.ini", f"[scenario]\ncommand = {command}\n{sections}")
+        forbid_runner(monkeypatch, command)
+        message = f"{axis} axis span max - min overflows: got {ends}\n"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["validate", "--config", config]) == 2
+            assert capsys.readouterr().err == f"invalid: {message}"
+            assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 3
+            assert capsys.readouterr().err == f"domain error: {message}"
+        assert [str(w.message) for w in caught] == []
+        assert os.listdir(tmp_path) == ["wide.ini"]
+
     @pytest.mark.parametrize("name, key", output_keys())
     @pytest.mark.parametrize("value", ["", "sub/"], ids=["empty", "directory"])
     def test_output_name_rejected_in_parse(self, tmp_path, capsys, monkeypatch, name, key,
@@ -526,6 +551,25 @@ n2 = 5
 
     def test_no_subcommand_exits_2(self):
         assert cli.main([]) == 2
+
+    def test_repeated_calls_share_one_parser(self, tmp_path):
+        # a run, a usage error and a validate in one process: each keeps its
+        # exit code and writes to the streams redirected at that moment
+        config = scenario_path("uncertainty_worked.ini")
+        calls = [
+            (["uncertainty", "--config", config, "--out", str(tmp_path)], 0,
+             '"command": "uncertainty"', None),
+            (["uncertainty", "--out", str(tmp_path)], 2,
+             None, "the following arguments are required: --config"),
+            (["validate", "--config", config], 0, "ok\n", None),
+        ]
+        for argv, code, out_part, err_part in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert cli.main(argv) == code
+            for stream, part in ((out, out_part), (err, err_part)):
+                assert part in stream.getvalue() if part else stream.getvalue() == ""
+        assert cli._parser() is cli._parser()
 
     def test_integrate_takes_at_most_two_derivatives(self, tmp_path, monkeypatch):
         calls = []

@@ -159,6 +159,21 @@ class TestTypes:
         with pytest.raises(DomainError):
             Grid2T(0, 1, 0, 1, 5, 5, x_min=0.0)
 
+    @pytest.mark.parametrize("kwargs, axis", [
+        (dict(t1_min=-1e308, t1_max=1e308), "t1"),
+        (dict(t2_min=-1e308, t2_max=1e308), "t2"),
+        (dict(x_min=-1.5e308, x_max=1e308, nx=5), "x"),
+    ], ids=["t1", "t2", "x"])
+    def test_grid_span_overflow_names_axis(self, kwargs, axis):
+        # both ends are finite, but max - min is not, nor is the spacing
+        args = dict(t1_min=0, t1_max=1, t2_min=0, t2_max=1, n1=5, n2=5)
+        with pytest.raises(DomainError, match=rf"^{axis} axis span max - min overflows"):
+            Grid2T(**{**args, **kwargs})
+
+    def test_grid_widest_finite_span_accepted(self):
+        g = Grid2T(-8e307, 8e307, 0, 1, 5, 5)
+        assert np.isfinite(g.t1_values).all() and math.isfinite(g.d1)
+
     def test_grid_values_and_spacing(self):
         g = Grid2T(0, 1, 0, 2, 5, 3, x_min=-1, x_max=1, nx=11)
         assert g.d1 == pytest.approx(0.25)

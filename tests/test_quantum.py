@@ -18,6 +18,14 @@ def random_system(rng, n=4):
     return q.TwoTimeQuantumSystem(e1, e2, x)
 
 
+def degenerate_system(rng):
+    """Six levels: pairs degenerate in both generators, and one pair
+    degenerate in E1 only."""
+    x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    return q.TwoTimeQuantumSystem([0.5, 0.5, -1.0, 2.0, 2.0, 0.5],
+                                  [1.0, 1.0, 0.3, -0.7, 1.2, 1.0], 0.5 * (x + x.conj().T))
+
+
 def measure_swept_phase(budget, samples=4001):
     """Brute-force oracle: unwrap the phase of the evolved element along the
     ray to t and count real/imaginary sign changes as a cross-check."""
@@ -225,43 +233,47 @@ class TestVarianceTrace:
                 assert abs(second - trace.second_moment[i, j]) < 1e-10
 
     def test_matches_per_point_loop(self):
-        # reference: the per-point loop the closed form replaced
-        rng = np.random.default_rng(11)
-        sys_ = random_system(rng, n=32)
-        psi = q.StateVector.normalized(rng.normal(size=32) + 1j * rng.normal(size=32))
-        hbar = 0.7
-        grid = Grid2T(-1, 2, 0, 3, 6, 5)
-        trace = q.variance_trace(sys_, psi, grid, hbar)
-        tol = 1e-12 * max(1.0, np.linalg.norm(sys_.X0) ** 2)
-        d1, d2 = sys_.spacing_matrices()
-        for i, t1 in enumerate(grid.t1_values):
-            for j, t2 in enumerate(grid.t2_values):
-                xv = (sys_.X0 * np.exp(1j * (d1 * t1 + d2 * t2) / hbar)) @ psi.psi
-                mean = np.vdot(psi.psi, xv)
-                second = np.vdot(xv, xv).real
-                assert abs(mean - trace.mean[i, j]) < tol
-                assert abs(second - trace.second_moment[i, j]) < tol
-                assert abs(second - mean.real ** 2 - trace.variance[i, j]) < tol
+        # reference: the per-point loop the closed form replaced, on a random
+        # spectrum and on a degenerate one with hbar != 1
+        for seed, make, hbar in ((11, lambda rng: random_system(rng, n=32), 0.7),
+                                 (12, degenerate_system, 1.9)):
+            rng = np.random.default_rng(seed)
+            sys_ = make(rng)
+            n = sys_.n_levels
+            psi = q.StateVector.normalized(rng.normal(size=n) + 1j * rng.normal(size=n))
+            grid = Grid2T(-1, 2, 0, 3, 6, 5)
+            trace = q.variance_trace(sys_, psi, grid, hbar)
+            tol = 1e-12 * max(1.0, np.linalg.norm(sys_.X0) ** 2)
+            d1, d2 = sys_.spacing_matrices()
+            for i, t1 in enumerate(grid.t1_values):
+                for j, t2 in enumerate(grid.t2_values):
+                    xv = (sys_.X0 * np.exp(1j * (d1 * t1 + d2 * t2) / hbar)) @ psi.psi
+                    mean = np.vdot(psi.psi, xv)
+                    second = np.vdot(xv, xv).real
+                    assert abs(mean - trace.mean[i, j]) < tol
+                    assert abs(second - trace.second_moment[i, j]) < tol
+                    assert abs(second - mean.real ** 2 - trace.variance[i, j]) < tol
 
-    def test_conjugate_phases_match_second_exp(self):
-        # reference: the conjugate phases taken from a second complex exp; the
-        # moments must agree bit for bit
+    def test_per_axis_tables_match_inline_construction(self):
+        # reference: D^dagger psi from one phase table per time axis, then
+        # y = X0 w, <X> = w^dagger y and <X^2> = |y|^2; the moments must agree
+        # bit for bit
         rng = np.random.default_rng(21)
         sys_ = random_system(rng, n=32)
         psi = q.StateVector.normalized(rng.normal(size=32) + 1j * rng.normal(size=32))
         hbar = 0.8
         grid = Grid2T(0, 2, -1, 1, 101, 101)
         trace = q.variance_trace(sys_, psi, grid, hbar)
-        phase = (np.multiply.outer(grid.t1_values, sys_.E1)[:, None, :]
-                 + np.multiply.outer(grid.t2_values, sys_.E2)[None, :, :]) / hbar
-        conjugate = np.exp(-1j * phase)
-        product = (conjugate * psi.psi) @ sys_.X0.T
-        phases = np.exp(1j * phase)
-        xv = phases * product
-        mean = (psi.psi.conj() @ xv[..., None])[..., 0]
-        second = (xv.conj()[..., None, :] @ xv[..., :, None])[..., 0, 0].real
+        d1 = np.exp(-1j * (np.multiply.outer(grid.t1_values, sys_.E1) / hbar))
+        d2 = np.exp(-1j * (np.multiply.outer(grid.t2_values, sys_.E2) / hbar))
+        w = d1[:, None, :] * (d2 * psi.psi)
+        y = (w.reshape(-1, 32) @ sys_.X0.T).reshape(w.shape)
+        mean = (w.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
+        yf = y.view(float)
+        second = (yf[..., None, :] @ yf[..., :, None])[..., 0, 0]
         assert trace.mean.tobytes() == mean.tobytes()
         assert trace.second_moment.tobytes() == second.tobytes()
+        assert trace.variance.tobytes() == (second - mean.real ** 2).tobytes()
 
     def test_degenerate_pairs_kept(self):
         # identical spectra in both generators: evolution is trivial but the
