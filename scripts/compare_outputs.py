@@ -9,7 +9,9 @@ tree's ``src``.  Each run compares the exit code, stdout, every data file
 byte for byte and the report's ``comparable`` section, and prints one line.
 A line for a run that differs ends with the largest absolute difference
 between the numbers at the same place (same key path, or same row and
-column) in the ``comparable`` sections and the data files of both trees.
+column) in the ``comparable`` sections and the data files of both trees,
+that difference relative to the revision's value, the file and place where
+it lies, and both values.
 The exit status is 1 if any run differs, 0 otherwise.  All output stays in
 the temporary directory, which is removed at the end.
 """
@@ -101,27 +103,39 @@ def numbers(name: str, data: bytes, report: str) -> dict:
     return out
 
 
-def largest_difference(a: dict, b: dict) -> float:
-    """Largest |a - b| over the places both hold a number; a NaN against a
-    number counts as inf."""
-    largest = 0.0
-    for place in a.keys() & b.keys():
+def largest_difference(a: dict, b: dict):
+    """(|a - b|, place) of the largest difference over the places both hold a
+    number, or None when they agree; a NaN against a number counts as inf."""
+    largest = None
+    for place in sorted(a.keys() & b.keys(), key=str):
         x, y = a[place], b[place]
         if x == y or (math.isnan(x) and math.isnan(y)):
             continue
         d = abs(x - y)
-        largest = max(largest, math.inf if math.isnan(d) else d)
+        d = math.inf if math.isnan(d) else d
+        if largest is None or d > largest[0]:
+            largest = (d, place)
     return largest
 
 
+def describe(name: str, place, d: float, old: float, new: float) -> str:
+    """Where a difference d = |new - old| lies and how large it is, absolute
+    and relative to the old value."""
+    where = (f"{name} row {place[0]}, column {place[1]}" if name.endswith(".csv")
+             else f"{name} {'.'.join(str(p) for p in place)}")
+    rel = d / abs(old) if old != 0 else math.inf
+    return (f"largest difference {d:.3g} ({rel:.2g} relative) at {where}: "
+            f"{old!r} -> {new!r}")
+
+
 def differences(config: str, a, b):
-    """(what differs between two runs of one config, the largest numeric
-    difference in the files both wrote)."""
+    """(what differs between two runs of one config, a description of the
+    largest numeric difference in the files both wrote, or None)."""
     _, report = scenario_names(config)
     found = [what for what, i in (("exit code", 0), ("stdout", 1)) if a[i] != b[i]]
     files_a, files_b = a[2], b[2]
     found += [f"only one tree wrote {name}" for name in sorted(set(files_a) ^ set(files_b))]
-    largest = 0.0
+    largest = None
     for name in sorted(set(files_a) & set(files_b)):
         if name == report:
             same = (json.loads(files_a[name])["comparable"]
@@ -130,9 +144,13 @@ def differences(config: str, a, b):
             same = files_a[name] == files_b[name]
         if not same:
             found.append(f"{name} comparable" if name == report else name)
-            largest = max(largest, largest_difference(numbers(name, files_a[name], report),
-                                                      numbers(name, files_b[name], report)))
-    return found, largest
+            old = numbers(name, files_a[name], report)
+            new = numbers(name, files_b[name], report)
+            here = largest_difference(old, new)
+            if here is not None and (largest is None or here[0] > largest[0]):
+                d, place = here
+                largest = (d, describe(name, place, d, old[place], new[place]))
+    return found, largest[1] if largest else None
 
 
 def main(argv=None) -> int:
@@ -156,7 +174,8 @@ def main(argv=None) -> int:
                 found, largest = differences(config, old, new)
                 differ += bool(found)
                 label = f"{os.path.basename(config)} {fmt} (exit {new[0]})"
-                print(f"DIFF  {label}: {', '.join(found)}; largest difference {largest:.3g}"
+                print(f"DIFF  {label}: {', '.join(found)}; "
+                      f"{largest or 'no numeric difference'}"
                       if found else f"same  {label}")
     print(f"{len(configs) * len(FORMATS) - differ} of {len(configs) * len(FORMATS)} runs "
           f"identical to {args.rev}")

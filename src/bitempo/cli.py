@@ -680,8 +680,10 @@ def _run_continuity(tol, grid, source):
         "grid": [grid.nx, grid.n1, grid.n2],
     }
     if source.startswith("builtin"):
+        refined = grid.refined()
+        payload["grid_refined"] = [refined.nx, refined.n1, refined.n2]
         fine, _ = continuity.manufactured_current(
-            grid.refined(), with_source=source == "builtin-sourced")
+            refined, with_source=source == "builtin-sourced")
         fine_report = continuity.charges(fine, tol=tol)
         payload["dQ1_residual_refined"] = fine_report.dQ1_residual
         payload["dQ2_residual_refined"] = fine_report.dQ2_residual

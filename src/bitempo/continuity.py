@@ -28,9 +28,8 @@ __all__ = [
     "separability_check",
     "ehrenfest_limit_residual",
     "manufactured_current",
+    "trapezoid_weights",
 ]
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 # largest separability fit residual ehrenfest_limit_residual accepts
 EHRENFEST_SEPARABLE_TOL = 1e-8
@@ -40,7 +39,11 @@ SOURCE_STRENGTH = 0.1
 
 @dataclass(frozen=True)
 class CurrentField:
-    """Sampled current components over (x, t1, t2), indexed [ix, i1, i2]."""
+    """Sampled current components over (x, t1, t2), indexed [ix, i1, i2].
+
+    Each component is stored as a float64 array; a complex or non-numeric
+    component is a DomainError.
+    """
 
     grid: Grid2T
     j1: np.ndarray
@@ -51,12 +54,19 @@ class CurrentField:
         if not self.grid.has_space:
             raise DomainError("current fields need a grid with a space axis")
         shape = (self.grid.nx, self.grid.n1, self.grid.n2)
-        for name, arr in (("j1", self.j1), ("j2", self.j2), ("j_space", self.j_space)):
-            a = np.asarray(arr)
+        for name in ("j1", "j2", "j_space"):
+            a = np.asarray(getattr(self, name))
+            if np.iscomplexobj(a):
+                raise DomainError(f"{name} is complex; current components are real")
             if a.shape != shape:
                 raise DomainError(f"{name} has shape {a.shape}, expected {shape}")
+            try:
+                a = a.astype(np.float64, copy=False)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"{name} is not numeric: {exc}") from exc
             if not np.all(np.isfinite(a)):
                 raise DomainError(f"{name} contains non-finite samples")
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)
@@ -99,6 +109,16 @@ class EhrenfestReport:
     separability_residual: float
 
 
+def trapezoid_weights(v) -> np.ndarray:
+    """Weights w for which ``w @ f`` is the trapezoid rule on samples f at
+    the points v: half of each neighbouring interval."""
+    dv = 0.5 * np.diff(np.asarray(v, dtype=float))
+    w = np.zeros(len(dv) + 1)
+    w[:-1] += dv
+    w[1:] += dv
+    return w
+
+
 def charges(j: CurrentField, alpha: float = 1.0, beta: float = 1.0,
             normalize: bool = True, tol: Tolerances = Tolerances()) -> ChargeReport:
     """Integrate the two charges and their conservation residuals.
@@ -107,11 +127,13 @@ def charges(j: CurrentField, alpha: float = 1.0, beta: float = 1.0,
     reported as warnings and shows up in the residuals rather than aborting.
     With ``normalize`` the combination constants are rescaled so the total
     charge is 1 at the grid origin (skipped when that value is zero, e.g.
-    for the zero current).
+    for the zero current).  Each double integral contracts its component
+    with the trapezoid weights of x, then of the other time, in one pass
+    over the component.
     """
     g = j.grid
-    xv, t1v, t2v = g.x_values, g.t1_values, g.t2_values
-    scale = max(float(np.max(np.abs(a))) for a in (j.j1, j.j2, j.j_space))
+    wx, w1, w2 = (trapezoid_weights(v) for v in (g.x_values, g.t1_values, g.t2_values))
+    scale = max(max(float(a.max()), -float(a.min())) for a in (j.j1, j.j2, j.j_space))
     scale = max(scale, 1e-300)
 
     warnings = []
@@ -124,8 +146,10 @@ def charges(j: CurrentField, alpha: float = 1.0, beta: float = 1.0,
         if worst > tol.abs_tol * scale:
             warnings.append(f"{what} does not vanish (max {worst:.3e}, scale {scale:.3e})")
 
-    q1 = _trapz(_trapz(j.j1, t2v, axis=2), xv, axis=0)
-    q2 = _trapz(_trapz(j.j2, t1v, axis=1), xv, axis=0)
+    # the x integral as an einsum: a BLAS vector-matrix product over the
+    # leading axis can be many times slower when BLAS runs threaded
+    q1 = np.einsum("i,ijk->jk", wx, j.j1) @ w2
+    q2 = w1 @ np.einsum("i,ijk->jk", wx, j.j2)
     dq1 = float(np.max(np.abs((q1[2:] - q1[:-2]) / (2.0 * g.d1))))
     dq2 = float(np.max(np.abs((q2[2:] - q2[:-2]) / (2.0 * g.d2))))
 
@@ -251,9 +275,14 @@ def manufactured_current(grid: Grid2T, with_source: bool = False):
     sp = (np.pi * np.sin(2.0 * np.pi * u2) * (1.0 - 0.2 * u2)
           - 0.2 * np.sin(np.pi * u2) ** 2) / length2
 
-    j1 = w * r * sp + 0.3 * (w + x * wp) * r * np.cos(t2)
-    j2 = -w * rp * s + 0.2 * wp * s * (1.0 + 0.5 * np.sin(t1))
-    jx = 0.3 * x * w * rp * np.cos(t2) + 0.2 * w * sp * (1.0 + 0.5 * np.sin(t1))
+    # each component is a sum of products of one-axis factors; grouping them
+    # first leaves one full-grid broadcast product for j1 and one for j2
+    j1 = r * (w * sp + 0.3 * (w + x * wp) * np.cos(t2))
+    j2 = s * (-w * rp + 0.2 * wp * (1.0 + 0.5 * np.sin(t1)))
+    # jx = A(x, t1) cos(t2) + B(x, t1) sp(t2) is a rank-two product: one
+    # matmul writes it with no full-grid temporary
+    jx = (np.concatenate((0.3 * x * w * rp, 0.2 * w * (1.0 + 0.5 * np.sin(t1))), axis=2)
+          @ np.concatenate((np.cos(t2[0]), sp[0])))
 
     ix_integral = 0.5 * math.sqrt(math.pi) * (math.erf(grid.x_max) - math.erf(grid.x_min))
     it2_integral = 0.5 * length2

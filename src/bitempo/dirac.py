@@ -31,7 +31,8 @@ from .core import (
     finite_power,
     null_space,
 )
-from .continuity import CurrentField, SeparabilityReport, _trapz, charges, separability_check
+from .continuity import (CurrentField, SeparabilityReport, charges, separability_check,
+                         trapezoid_weights)
 
 __all__ = [
     "GammaSet",
@@ -385,14 +386,14 @@ def dirac_density_separability(sol: PlaneWaveSolution, grid: Grid2T,
     if not grid.has_space:
         raise DomainError("density separability needs a grid with a space axis")
     j1, j2, j3 = current_grid(sol, grid, part)
-    rho1 = _trapz(j1, grid.t2_values, axis=2)
-    rho2 = _trapz(j2, grid.t1_values, axis=1)
+    wx, w1, w2 = (trapezoid_weights(v) for v in (grid.x_values, grid.t1_values, grid.t2_values))
+    rho1 = j1 @ w2
+    rho2 = w1 @ j2
     rho = rho1[:, :, None] + rho2[:, None, :]
     sep = separability_check(rho, tol)
-    total = _trapz(rho, grid.x_values, axis=0)
+    total = np.einsum("i,ijk->jk", wx, rho)
     total_fit = separability_check(total, tol)
-    field = CurrentField(grid=grid, j1=np.asarray(j1), j2=np.asarray(j2),
-                         j_space=np.asarray(j3))
+    field = CurrentField(grid=grid, j1=j1, j2=j2, j_space=j3)
     report = charges(field, tol=tol)
     return DensityReport(rho=rho, separability=sep, total_fit=total_fit,
                          charge_report=report)

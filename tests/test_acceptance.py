@@ -30,8 +30,6 @@ from test_classical import tuned_affine_force
 from test_dirac import divergence, random_on_shell
 from test_quantum import measure_swept_phase
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 
 def report(num, ok, desc):
     line = f"criterion {num:02d} {'PASS' if ok else 'FAIL'} - {desc}"

@@ -313,6 +313,15 @@ report = from_file_report.json
         with open(tmp_path / "from_file_report.json") as fh:
             payload = json.load(fh)["comparable"]["results"]
         assert "dQ1_residual" in payload
+        # a file source is integrated on its own grid only
+        assert payload["grid"] == [cfg.getint("grid", k) for k in ("nx", "n1", "n2")]
+        assert "grid_refined" not in payload
+
+    def test_builtin_source_reports_refined_grid(self, tmp_path):
+        report = cli.run_scenario(scenario_path("continuity_manufactured.ini"), str(tmp_path))
+        results = report["comparable"]["results"]
+        nx, n1, n2 = results["grid"]
+        assert results["grid_refined"] == [2 * nx - 1, 2 * n1 - 1, 2 * n2 - 1]
 
 
 class TestExitCodes:

@@ -1,0 +1,45 @@
+"""The output comparison script names where its largest difference lies."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+_spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+
+def run(stdout, files):
+    return 0, stdout, files
+
+
+def test_same_runs_report_nothing(tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text("[scenario]\ncommand = continuity\n")
+    a = run(b"x\n", {"t.csv": b"t,Q\n0,1\n"})
+    assert compare_outputs.differences(str(config), a, a) == ([], None)
+
+
+def test_largest_difference_names_report_key(tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text("[scenario]\ncommand = continuity\n[output]\nreport = r.json\n")
+    old = {"comparable": {"results": {"ratio": 4.0, "same": 1.0}}}
+    new = {"comparable": {"results": {"ratio": 4.000002, "same": 1.0}}}
+    found, largest = compare_outputs.differences(
+        str(config),
+        run(b"", {"r.json": json.dumps(old).encode(), "t.csv": b"t,Q\n0,1\n1,2\n"}),
+        run(b"", {"r.json": json.dumps(new).encode(), "t.csv": b"t,Q\n0,1\n1,2.0000001\n"}))
+    assert found == ["r.json comparable", "t.csv"]
+    assert largest.startswith("largest difference 2e-06 (5e-07 relative) at r.json results.ratio: ")
+    assert largest.endswith("4.0 -> 4.000002")
+
+
+def test_largest_difference_names_csv_cell(tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text("[scenario]\ncommand = continuity\n")
+    found, largest = compare_outputs.differences(
+        str(config), run(b"", {"t.csv": b"t,Q\n0,1\n1,0\n"}),
+        run(b"", {"t.csv": b"t,Q\n0,1\n1,3e-17\n"}))
+    assert found == ["t.csv"]
+    assert largest == "largest difference 3e-17 (inf relative) at t.csv row 2, column 1: 0.0 -> 3e-17"

@@ -5,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 from bitempo import continuity as ct
 from bitempo.core import DomainError, Grid2T
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 
 def space_grid(n1=41, n2=41, nx=61):
     return Grid2T(0.0, 2.0, 0.0, 3.0, n1, n2, x_min=-6.0, x_max=6.0, nx=nx)
@@ -22,14 +20,114 @@ def separable_density(grid):
     t1 = grid.t1_values[None, :, None]
     t2 = grid.t2_values[None, None, :]
     rho1 = np.exp(-(x - 0.3 * np.sin(t1)) ** 2)
-    rho1 = rho1 / _trapz(rho1, grid.x_values, axis=0)[None, :, :]
+    rho1 = rho1 / np.trapezoid(rho1, grid.x_values, axis=0)[None, :, :]
     rho2 = np.exp(-((x - 0.5) / (1.0 + 0.2 * np.cos(t2))) ** 2)
-    rho2 = rho2 / _trapz(rho2, grid.x_values, axis=0)[None, :, :]
+    rho2 = rho2 / np.trapezoid(rho2, grid.x_values, axis=0)[None, :, :]
     return np.broadcast_to(0.6 * rho1, (grid.nx, grid.n1, grid.n2)).copy() \
         + np.broadcast_to(0.4 * rho2, (grid.nx, grid.n1, grid.n2))
 
 
+def parent_manufactured_current(grid, with_source=False):
+    """The manufactured current written term by term, as each component
+    reads before factoring: (j1, j2, jx)."""
+    x = grid.x_values[:, None, None]
+    t1 = grid.t1_values[None, :, None]
+    t2 = grid.t2_values[None, None, :]
+    length1, length2 = grid.t1_max - grid.t1_min, grid.t2_max - grid.t2_min
+    u1 = (t1 - grid.t1_min) / length1
+    u2 = (t2 - grid.t2_min) / length2
+    w = np.exp(-x ** 2)
+    wp = -2.0 * x * w
+    r = np.sin(np.pi * u1) ** 2 * (1.0 + 0.3 * u1)
+    rp = (np.pi * np.sin(2.0 * np.pi * u1) * (1.0 + 0.3 * u1)
+          + 0.3 * np.sin(np.pi * u1) ** 2) / length1
+    s = np.sin(np.pi * u2) ** 2 * (1.0 - 0.2 * u2)
+    sp = (np.pi * np.sin(2.0 * np.pi * u2) * (1.0 - 0.2 * u2)
+          - 0.2 * np.sin(np.pi * u2) ** 2) / length2
+    j1 = w * r * sp + 0.3 * (w + x * wp) * r * np.cos(t2)
+    j2 = -w * rp * s + 0.2 * wp * s * (1.0 + 0.5 * np.sin(t1))
+    jx = 0.3 * x * w * rp * np.cos(t2) + 0.2 * w * sp * (1.0 + 0.5 * np.sin(t1))
+    if with_source:
+        j1 = j1 + (ct.SOURCE_STRENGTH * np.sin(np.pi * u1) ** 2 * w
+                   * (0.5 + 0.3 * np.cos(2.0 * np.pi * u2)))
+    return j1, j2, jx
+
+
+# strictly increasing axes with uneven spacing
+uneven_axes = st.tuples(
+    st.floats(-5.0, 5.0),
+    st.lists(st.floats(0.01, 1.0), min_size=1, max_size=40),
+).map(lambda a: a[0] + np.concatenate(([0.0], np.cumsum(a[1]))))
+
+
+class TestTrapezoidWeights:
+    @given(uneven_axes, st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_numpy_trapezoid(self, v, seed):
+        f = np.random.default_rng(seed).normal(size=v.size)
+        w = ct.trapezoid_weights(v)
+        assert w.shape == v.shape
+        assert abs(w @ f - np.trapezoid(f, v)) <= 1e-14 * np.sum(np.abs(f))
+
+    def test_exact_for_linear_on_uniform_axis(self):
+        v = np.linspace(-1.5, 2.5, 17)
+        a, b = 0.75, -1.25
+        exact = a * (v[-1] - v[0]) + 0.5 * b * (v[-1] ** 2 - v[0] ** 2)
+        assert ct.trapezoid_weights(v) @ (a + b * v) == pytest.approx(exact, rel=1e-15)
+
+    def test_single_point_has_zero_weight(self):
+        np.testing.assert_array_equal(ct.trapezoid_weights([2.0]), [0.0])
+
+
+class TestCurrentFieldInput:
+    def test_lists_are_stored_as_float_arrays(self):
+        grid = space_grid(5, 5, 7)
+        current, _ = ct.manufactured_current(grid)
+        listed = ct.CurrentField(grid=grid, j1=current.j1.tolist(), j2=current.j2.tolist(),
+                                 j_space=current.j_space.tolist())
+        for name in ("j1", "j2", "j_space"):
+            stored = getattr(listed, name)
+            assert isinstance(stored, np.ndarray) and stored.dtype == np.float64
+        np.testing.assert_array_equal(ct.charges(listed).Q1, ct.charges(current).Q1)
+
+    @pytest.mark.parametrize("name", ["j1", "j2", "j_space"])
+    def test_complex_component_rejected(self, name):
+        grid = space_grid(5, 5, 7)
+        zero = np.zeros((grid.nx, grid.n1, grid.n2))
+        parts = {"j1": zero, "j2": zero, "j_space": zero, name: zero + 1j}
+        with pytest.raises(DomainError, match=name):
+            ct.CurrentField(grid=grid, **parts)
+
+    def test_non_numeric_component_rejected(self):
+        grid = space_grid(3, 3, 3)
+        zero = np.zeros((grid.nx, grid.n1, grid.n2))
+        with pytest.raises(DomainError, match="j2"):
+            ct.CurrentField(grid=grid, j1=zero, j2=np.full(zero.shape, "a"), j_space=zero)
+
+
 class TestCharges:
+    def test_matches_nested_trapezoid(self):
+        # a non-separable current on uneven extents
+        rng = np.random.default_rng(11)
+        grid = Grid2T(-0.5, 1.7, 0.2, 2.9, 9, 13, x_min=-3.0, x_max=4.0, nx=11)
+        j1, j2, jx = (rng.normal(size=(grid.nx, grid.n1, grid.n2)) for _ in range(3))
+        report = ct.charges(ct.CurrentField(grid=grid, j1=j1, j2=j2, j_space=jx),
+                            normalize=False)
+        scale = max(np.max(np.abs(a)) for a in (j1, j2, jx))
+        q1 = np.trapezoid(np.trapezoid(j1, grid.t2_values, axis=2), grid.x_values, axis=0)
+        q2 = np.trapezoid(np.trapezoid(j2, grid.t1_values, axis=1), grid.x_values, axis=0)
+        np.testing.assert_allclose(report.Q1, q1, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(report.Q2, q2, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("with_source", [False, True])
+    def test_manufactured_matches_term_by_term(self, with_source):
+        grid = Grid2T(0.0, 2.3, -0.4, 3.1, 17, 23, x_min=-5.0, x_max=3.5, nx=29)
+        current, _ = ct.manufactured_current(grid, with_source=with_source)
+        for got, want in zip((current.j1, current.j2, current.j_space),
+                             parent_manufactured_current(grid, with_source)):
+            ulp = np.spacing(np.max(np.abs(want)))
+            np.testing.assert_allclose(got, want, rtol=0, atol=8 * ulp)
+
     def test_zero_current(self):
         grid = space_grid(5, 5, 7)
         zero = np.zeros((grid.nx, grid.n1, grid.n2))
