@@ -364,8 +364,10 @@ def check_surface(F: ForceTensorField, surface: TrajectorySurface,
 
     One batched FD derivative at the sampled positions serves both checks.
     grad x is a central difference of the dense surface evaluator with step
-    fd_step * max(1, extent) along each time axis.  A complex characteristic
-    raises at the first interior point in row-major order.
+    fd_step * max(1, extent) along each time axis; a DomainError naming
+    fd_step is raised, before any is evaluated, when those points leave the
+    integrated s range.  A complex characteristic raises at the first
+    interior point in row-major order.
     """
     if F.d != 1:
         raise DomainError(f"check_surface needs a one-dimensional force, got d={F.d}")
@@ -378,10 +380,16 @@ def check_surface(F: ForceTensorField, surface: TrajectorySurface,
     T1, T2 = np.meshgrid(grid.t1_values[1:-1], grid.t2_values[1:-1], indexing="ij")
     step1 = tol.fd_step * max(1.0, abs(grid.t1_max - grid.t1_min))
     step2 = tol.fd_step * max(1.0, abs(grid.t2_max - grid.t2_min))
-    grad = np.stack([
-        (surface.position(T1 + step1, T2) - surface.position(T1 - step1, T2)) / (2 * step1),
-        (surface.position(T1, T2 + step2) - surface.position(T1, T2 - step2)) / (2 * step2),
-    ], axis=-1)
+    sol = surface.solution
+    stencil = np.stack([surface.s_of(T1 + step1, T2), surface.s_of(T1 - step1, T2),
+                        surface.s_of(T1, T2 + step2), surface.s_of(T1, T2 - step2)])
+    if not sol.covers(stencil):
+        raise DomainError(
+            f"fd_step = {tol.fd_step:g} puts the finite-difference points of grad x at s in "
+            f"[{stencil.min():g}, {stencil.max():g}]: query outside integrated range "
+            f"[{sol.knot_s[0]:g}, {sol.knot_s[-1]:g}]")
+    xp1, xm1, xp2, xm2 = (sol.evaluate(s)[0] for s in stencil)
+    grad = np.stack([(xp1 - xm1) / (2 * step1), (xp2 - xm2) / (2 * step2)], axis=-1)
     norm = np.sqrt(_rowdot(vec, vec))
     moving = norm > 0
     ortho = (np.abs(_rowdot(vec, grad))[moving]
@@ -450,13 +458,18 @@ class _RankOneSolution:
         self.knot_x = np.asarray(xs)[order]
         self.knot_v = np.asarray(vs)[order]
 
+    def covers(self, s) -> bool:
+        """Whether every parameter of the array s lies in the integrated
+        range, up to 1e-12."""
+        return not (np.any(s < self.knot_s[0] - 1e-12) or np.any(s > self.knot_s[-1] + 1e-12))
+
     def evaluate(self, s):
         """X and X' at arbitrary parameters inside the integrated range."""
         s_arr = np.asarray(s, dtype=float)
         flat = np.atleast_1d(s_arr).ravel()
-        lo, hi = self.knot_s[0], self.knot_s[-1]
-        if np.any(flat < lo - 1e-12) or np.any(flat > hi + 1e-12):
-            raise DomainError(f"query outside integrated range [{lo:g}, {hi:g}]")
+        if not self.covers(flat):
+            raise DomainError(f"query outside integrated range "
+                              f"[{self.knot_s[0]:g}, {self.knot_s[-1]:g}]")
         idx = np.clip(np.searchsorted(self.knot_s, flat, side="right") - 1,
                       0, len(self.knot_s) - 1)
         xo, vo = _rk4(self.g, self.knot_x[idx], self.knot_v[idx], flat - self.knot_s[idx])

@@ -7,9 +7,9 @@ bit-identical across repeated runs (timestamps and durations live in
 "meta"), plus optional delimited data files with one-line headers and
 17-significant-digit floats.
 
-Exit codes: 0 success, 2 usage or unreadable/unrecognized config,
-3 domain or precondition error (including missing parameter keys),
-4 numerical failure.
+Exit codes: 0 success, 2 usage, unreadable/unrecognized config or an
+output file that cannot be written, 3 domain or precondition error
+(including missing parameter keys), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import classical, continuity, dirac, quantum
 from .core import (
     BitempoError,
     ConfigError,
@@ -42,6 +41,8 @@ from .core import (
 __all__ = ["main", "run_scenario", "validate_config", "load_config", "COMMANDS"]
 
 FORCE_FAMILIES = ("rank_one", "polynomial", "affine", "zero")
+
+FORMATS = ("csv", "json")
 
 _REQUIRED = object()
 
@@ -157,7 +158,10 @@ def _integrate_force(cfg):
     return _rank_one_c(cfg), _g_poly(cfg)
 
 
-def _force(cfg) -> classical.ForceTensorField:
+def _force(cfg):
+    """The classical.ForceTensorField of the [force] section."""
+    from . import classical
+
     family = _get(cfg, "force", "family")
     if family not in FORCE_FAMILIES:
         raise DomainError(
@@ -210,7 +214,9 @@ def _initial(cfg):
     return _get(cfg, "initial", "x0", _float), _get(cfg, "initial", "v0", _float)
 
 
-def _budget(cfg) -> quantum.UncertaintyBudget:
+def _budget(cfg):
+    from . import quantum
+
     return quantum.UncertaintyBudget(
         dE1=_get(cfg, "budget", "de1", _float),
         dE2=_get(cfg, "budget", "de2", _float),
@@ -223,6 +229,8 @@ def _budget(cfg) -> quantum.UncertaintyBudget:
 
 def _quantum_system(cfg):
     """The size-checked quantum-fluct system, initial state and hbar."""
+    from . import quantum
+
     e1 = _get(cfg, "system", "e1", _floats)
     e2 = _get(cfg, "system", "e2", _floats)
     n = len(e1)
@@ -300,10 +308,26 @@ def _file_name(raw: str) -> str:
     return raw
 
 
-def _outputs(cfg) -> dict:
-    """The file names the [output] section sets, by key."""
+def _outputs(cfg, formats=FORMATS) -> dict:
+    """(report name, data table name or None) of cfg's command under each
+    of formats, by format.  Every [output] key must hold a file name; under
+    json a table's .csv becomes .json.  A table that would replace the
+    report under one of formats is refused."""
     keys = cfg.options("output") if cfg.has_section("output") else ()
-    return {key: _get(cfg, "output", key, _file_name) for key in keys}
+    given = {key: _get(cfg, "output", key, _file_name) for key in keys}
+    report = given.get("report", "report.json")
+    key, default = _TABLES.get(cfg.get("scenario", "command"), (None, None))
+    table = given.get(key, default)
+    names = {}
+    for fmt in formats:
+        name = table
+        if fmt == "json" and table is not None and table.endswith(".csv"):
+            name = table[:-4] + ".json"
+        if name is not None and os.path.normpath(name) == os.path.normpath(report):
+            raise DomainError(f"[output] {key} = {table!r} and report = {report!r} name one "
+                              f"file under --format {fmt}")
+        names[fmt] = report, name
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +336,22 @@ def _outputs(cfg) -> dict:
 
 def _atomic_write(path: str, chunks):
     """Write an iterable of text chunks to path, replacing it only when all
-    of them are written."""
+    of them are written.  An OS error (a directory that cannot be made, a
+    full disk) is a ConfigError naming path."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 _BLOCK_ROWS = 2048  # rows formatted at a time, so a table's text is never all in memory
@@ -563,11 +591,13 @@ def _echo_config(cfg) -> dict:
 
 # ---------------------------------------------------------------------------
 # command runners: each takes the values of its command's section parsers
-# (see _COMMANDS) and returns (comparable_payload, data_files)
-# data_files: list of (config_key, default_name, columns, rows)
+# (see _COMMANDS) and returns (comparable_payload, table): table is the
+# (columns, rows) of the command's data file (see _TABLES), or None
 # ---------------------------------------------------------------------------
 
 def _run_classical_check(tol, force, x):
+    from . import classical
+
     point = x[0] if force.d == 1 else np.asarray(x)
     report = classical.classify(force, point, tol=tol)
     payload = {
@@ -584,10 +614,12 @@ def _run_classical_check(tol, force, x):
     }
     if force.d == 1:
         payload["consistency_residual"] = report.consistency_residual
-    return payload, []
+    return payload, None
 
 
 def _run_classical_integrate(tol, force, initial, grid):
+    from . import classical
+
     c, g = force
     x0, v0 = initial
     surface = classical.integrate_rank_one_1d(g, c, x0, v0, grid, tol=tol)
@@ -604,10 +636,12 @@ def _run_classical_integrate(tol, force, initial, grid):
     rows = _grid_rows((grid.t1_values, grid.t2_values), surface.values, *surface.grid_momenta,
                       check.phi, check.ratio_squared, check.residual)
     columns = ["t1", "t2", "x", "p1", "p2", "phi", "ratio_squared", "orbit_residual"]
-    return payload, [("surface", "surface.csv", columns, rows)]
+    return payload, (columns, rows)
 
 
 def _run_quantum_fluct(setup, grid):
+    from . import quantum
+
     system, state, hbar = setup
     n = system.n_levels
     trace = quantum.variance_trace(system, state, grid, hbar)
@@ -623,10 +657,12 @@ def _run_quantum_fluct(setup, grid):
         "grid": [grid.n1, grid.n2],
     }
     columns = ["t1", "t2", "mean_re", "mean_im", "second_moment", "variance"]
-    return payload, [("trace", "trace.csv", columns, rows)]
+    return payload, (columns, rows)
 
 
 def _run_uncertainty(budget):
+    from . import quantum
+
     # the angle first: its dE^2 overflow is named before the swept phase's
     report = quantum.angle_and_width(budget)
     payload = {
@@ -639,10 +675,13 @@ def _run_uncertainty(budget):
         "bound": report.bound,
         "singular": report.singular,
     }
-    return payload, []
+    return payload, None
 
 
-def _load_current_file(path: str, grid: Grid2T) -> continuity.CurrentField:
+def _load_current_file(path: str, grid: Grid2T):
+    """The continuity.CurrentField sampled in a CSV file."""
+    from . import continuity
+
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
     except (OSError, ValueError) as exc:
@@ -664,6 +703,8 @@ def _load_current_file(path: str, grid: Grid2T) -> continuity.CurrentField:
 
 
 def _run_continuity(tol, grid, source):
+    from . import continuity
+
     if source.startswith("file:"):
         current = _load_current_file(source[5:], grid)
     else:
@@ -692,10 +733,12 @@ def _run_continuity(tol, grid, source):
         if fine_report.dQ2_residual > 0:
             payload["refinement_ratio_Q2"] = report.dQ2_residual / fine_report.dQ2_residual
     rows = _grid_rows((grid.t1_values,), report.Q1)
-    return payload, [("charge_q1", "charge_q1.csv", ["t1", "Q1"], rows)]
+    return payload, (["t1", "Q1"], rows)
 
 
 def _run_dirac(tol, wave, grid):
+    from . import dirac
+
     k, m, part, rescales = wave
     sol = dirac.solve_plane_wave(k, m, tol)
     for branch, factor in rescales.items():
@@ -728,10 +771,12 @@ def _run_dirac(tol, wave, grid):
     rows = _grid_rows((grid.x_values, grid.t1_values, grid.t2_values),
                       *dirac.current_grid(sol, grid, part))
     columns = ["x", "t1", "t2", "j1", "j2", "jx"]
-    return payload, [("current", "current.csv", columns, rows)]
+    return payload, (columns, rows)
 
 
 def _run_mass_spectrum(sweep):
+    from . import dirac
+
     m, hbar, c, omegas = sweep
     rows = []
     consistent = True
@@ -758,7 +803,7 @@ def _run_mass_spectrum(sweep):
         "count": len(omegas),
     }
     columns = ["omega", "m_eff", "tachyonic", "tau", "R", "c_tau_gt_R"]
-    return payload, [("table", "mass_spectrum.csv", columns, rows)]
+    return payload, (columns, rows)
 
 
 # command -> (section parsers, runner).  A run calls the parsers in order and
@@ -775,6 +820,14 @@ _COMMANDS = {
     "mass-spectrum": ((_sweep,), _run_mass_spectrum),
 }
 COMMANDS = tuple(_COMMANDS)
+# command -> ([output] key, default name) of the data file its runner returns
+_TABLES = {
+    "classical-integrate": ("surface", "surface.csv"),
+    "quantum-fluct": ("trace", "trace.csv"),
+    "continuity": ("charge_q1", "charge_q1.csv"),
+    "dirac": ("current", "current.csv"),
+    "mass-spectrum": ("table", "mass_spectrum.csv"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -799,23 +852,18 @@ def run_scenario(config_path: str, out_dir: str | None = None, fmt: str = "csv",
             f"config names command {command!r} but {expected_command!r} was invoked")
     parsers, runner = _COMMANDS[command]
     parsed_args = [parse(cfg) for parse in parsers]
-    names = _outputs(cfg)
+    report_name, table_name = _outputs(cfg, (fmt,))[fmt]
     parsed = time.perf_counter()
-    payload, tables = runner(*parsed_args)
+    payload, table = runner(*parsed_args)
     computed = time.perf_counter()
 
     directory = out_dir or os.path.dirname(os.path.abspath(config_path))
     artifacts = []
-    for key, default_name, columns, rows in tables:
-        name = names.get(key, default_name)
-        if fmt == "json" and name.endswith(".csv"):
-            name = name[:-4] + ".json"
-        path = os.path.join(directory, name)
-        _write_table(path, columns, rows, fmt)
-        artifacts.append(name)
+    if table is not None:
+        _write_table(os.path.join(directory, table_name), *table, fmt)
+        artifacts.append(table_name)
     written = time.perf_counter()
 
-    report_name = names.get("report", "report.json")
     report_path = os.path.join(directory, report_name)
     report = {
         "scenario": _echo_config(cfg),

@@ -550,6 +550,83 @@ n2 = 5
         assert capsys.readouterr().err == f"domain error: {message}"
         assert not (tmp_path / "out").exists()
 
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        argv = ["uncertainty", "--config", scenario_path("uncertainty_worked.ini"),
+                "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out / 'uncertainty_report.json'}: ")
+        assert "Traceback" not in err
+        assert out.read_text() == "not a directory\n"
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_report_under_a_file_exits_2(self, tmp_path, capsys):
+        # validate cannot see the file in the way: it is there only at run time
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "blocker").write_text("a file\n")
+        cfg = cli.load_config(scenario_path("uncertainty_worked.ini"))
+        cfg.set("output", "report", "blocker/report.json")
+        config = str(tmp_path / "blocked.ini")
+        with open(config, "w") as fh:
+            cfg.write(fh)
+        assert cli.main(["validate", "--config", config]) == 0
+        capsys.readouterr()
+        assert cli.main(["uncertainty", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out / 'blocker' / 'report.json'}: ")
+        assert "Traceback" not in err
+        assert os.listdir(out) == ["blocker"]
+        assert (out / "blocker").read_text() == "a file\n"
+
+    @pytest.mark.parametrize("surface, report, formats", [
+        ("same.json", "same.json", ("csv", "json")),
+        ("./same.json", "same.json", ("csv", "json")),
+        ("r.csv", "r.json", ("json",)),
+    ], ids=["same", "same_normalized", "renamed_under_json"])
+    def test_table_and_report_on_one_file_refused(self, tmp_path, capsys, monkeypatch, surface,
+                                                   report, formats):
+        cfg = cli.load_config(scenario_path("classical_harmonic.ini"))
+        cfg.set("output", "surface", surface)
+        cfg.set("output", "report", report)
+        config = str(tmp_path / "clash.ini")
+        with open(config, "w") as fh:
+            cfg.write(fh)
+        message = {fmt: f"[output] surface = {surface!r} and report = {report!r} name one file "
+                        f"under --format {fmt}\n" for fmt in formats}
+        assert cli.main(["validate", "--config", config]) == 2
+        assert capsys.readouterr().err == f"invalid: {message[formats[0]]}"
+        for fmt in ("csv", "json"):
+            out = tmp_path / fmt
+            argv = ["classical-integrate", "--config", config, "--out", str(out), "--format", fmt]
+            if fmt in formats:
+                with monkeypatch.context() as patch:
+                    forbid_runner(patch, "classical-integrate")
+                    assert cli.main(argv) == 3
+                assert capsys.readouterr().err == f"domain error: {message[fmt]}"
+                assert not out.exists()
+            else:
+                assert cli.main(argv) == 0
+                assert sorted(os.listdir(out)) == sorted([report, surface])
+
+    @pytest.mark.parametrize("fd_step", ["0.05", "10"])
+    def test_fd_step_past_integrated_range_exits_3(self, tmp_path, capsys, fd_step):
+        # the surface check's finite-difference points for grad x leave the
+        # integrated s range [0, 6 pi] of the bundled harmonic witness
+        cfg = cli.load_config(scenario_path("classical_harmonic.ini"))
+        cfg.set("tolerances", "fd_step", fd_step)
+        config = str(tmp_path / "wide_fd.ini")
+        with open(config, "w") as fh:
+            cfg.write(fh)
+        argv = ["classical-integrate", "--config", config, "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"domain error: fd_step = {fd_step} puts the finite-difference "
+                              "points of grad x at s in [")
+        assert err.endswith(": query outside integrated range [0, 18.8496]\n")
+
     def test_non_numeric_current_file_exits_3(self, tmp_path, capsys):
         samples = write(tmp_path, "current.csv", "x,t1,t2,j1,j2,jx\n0,0,0,1,abc,0\n")
         config = write(tmp_path, "file.ini", "[scenario]\ncommand = continuity\n"
