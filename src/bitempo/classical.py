@@ -629,17 +629,21 @@ def _chain_field(M: np.ndarray, use_printed_column: bool) -> np.ndarray:
     return A3[1, :2] * A3[2, 2] - A3[1, 2] * A3[2, :2]
 
 
-def _appendix_fields_3d(T: np.ndarray, variant: str = "corrected"):
-    """Chain fields for all three coordinates via space-axis relabeling."""
+# (rows, columns) of the d = 3 velocity system relabeled by each space
+# permutation p: row 3k + p[i], column 2p[m] + j
+_RELABELINGS = tuple(
+    np.ix_([3 * k + p[i] for k in range(2) for i in range(3)],
+           [2 * p[m] + j for m in range(3) for j in range(2)])
+    for p in ((0, 1, 2), (1, 0, 2), (2, 1, 0)))
+
+
+def _appendix_fields_3d(M: np.ndarray, variant: str = "corrected"):
+    """Chain fields for all three coordinates from the 6x6 velocity system M,
+    relabeled so that each coordinate in turn comes first."""
     if variant not in ("corrected", "printed"):
         raise DomainError(f"unknown chain variant {variant!r}")
     use_printed = variant == "printed"
-    fields = []
-    for perm in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
-        Tp = T[list(perm)][:, :, :, list(perm)]
-        Mp = _constraint_matrix_from_tensor(Tp, 3)
-        fields.append(_chain_field(Mp, use_printed))
-    return tuple(fields)
+    return tuple(_chain_field(M[idx], use_printed) for idx in _RELABELINGS)
 
 
 def _kernel_directions(kernel: list, d: int, tol: Tolerances):
@@ -674,26 +678,72 @@ def _cross_validate(appendix, kernel, d: int):
     worst = 0.0
     for i in range(d):
         f = appendix[i]
-        nf = np.linalg.norm(f)
+        nf = math.sqrt(f.dot(f))
         if nf == 0.0:
             return math.inf
         for v in kernel:
             block = v[2 * i:2 * i + 2]
-            nb = np.linalg.norm(block)
+            nb = math.sqrt(block.dot(block))
             if nb <= 1e-14:
                 continue
             worst = max(worst, abs(float(f @ block)) / (nf * nb))
     return worst
 
 
-def _field_report(T: np.ndarray, tol: Tolerances, variant: str) -> ParallelFieldReport:
-    """Field report from the derivative tensor T of a d = 2 or 3 force."""
+def _vector_text(v: np.ndarray) -> str:
+    """The text of np.array2string(v, precision=6) for a 1-D float vector
+    under numpy's default print options, whatever options are set.
+
+    numpy switches to scientific notation when a nonzero finite |value| is
+    at least 1e8 or below 1e-4, or when the largest is over 1000 times the
+    smallest.  Positional values are padded to a common integer and fraction
+    width; scientific ones are printed again with the common digit count,
+    which for subnormals are real digits, not zeros.
+    """
+    values = v.tolist()
+    finite = [x for x in values if math.isfinite(x)]
+    sizes = [abs(x) for x in finite if x != 0.0]
+    scientific = bool(sizes) and (max(sizes) >= 1e8 or min(sizes) < 1e-4
+                                  or max(sizes) / min(sizes) > 1e3)
+    left = right = 0
+    if scientific:
+        mantissas, exponents = zip(*(np.format_float_scientific(x, precision=6, trim=".")
+                                     .split("e") for x in finite))
+        exp_digits = max(map(len, exponents)) - 1
+        ints, fracs = zip(*(m.split(".") for m in mantissas))
+        left, digits = max(map(len, ints)), max(map(len, fracs))
+        right = exp_digits + 2 + digits
+    else:
+        parts = [np.format_float_positional(x, precision=6, trim=".").split(".") for x in finite]
+        if parts:
+            left, right = max(len(a) for a, _ in parts), max(len(b) for _, b in parts)
+    if len(finite) < len(values):
+        # a non-finite value is right-aligned in the width of the finite ones
+        neginf = -math.inf in values
+        left = max(left, 2 - right, 2 + neginf - right)
+    if scientific:
+        texts = iter([np.format_float_scientific(x, precision=digits, min_digits=digits, trim="k",
+                                                 pad_left=left, exp_digits=exp_digits)
+                      for x in finite])
+    else:
+        texts = iter([a.rjust(left) + "." + b.ljust(right) for a, b in parts])
+    width = left + right + 1
+    return "[" + " ".join(
+        next(texts) if math.isfinite(x) else
+        ("nan" if math.isnan(x) else "-inf" if x < 0 else "inf").rjust(width)
+        for x in values) + "]"
+
+
+def _field_report(T: np.ndarray, M: np.ndarray, tol: Tolerances,
+                  variant: str) -> ParallelFieldReport:
+    """Field report from the derivative tensor T of a d = 2 or 3 force and
+    its velocity system M."""
     d = T.shape[0]
-    kernel = null_space(_constraint_matrix_from_tensor(T, d), tol)
+    kernel = null_space(M, tol)
     if d == 2:
         appendix = _appendix_fields_2d(T)
     else:
-        appendix = _appendix_fields_3d(T, variant)
+        appendix = _appendix_fields_3d(M, variant)
     dirs = _kernel_directions(kernel, d, tol)
     residual = _cross_validate(appendix, kernel, d)
     discrepancy = None
@@ -701,8 +751,8 @@ def _field_report(T: np.ndarray, tol: Tolerances, variant: str) -> ParallelField
         parts = []
         for i in range(d):
             status, vec = dirs[i]
-            oracle_txt = np.array2string(vec, precision=6) if vec is not None else status
-            parts.append(f"coordinate {i + 1}: printed={np.array2string(appendix[i], precision=6)} "
+            oracle_txt = _vector_text(vec) if vec is not None else status
+            parts.append(f"coordinate {i + 1}: printed={_vector_text(appendix[i])} "
                          f"oracle={oracle_txt}")
         discrepancy = (f"printed determinant fields fail kernel cross-validation "
                        f"(residual {residual:.3e}); " + "; ".join(parts))
@@ -723,7 +773,8 @@ def parallel_fields_2d(F: ForceTensorField, x,
     against the kernel of the velocity system."""
     if F.d != 2:
         raise DomainError(f"parallel_fields_2d needs d=2, got d={F.d}")
-    return _field_report(F.derivative_tensor(x, tol), tol, "corrected")
+    T = F.derivative_tensor(x, tol)
+    return _field_report(T, _constraint_matrix_from_tensor(T, 2), tol, "corrected")
 
 
 def parallel_fields_3d(F: ForceTensorField, x, tol: Tolerances = Tolerances(),
@@ -736,7 +787,8 @@ def parallel_fields_3d(F: ForceTensorField, x, tol: Tolerances = Tolerances(),
     """
     if F.d != 3:
         raise DomainError(f"parallel_fields_3d needs d=3, got d={F.d}")
-    return _field_report(F.derivative_tensor(x, tol), tol, variant)
+    T = F.derivative_tensor(x, tol)
+    return _field_report(T, _constraint_matrix_from_tensor(T, 3), tol, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +802,7 @@ def _pairwise_defect(directions) -> float:
         for b in range(a + 1, len(defined)):
             u, w = defined[a], defined[b]
             cross = abs(u[0] * w[1] - u[1] * w[0])
-            worst = max(worst, float(cross / (np.linalg.norm(u) * np.linalg.norm(w))))
+            worst = max(worst, float(cross / (math.sqrt(u.dot(u)) * math.sqrt(w.dot(w)))))
     return worst
 
 
@@ -770,7 +822,7 @@ def classify(F: ForceTensorField, x, tol: Tolerances = Tolerances()) -> Constrai
         kdim = len(null_space(M, tol))
         checks = (None, None, float(consistency_residual_1d(fp)))
     else:
-        pf = _field_report(T, tol, "corrected")
+        pf = _field_report(T, M, tol, "corrected")
         kdim = pf.kernel_dim
         checks = (pf.orthogonality_residual, pf.discrepancy)
     if kdim == 0:

@@ -9,7 +9,8 @@ bit-identical across repeated runs (timestamps and durations live in
 
 Exit codes: 0 success, 2 usage, unreadable/unrecognized config or an
 output file that cannot be written, 3 domain or precondition error
-(including missing parameter keys), 4 numerical failure.
+(including missing parameter keys, and an output file that would overwrite
+the config or a file: current source), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -328,6 +329,33 @@ def _outputs(cfg, formats=FORMATS) -> dict:
                               f"file under --format {fmt}")
         names[fmt] = report, name
     return names
+
+
+def _file_id(path: str):
+    """(device, inode) of the file at path, following symbolic links; None
+    when there is none."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return stat.st_dev, stat.st_ino
+
+
+def _spare_inputs(cfg, config_path: str, directory: str, names):
+    """DomainError when one of the output file names, in directory, is a
+    file the run reads: the config itself or a file: current source, under
+    any path or link."""
+    reads = {_file_id(config_path): f"config {config_path}"}
+    if _current_source in _COMMANDS[cfg.get("scenario", "command")][0]:
+        source = _current_source(cfg)
+        if source.startswith("file:"):
+            reads.setdefault(_file_id(source[5:]), f"current source {source[5:]}")
+    reads.pop(None, None)
+    for name in names:
+        path = os.path.join(directory, name)
+        read = reads.get(_file_id(path))
+        if read is not None:
+            raise DomainError(f"output {path} would overwrite the {read}")
 
 
 # ---------------------------------------------------------------------------
@@ -853,11 +881,12 @@ def run_scenario(config_path: str, out_dir: str | None = None, fmt: str = "csv",
     parsers, runner = _COMMANDS[command]
     parsed_args = [parse(cfg) for parse in parsers]
     report_name, table_name = _outputs(cfg, (fmt,))[fmt]
+    directory = out_dir or os.path.dirname(os.path.abspath(config_path))
+    _spare_inputs(cfg, config_path, directory, filter(None, (report_name, table_name)))
     parsed = time.perf_counter()
     payload, table = runner(*parsed_args)
     computed = time.perf_counter()
 
-    directory = out_dir or os.path.dirname(os.path.abspath(config_path))
     artifacts = []
     if table is not None:
         _write_table(os.path.join(directory, table_name), *table, fmt)

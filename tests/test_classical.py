@@ -780,3 +780,78 @@ class TestClassify:
         force = cl.affine_force(2, rng.normal(size=(2, 2, 2, 2)))
         t = force.tensor_at(rng.uniform(-1, 1, size=(5, 2)))
         assert np.max(np.abs(t[..., 0, 1] - t[..., 1, 0])) < 1e-12
+
+
+def vector_values():
+    """Floats of every kind, and floats at the switches of numpy's notation:
+    1e-4 and 1e8 in size, and a ratio of 1e3 between sizes."""
+    def near(base):
+        return st.floats(min_value=base * (1 - 1e-9), max_value=base * (1 + 1e-9))
+    switches = st.one_of(near(1e-4), near(1e8), near(1e3), near(1.0))
+    special = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                               2.2250738585072014e-308, 1e-4, 1e8, 1e3, 1.0, 0.1, 11.52, 5.76])
+    signed = st.tuples(st.one_of(switches, special), st.booleans()).map(
+        lambda v: -v[0] if v[1] else v[0])
+    return st.one_of(st.floats(), signed, st.floats(min_value=-1e9, max_value=1e9))
+
+
+class TestVectorText:
+    @settings(max_examples=800, deadline=None)
+    @given(st.lists(vector_values(), min_size=1, max_size=3))
+    def test_matches_array2string(self, values):
+        v = np.array(values, dtype=float)
+        assert cl._vector_text(v) == np.array2string(v, precision=6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=1e-300, max_value=1e300), st.floats(min_value=999.0, max_value=1001.0),
+           st.booleans())
+    def test_ratio_switch(self, size, ratio, negative):
+        v = np.array([size, (-size if negative else size) * ratio])
+        assert cl._vector_text(v) == np.array2string(v, precision=6)
+
+    @pytest.mark.parametrize("values, text", [
+        ([2 / math.sqrt(5), -1 / math.sqrt(5)], "[ 0.894427 -0.447214]"),
+        ([11.52, 5.76], "[11.52  5.76]"),
+        ([0.0, 0.0], "[0. 0.]"),
+        # a subnormal's digits past its shortest form are its own, not zeros
+        ([5e-324, 1.5], "[4.9e-324 1.5e+000]"),
+    ])
+    def test_bundled_texts(self, values, text):
+        v = np.array(values)
+        assert cl._vector_text(v) == text
+        with np.printoptions(floatmode="fixed", sign="+", precision=3, nanstr="NaN"):
+            assert cl._vector_text(v) == text
+
+
+def relabeled_fields_by_tensor(T, variant):
+    """The chain fields built the way they were before the velocity system
+    was relabeled by index: permute the space axes of the tensor, then build
+    each permuted system from it."""
+    fields = []
+    for perm in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
+        Tp = T[list(perm)][:, :, :, list(perm)]
+        M = np.stack([Tp[:, 1], -Tp[:, 0]], axis=-1).transpose(1, 0, 2, 3).reshape(6, 6)
+        fields.append(cl._chain_field(M, variant == "printed"))
+    return tuple(fields)
+
+
+class TestRelabeledSystems:
+    @pytest.mark.parametrize("variant", ["corrected", "printed"])
+    def test_equal_to_permuted_tensor_bitwise(self, variant):
+        rng = np.random.default_rng(4243)
+        for k in range(200):
+            if k % 2:
+                force = tuned_affine_force(3, rng)
+                x = np.zeros(3)
+            else:
+                force = cl.affine_force(3, rng.normal(size=(3, 2, 2, 3)) * 10.0 ** rng.integers(-3, 4))
+                x = rng.uniform(-1, 1, size=3)
+            T = force.derivative_tensor(x, TOL)
+            got = cl._appendix_fields_3d(cl._constraint_matrix_from_tensor(T, 3), variant)
+            want = relabeled_fields_by_tensor(T, variant)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    def test_unknown_variant(self):
+        with pytest.raises(DomainError):
+            cl._appendix_fields_3d(np.zeros((6, 6)), "published")

@@ -73,6 +73,16 @@ class TestBundledScenarios:
             assert json.dumps(r1[key], sort_keys=True) == json.dumps(r2[key], sort_keys=True)
         assert r1["meta"]["timestamp"] != "" and "duration_s" in r1["meta"]
 
+    def test_comparable_ignores_print_options(self, tmp_path):
+        # the rank-one d = 2 check carries a discrepancy text of printed vectors
+        path = scenario_path("classical_check_rank_one_2d.ini")
+        default = cli.run_scenario(path, str(tmp_path / "a"))
+        with np.printoptions(floatmode="fixed", sign="+"):
+            styled = cli.run_scenario(path, str(tmp_path / "b"))
+        assert "printed=[11.52  5.76]" in default["comparable"]["results"]["discrepancy"]
+        assert json.dumps(styled["comparable"], sort_keys=True) == json.dumps(
+            default["comparable"], sort_keys=True)
+
     def test_meta_stage_timers(self, tmp_path):
         path = scenario_path("classical_harmonic.ini")
         r1 = cli.run_scenario(path, str(tmp_path / "a"))
@@ -610,6 +620,63 @@ n2 = 5
             else:
                 assert cli.main(argv) == 0
                 assert sorted(os.listdir(out)) == sorted([report, surface])
+
+    def test_report_over_its_own_config_refused(self, tmp_path, capsys, monkeypatch):
+        cfg = cli.load_config(scenario_path("uncertainty_worked.ini"))
+        cfg.set("output", "report", "u.ini")
+        config = tmp_path / "u.ini"
+        with open(config, "w") as fh:
+            cfg.write(fh)
+        text = config.read_text()
+        # validate cannot know --out, so it accepts the config
+        assert cli.main(["validate", "--config", str(config)]) == 0
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            forbid_runner(patch, "uncertainty")
+            assert cli.main(["uncertainty", "--config", str(config)]) == 3
+        assert capsys.readouterr().err == (f"domain error: output {config} would overwrite "
+                                           f"the config {config}\n")
+        assert config.read_text() == text
+        assert os.listdir(tmp_path) == ["u.ini"]
+        # an --out that reaches the config's directory through a link
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path, target_is_directory=True)
+        assert cli.main(["uncertainty", "--config", str(config), "--out", str(link)]) == 3
+        assert capsys.readouterr().err == (f"domain error: output {link / 'u.ini'} would "
+                                           f"overwrite the config {config}\n")
+        assert config.read_text() == text
+        out = tmp_path / "out"
+        assert cli.main(["uncertainty", "--config", str(config), "--out", str(out)]) == 0
+        assert os.listdir(out) == ["u.ini"]
+        assert config.read_text() == text
+
+    def test_table_over_its_file_source_refused(self, tmp_path, capsys, monkeypatch):
+        cli.run_scenario(scenario_path("dirac_plane_wave.ini"), str(tmp_path))
+        source = tmp_path / "dirac_current.csv"
+        samples = source.read_bytes()
+        cfg = cli.load_config(scenario_path("dirac_plane_wave.ini"))
+        grid_lines = "\n".join(f"{k} = {v}" for k, v in cfg.items("grid"))
+        config = write(tmp_path, "loop.ini", f"""
+[scenario]
+command = continuity
+
+[current]
+source = file:{source}
+
+[grid]
+{grid_lines}
+
+[output]
+charge_q1 = dirac_current.csv
+report = loop_report.json
+""")
+        with monkeypatch.context() as patch:
+            forbid_runner(patch, "continuity")
+            assert cli.main(["continuity", "--config", config, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (f"domain error: output {source} would overwrite "
+                                           f"the current source {source}\n")
+        assert source.read_bytes() == samples
+        assert not (tmp_path / "loop_report.json").exists()
 
     @pytest.mark.parametrize("fd_step", ["0.05", "10"])
     def test_fd_step_past_integrated_range_exits_3(self, tmp_path, capsys, fd_step):
