@@ -72,6 +72,20 @@ RK4_BLOWUP = 1e6
 # domain types and force builders
 # ---------------------------------------------------------------------------
 
+# complex step of derivative_tensor: a power of two, so dividing by it is
+# exact, and small enough that its O(h^2) truncation is far below rounding
+_COMPLEX_STEP = 2.0 ** -100
+# i h e_m for every axis m, rows indexed by m, per dimension d
+_COMPLEX_SHIFTS = {d: (1j * _COMPLEX_STEP) * np.eye(d) for d in (1, 2, 3)}
+
+
+def _axis_m_last(t: np.ndarray) -> np.ndarray:
+    """Tensors [..., m, i, j, k] as [..., i, j, k, m]: np.moveaxis(t, -4, -1)
+    without its argument checks."""
+    n = t.ndim
+    return t.transpose(*range(n - 4), n - 3, n - 2, n - 1, n - 4)
+
+
 @dataclass(frozen=True)
 class ForceTensorField:
     """A force tensor field x -> F^i_{jk}(x) in d space dimensions; it never
@@ -80,12 +94,22 @@ class ForceTensorField:
     ``eval`` maps a batch of positions shaped (..., d) to tensors shaped
     (..., d, 2, 2) in one call, at d = 1 too.  ``tensor_at`` and
     ``derivative_tensor`` take positions shaped (..., d), or plain numbers at
-    d = 1, and return (..., d, 2, 2) and (..., d, 2, 2, d); each position
-    takes its own FD step fd_step * max(1, max_m |x^m|).
+    d = 1, and return (..., d, 2, 2) and (..., d, 2, 2, d).
+
+    ``eval`` must be complex-analytic in x: ``derivative_tensor`` takes the
+    complex step Im F(x + i h e_m) / h, which is exact to rounding for such a
+    map.  ``abs``, comparisons and ``np.where`` on x are not analytic and
+    give wrong complex-step derivatives.  An ``eval`` that returns a real
+    array for complex positions, or raises TypeError on them, is
+    differentiated by central differences instead, each position taking its
+    own step fd_step * max(1, max_m |x^m|).  The first ``derivative_tensor``
+    call finds which of the two applies and keeps it in ``derivative_path``:
+    "complex_step" or "central_difference" (None before that call).
     """
 
     d: int
     eval: callable
+    derivative_path: str | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         if self.d not in (1, 2, 3):
@@ -97,8 +121,9 @@ class ForceTensorField:
         return () if self.d == 1 else (self.d,)
 
     def _positions(self, x) -> np.ndarray:
-        """Positions as a float array shaped (..., d)."""
-        pos = np.asarray(x, dtype=float)
+        """Positions as a float or complex array shaped (..., d)."""
+        pos = np.asarray(x)
+        pos = pos.astype(complex if pos.dtype.kind == "c" else float, copy=False)
         if self.d == 1:
             return pos[..., None]
         if pos.shape[-1:] != (self.d,):
@@ -107,29 +132,45 @@ class ForceTensorField:
         return pos
 
     def tensor_at(self, x) -> np.ndarray:
-        """Force tensors at positions (..., d), shaped (..., d, 2, 2)."""
+        """Force tensors at positions (..., d), shaped (..., d, 2, 2); complex
+        positions keep whatever dtype ``eval`` returns for them."""
         pos = self._positions(x)
         with np.errstate(over="ignore", invalid="ignore"):  # the check below names the position
-            out = np.asarray(self.eval(pos), dtype=float)
+            out = np.asarray(self.eval(pos))
+        if pos.dtype.kind != "c" or out.dtype.kind != "c":
+            out = out.astype(float, copy=False)
         expected = pos.shape + (2, 2)
         if out.shape != expected:
             raise DomainError(f"force eval returned shape {out.shape}, expected {expected}")
-        finite = np.isfinite(out).all(axis=(-3, -2, -1))
-        if not finite.all():
-            where = pos.reshape((-1,) + self._point_shape)[np.argmin(finite.ravel())]
+        if not np.isfinite(out).all():
+            finite = np.isfinite(out).all(axis=(-3, -2, -1))
+            where = pos.reshape((-1,) + self._point_shape)[np.argmin(finite.ravel())].real
             raise EvaluationError(f"force tensor non-finite at {where.tolist()!r}")
         return out
 
     def derivative_tensor(self, x, tol: Tolerances = Tolerances()) -> np.ndarray:
-        """Central-difference derivatives T[..., i, j, k, m] = dF^i_{jk}/dx^m,
-        from one ``tensor_at`` call at both sides along every axis m."""
-        pos = self._positions(x)
+        """Derivatives T[..., i, j, k, m] = dF^i_{jk}/dx^m from one
+        ``tensor_at`` call: at x + i h e_m along every axis m (complex step),
+        or, where ``eval`` is not complex, at both sides x +- step e_m
+        (central difference)."""
+        pos = self._positions(np.asarray(x, dtype=float))
+        if self.derivative_path != "central_difference":
+            points = pos[..., None, :] + _COMPLEX_SHIFTS[self.d]  # [..., m, coordinate]
+            try:
+                t = self.tensor_at(points.reshape(points.shape[:-1] + self._point_shape))
+            except TypeError:
+                t = None
+            # derivative_path caches a property of eval, so the frozen field may change
+            if t is not None and t.dtype.kind == "c":
+                object.__setattr__(self, "derivative_path", "complex_step")
+                return _axis_m_last(t.imag / _COMPLEX_STEP)
+            object.__setattr__(self, "derivative_path", "central_difference")
         step = tol.fd_step * np.maximum(1.0, np.max(np.abs(pos), axis=-1))
         shift = step[..., None, None] * np.eye(self.d)  # [..., m, coordinate]
         points = pos[..., None, :] + np.stack([shift, -shift])  # [side, ..., m, coordinate]
         t = self.tensor_at(points.reshape(points.shape[:-1] + self._point_shape))
         diff = (t[0] - t[1]) / (2.0 * step)[..., None, None, None, None]
-        return np.moveaxis(diff, -4, -1)
+        return _axis_m_last(diff)
 
 
 @dataclass(frozen=True)
@@ -169,15 +210,17 @@ class ParallelFieldReport:
 
 @dataclass(frozen=True)
 class ConstraintReport:
-    """A verdict at one point.  ``orthogonality_residual`` and ``discrepancy``
-    come from the d >= 2 field report, ``consistency_residual`` from the
-    d = 1 primes."""
+    """A verdict at one point.  ``derivative`` names the path of the force
+    derivatives (see ``ForceTensorField.derivative_path``);
+    ``orthogonality_residual`` and ``discrepancy`` come from the d >= 2 field
+    report, ``consistency_residual`` from the d = 1 primes."""
 
     determinant_value: float
     kernel_dim: int
     fields: CharacteristicField
     parallelism_defect: float
     verdict: Verdict
+    derivative: str
     orthogonality_residual: float | None = None
     discrepancy: str | None = None
     consistency_residual: float | None = None
@@ -189,17 +232,19 @@ def rank_one_force(c, g, d: int = 1) -> ForceTensorField:
     For d=1, ``g`` maps an array of positions elementwise, and its value
     is broadcast against them, so a constant ``g`` works too; otherwise it
     maps one position to a length-d array and is called once per position.
+    Its values keep their dtype, so a ``g`` that is complex-analytic gets
+    complex-step derivatives (a constant Python float does not: it is real
+    at complex positions, and central differences serve it).
     Every admissibility constraint holds identically on this family.
     """
     c = np.asarray(c, dtype=float).reshape(2)
     cc = np.outer(c, c)
     if d == 1:
         def gv(x):
-            return np.broadcast_to(np.asarray(g(x), dtype=float), np.shape(x))
+            return np.broadcast_to(np.asarray(g(x)), np.shape(x))
     else:
         def gv(pos):
-            pos = np.asarray(pos, dtype=float)
-            return np.array([np.asarray(g(p), dtype=float).reshape(d)
+            return np.array([np.asarray(g(p)).reshape(d)
                              for p in pos.reshape(-1, d)]).reshape(pos.shape)
     return ForceTensorField(d, lambda x: cc * gv(x)[..., None, None])
 
@@ -216,7 +261,7 @@ def polynomial_force_1d(coeffs: dict) -> ForceTensorField:
         polys["21"] = polys["12"]
 
     def evaluate(x):
-        out = np.zeros(np.shape(x) + (2, 2))
+        out = np.zeros(np.shape(x) + (2, 2), dtype=np.result_type(x, float))
         for (j, k), key in (((0, 0), "11"), ((0, 1), "12"), ((1, 0), "21"), ((1, 1), "22")):
             if key in polys:
                 out[..., j, k] = np.polyval(polys[key], x)
@@ -347,7 +392,9 @@ class SurfaceCheck:
     undefined.  The two scalars are worst cases over the interior grid
     points: ``orthogonality_residual`` of |v . grad x| / (|v| max(1, |grad x|))
     for the characteristic direction v wherever it is nonzero, and
-    ``orbit_residual`` of the finite orbit residuals.
+    ``orbit_residual`` of the finite orbit residuals.  ``derivative`` names
+    the path of the force derivatives (see
+    ``ForceTensorField.derivative_path``).
     """
 
     phi: np.ndarray
@@ -355,6 +402,7 @@ class SurfaceCheck:
     residual: np.ndarray
     orthogonality_residual: float
     orbit_residual: float
+    derivative: str
 
 
 def check_surface(F: ForceTensorField, surface: TrajectorySurface,
@@ -362,7 +410,7 @@ def check_surface(F: ForceTensorField, surface: TrajectorySurface,
     """Orbit relation at every grid point and characteristic orthogonality at
     every interior grid point of a surface x(t1, t2) with momenta c_j X'.
 
-    One batched FD derivative at the sampled positions serves both checks.
+    One batched derivative at the sampled positions serves both checks.
     grad x is a central difference of the dense surface evaluator with step
     fd_step * max(1, extent) along each time axis; a DomainError naming
     fd_step is raised, before any is evaluated, when those points leave the
@@ -399,6 +447,7 @@ def check_surface(F: ForceTensorField, surface: TrajectorySurface,
         phi, ratio_sq, residual,
         orthogonality_residual=float(np.max(ortho, initial=0.0)),
         orbit_residual=float(np.max(inner_residual[np.isfinite(inner_residual)], initial=0.0)),
+        derivative=F.derivative_path,
     )
 
 
@@ -562,7 +611,9 @@ def integrate_rank_one_1d(g, c, x0: float, v0: float, grid: Grid2T,
 # ---------------------------------------------------------------------------
 
 def _constraint_matrix_from_tensor(T: np.ndarray, d: int) -> np.ndarray:
-    M = np.stack([T[:, 1], -T[:, 0]], axis=-1)  # [i, k, m, j]
+    M = np.empty((d, 2, d, 2))  # [i, k, m, j]
+    M[..., 0] = T[:, 1]
+    M[..., 1] = -T[:, 0]
     if d == 3:
         M = M.transpose(1, 0, 2, 3)
     return M.reshape(2 * d, 2 * d)
@@ -593,9 +644,12 @@ def _det2(a, b, c, d):
 
 
 def _appendix_fields_2d(T: np.ndarray):
-    """The published 2x2-determinant fields for d=2, exactly as printed."""
+    """The published 2x2-determinant fields for d=2, exactly as printed, on
+    Python floats (IEEE doubles, rounded as numpy rounds them)."""
+    entries = T.tolist()
+
     def f(i, j, k, m):
-        return T[i, j - 1, k - 1, m]
+        return entries[i][j - 1][k - 1][m]
     x, y = 0, 1
     al = _det2(f(0, 2, 1, x), f(0, 2, 1, y), f(1, 2, 1, x), f(1, 2, 1, y))
     be = _det2(f(0, 1, 1, x), f(0, 1, 2, x), f(1, 1, 1, x), f(1, 2, 1, x))
@@ -615,59 +669,72 @@ def _appendix_fields_2d(T: np.ndarray):
 
 
 def _chain_field(M: np.ndarray, use_printed_column: bool) -> np.ndarray:
-    """Successive-elimination field for the first coordinate of a 6x6 system.
+    """Successive-elimination fields for the first coordinate of a stack of
+    6x6 systems (..., 6, 6), shaped (..., 2).
 
     The nested determinants eliminate the trailing velocity components one
     at a time.  The published first stage pairs column 1 with row 6; pairing
     column 6 instead makes each stage a genuine elimination step, and that
-    corrected variant is what the null-space oracle confirms.
+    corrected variant is what the null-space oracle confirms.  Each outer
+    product is one multiply per entry, as ``np.outer`` rounds it.
     """
     P = 0 if use_printed_column else 5
-    A1 = M[:5, :5] * M[5, P] - np.outer(M[:5, P], M[5, :5])
-    A2 = A1[:4, :4] * A1[4, 4] - np.outer(A1[:4, 4], A1[4, :4])
-    A3 = A2[:3, :3] * A2[3, 3] - np.outer(A2[:3, 3], A2[3, :3])
-    return A3[1, :2] * A3[2, 2] - A3[1, 2] * A3[2, :2]
+    A1 = M[..., :5, :5] * M[..., 5, P, None, None] - M[..., :5, P, None] * M[..., None, 5, :5]
+    A2 = A1[..., :4, :4] * A1[..., 4, 4, None, None] - A1[..., :4, 4, None] * A1[..., None, 4, :4]
+    A3 = A2[..., :3, :3] * A2[..., 3, 3, None, None] - A2[..., :3, 3, None] * A2[..., None, 3, :3]
+    return A3[..., 1, :2] * A3[..., 2, 2, None] - A3[..., 1, 2, None] * A3[..., 2, :2]
 
 
 # (rows, columns) of the d = 3 velocity system relabeled by each space
-# permutation p: row 3k + p[i], column 2p[m] + j
-_RELABELINGS = tuple(
-    np.ix_([3 * k + p[i] for k in range(2) for i in range(3)],
-           [2 * p[m] + j for m in range(3) for j in range(2)])
-    for p in ((0, 1, 2), (1, 0, 2), (2, 1, 0)))
+# permutation p, shaped (3, 6, 1) and (3, 1, 6) to index one (3, 6, 6)
+# stack: row 3k + p[i], column 2p[m] + j
+_PERMUTATIONS = ((0, 1, 2), (1, 0, 2), (2, 1, 0))
+_RELABELINGS = (
+    np.array([[3 * k + p[i] for k in range(2) for i in range(3)] for p in _PERMUTATIONS])[:, :, None],
+    np.array([[2 * p[m] + j for m in range(3) for j in range(2)] for p in _PERMUTATIONS])[:, None, :])
 
 
 def _appendix_fields_3d(M: np.ndarray, variant: str = "corrected"):
     """Chain fields for all three coordinates from the 6x6 velocity system M,
-    relabeled so that each coordinate in turn comes first."""
+    relabeled so that each coordinate in turn comes first, as one (3, 2)
+    array from one (3, 6, 6) stack."""
     if variant not in ("corrected", "printed"):
         raise DomainError(f"unknown chain variant {variant!r}")
-    use_printed = variant == "printed"
-    return tuple(_chain_field(M[idx], use_printed) for idx in _RELABELINGS)
+    return _chain_field(M[_RELABELINGS], variant == "printed")
 
 
 def _kernel_directions(kernel: list, d: int, tol: Tolerances):
     """Per-coordinate velocity directions spanned by the kernel.
 
     Returns (status, unit_field) pairs: the field is the 90-degree rotation
-    of the velocity span when that span is one-dimensional.
+    of the velocity span when that span is one-dimensional.  A k x 2 block
+    of k >= 2 kernel vectors takes its span from an SVD; a 1 x 2 block b is
+    its own span, signed as LAPACK signs the SVD's right singular vector:
+    -b/|b|, or b/|b| when b[0] has its sign bit set, or (1, 0) when b[1] = 0.
     """
     out = []
     if not kernel:
         return [("no-kernel", None)] * d
     K = np.stack(kernel, axis=1)
     for i in range(d):
-        block = K[2 * i:2 * i + 2, :].T
-        norms = np.linalg.norm(block)
-        if norms <= tol.abs_tol:
+        rows = K[2 * i:2 * i + 2, :]
+        flat = rows.ravel()  # in memory order, as np.linalg.norm sums it
+        norm = math.sqrt(flat.dot(flat))
+        if norm <= tol.abs_tol:
             out.append(("zero-velocity", None))
             continue
-        _, s, vt = np.linalg.svd(block)
-        if s.size > 1 and s[1] > 1e-8 * s[0]:
-            out.append(("unconstrained", None))
+        if len(kernel) == 1:
+            if flat[1] == 0.0:
+                u = (1.0, 0.0)
+            else:
+                u = flat / (norm if math.copysign(1.0, flat[0]) < 0 else -norm)
         else:
+            _, s, vt = np.linalg.svd(rows.T)
+            if s[1] > 1e-8 * s[0]:
+                out.append(("unconstrained", None))
+                continue
             u = vt[0]
-            out.append(("direction", np.array([u[1], -u[0]])))
+        out.append(("direction", np.array([u[1], -u[0]])))
     return out
 
 
@@ -701,6 +768,10 @@ def _vector_text(v: np.ndarray) -> str:
     which for subnormals are real digits, not zeros.
     """
     values = v.tolist()
+    if values and not any(values):  # only zeros: "0." or "-0.", right-aligned
+        texts = ["-0." if math.copysign(1.0, x) < 0 else "0." for x in values]
+        width = max(map(len, texts))
+        return "[" + " ".join(t.rjust(width) for t in texts) + "]"
     finite = [x for x in values if math.isfinite(x)]
     sizes = [abs(x) for x in finite if x != 0.0]
     scientific = bool(sizes) and (max(sizes) >= 1e8 or min(sizes) < 1e-4
@@ -828,7 +899,8 @@ def classify(F: ForceTensorField, x, tol: Tolerances = Tolerances()) -> Constrai
     if kdim == 0:
         fields = CharacteristicField(vectors=tuple(np.zeros(2) for _ in range(F.d)),
                                      degenerate=(True,) * F.d)
-        return ConstraintReport(det_val, 0, fields, 0.0, Verdict.NO_TWO_TIME_MOTION, *checks)
+        return ConstraintReport(det_val, 0, fields, 0.0, Verdict.NO_TWO_TIME_MOTION,
+                                F.derivative_path, *checks)
 
     if F.d == 1:
         vec, degenerate = characteristic_field_1d(fp, x, tol)
@@ -847,4 +919,4 @@ def classify(F: ForceTensorField, x, tol: Tolerances = Tolerances()) -> Constrai
         verdict = Verdict.EFFECTIVE_ONE_TIME
     else:
         verdict = Verdict.TWO_TIME_ADMISSIBLE
-    return ConstraintReport(det_val, kdim, fields, defect, verdict, *checks)
+    return ConstraintReport(det_val, kdim, fields, defect, verdict, F.derivative_path, *checks)

@@ -97,12 +97,26 @@ def _floats(raw: str) -> list:
     return [_float(p) for p in raw.replace(",", " ").split()]
 
 
+# [tolerances] values past these switch a check off: a step below eps can put
+# a finite difference's points on its centre, and a tolerance of 1 or more
+# passes any residual (or overflows the thresholds it scales)
+_FD_STEP_MIN = float(np.finfo(float).eps)
+_TOLERANCE_MAX = 1.0
+
+
 def _tolerances(cfg) -> Tolerances:
-    return Tolerances(
-        fd_step=_get(cfg, "tolerances", "fd_step", _float, 1e-5),
-        abs_tol=_get(cfg, "tolerances", "abs_tol", _float, 1e-10),
-        rel_tol=_get(cfg, "tolerances", "rel_tol", _float, 1e-9),
-    )
+    values = {
+        "fd_step": _get(cfg, "tolerances", "fd_step", _float, 1e-5),
+        "abs_tol": _get(cfg, "tolerances", "abs_tol", _float, 1e-10),
+        "rel_tol": _get(cfg, "tolerances", "rel_tol", _float, 1e-9),
+    }
+    if values["fd_step"] < _FD_STEP_MIN:
+        raise ConfigError(f"[tolerances] fd_step = {values['fd_step']:g} is below the float64 "
+                          f"eps {_FD_STEP_MIN:g}")
+    for key, value in values.items():
+        if value >= _TOLERANCE_MAX:
+            raise ConfigError(f"[tolerances] {key} = {value:g} is not below {_TOLERANCE_MAX:g}")
+    return Tolerances(**values)
 
 
 def _grid(cfg, need_space: bool = False) -> Grid2T:
@@ -141,8 +155,11 @@ def _rank_one_c(cfg) -> list:
 
 def _g_poly(cfg):
     """g from [force] g_poly as a Horner closure over Python floats; on floats
-    and on arrays it rounds exactly as np.polyval does."""
+    and on arrays it rounds exactly as np.polyval does, and it keeps complex
+    positions complex, an empty g_poly (g = 0) too."""
     coeffs = _get(cfg, "force", "g_poly", _floats)
+    if not coeffs:
+        return lambda x: np.zeros_like(x)
 
     def g(x):
         y = 0.0
@@ -639,6 +656,7 @@ def _run_classical_check(tol, force, x):
         "fields_degenerate": list(report.fields.degenerate),
         "orthogonality_residual": report.orthogonality_residual,
         "discrepancy": report.discrepancy,
+        "derivative": report.derivative,
     }
     if force.d == 1:
         payload["consistency_residual"] = report.consistency_residual
@@ -659,6 +677,7 @@ def _run_classical_integrate(tol, force, initial, grid):
         "max_abs_x": float(np.max(np.abs(surface.values))),
         "orthogonality_residual": check.orthogonality_residual,
         "orbit_residual": check.orbit_residual,
+        "derivative": check.derivative,
         "grid": [grid.n1, grid.n2],
     }
     rows = _grid_rows((grid.t1_values, grid.t2_values), surface.values, *surface.grid_momenta,

@@ -313,13 +313,22 @@ class TestBatchedForce1D:
             assert residuals[k] == cl.consistency_residual_1d(primes(force, x))
 
     def test_fd_step_scales_per_point(self):
-        # F = x^3: the central difference is 3 x^2 + h^2 with h = fd_step max(1, |x|)
-        force = cl.polynomial_force_1d({"11": [1.0, 0.0, 0.0, 0.0]})
+        # F = x^3 from an eval that drops the imaginary part, so derivatives
+        # fall back to the central difference 3 x^2 + h^2 with
+        # h = fd_step max(1, |x|); the complex step of the built force is 3 x^2
+        def cube(x):
+            out = np.zeros(np.shape(x) + (2, 2))
+            out[..., 0, 0] = np.real(x) ** 3
+            return out
+
+        built = cl.polynomial_force_1d({"11": [1.0, 0.0, 0.0, 0.0]})
         x = np.array([0.5, 100.0])
         tol = Tolerances(fd_step=1e-3)
         h = tol.fd_step * np.maximum(1.0, np.abs(x))
-        got = force.derivative_tensor(x, tol)[:, 0, 0, 0, 0]
+        got = cl.ForceTensorField(1, cube).derivative_tensor(x, tol)[:, 0, 0, 0, 0]
         np.testing.assert_allclose(got, 3 * x ** 2 + h ** 2, rtol=1e-9)
+        exact = built.derivative_tensor(x, tol)[:, 0, 0, 0, 0]
+        np.testing.assert_allclose(exact, 3 * x ** 2, rtol=1e-15)
 
     def test_non_finite_batch_raises(self):
         force = cl.rank_one_force((1.0, 1.0), lambda x: 1.0 / x)
@@ -353,16 +362,16 @@ def forces_of_dimension(d):
     }, seen
 
 
-def derivative_by_axis(force, x, tol=TOL):
-    """The per-axis central difference that derivative_tensor replaces: 2d
-    single-point tensor_at calls with the step of the whole position."""
+def derivative_by_axis(force, x):
+    """The per-axis complex step that derivative_tensor batches: d
+    single-point tensor_at calls at x + i h e_m, h = 2**-100."""
     x = np.asarray(x, dtype=float)
-    step = tol.step_for(x)
+    h = 2.0 ** -100
     cols = []
     for m in range(force.d):
-        e = np.zeros(force.d)
-        e[m] = step
-        cols.append((force.tensor_at(x + e) - force.tensor_at(x - e)) / (2.0 * step))
+        e = np.zeros(force.d, dtype=complex)
+        e[m] = 1j * h
+        cols.append(force.tensor_at(x + e).imag / h)
     return np.stack(cols, axis=-1)
 
 
@@ -374,9 +383,15 @@ class TestBatchedForce:
         positions = rng.uniform(-2.0, 2.0, size=(3, 4) + ((d,) if d > 1 else ()))
         positions[0, 0] = 0.0
         positions[1, 1] *= 60.0
+        # real tensors at complex positions: the central-difference path
+        forces["real_output"] = cl.ForceTensorField(
+            d, lambda p: np.tanh(p.real)[..., None, None] * np.ones((d, 2, 2)))
+        fallback = {"real_output", "rank_one_constant_g"}
         for name, force in forces.items():
             tensors = force.tensor_at(positions)
             derivs = force.derivative_tensor(positions, TOL)
+            assert force.derivative_path == ("central_difference" if name in fallback
+                                             else "complex_step"), name
             assert tensors.shape == (3, 4, d, 2, 2), name
             assert derivs.shape == (3, 4, d, 2, 2, d), name
             for idx in np.ndindex(3, 4):
@@ -393,17 +408,25 @@ class TestBatchedForce:
         positions[1, 0] = -0.0
         for name, force in forces.items():
             derivs = force.derivative_tensor(positions, TOL)
+            assert force.derivative_path == "complex_step", name
             for k, x in enumerate(positions):
                 assert derivs[k].tobytes() == derivative_by_axis(force, x).tobytes(), name
 
     def test_eval_sees_the_whole_batch(self):
         for d in (1, 2, 3):
             seen = []
-            force = cl.ForceTensorField(d, lambda p: seen.append(p) or np.zeros(p.shape + (2, 2)))
+            force = cl.ForceTensorField(
+                d, lambda p: seen.append(p) or np.zeros(p.shape + (2, 2), dtype=p.dtype))
             force.tensor_at(np.zeros((2, 3) + ((d,) if d > 1 else ())))
             assert len(seen) == 1 and seen[0].shape == (2, 3, d)
             force.derivative_tensor(np.zeros((2, 3) + ((d,) if d > 1 else ())), TOL)
-            assert len(seen) == 2 and seen[1].shape == (2, 2, 3, d, d)  # [side, ..., m, coordinate]
+            assert len(seen) == 2 and seen[1].shape == (2, 3, d, d)  # [..., m, coordinate]
+            assert seen[1].dtype == complex
+            # an eval that returns real tensors for complex positions gets
+            # both sides of the central difference in one further call
+            real = cl.ForceTensorField(d, lambda p: seen.append(p) or np.zeros(p.shape + (2, 2)))
+            real.derivative_tensor(np.zeros((2, 3) + ((d,) if d > 1 else ())), TOL)
+            assert len(seen) == 4 and seen[3].shape == (2, 2, 3, d, d)  # [side, ..., m, coordinate]
 
     @pytest.mark.parametrize("d", (2, 3))
     def test_wrong_length_position_raises(self, d):

@@ -106,6 +106,17 @@ class TestBundledScenarios:
         assert results["orthogonality_residual"] < 1e-4
         assert results["orbit_residual"] < 1e-6
 
+    @pytest.mark.parametrize("name", ["classical_check_rank_one_2d.ini",
+                                      "classical_check_generic_3d.ini", "classical_harmonic.ini"])
+    def test_classical_runs_name_their_derivative(self, tmp_path, capsys, name):
+        path = scenario_path(name)
+        command = cli.load_config(path).get("scenario", "command")
+        assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["derivative"] == "complex_step"
+        report = cli.load_config(path).get("output", "report")
+        with open(tmp_path / report) as fh:
+            assert json.load(fh)["comparable"]["results"]["derivative"] == "complex_step"
+
     def test_mass_spectrum_table(self, tmp_path):
         cli.run_scenario(scenario_path("mass_spectrum_sweep.ini"), str(tmp_path))
         data = np.loadtxt(tmp_path / "mass_spectrum.csv", delimiter=",", skiprows=1)
@@ -472,7 +483,7 @@ n2 = 5
     @pytest.mark.parametrize("x, message", [
         ("1.2e154", "numerical failure: products of the primes F'_jk overflow at x=1.2e+154: "
                     "got max|F'_jk| = 2.4e+154\n"),
-        ("1e160", "numerical failure: force tensor non-finite at 1.00001e+160\n"),
+        ("1e160", "numerical failure: force tensor non-finite at 1e+160\n"),
     ], ids=["prime_products", "force_tensor"])
     def test_d1_overflow_exits_4_without_warnings(self, tmp_path, capsys, x, message):
         config = write(tmp_path, "huge_d1.ini", "[scenario]\ncommand = classical-check\n[force]\n"
@@ -678,7 +689,7 @@ report = loop_report.json
         assert source.read_bytes() == samples
         assert not (tmp_path / "loop_report.json").exists()
 
-    @pytest.mark.parametrize("fd_step", ["0.05", "10"])
+    @pytest.mark.parametrize("fd_step", ["0.05"])
     def test_fd_step_past_integrated_range_exits_3(self, tmp_path, capsys, fd_step):
         # the surface check's finite-difference points for grad x leave the
         # integrated s range [0, 6 pi] of the bundled harmonic witness
@@ -693,6 +704,45 @@ report = loop_report.json
         assert err.startswith(f"domain error: fd_step = {fd_step} puts the finite-difference "
                               "points of grad x at s in [")
         assert err.endswith(": query outside integrated range [0, 18.8496]\n")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("fd_step", "10", "[tolerances] fd_step = 10 is not below 1"),
+        ("fd_step", "1", "[tolerances] fd_step = 1 is not below 1"),
+        ("fd_step", "1e-300", "[tolerances] fd_step = 1e-300 is below the float64 eps 2.22045e-16"),
+        ("fd_step", "-1e-5", "[tolerances] fd_step = -1e-05 is below the float64 eps 2.22045e-16"),
+        ("abs_tol", "1e308", "[tolerances] abs_tol = 1e+308 is not below 1"),
+        ("abs_tol", "1", "[tolerances] abs_tol = 1 is not below 1"),
+        ("rel_tol", "1", "[tolerances] rel_tol = 1 is not below 1"),
+        ("rel_tol", "2.5", "[tolerances] rel_tol = 2.5 is not below 1"),
+    ], ids=["fd_step-10", "fd_step-1", "fd_step-1e-300", "fd_step-negative", "abs_tol-1e308",
+            "abs_tol-1", "rel_tol-1", "rel_tol-2.5"])
+    def test_tolerance_past_its_bound_exits_2(self, tmp_path, capsys, key, value, message):
+        # each of these switched a check of the harmonic witness off, or
+        # overflowed its thresholds, and still exited 0
+        cfg = cli.load_config(scenario_path("classical_harmonic.ini"))
+        cfg.set("tolerances", key, value)
+        config = str(tmp_path / "bound.ini")
+        with open(config, "w") as fh:
+            cfg.write(fh)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["validate", "--config", config]) == 2
+            assert capsys.readouterr().err == f"invalid: {message}\n"
+            assert cli.main(["classical-integrate", "--config", config,
+                             "--out", str(tmp_path / "out")]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("fd_step", "2.3e-16"), ("fd_step", "0.5"),
+                                            ("abs_tol", "0.99"), ("rel_tol", "0.99")])
+    def test_tolerance_inside_its_bound_validates(self, tmp_path, key, value):
+        cfg = cli.load_config(scenario_path("classical_harmonic.ini"))
+        cfg.set("tolerances", key, value)
+        config = str(tmp_path / "inside.ini")
+        with open(config, "w") as fh:
+            cfg.write(fh)
+        assert cli.main(["validate", "--config", config]) == 0
 
     def test_non_numeric_current_file_exits_3(self, tmp_path, capsys):
         samples = write(tmp_path, "current.csv", "x,t1,t2,j1,j2,jx\n0,0,0,1,abc,0\n")
