@@ -77,6 +77,11 @@ RK4_BLOWUP = 1e6
 _COMPLEX_STEP = 2.0 ** -100
 # i h e_m for every axis m, rows indexed by m, per dimension d
 _COMPLEX_SHIFTS = {d: (1j * _COMPLEX_STEP) * np.eye(d) for d in (1, 2, 3)}
+# an analytic eval's Im F(x + i h e_m) is h dF/dx^m; one above
+# _BRANCH_CUT_BOUND * (1 + |Re F|), a derivative beyond about
+# 1e15 (1 + |F|), is taken for a branch cut crossed (sqrt, log or a
+# fractional power of a negative value), where Im F is of the size of F
+_BRANCH_CUT_BOUND = 2.0 ** -50
 
 
 def _axis_m_last(t: np.ndarray) -> np.ndarray:
@@ -99,12 +104,19 @@ class ForceTensorField:
     ``eval`` must be complex-analytic in x: ``derivative_tensor`` takes the
     complex step Im F(x + i h e_m) / h, which is exact to rounding for such a
     map.  ``abs``, comparisons and ``np.where`` on x are not analytic and
-    give wrong complex-step derivatives.  An ``eval`` that returns a real
-    array for complex positions, or raises TypeError on them, is
-    differentiated by central differences instead, each position taking its
-    own step fd_step * max(1, max_m |x^m|).  The first ``derivative_tensor``
-    call finds which of the two applies and keeps it in ``derivative_path``:
-    "complex_step" or "central_difference" (None before that call).
+    give wrong complex-step derivatives.  Branch cuts are not analytic
+    either: sqrt, log or a fractional power of a value that is negative at x
+    is finite at x + i h e_m, with an imaginary part of the size of the
+    value, where the real ``eval`` is NaN.  A complex step whose imaginary
+    part exceeds 2^-50 (1 + |real part|) in any entry is taken for such a
+    cut.  An ``eval`` that crosses one, returns a real array for complex
+    positions, or raises TypeError on them, is differentiated by central
+    differences instead, each position taking its own step
+    fd_step * max(1, max_m |x^m|), so a NaN of the real ``eval`` raises
+    EvaluationError.  The first ``derivative_tensor`` call finds which of
+    the two applies and keeps it in ``derivative_path``: "complex_step" or
+    "central_difference" (None before that call); a later call that crosses
+    a branch cut sets it to "central_difference" for good.
     """
 
     d: int
@@ -142,8 +154,8 @@ class ForceTensorField:
         expected = pos.shape + (2, 2)
         if out.shape != expected:
             raise DomainError(f"force eval returned shape {out.shape}, expected {expected}")
-        if not np.isfinite(out).all():
-            finite = np.isfinite(out).all(axis=(-3, -2, -1))
+        finite = np.isfinite(out).all(axis=(-3, -2, -1))
+        if not finite.all():
             where = pos.reshape((-1,) + self._point_shape)[np.argmin(finite.ravel())].real
             raise EvaluationError(f"force tensor non-finite at {where.tolist()!r}")
         return out
@@ -162,8 +174,11 @@ class ForceTensorField:
                 t = None
             # derivative_path caches a property of eval, so the frozen field may change
             if t is not None and t.dtype.kind == "c":
-                object.__setattr__(self, "derivative_path", "complex_step")
-                return _axis_m_last(t.imag / _COMPLEX_STEP)
+                # an imaginary part within 2^-50 everywhere passes the branch-cut test
+                if (np.abs(t.imag).max(initial=0.0) <= _BRANCH_CUT_BOUND
+                        or not (np.abs(t.imag) > _BRANCH_CUT_BOUND * (1.0 + np.abs(t.real))).any()):
+                    object.__setattr__(self, "derivative_path", "complex_step")
+                    return _axis_m_last(t.imag / _COMPLEX_STEP)
             object.__setattr__(self, "derivative_path", "central_difference")
         step = tol.fd_step * np.maximum(1.0, np.max(np.abs(pos), axis=-1))
         shift = step[..., None, None] * np.eye(self.d)  # [..., m, coordinate]
@@ -611,7 +626,7 @@ def integrate_rank_one_1d(g, c, x0: float, v0: float, grid: Grid2T,
 # ---------------------------------------------------------------------------
 
 def _constraint_matrix_from_tensor(T: np.ndarray, d: int) -> np.ndarray:
-    M = np.empty((d, 2, d, 2))  # [i, k, m, j]
+    M = np.empty((d, 2, d, 2))  # [i, k, m, j], filled without np.stack's checks
     M[..., 0] = T[:, 1]
     M[..., 1] = -T[:, 0]
     if d == 3:
@@ -644,12 +659,9 @@ def _det2(a, b, c, d):
 
 
 def _appendix_fields_2d(T: np.ndarray):
-    """The published 2x2-determinant fields for d=2, exactly as printed, on
-    Python floats (IEEE doubles, rounded as numpy rounds them)."""
-    entries = T.tolist()
-
+    """The published 2x2-determinant fields for d=2, exactly as printed."""
     def f(i, j, k, m):
-        return entries[i][j - 1][k - 1][m]
+        return T[i, j - 1, k - 1, m]
     x, y = 0, 1
     al = _det2(f(0, 2, 1, x), f(0, 2, 1, y), f(1, 2, 1, x), f(1, 2, 1, y))
     be = _det2(f(0, 1, 1, x), f(0, 1, 2, x), f(1, 1, 1, x), f(1, 2, 1, x))
@@ -768,10 +780,6 @@ def _vector_text(v: np.ndarray) -> str:
     which for subnormals are real digits, not zeros.
     """
     values = v.tolist()
-    if values and not any(values):  # only zeros: "0." or "-0.", right-aligned
-        texts = ["-0." if math.copysign(1.0, x) < 0 else "0." for x in values]
-        width = max(map(len, texts))
-        return "[" + " ".join(t.rjust(width) for t in texts) + "]"
     finite = [x for x in values if math.isfinite(x)]
     sizes = [abs(x) for x in finite if x != 0.0]
     scientific = bool(sizes) and (max(sizes) >= 1e8 or min(sizes) < 1e-4

@@ -375,6 +375,20 @@ def derivative_by_axis(force, x):
     return np.stack(cols, axis=-1)
 
 
+def derivative_by_axis_cd(force, x, tol=TOL):
+    """The per-axis central difference that derivative_tensor keeps for an
+    eval with real output: 2d single-point tensor_at calls with the step of
+    the whole position."""
+    x = np.asarray(x, dtype=float)
+    step = tol.step_for(x)
+    cols = []
+    for m in range(force.d):
+        e = np.zeros(force.d)
+        e[m] = step
+        cols.append((force.tensor_at(x + e) - force.tensor_at(x - e)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
+
+
 class TestBatchedForce:
     @pytest.mark.parametrize("d", (1, 2, 3))
     def test_batch_equals_per_point(self, d):
@@ -409,8 +423,13 @@ class TestBatchedForce:
         for name, force in forces.items():
             derivs = force.derivative_tensor(positions, TOL)
             assert force.derivative_path == "complex_step", name
+            # the same force with real output at complex positions
+            real = cl.ForceTensorField(d, lambda p, f=force.eval: f(p.real))
+            real_derivs = real.derivative_tensor(positions, TOL)
+            assert real.derivative_path == "central_difference", name
             for k, x in enumerate(positions):
                 assert derivs[k].tobytes() == derivative_by_axis(force, x).tobytes(), name
+                assert real_derivs[k].tobytes() == derivative_by_axis_cd(real, x).tobytes(), name
 
     def test_eval_sees_the_whole_batch(self):
         for d in (1, 2, 3):

@@ -161,6 +161,73 @@ def builders():
     return out
 
 
+def one_entry_force(fn):
+    """A d = 1 force whose every entry is fn(x)."""
+    return cl.ForceTensorField(1, lambda p: fn(p[..., 0])[..., None, None, None] * np.ones((1, 2, 2)))
+
+
+BRANCH_CUTS = {"sqrt": np.sqrt, "log": np.log, "power": lambda x: x ** 0.5, "arcsin": np.arcsin}
+
+
+class TestBranchCuts:
+    """A cut crossed at x gives a finite complex step with an imaginary part
+    of the size of F, where the real eval is NaN; such a step is refused and
+    the central difference raises as it would on the real eval."""
+
+    @pytest.mark.parametrize("name", sorted(BRANCH_CUTS))
+    def test_cut_raises_as_the_real_eval(self, name):
+        force = one_entry_force(BRANCH_CUTS[name])
+        with pytest.raises(cl.EvaluationError, match="non-finite"):
+            force.derivative_tensor(-4.0, TOL)
+        assert force.derivative_path == "central_difference"
+
+    @pytest.mark.parametrize("name", sorted(BRANCH_CUTS))
+    def test_cut_after_the_complex_path_was_found(self, name):
+        force = one_entry_force(BRANCH_CUTS[name])
+        force.derivative_tensor(0.25, TOL)
+        assert force.derivative_path == "complex_step"
+        with pytest.raises(cl.EvaluationError, match="non-finite"):
+            force.derivative_tensor(np.array([0.25, -4.0]), TOL)
+        assert force.derivative_path == "central_difference"
+
+    def test_cut_at_d2_fails_classify(self):
+        force = cl.rank_one_force((1.0, 2.0), lambda p: np.sqrt(p), d=2)
+        assert cl.classify(force, np.array([1.0, 4.0])).derivative == "complex_step"
+        with pytest.raises(cl.EvaluationError, match="non-finite"):
+            cl.classify(force, np.array([1.0, -4.0]))
+
+    def test_analytic_side_keeps_the_exact_step(self):
+        force = one_entry_force(np.sqrt)
+        assert force.derivative_tensor(4.0, TOL)[0, 0, 0, 0] == 0.25
+        assert force.derivative_path == "complex_step"
+
+    def test_large_derivative_of_a_large_value_keeps_the_complex_step(self):
+        force = one_entry_force(lambda x: 2.0 ** 60 * x)
+        assert force.derivative_tensor(0.5, TOL)[0, 0, 0, 0] == 2.0 ** 60
+        assert force.derivative_path == "complex_step"
+
+    def test_bound_is_relative_to_one_plus_the_value(self):
+        # Im F = 1.5 * 2^-50 at F = 1: within 2^-50 (1 + |F|)
+        force = one_entry_force(lambda x: 1.0 + 1.5 * 2.0 ** 50 * x)
+        assert force.derivative_tensor(0.0, TOL)[0, 0, 0, 0] == 1.5 * 2.0 ** 50
+        assert force.derivative_path == "complex_step"
+
+    def test_large_derivative_of_a_small_value_takes_central_difference(self):
+        # dF/dx = 2^60 where F = 0 is past 2^50 (1 + |F|): read as a cut
+        force = one_entry_force(lambda x: 2.0 ** 60 * x)
+        got = force.derivative_tensor(0.0, TOL)[0, 0, 0, 0]
+        assert force.derivative_path == "central_difference"
+        assert got == pytest.approx(2.0 ** 60, rel=1e-12)
+
+    def test_cut_under_a_far_larger_value_is_missed(self):
+        # the limit of the test: Im sqrt(-4 + ih) = 2 is below 2^-50 * 1e20,
+        # so this step passes, and its derivative is 2 / h
+        force = one_entry_force(lambda x: 1e20 + np.sqrt(x))
+        got = force.derivative_tensor(-4.0, TOL)[0, 0, 0, 0]
+        assert force.derivative_path == "complex_step"
+        assert got == 2.0 * 2.0 ** 100
+
+
 class TestEveryBuilderIsComplex:
     def test_every_builder_covered(self):
         names = {name for name in cl.__all__ if inspect.isfunction(getattr(cl, name))
