@@ -40,7 +40,6 @@ __all__ = [
     "ForceTensorField",
     "CharacteristicField",
     "Verdict",
-    "ParallelFieldReport",
     "ConstraintReport",
     "TrajectorySurface",
     "SurfaceCheck",
@@ -55,8 +54,6 @@ __all__ = [
     "integrate_rank_one_1d",
     "build_constraint_matrix",
     "admissibility_determinant",
-    "parallel_fields_2d",
-    "parallel_fields_3d",
     "classify",
 ]
 
@@ -201,26 +198,6 @@ class Verdict(str, Enum):
     EFFECTIVE_ONE_TIME = "effective_one_time"
     TWO_TIME_ADMISSIBLE = "two_time_admissible"
     DEGENERATE = "degenerate"
-
-
-@dataclass(frozen=True)
-class ParallelFieldReport:
-    """Closed-form fields next to their null-space cross-check.
-
-    ``appendix`` holds the published determinant expressions evaluated as
-    printed; ``oracle`` holds unit field directions recovered from the kernel
-    of the velocity system (None when the kernel leaves a coordinate
-    unconstrained or motionless).  ``discrepancy`` is non-None whenever the
-    two routes disagree beyond CROSS_VALIDATION_TOL, and carries both.
-    """
-
-    d: int
-    appendix: tuple
-    oracle: tuple
-    oracle_status: tuple
-    kernel_dim: int
-    orthogonality_residual: float | None
-    discrepancy: str | None
 
 
 @dataclass(frozen=True)
@@ -706,13 +683,11 @@ _RELABELINGS = (
     np.array([[2 * p[m] + j for m in range(3) for j in range(2)] for p in _PERMUTATIONS])[:, None, :])
 
 
-def _appendix_fields_3d(M: np.ndarray, variant: str = "corrected"):
-    """Chain fields for all three coordinates from the 6x6 velocity system M,
-    relabeled so that each coordinate in turn comes first, as one (3, 2)
-    array from one (3, 6, 6) stack."""
-    if variant not in ("corrected", "printed"):
-        raise DomainError(f"unknown chain variant {variant!r}")
-    return _chain_field(M[_RELABELINGS], variant == "printed")
+def _appendix_fields_3d(M: np.ndarray):
+    """Corrected chain fields for all three coordinates from the 6x6 velocity
+    system M, relabeled so that each coordinate in turn comes first, as one
+    (3, 2) array from one (3, 6, 6) stack."""
+    return _chain_field(M[_RELABELINGS], False)
 
 
 def _kernel_directions(kernel: list, d: int, tol: Tolerances):
@@ -813,16 +788,14 @@ def _vector_text(v: np.ndarray) -> str:
         for x in values) + "]"
 
 
-def _field_report(T: np.ndarray, M: np.ndarray, tol: Tolerances,
-                  variant: str) -> ParallelFieldReport:
-    """Field report from the derivative tensor T of a d = 2 or 3 force and
-    its velocity system M."""
+def _field_report(T: np.ndarray, M: np.ndarray, tol: Tolerances):
+    """Kernel dimension, oracle fields, orthogonality residual and
+    discrepancy text from the derivative tensor T of a d = 2 or 3 force and
+    its velocity system M.  A coordinate without a kernel direction gets a
+    zero vector flagged degenerate."""
     d = T.shape[0]
     kernel = null_space(M, tol)
-    if d == 2:
-        appendix = _appendix_fields_2d(T)
-    else:
-        appendix = _appendix_fields_3d(M, variant)
+    appendix = _appendix_fields_2d(T) if d == 2 else _appendix_fields_3d(M)
     dirs = _kernel_directions(kernel, d, tol)
     residual = _cross_validate(appendix, kernel, d)
     discrepancy = None
@@ -835,39 +808,10 @@ def _field_report(T: np.ndarray, M: np.ndarray, tol: Tolerances,
                          f"oracle={oracle_txt}")
         discrepancy = (f"printed determinant fields fail kernel cross-validation "
                        f"(residual {residual:.3e}); " + "; ".join(parts))
-    return ParallelFieldReport(
-        d=d,
-        appendix=tuple(np.asarray(a, dtype=float) for a in appendix),
-        oracle=tuple(vec for _, vec in dirs),
-        oracle_status=tuple(status for status, _ in dirs),
-        kernel_dim=len(kernel),
-        orthogonality_residual=residual,
-        discrepancy=discrepancy,
-    )
-
-
-def parallel_fields_2d(F: ForceTensorField, x,
-                       tol: Tolerances = Tolerances()) -> ParallelFieldReport:
-    """Published fields restricting x and y evolution, cross-validated
-    against the kernel of the velocity system."""
-    if F.d != 2:
-        raise DomainError(f"parallel_fields_2d needs d=2, got d={F.d}")
-    T = F.derivative_tensor(x, tol)
-    return _field_report(T, _constraint_matrix_from_tensor(T, 2), tol, "corrected")
-
-
-def parallel_fields_3d(F: ForceTensorField, x, tol: Tolerances = Tolerances(),
-                       variant: str = "corrected") -> ParallelFieldReport:
-    """Chain fields for the three coordinates.
-
-    ``variant="printed"`` keeps the published first-stage column pairing;
-    the default pairs the pivot column instead, which is the variant the
-    null-space oracle confirms on admissible forces.
-    """
-    if F.d != 3:
-        raise DomainError(f"parallel_fields_3d needs d=3, got d={F.d}")
-    T = F.derivative_tensor(x, tol)
-    return _field_report(T, _constraint_matrix_from_tensor(T, 3), tol, variant)
+    fields = CharacteristicField(
+        vectors=tuple(np.zeros(2) if vec is None else vec for _, vec in dirs),
+        degenerate=tuple(vec is None for _, vec in dirs))
+    return len(kernel), fields, residual, discrepancy
 
 
 # ---------------------------------------------------------------------------
@@ -899,29 +843,19 @@ def classify(F: ForceTensorField, x, tol: Tolerances = Tolerances()) -> Constrai
     det_val = float(determinant(M))
     if F.d == 1:
         kdim = len(null_space(M, tol))
+        # characteristic_field_1d raises on mixed-sign radicands, which a
+        # full-rank system may have
+        vec, degenerate = characteristic_field_1d(fp, x, tol) if kdim else (np.zeros(2), True)
+        fields = CharacteristicField(vectors=(vec,), degenerate=(bool(degenerate),))
         checks = (None, None, float(consistency_residual_1d(fp)))
     else:
-        pf = _field_report(T, M, tol, "corrected")
-        kdim = pf.kernel_dim
-        checks = (pf.orthogonality_residual, pf.discrepancy)
-    if kdim == 0:
-        fields = CharacteristicField(vectors=tuple(np.zeros(2) for _ in range(F.d)),
-                                     degenerate=(True,) * F.d)
-        return ConstraintReport(det_val, 0, fields, 0.0, Verdict.NO_TWO_TIME_MOTION,
-                                F.derivative_path, *checks)
-
-    if F.d == 1:
-        vec, degenerate = characteristic_field_1d(fp, x, tol)
-        fields = CharacteristicField(vectors=(vec,), degenerate=(bool(degenerate),))
-    else:
-        found = [status == "direction" for status in pf.oracle_status]
-        fields = CharacteristicField(
-            vectors=tuple(vec if ok else np.zeros(2) for ok, vec in zip(found, pf.oracle)),
-            degenerate=tuple(not ok for ok in found))
+        kdim, fields, *checks = _field_report(T, M, tol)
     defined = [v for v, dgn in zip(fields.vectors, fields.degenerate) if not dgn]
     defect = _pairwise_defect(defined)
 
-    if not defined:
+    if kdim == 0:
+        verdict = Verdict.NO_TWO_TIME_MOTION
+    elif not defined:
         verdict = Verdict.DEGENERATE
     elif defect <= CROSS_VALIDATION_TOL:
         verdict = Verdict.EFFECTIVE_ONE_TIME

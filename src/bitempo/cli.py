@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import functools
 import json
 import math
@@ -47,8 +48,9 @@ FORMATS = ("csv", "json")
 
 _REQUIRED = object()
 
-# most points a parsed grid may hold, nx included; the bundled scenarios and
-# the benchmark's draws hold at most 61 x 41 x 41
+# most points any grid of a run may hold, nx included: the parsed [grid], and
+# for a builtin continuity current its refinement too; the bundled scenarios
+# and the benchmark's draws hold at most 61 x 41 x 41 (121 x 81 x 81 refined)
 MAX_GRID_POINTS = 10 ** 7
 
 
@@ -97,26 +99,13 @@ def _floats(raw: str) -> list:
     return [_float(p) for p in raw.replace(",", " ").split()]
 
 
-# [tolerances] values past these switch a check off: a step below eps can put
-# a finite difference's points on its centre, and a tolerance of 1 or more
-# passes any residual (or overflows the thresholds it scales)
-_FD_STEP_MIN = float(np.finfo(float).eps)
-_TOLERANCE_MAX = 1.0
-
-
 def _tolerances(cfg) -> Tolerances:
-    values = {
-        "fd_step": _get(cfg, "tolerances", "fd_step", _float, 1e-5),
-        "abs_tol": _get(cfg, "tolerances", "abs_tol", _float, 1e-10),
-        "rel_tol": _get(cfg, "tolerances", "rel_tol", _float, 1e-9),
-    }
-    if values["fd_step"] < _FD_STEP_MIN:
-        raise ConfigError(f"[tolerances] fd_step = {values['fd_step']:g} is below the float64 "
-                          f"eps {_FD_STEP_MIN:g}")
-    for key, value in values.items():
-        if value >= _TOLERANCE_MAX:
-            raise ConfigError(f"[tolerances] {key} = {value:g} is not below {_TOLERANCE_MAX:g}")
-    return Tolerances(**values)
+    values = {f.name: _get(cfg, "tolerances", f.name, _float, f.default)
+              for f in dataclasses.fields(Tolerances)}
+    try:
+        return Tolerances(**values)
+    except DomainError as exc:
+        raise ConfigError(f"[tolerances] {exc}") from None
 
 
 def _grid(cfg, need_space: bool = False) -> Grid2T:
@@ -135,15 +124,28 @@ def _grid(cfg, need_space: bool = False) -> Grid2T:
             nx=_get(cfg, "grid", "nx", int),
         )
     grid = Grid2T(**kwargs)
+    _check_points(grid, "[grid]")
+    return grid
+
+
+def _check_points(grid: Grid2T, name: str):
     points = grid.n1 * grid.n2 * (grid.nx or 1)
     if points > MAX_GRID_POINTS:
-        raise DomainError(f"[grid] holds {points} points, more than MAX_GRID_POINTS = "
+        raise DomainError(f"{name} holds {points} points, more than MAX_GRID_POINTS = "
                           f"{MAX_GRID_POINTS}")
-    return grid
 
 
 def _space_grid(cfg) -> Grid2T:
     return _grid(cfg, need_space=True)
+
+
+def _continuity_grid(cfg) -> Grid2T:
+    """The [grid] of a continuity run; with a builtin current the run also
+    builds the 2x refined grid, which must fit MAX_GRID_POINTS too."""
+    grid = _space_grid(cfg)
+    if _get(cfg, "current", "source", str, "builtin") in ("builtin", "builtin-sourced"):
+        _check_points(grid.refined(), "the refined [grid] of a builtin current")
+    return grid
 
 
 def _rank_one_c(cfg) -> list:
@@ -862,7 +864,7 @@ _COMMANDS = {
                             _run_classical_integrate),
     "quantum-fluct": ((_quantum_system, _grid), _run_quantum_fluct),
     "uncertainty": ((_budget,), _run_uncertainty),
-    "continuity": ((_tolerances, _space_grid, _current_source), _run_continuity),
+    "continuity": ((_tolerances, _continuity_grid, _current_source), _run_continuity),
     "dirac": ((_tolerances, _wave, _space_grid), _run_dirac),
     "mass-spectrum": ((_sweep,), _run_mass_spectrum),
 }

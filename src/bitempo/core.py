@@ -184,13 +184,21 @@ class Grid2T:
                       None if self.nx is None else 2 * self.nx - 1)
 
 
+# smallest fd_step: a step below eps can put a finite difference's points on
+# its centre
+FD_STEP_MIN = float(np.finfo(float).eps)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical knobs shared by every check.
 
     fd_step is scaled by the characteristic size of the point where a
     derivative is taken; abs_tol doubles as the relative kernel-detection
-    threshold on singular values.
+    threshold on singular values.  Each lies in (0, 1), and fd_step is at
+    least FD_STEP_MIN: past these bounds a check switches off, as a
+    tolerance of 1 or more passes any residual (or overflows the thresholds
+    it scales).  DomainError names the first value out of bounds.
     """
 
     fd_step: float = 1e-5
@@ -198,8 +206,15 @@ class Tolerances:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if not (self.fd_step > 0 and self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("tolerances must all be positive")
+        if self.fd_step < FD_STEP_MIN:
+            raise DomainError(f"fd_step = {self.fd_step:g} is below the float64 eps "
+                              f"{FD_STEP_MIN:g}")
+        for key in ("fd_step", "abs_tol", "rel_tol"):
+            value = getattr(self, key)
+            if not value > 0:
+                raise DomainError(f"{key} = {value:g} is not above 0")
+            if not value < 1:
+                raise DomainError(f"{key} = {value:g} is not below 1")
 
     def step_for(self, at) -> float:
         """Finite-difference step scaled to the magnitude of `at`."""

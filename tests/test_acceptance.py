@@ -119,8 +119,7 @@ def test_criterion_03_higher_dimensional_determinants():
             smax = np.linalg.svd(m, compute_uv=False)[0]
             det = float(determinant(m))
             det_ok = det_ok and abs(det) < 1e-10 * max(smax, 1e-30) ** (2 * d)
-            fn = cl.parallel_fields_2d if d == 2 else cl.parallel_fields_3d
-            rep = fn(force, x)
+            rep = cl.classify(force, x)
             rank_ok = rank_ok and rep.kernel_dim >= 1
             passed = (rep.orthogonality_residual is not None
                       and rep.orthogonality_residual < 1e-8)
@@ -138,7 +137,7 @@ def test_criterion_03_higher_dimensional_determinants():
 
     for _ in range(100):
         force = tuned_affine_force(3, rng)
-        rep = cl.parallel_fields_3d(force, np.zeros(3), variant="corrected")
+        rep = cl.classify(force, np.zeros(3))
         if rep.kernel_dim >= 1:
             passed = (rep.orthogonality_residual is not None
                       and rep.orthogonality_residual < 1e-8)

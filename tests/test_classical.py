@@ -12,6 +12,7 @@ from bitempo.core import (
     Grid2T,
     Tolerances,
     TruncationError,
+    null_space,
 )
 
 TOL = Tolerances()
@@ -674,19 +675,20 @@ class TestAdmissibilityDeterminant:
 
 class TestParallelFields:
     def test_zero_force_unconstrained(self):
-        report = cl.parallel_fields_2d(cl.zero_force(2), (0.0, 0.0))
+        report = cl.classify(cl.zero_force(2), (0.0, 0.0))
         assert report.kernel_dim == 4
-        assert all(s == "unconstrained" for s in report.oracle_status)
+        assert report.fields.degenerate == (True, True)
+        assert report.discrepancy.count("oracle=unconstrained") == 2
 
     def test_rank_one_2d_oracle_directions(self):
         rng = np.random.default_rng(14)
         c = np.array([1.0, 2.0])
         lin = rng.normal(size=(2, 2))
         force = cl.rank_one_force(c, lambda p: lin @ p, d=2)
-        report = cl.parallel_fields_2d(force, (0.4, -0.2))
+        report = cl.classify(force, (0.4, -0.2))
         expect = np.array([c[1], -c[0]]) / np.linalg.norm(c)
-        for status, vec in zip(report.oracle_status, report.oracle):
-            assert status == "direction"
+        for vec, degenerate in zip(report.fields.vectors, report.fields.degenerate):
+            assert not degenerate
             cross = abs(vec[0] * expect[1] - vec[1] * expect[0])
             assert cross < 1e-10
         # printed formulas disagree here: the report must say so
@@ -698,8 +700,7 @@ class TestParallelFields:
             for _ in range(10):
                 lin = rng.normal(size=(d, d))
                 force = cl.rank_one_force((0.8, -1.1), lambda p, lin=lin: lin @ p, d=d)
-                fn = cl.parallel_fields_2d if d == 2 else cl.parallel_fields_3d
-                report = fn(force, rng.uniform(-1, 1, size=d))
+                report = cl.classify(force, rng.uniform(-1, 1, size=d))
                 ok = (report.orthogonality_residual is not None
                       and report.orthogonality_residual < 1e-8)
                 assert ok or report.discrepancy is not None
@@ -709,7 +710,7 @@ class TestParallelFields:
         hits = 0
         for _ in range(20):
             force = tuned_affine_force(3, rng)
-            report = cl.parallel_fields_3d(force, np.zeros(3), variant="corrected")
+            report = cl.classify(force, np.zeros(3))
             if report.kernel_dim != 1:
                 continue
             hits += 1
@@ -718,22 +719,20 @@ class TestParallelFields:
         assert hits >= 15
 
     def test_3d_printed_chain_fails_oracle(self):
+        # the published first-stage column pairing, cross-validated against
+        # the kernel as classify cross-validates the corrected chain
         rng = np.random.default_rng(17)
         flagged = 0
         for _ in range(10):
             force = tuned_affine_force(3, rng)
-            report = cl.parallel_fields_3d(force, np.zeros(3), variant="printed")
-            if report.kernel_dim != 1:
+            M = cl.build_constraint_matrix(force, np.zeros(3))
+            kernel = null_space(M, TOL)
+            if len(kernel) != 1:
                 continue
-            if report.discrepancy is not None:
+            printed = cl._chain_field(M[cl._RELABELINGS], True)
+            if not cl._cross_validate(printed, kernel, 3) < cl.CROSS_VALIDATION_TOL:
                 flagged += 1
         assert flagged >= 5
-
-    def test_dimension_guards(self):
-        with pytest.raises(DomainError):
-            cl.parallel_fields_2d(cl.zero_force(3), np.zeros(3))
-        with pytest.raises(DomainError):
-            cl.parallel_fields_3d(cl.zero_force(2), np.zeros(2))
 
 
 class TestClassify:
@@ -865,7 +864,7 @@ class TestVectorText:
             assert cl._vector_text(v) == text
 
 
-def relabeled_fields_by_tensor(T, variant):
+def relabeled_fields_by_tensor(T, printed):
     """The chain fields built the way they were before the velocity system
     was relabeled by index: permute the space axes of the tensor, then build
     each permuted system from it."""
@@ -873,13 +872,13 @@ def relabeled_fields_by_tensor(T, variant):
     for perm in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
         Tp = T[list(perm)][:, :, :, list(perm)]
         M = np.stack([Tp[:, 1], -Tp[:, 0]], axis=-1).transpose(1, 0, 2, 3).reshape(6, 6)
-        fields.append(cl._chain_field(M, variant == "printed"))
+        fields.append(cl._chain_field(M, printed))
     return tuple(fields)
 
 
 class TestRelabeledSystems:
-    @pytest.mark.parametrize("variant", ["corrected", "printed"])
-    def test_equal_to_permuted_tensor_bitwise(self, variant):
+    @pytest.mark.parametrize("printed", [False, True], ids=["corrected", "printed"])
+    def test_equal_to_permuted_tensor_bitwise(self, printed):
         rng = np.random.default_rng(4243)
         for k in range(200):
             if k % 2:
@@ -889,11 +888,8 @@ class TestRelabeledSystems:
                 force = cl.affine_force(3, rng.normal(size=(3, 2, 2, 3)) * 10.0 ** rng.integers(-3, 4))
                 x = rng.uniform(-1, 1, size=3)
             T = force.derivative_tensor(x, TOL)
-            got = cl._appendix_fields_3d(cl._constraint_matrix_from_tensor(T, 3), variant)
-            want = relabeled_fields_by_tensor(T, variant)
+            M = cl._constraint_matrix_from_tensor(T, 3)
+            got = cl._chain_field(M[cl._RELABELINGS], True) if printed else cl._appendix_fields_3d(M)
+            want = relabeled_fields_by_tensor(T, printed)
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
-
-    def test_unknown_variant(self):
-        with pytest.raises(DomainError):
-            cl._appendix_fields_3d(np.zeros((6, 6)), "published")

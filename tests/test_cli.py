@@ -530,6 +530,27 @@ n2 = 5
         assert capsys.readouterr().err == f"domain error: {message}"
         assert os.listdir(tmp_path) == ["vast.ini"]
 
+    @pytest.mark.parametrize("source", ["builtin", "builtin-sourced"])
+    def test_refined_grid_over_cap_rejected(self, tmp_path, capsys, monkeypatch, source):
+        # a builtin current is also built on the 2x refined grid: 257^3 points
+        # for this 129^3 [grid], which alone fits MAX_GRID_POINTS
+        grid = (GRID.replace("n1 = 5", "n1 = 129").replace("n2 = 5", "n2 = 129")
+                + "x_min = -1\nx_max = 1\nnx = 129\n")
+        config = write(tmp_path, "fine.ini", "[scenario]\ncommand = continuity\n"
+                       f"[current]\nsource = {source}\n{grid}")
+        forbid_runner(monkeypatch, "continuity")
+        message = ("the refined [grid] of a builtin current holds 16974593 points, "
+                   "more than MAX_GRID_POINTS = 10000000\n")
+        assert cli.main(["validate", "--config", config]) == 2
+        assert capsys.readouterr().err == f"invalid: {message}"
+        assert cli.main(["continuity", "--config", config, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"domain error: {message}"
+        assert os.listdir(tmp_path) == ["fine.ini"]
+        # a file: current is read on the parsed grid only
+        config = write(tmp_path, "file.ini", "[scenario]\ncommand = continuity\n"
+                       f"[current]\nsource = file:samples.csv\n{grid}")
+        assert cli.main(["validate", "--config", config]) == 0
+
     @pytest.mark.parametrize("command, sections, axis, ends", [
         ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
          + GRID.replace("t2_min = 0", "t2_min = -1e308").replace("t2_max = 1", "t2_max = 1e308"),
@@ -714,8 +735,10 @@ report = loop_report.json
         ("abs_tol", "1", "[tolerances] abs_tol = 1 is not below 1"),
         ("rel_tol", "1", "[tolerances] rel_tol = 1 is not below 1"),
         ("rel_tol", "2.5", "[tolerances] rel_tol = 2.5 is not below 1"),
+        ("abs_tol", "0", "[tolerances] abs_tol = 0 is not above 0"),
+        ("rel_tol", "-1", "[tolerances] rel_tol = -1 is not above 0"),
     ], ids=["fd_step-10", "fd_step-1", "fd_step-1e-300", "fd_step-negative", "abs_tol-1e308",
-            "abs_tol-1", "rel_tol-1", "rel_tol-2.5"])
+            "abs_tol-1", "rel_tol-1", "rel_tol-2.5", "abs_tol-0", "rel_tol-negative"])
     def test_tolerance_past_its_bound_exits_2(self, tmp_path, capsys, key, value, message):
         # each of these switched a check of the harmonic witness off, or
         # overflowed its thresholds, and still exited 0

@@ -306,10 +306,10 @@ class TestOneDimensionalKernel:
         assert cl._kernel_directions([v], 2, TOL)[0] == ("zero-velocity", None)
 
 
-def chain_by_relabeling(M, variant):
+def chain_by_relabeling(M, printed):
     """The d = 3 chain fields one relabeled system at a time, through
     np.ix_ and np.outer, as they were taken before the (3, 6, 6) stack."""
-    P = 0 if variant == "printed" else 5
+    P = 0 if printed else 5
     out = []
     for p in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
         S = M[np.ix_([3 * k + p[i] for k in range(2) for i in range(3)],
@@ -322,16 +322,16 @@ def chain_by_relabeling(M, variant):
 
 
 class TestStackedChain:
-    @pytest.mark.parametrize("variant", ["corrected", "printed"])
-    def test_bitwise_equal_to_per_relabeling(self, variant):
+    @pytest.mark.parametrize("printed", [False, True], ids=["corrected", "printed"])
+    def test_bitwise_equal_to_per_relabeling(self, printed):
         rng = np.random.default_rng(120)
         for k in range(300):
             M = rng.normal(size=(6, 6)) * 10.0 ** rng.integers(-4, 5)
             if k % 3 == 0:
                 M[rng.integers(6), :] = 0.0
-            got = cl._appendix_fields_3d(M, variant)
+            got = cl._chain_field(M[cl._RELABELINGS], True) if printed else cl._appendix_fields_3d(M)
             assert got.shape == (3, 2)
-            for g, w in zip(got, chain_by_relabeling(M, variant)):
+            for g, w in zip(got, chain_by_relabeling(M, printed)):
                 assert g.tobytes() == w.tobytes()
 
     def test_rank_one_corrected_chain_vanishes(self):

@@ -185,6 +185,25 @@ class TestTypes:
         with pytest.raises(DomainError):
             Tolerances(fd_step=-1.0)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("fd_step", 1e-300, "fd_step = 1e-300 is below the float64 eps 2.22045e-16"),
+        ("fd_step", 1.0, "fd_step = 1 is not below 1"),
+        ("fd_step", math.nan, "fd_step = nan is not above 0"),
+        ("abs_tol", 0.0, "abs_tol = 0 is not above 0"),
+        ("abs_tol", 1e308, "abs_tol = 1e+308 is not below 1"),
+        ("rel_tol", -1.0, "rel_tol = -1 is not above 0"),
+        ("rel_tol", 2.5, "rel_tol = 2.5 is not below 1"),
+    ])
+    def test_tolerances_out_of_bounds_named(self, key, value, message):
+        with pytest.raises(DomainError) as err:
+            Tolerances(**{key: value})
+        assert str(err.value) == message
+
+    def test_tolerances_at_their_bounds(self):
+        eps = float(np.finfo(float).eps)
+        t = Tolerances(fd_step=eps, abs_tol=5e-324, rel_tol=1 - eps / 2)
+        assert (t.fd_step, t.abs_tol, t.rel_tol) == (eps, 5e-324, 1 - eps / 2)
+
     def test_tolerances_step_scaling(self):
         t = Tolerances(fd_step=1e-5)
         assert t.step_for(100.0) == pytest.approx(1e-3)
