@@ -100,25 +100,21 @@ class ForceTensorField:
 
     ``eval`` must be complex-analytic in x: ``derivative_tensor`` takes the
     complex step Im F(x + i h e_m) / h, which is exact to rounding for such a
-    map.  ``abs``, comparisons and ``np.where`` on x are not analytic and
-    give wrong complex-step derivatives.  Branch cuts are not analytic
-    either: sqrt, log or a fractional power of a value that is negative at x
-    is finite at x + i h e_m, with an imaginary part of the size of the
-    value, where the real ``eval`` is NaN.  A complex step whose imaginary
-    part exceeds 2^-50 (1 + |real part|) in any entry is taken for such a
-    cut.  An ``eval`` that crosses one, returns a real array for complex
-    positions, or raises TypeError on them, is differentiated by central
-    differences instead, each position taking its own step
-    fd_step * max(1, max_m |x^m|), so a NaN of the real ``eval`` raises
-    EvaluationError.  The first ``derivative_tensor`` call finds which of
-    the two applies and keeps it in ``derivative_path``: "complex_step" or
-    "central_difference" (None before that call); a later call that crosses
-    a branch cut sets it to "central_difference" for good.
+    map.  An ``eval`` that returns a real array for complex positions, or
+    raises TypeError on them, breaks that contract and is a DomainError.
+    ``abs``, comparisons and ``np.where`` on x are not analytic and give
+    wrong complex-step derivatives.  Branch cuts are not analytic either:
+    sqrt, log or a fractional power of a value that is negative at x is
+    finite at x + i h e_m, with an imaginary part of the size of the value,
+    where the real ``eval`` is NaN.  A complex step whose imaginary part
+    exceeds 2^-50 (1 + |real part|) in any entry may have crossed such a
+    cut, so the tensors at the real positions are evaluated once more: a
+    crossed cut is NaN there and raises EvaluationError, and finite tensors
+    leave the large derivative standing.
     """
 
     d: int
     eval: callable
-    derivative_path: str | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         if self.d not in (1, 2, 3):
@@ -157,32 +153,26 @@ class ForceTensorField:
             raise EvaluationError(f"force tensor non-finite at {where.tolist()!r}")
         return out
 
-    def derivative_tensor(self, x, tol: Tolerances = Tolerances()) -> np.ndarray:
-        """Derivatives T[..., i, j, k, m] = dF^i_{jk}/dx^m from one
-        ``tensor_at`` call: at x + i h e_m along every axis m (complex step),
-        or, where ``eval`` is not complex, at both sides x +- step e_m
-        (central difference)."""
-        pos = self._positions(np.asarray(x, dtype=float))
-        if self.derivative_path != "central_difference":
-            points = pos[..., None, :] + _COMPLEX_SHIFTS[self.d]  # [..., m, coordinate]
-            try:
-                t = self.tensor_at(points.reshape(points.shape[:-1] + self._point_shape))
-            except TypeError:
-                t = None
-            # derivative_path caches a property of eval, so the frozen field may change
-            if t is not None and t.dtype.kind == "c":
-                # an imaginary part within 2^-50 everywhere passes the branch-cut test
-                if (np.abs(t.imag).max(initial=0.0) <= _BRANCH_CUT_BOUND
-                        or not (np.abs(t.imag) > _BRANCH_CUT_BOUND * (1.0 + np.abs(t.real))).any()):
-                    object.__setattr__(self, "derivative_path", "complex_step")
-                    return _axis_m_last(t.imag / _COMPLEX_STEP)
-            object.__setattr__(self, "derivative_path", "central_difference")
-        step = tol.fd_step * np.maximum(1.0, np.max(np.abs(pos), axis=-1))
-        shift = step[..., None, None] * np.eye(self.d)  # [..., m, coordinate]
-        points = pos[..., None, :] + np.stack([shift, -shift])  # [side, ..., m, coordinate]
-        t = self.tensor_at(points.reshape(points.shape[:-1] + self._point_shape))
-        diff = (t[0] - t[1]) / (2.0 * step)[..., None, None, None, None]
-        return _axis_m_last(diff)
+    def derivative_tensor(self, x) -> np.ndarray:
+        """Derivatives T[..., i, j, k, m] = dF^i_{jk}/dx^m by the complex
+        step, from one ``tensor_at`` call at x + i h e_m along every axis m,
+        and a second at x only where the branch-cut test fires."""
+        x = np.asarray(x, dtype=float)
+        points = self._positions(x)[..., None, :] + _COMPLEX_SHIFTS[self.d]  # [..., m, coordinate]
+        try:
+            t = self.tensor_at(points.reshape(points.shape[:-1] + self._point_shape))
+        except TypeError as exc:
+            raise DomainError(f"force eval must be complex-analytic in x: it raised "
+                              f"TypeError at complex positions ({exc})") from exc
+        if t.dtype.kind != "c":
+            raise DomainError("force eval must be complex-analytic in x: it returned "
+                              "a real tensor at complex positions")
+        im = np.abs(t.imag)
+        # an imaginary part within 2^-50 everywhere passes the branch-cut test
+        if (im.max(initial=0.0) > _BRANCH_CUT_BOUND
+                and (im > _BRANCH_CUT_BOUND * (1.0 + np.abs(t.real))).any()):
+            self.tensor_at(x)  # a crossed cut is NaN here and raises
+        return _axis_m_last(t.imag / _COMPLEX_STEP)
 
 
 @dataclass(frozen=True)
@@ -202,17 +192,15 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class ConstraintReport:
-    """A verdict at one point.  ``derivative`` names the path of the force
-    derivatives (see ``ForceTensorField.derivative_path``);
-    ``orthogonality_residual`` and ``discrepancy`` come from the d >= 2 field
-    report, ``consistency_residual`` from the d = 1 primes."""
+    """A verdict at one point.  ``orthogonality_residual`` and
+    ``discrepancy`` come from the d >= 2 field report,
+    ``consistency_residual`` from the d = 1 primes."""
 
     determinant_value: float
     kernel_dim: int
     fields: CharacteristicField
     parallelism_defect: float
     verdict: Verdict
-    derivative: str
     orthogonality_residual: float | None = None
     discrepancy: str | None = None
     consistency_residual: float | None = None
@@ -221,19 +209,21 @@ class ConstraintReport:
 def rank_one_force(c, g, d: int = 1) -> ForceTensorField:
     """Force family F^i_{jk} = c_j c_k G^i(x).
 
-    For d=1, ``g`` maps an array of positions elementwise, and its value
-    is broadcast against them, so a constant ``g`` works too; otherwise it
-    maps one position to a length-d array and is called once per position.
-    Its values keep their dtype, so a ``g`` that is complex-analytic gets
-    complex-step derivatives (a constant Python float does not: it is real
-    at complex positions, and central differences serve it).
+    For d=1, ``g`` maps an array of positions elementwise; a 0-d value is
+    a constant, broadcast against the positions at their dtype, so its
+    derivative is exactly 0.  Otherwise ``g`` maps one position to a
+    length-d array and is called once per position.  Other values keep
+    their dtype, so ``g`` must be complex-analytic, as the ``eval`` of any
+    ``ForceTensorField``: a real value at complex positions is refused by
+    ``derivative_tensor``.
     Every admissibility constraint holds identically on this family.
     """
     c = np.asarray(c, dtype=float).reshape(2)
     cc = np.outer(c, c)
     if d == 1:
         def gv(x):
-            return np.broadcast_to(np.asarray(g(x)), np.shape(x))
+            v = np.asarray(g(x))
+            return np.broadcast_to(v.astype(x.dtype) if v.ndim == 0 else v, x.shape)
     else:
         def gv(pos):
             return np.array([np.asarray(g(p)).reshape(d)
@@ -384,9 +374,7 @@ class SurfaceCheck:
     undefined.  The two scalars are worst cases over the interior grid
     points: ``orthogonality_residual`` of |v . grad x| / (|v| max(1, |grad x|))
     for the characteristic direction v wherever it is nonzero, and
-    ``orbit_residual`` of the finite orbit residuals.  ``derivative`` names
-    the path of the force derivatives (see
-    ``ForceTensorField.derivative_path``).
+    ``orbit_residual`` of the finite orbit residuals.
     """
 
     phi: np.ndarray
@@ -394,7 +382,6 @@ class SurfaceCheck:
     residual: np.ndarray
     orthogonality_residual: float
     orbit_residual: float
-    derivative: str
 
 
 def check_surface(F: ForceTensorField, surface: TrajectorySurface,
@@ -402,7 +389,8 @@ def check_surface(F: ForceTensorField, surface: TrajectorySurface,
     """Orbit relation at every grid point and characteristic orthogonality at
     every interior grid point of a surface x(t1, t2) with momenta c_j X'.
 
-    One batched derivative at the sampled positions serves both checks.
+    One batched complex-step derivative at the sampled positions serves
+    both checks.
     grad x is a central difference of the dense surface evaluator with step
     fd_step * max(1, extent) along each time axis; a DomainError naming
     fd_step is raised, before any is evaluated, when those points leave the
@@ -412,7 +400,7 @@ def check_surface(F: ForceTensorField, surface: TrajectorySurface,
     if F.d != 1:
         raise DomainError(f"check_surface needs a one-dimensional force, got d={F.d}")
     grid, x = surface.grid, surface.values
-    fp = _primes_1d(F.derivative_tensor(x.ravel(), tol), x.ravel()).reshape(x.shape + (2, 2))
+    fp = _primes_1d(F.derivative_tensor(x.ravel()), x.ravel()).reshape(x.shape + (2, 2))
     phi, ratio_sq, residual = orbit_relation_1d(fp, *surface.grid_momenta, tol)
 
     inner = (slice(1, -1), slice(1, -1))
@@ -439,7 +427,6 @@ def check_surface(F: ForceTensorField, surface: TrajectorySurface,
         phi, ratio_sq, residual,
         orthogonality_residual=float(np.max(ortho, initial=0.0)),
         orbit_residual=float(np.max(inner_residual[np.isfinite(inner_residual)], initial=0.0)),
-        derivative=F.derivative_path,
     )
 
 
@@ -611,8 +598,7 @@ def _constraint_matrix_from_tensor(T: np.ndarray, d: int) -> np.ndarray:
     return M.reshape(2 * d, 2 * d)
 
 
-def build_constraint_matrix(F: ForceTensorField, x,
-                            tol: Tolerances = Tolerances()) -> np.ndarray:
+def build_constraint_matrix(F: ForceTensorField, x) -> np.ndarray:
     """The homogeneous velocity system: 4x4 for d=2, 6x6 for d=3.
 
     Row r, for d=2, pairs (space index i, time index k) with i outermost;
@@ -621,14 +607,13 @@ def build_constraint_matrix(F: ForceTensorField, x,
     """
     if F.d == 1:
         raise DomainError("dimension 1 is handled by the *_1d operations")
-    return _constraint_matrix_from_tensor(F.derivative_tensor(x, tol), F.d)
+    return _constraint_matrix_from_tensor(F.derivative_tensor(x), F.d)
 
 
-def admissibility_determinant(F: ForceTensorField, x,
-                              tol: Tolerances = Tolerances()) -> float:
+def admissibility_determinant(F: ForceTensorField, x) -> float:
     """Determinant of the velocity system; it must vanish for any force
     that is to allow nonzero two-time velocities."""
-    return float(determinant(build_constraint_matrix(F, x, tol)))
+    return float(determinant(build_constraint_matrix(F, x)))
 
 
 def _det2(a, b, c, d):
@@ -694,10 +679,13 @@ def _kernel_directions(kernel: list, d: int, tol: Tolerances):
     """Per-coordinate velocity directions spanned by the kernel.
 
     Returns (status, unit_field) pairs: the field is the 90-degree rotation
-    of the velocity span when that span is one-dimensional.  A k x 2 block
-    of k >= 2 kernel vectors takes its span from an SVD; a 1 x 2 block b is
-    its own span, signed as LAPACK signs the SVD's right singular vector:
-    -b/|b|, or b/|b| when b[0] has its sign bit set, or (1, 0) when b[1] = 0.
+    (u[1], -u[0]) of a unit vector u spanning the velocities when that span
+    is one-dimensional.  A 1 x 2 block b is its own span, signed as LAPACK
+    signs the SVD's right singular vector: u = -b/|b|, or b/|b| when b[0]
+    has its sign bit set, or (1, 0) when b[1] = 0; so u[0] <= 0 whenever
+    b[1] != 0.  A k x 2 block of k >= 2 kernel vectors takes u from an SVD,
+    whose sign follows the kernel basis LAPACK picks, and signs it by the
+    same rule: u[0] < 0, or u[1] < 0 where u[0] = 0.
     """
     out = []
     if not kernel:
@@ -721,6 +709,8 @@ def _kernel_directions(kernel: list, d: int, tol: Tolerances):
                 out.append(("unconstrained", None))
                 continue
             u = vt[0]
+            if u[0] > 0.0 or (u[0] == 0.0 and u[1] > 0.0):
+                u = -u
         out.append(("direction", np.array([u[1], -u[0]])))
     return out
 
@@ -837,7 +827,7 @@ def classify(F: ForceTensorField, x, tol: Tolerances = Tolerances()) -> Constrai
     time.  Rank-deficient with genuinely different directions: two-time
     admissible.  Vanishing fields: degenerate.
     """
-    T = F.derivative_tensor(x, tol)
+    T = F.derivative_tensor(x)
     fp = _primes_1d(T, x) if F.d == 1 else None
     M = _constraint_matrix_from_tensor(T, F.d)
     det_val = float(determinant(M))
@@ -861,4 +851,4 @@ def classify(F: ForceTensorField, x, tol: Tolerances = Tolerances()) -> Constrai
         verdict = Verdict.EFFECTIVE_ONE_TIME
     else:
         verdict = Verdict.TWO_TIME_ADMISSIBLE
-    return ConstraintReport(det_val, kdim, fields, defect, verdict, F.derivative_path, *checks)
+    return ConstraintReport(det_val, kdim, fields, defect, verdict, *checks)

@@ -658,7 +658,6 @@ def _run_classical_check(tol, force, x):
         "fields_degenerate": list(report.fields.degenerate),
         "orthogonality_residual": report.orthogonality_residual,
         "discrepancy": report.discrepancy,
-        "derivative": report.derivative,
     }
     if force.d == 1:
         payload["consistency_residual"] = report.consistency_residual
@@ -679,7 +678,6 @@ def _run_classical_integrate(tol, force, initial, grid):
         "max_abs_x": float(np.max(np.abs(surface.values))),
         "orthogonality_residual": check.orthogonality_residual,
         "orbit_residual": check.orbit_residual,
-        "derivative": check.derivative,
         "grid": [grid.n1, grid.n2],
     }
     rows = _grid_rows((grid.t1_values, grid.t2_values), surface.values, *surface.grid_momenta,

@@ -193,12 +193,16 @@ FD_STEP_MIN = float(np.finfo(float).eps)
 class Tolerances:
     """Numerical knobs shared by every check.
 
-    fd_step is scaled by the characteristic size of the point where a
-    derivative is taken; abs_tol doubles as the relative kernel-detection
-    threshold on singular values.  Each lies in (0, 1), and fd_step is at
-    least FD_STEP_MIN: past these bounds a check switches off, as a
-    tolerance of 1 or more passes any residual (or overflows the thresholds
-    it scales).  DomainError names the first value out of bounds.
+    fd_step sets only the central differences that remain: the grad-x
+    stencil of ``classical.check_surface``, scaled by the extent of each
+    time axis, and the probes of ``dirac.conservation_residual``, scaled by
+    the size of the point (``step_for``); force derivatives are complex
+    steps and do not read it.  abs_tol doubles as the relative
+    kernel-detection threshold on singular values.  Each lies in (0, 1),
+    and fd_step is at least FD_STEP_MIN: past these bounds a check switches
+    off, as a tolerance of 1 or more passes any residual (or overflows the
+    thresholds it scales).  DomainError names the first value out of
+    bounds.
     """
 
     fd_step: float = 1e-5

@@ -94,11 +94,16 @@ def momentum_operator(k) -> np.ndarray:
     return k[0] * g.g1 + k[1] * g.g2 - k[2] * g.g3
 
 
-def _on_shell_residual(k, m: float) -> float:
-    k = np.asarray(k, dtype=float).reshape(3)
+def _on_shell_operator(k: np.ndarray, m: float, tol: Tolerances) -> np.ndarray:
+    """momentum_operator(k) of a wavevector k (3,) that is on shell for mass
+    m; OnShellError when |k1^2 + k2^2 - k3^2 - m^2| > abs_tol max(1, m^2) 1e4."""
     m_sq = finite_power(m, 2, "m^2")
     with np.errstate(over="ignore", invalid="ignore"):
-        return finite(float(k[0] ** 2 + k[1] ** 2 - k[2] ** 2 - m_sq), "k1^2 + k2^2 - k3^2 - m^2")
+        res = finite(float(k[0] ** 2 + k[1] ** 2 - k[2] ** 2 - m_sq), "k1^2 + k2^2 - k3^2 - m^2")
+    if abs(res) > tol.abs_tol * max(1.0, m_sq) * 1e4:
+        raise OnShellError(
+            f"wavevector {k} violates k1^2 + k2^2 - k3^2 = m^2 for m = {m}: residual {res:.3e}")
+    return momentum_operator(k)
 
 
 @dataclass(frozen=True)
@@ -118,10 +123,7 @@ class PlaneWaveSolution:
         k = np.asarray(k, dtype=float).reshape(3)
         pp = np.asarray(psi_plus, dtype=complex).reshape(2)
         pm = np.asarray(psi_minus, dtype=complex).reshape(2)
-        res = _on_shell_residual(k, m)
-        if abs(res) > tol.abs_tol * max(1.0, m ** 2) * 1e4:
-            raise OnShellError(f"k = {k} is off shell for m = {m}: residual {res:.3e}")
-        op = momentum_operator(k)
+        op = _on_shell_operator(k, m, tol)
         for name, op_signed, spinor in (("psi_plus", -op, pp), ("psi_minus", op, pm)):
             norm = np.linalg.norm(spinor)
             if norm > 0:
@@ -198,11 +200,7 @@ def solve_plane_wave(k, m: float, tol: Tolerances = Tolerances()) -> PlaneWaveSo
     real positive so results are reproducible.
     """
     k = np.asarray(k, dtype=float).reshape(3)
-    res = _on_shell_residual(k, m)
-    if abs(res) > tol.abs_tol * max(1.0, m ** 2) * 1e4:
-        raise OnShellError(
-            f"wavevector {k} violates k1^2 + k2^2 - k3^2 = m^2 for m = {m}: residual {res:.3e}")
-    op = momentum_operator(k)
+    op = _on_shell_operator(k, m, tol)
     spinors = []
     for sign in (-1.0, +1.0):
         kern = null_space(sign * op - m * np.eye(2), Tolerances(abs_tol=1e-9))

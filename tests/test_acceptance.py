@@ -55,7 +55,7 @@ def test_criterion_01_classical_witness():
     g2 = (surf.position(I1, I2 + h) - surf.position(I1, I2 - h)) / (2 * h)
     inner = (slice(1, -1), slice(1, -1))
     xval = surf.values[inner]
-    fp = force.derivative_tensor(xval, tol)[..., 0, :, :, 0]
+    fp = force.derivative_tensor(xval)[..., 0, :, :, 0]
     vec, _ = cl.characteristic_field_1d(fp, xval, tol)
     norm = np.hypot(vec[..., 0], vec[..., 1])
     moving = norm > 0
@@ -77,7 +77,7 @@ def test_criterion_02_consistency_condition():
     tol = Tolerances()
 
     def normalized(force, x):
-        fp = force.derivative_tensor(x, tol)[0, :, :, 0]
+        fp = force.derivative_tensor(x)[0, :, :, 0]
         scale = max(1.0, abs(fp[0, 0] * fp[1, 1]), abs(fp[0, 1] * fp[1, 0]))
         return cl.consistency_residual_1d(fp) / scale
 

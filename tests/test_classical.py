@@ -25,9 +25,9 @@ def random_rank_one_1d(rng):
     return cl.rank_one_force(c, g), c, coeffs
 
 
-def primes(force, x, tol=TOL):
+def primes(force, x):
     """The d = 1 primes F'_{jk} at positions x, shaped np.shape(x) + (2, 2)."""
-    return force.derivative_tensor(x, tol)[..., 0, :, :, 0]
+    return force.derivative_tensor(x)[..., 0, :, :, 0]
 
 
 def normalized_consistency(force, x):
@@ -49,7 +49,7 @@ def tuned_affine_force(d, rng):
         lin2[idx] = t
         lin2[1, 0, 0, 1] = t
         force = cl.affine_force(d, lin2, symmetrize=False)
-        return cl.admissibility_determinant(force, np.zeros(d), TOL)
+        return cl.admissibility_determinant(force, np.zeros(d))
 
     b = det_for(0.0)
     a = det_for(1.0) - b
@@ -304,32 +304,14 @@ class TestBatchedForce1D:
     def test_batch_equals_per_point(self, name):
         force = batch_forces()[name]
         tensors = force.tensor_at(self.POSITIONS)
-        derivs = force.derivative_tensor(self.POSITIONS, TOL)
+        derivs = force.derivative_tensor(self.POSITIONS)
         assert tensors.shape == (self.POSITIONS.size, 1, 2, 2)
         assert derivs.shape == (self.POSITIONS.size, 1, 2, 2, 1)
         residuals = cl.consistency_residual_1d(primes(force, self.POSITIONS))
         for k, x in enumerate(self.POSITIONS):
             assert tensors[k].tobytes() == force.tensor_at(x).tobytes()
-            assert derivs[k].tobytes() == force.derivative_tensor(x, TOL).tobytes()
+            assert derivs[k].tobytes() == force.derivative_tensor(x).tobytes()
             assert residuals[k] == cl.consistency_residual_1d(primes(force, x))
-
-    def test_fd_step_scales_per_point(self):
-        # F = x^3 from an eval that drops the imaginary part, so derivatives
-        # fall back to the central difference 3 x^2 + h^2 with
-        # h = fd_step max(1, |x|); the complex step of the built force is 3 x^2
-        def cube(x):
-            out = np.zeros(np.shape(x) + (2, 2))
-            out[..., 0, 0] = np.real(x) ** 3
-            return out
-
-        built = cl.polynomial_force_1d({"11": [1.0, 0.0, 0.0, 0.0]})
-        x = np.array([0.5, 100.0])
-        tol = Tolerances(fd_step=1e-3)
-        h = tol.fd_step * np.maximum(1.0, np.abs(x))
-        got = cl.ForceTensorField(1, cube).derivative_tensor(x, tol)[:, 0, 0, 0, 0]
-        np.testing.assert_allclose(got, 3 * x ** 2 + h ** 2, rtol=1e-9)
-        exact = built.derivative_tensor(x, tol)[:, 0, 0, 0, 0]
-        np.testing.assert_allclose(exact, 3 * x ** 2, rtol=1e-15)
 
     def test_non_finite_batch_raises(self):
         force = cl.rank_one_force((1.0, 1.0), lambda x: 1.0 / x)
@@ -376,20 +358,6 @@ def derivative_by_axis(force, x):
     return np.stack(cols, axis=-1)
 
 
-def derivative_by_axis_cd(force, x, tol=TOL):
-    """The per-axis central difference that derivative_tensor keeps for an
-    eval with real output: 2d single-point tensor_at calls with the step of
-    the whole position."""
-    x = np.asarray(x, dtype=float)
-    step = tol.step_for(x)
-    cols = []
-    for m in range(force.d):
-        e = np.zeros(force.d)
-        e[m] = step
-        cols.append((force.tensor_at(x + e) - force.tensor_at(x - e)) / (2.0 * step))
-    return np.stack(cols, axis=-1)
-
-
 class TestBatchedForce:
     @pytest.mark.parametrize("d", (1, 2, 3))
     def test_batch_equals_per_point(self, d):
@@ -398,20 +366,19 @@ class TestBatchedForce:
         positions = rng.uniform(-2.0, 2.0, size=(3, 4) + ((d,) if d > 1 else ()))
         positions[0, 0] = 0.0
         positions[1, 1] *= 60.0
-        # real tensors at complex positions: the central-difference path
-        forces["real_output"] = cl.ForceTensorField(
-            d, lambda p: np.tanh(p.real)[..., None, None] * np.ones((d, 2, 2)))
-        fallback = {"real_output", "rank_one_constant_g"}
         for name, force in forces.items():
             tensors = force.tensor_at(positions)
-            derivs = force.derivative_tensor(positions, TOL)
-            assert force.derivative_path == ("central_difference" if name in fallback
-                                             else "complex_step"), name
+            derivs = force.derivative_tensor(positions)
             assert tensors.shape == (3, 4, d, 2, 2), name
             assert derivs.shape == (3, 4, d, 2, 2, d), name
             for idx in np.ndindex(3, 4):
                 assert tensors[idx].tobytes() == force.tensor_at(positions[idx]).tobytes(), name
-                assert derivs[idx].tobytes() == force.derivative_tensor(positions[idx], TOL).tobytes()
+                assert derivs[idx].tobytes() == force.derivative_tensor(positions[idx]).tobytes()
+        # real tensors at complex positions break the complex-analytic contract
+        real = cl.ForceTensorField(d, lambda p: np.tanh(p.real)[..., None, None] * np.ones((d, 2, 2)))
+        assert real.tensor_at(positions).shape == (3, 4, d, 2, 2)
+        with pytest.raises(DomainError, match="complex-analytic"):
+            real.derivative_tensor(positions)
 
     @pytest.mark.parametrize("d", (2, 3))
     def test_derivative_equals_per_axis_loop(self, d):
@@ -422,15 +389,13 @@ class TestBatchedForce:
         positions[0] = 0.0
         positions[1, 0] = -0.0
         for name, force in forces.items():
-            derivs = force.derivative_tensor(positions, TOL)
-            assert force.derivative_path == "complex_step", name
-            # the same force with real output at complex positions
-            real = cl.ForceTensorField(d, lambda p, f=force.eval: f(p.real))
-            real_derivs = real.derivative_tensor(positions, TOL)
-            assert real.derivative_path == "central_difference", name
+            derivs = force.derivative_tensor(positions)
             for k, x in enumerate(positions):
                 assert derivs[k].tobytes() == derivative_by_axis(force, x).tobytes(), name
-                assert real_derivs[k].tobytes() == derivative_by_axis_cd(real, x).tobytes(), name
+            # the same force with real output at complex positions is refused
+            real = cl.ForceTensorField(d, lambda p, f=force.eval: f(p.real))
+            with pytest.raises(DomainError, match="complex-analytic"):
+                real.derivative_tensor(positions)
 
     def test_eval_sees_the_whole_batch(self):
         for d in (1, 2, 3):
@@ -439,14 +404,15 @@ class TestBatchedForce:
                 d, lambda p: seen.append(p) or np.zeros(p.shape + (2, 2), dtype=p.dtype))
             force.tensor_at(np.zeros((2, 3) + ((d,) if d > 1 else ())))
             assert len(seen) == 1 and seen[0].shape == (2, 3, d)
-            force.derivative_tensor(np.zeros((2, 3) + ((d,) if d > 1 else ())), TOL)
+            force.derivative_tensor(np.zeros((2, 3) + ((d,) if d > 1 else ())))
             assert len(seen) == 2 and seen[1].shape == (2, 3, d, d)  # [..., m, coordinate]
             assert seen[1].dtype == complex
-            # an eval that returns real tensors for complex positions gets
-            # both sides of the central difference in one further call
+            # an eval that returns real tensors for complex positions is
+            # refused after that one call, with no second one
             real = cl.ForceTensorField(d, lambda p: seen.append(p) or np.zeros(p.shape + (2, 2)))
-            real.derivative_tensor(np.zeros((2, 3) + ((d,) if d > 1 else ())), TOL)
-            assert len(seen) == 4 and seen[3].shape == (2, 2, 3, d, d)  # [side, ..., m, coordinate]
+            with pytest.raises(DomainError, match="complex-analytic"):
+                real.derivative_tensor(np.zeros((2, 3) + ((d,) if d > 1 else ())))
+            assert len(seen) == 3 and seen[2].shape == (2, 3, d, d)
 
     @pytest.mark.parametrize("d", (2, 3))
     def test_wrong_length_position_raises(self, d):
@@ -455,7 +421,7 @@ class TestBatchedForce:
             with pytest.raises(DomainError, match="coordinates"):
                 force.tensor_at(x)
             with pytest.raises(DomainError, match="coordinates"):
-                force.derivative_tensor(x, TOL)
+                force.derivative_tensor(x)
 
     def test_non_finite_names_position(self):
         force = cl.rank_one_force((1.0, 1.0), lambda p: 1.0 / p, d=2)
@@ -484,7 +450,7 @@ def surface_check_by_point(force, surface, tol=TOL):
     ortho = orbit = 0.0
     for i in range(grid.n1):
         for j in range(grid.n2):
-            (f11, f12), (f21, f22) = primes(force, surface.values[i, j], tol).tolist()
+            (f11, f12), (f21, f22) = primes(force, surface.values[i, j]).tolist()
             q1, q2 = (float(c * surface.velocity[i, j]) for c in surface.c)
             thresh = tol.abs_tol * max(1.0, abs(f11), abs(f12), abs(f21), abs(f22)) ** 2
             if abs(f21 * f22) > thresh and abs(q2) > tol.abs_tol * max(1.0, abs(q1), abs(q2)):
@@ -593,9 +559,9 @@ class TestCheckSurface:
         calls = []
         original = cl.ForceTensorField.derivative_tensor
 
-        def counted(self, x, tol=TOL):
+        def counted(self, x):
             calls.append(np.shape(x))
-            return original(self, x, tol)
+            return original(self, x)
 
         grid = Grid2T(0.0, 2.0, 0.0, 2.0, 11, 9)
         surface = cl.integrate_rank_one_1d(lambda x: -x, (1.0, 2.0), 1.0, 0.0, grid)
@@ -783,9 +749,9 @@ class TestClassify:
         calls = []
         original = cl.ForceTensorField.derivative_tensor
 
-        def counted(self, x, tol=TOL):
+        def counted(self, x):
             calls.append(x)
-            return original(self, x, tol)
+            return original(self, x)
 
         monkeypatch.setattr(cl.ForceTensorField, "derivative_tensor", counted)
         for force in (cl.rank_one_force((1.0, 2.0), lambda x: -x),
@@ -887,7 +853,7 @@ class TestRelabeledSystems:
             else:
                 force = cl.affine_force(3, rng.normal(size=(3, 2, 2, 3)) * 10.0 ** rng.integers(-3, 4))
                 x = rng.uniform(-1, 1, size=3)
-            T = force.derivative_tensor(x, TOL)
+            T = force.derivative_tensor(x)
             M = cl._constraint_matrix_from_tensor(T, 3)
             got = cl._chain_field(M[cl._RELABELINGS], True) if printed else cl._appendix_fields_3d(M)
             want = relabeled_fields_by_tensor(T, printed)

@@ -1,6 +1,7 @@
-"""Complex-step derivative tensors: exactness, the central-difference
-fallback, every builder on the complex path, the 1-D kernel direction, the
-stacked d = 3 chain, and verdicts that central-difference noise used to
+"""Complex-step derivative tensors: exactness, the complex-analytic contract
+of a force eval, the branch-cut rule, one eval call per derivative on every
+builder, the 1-D kernel direction and the sign of every kernel direction,
+the stacked d = 3 chain, and verdicts that central-difference noise used to
 flip."""
 
 import configparser
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from bitempo import classical as cl, cli
-from bitempo.core import Tolerances
+from bitempo.core import DomainError, Tolerances
 
 TOL = Tolerances()
 
@@ -23,18 +24,11 @@ def rank_one_exact(c, dg):
     return np.einsum("j,k,...im->...ijkm", c, c, dg)
 
 
-def central_difference_by_batch(force, x, tol=TOL):
-    """The central difference derivative_tensor took before the complex step,
-    written out: both sides x +- step e_m of every axis in one tensor_at call,
-    step = fd_step * max(1, max_m |x^m|) per position."""
-    pos = np.asarray(x, dtype=float)
-    pos = pos[..., None] if force.d == 1 else pos
-    step = tol.fd_step * np.maximum(1.0, np.max(np.abs(pos), axis=-1))
-    shift = step[..., None, None] * np.eye(force.d)
-    points = pos[..., None, :] + np.stack([shift, -shift])
-    t = force.tensor_at(points.reshape(points.shape[:-1] + ((force.d,) if force.d > 1 else ())))
-    diff = (t[0] - t[1]) / (2.0 * step)[..., None, None, None, None]
-    return np.moveaxis(diff, -4, -1)
+def counting(force):
+    """The force with an eval that records the dtype of every batch it is
+    given, and that record."""
+    seen = []
+    return cl.ForceTensorField(force.d, lambda p: seen.append(p.dtype) or force.eval(p)), seen
 
 
 class TestExactTensors:
@@ -44,8 +38,7 @@ class TestExactTensors:
         lin = rng.normal(size=(d, 2, 2, d)) * 10.0 ** rng.integers(-3, 4, size=(d, 2, 2, d))
         force = cl.affine_force(d, lin, rng.normal(size=d * 4))
         x = rng.uniform(-50.0, 50.0, size=(7, d))
-        got = force.derivative_tensor(x[:, 0] if d == 1 else x, TOL)
-        assert force.derivative_path == "complex_step"
+        got = force.derivative_tensor(x[:, 0] if d == 1 else x)
         # an affine map's imaginary part is the linear part times h: exact
         want = 0.5 * (lin + lin.transpose(0, 2, 1, 3))
         assert np.array_equal(got, np.broadcast_to(want, got.shape))
@@ -59,36 +52,52 @@ class TestExactTensors:
         if d == 1:
             coeffs = rng.normal(size=4)
             force = cl.rank_one_force(c, lambda s: np.polyval(coeffs, s))
-            got = force.derivative_tensor(x[:, 0], TOL)
+            got = force.derivative_tensor(x[:, 0])
             dg = np.polyval(np.polyder(coeffs), x)[..., None]
         else:
             force = cl.rank_one_force(c, lambda p: L @ p + np.cos(p), d=d)
-            got = force.derivative_tensor(x, TOL)
+            got = force.derivative_tensor(x)
             dg = L - np.sin(x)[:, :, None] * np.eye(d)
         want = rank_one_exact(c, dg)
-        assert force.derivative_path == "complex_step"
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_fd_step_plays_no_part(self):
-        force = cl.polynomial_force_1d({"11": [1.0, 0.0, 0.0, 0.0]})
-        x = np.array([0.5, 100.0])
+        # fd_step reaches classify, whose derivatives do not read it
+        force = cl.polynomial_force_1d({"11": [1.0, 0.0, 0.0, 0.0], "12": [2.0, 0.0, 1.0],
+                                        "22": [0.5, -1.0]})
+        want = cl.classify(force, 0.7)
         for fd_step in (1e-3, 1e-5, 0.5):
-            got = force.derivative_tensor(x, Tolerances(fd_step=fd_step))[:, 0, 0, 0, 0]
-            np.testing.assert_allclose(got, 3 * x ** 2, rtol=1e-15)
+            got = cl.classify(force, 0.7, Tolerances(fd_step=fd_step))
+            assert got.determinant_value == want.determinant_value
+            assert got.consistency_residual == want.consistency_residual
+            assert got.fields.vectors[0].tobytes() == want.fields.vectors[0].tobytes()
+
+    def test_constant_g_is_flat(self):
+        # a 0-d g value is broadcast at the positions' dtype: derivative exactly 0
+        force = cl.rank_one_force((1.1, 0.6), lambda x: 0.5)
+        x = np.array([-2.0, 0.0, 3.5])
+        assert np.array_equal(force.derivative_tensor(x), np.zeros((3, 1, 2, 2, 1)))
+        np.testing.assert_array_equal(force.tensor_at(x)[:, 0], np.broadcast_to(
+            0.5 * np.outer((1.1, 0.6), (1.1, 0.6)), (3, 2, 2)))
 
 
-class TestFallback:
-    def test_real_zeros_take_central_difference(self):
+class TestNotComplex:
+    """An eval that is not complex-analytic in form, returning real tensors
+    at complex positions or raising TypeError on them, is refused: there is
+    no fallback to another derivative."""
+
+    def test_real_zeros_are_refused(self):
         for d in (1, 2, 3):
             force = cl.ForceTensorField(d, lambda p: np.zeros(p.shape + (2, 2)))
             x = np.linspace(-1.0, 1.0, 6 * d).reshape(6, d)
             x = x[:, 0] if d == 1 else x
-            got = force.derivative_tensor(x, TOL)
-            assert force.derivative_path == "central_difference"
-            assert got.tobytes() == central_difference_by_batch(force, x).tobytes()
+            with pytest.raises(DomainError, match="complex-analytic.*real tensor"):
+                force.derivative_tensor(x)
+            with pytest.raises(DomainError, match="complex-analytic"):
+                cl.classify(force, x[0])
 
     @pytest.mark.parametrize("how", ["drops_imaginary", "raises_type_error"])
-    def test_non_complex_eval_equals_old_central_difference(self, how):
+    def test_non_complex_eval_is_refused(self, how):
         rng = np.random.default_rng(90)
         lin = rng.normal(size=(2, 2, 2, 2))
 
@@ -98,32 +107,27 @@ class TestFallback:
             return np.einsum("ijkm,...m->...ijk", lin, np.abs(p.real) ** 1.5)
 
         force = cl.ForceTensorField(2, evaluate)
-        x = rng.uniform(-2.0, 2.0, size=(5, 2)) * [[1.0], [30.0], [1.0], [1.0], [0.1]]
-        tol = Tolerances(fd_step=1e-4)
-        got = force.derivative_tensor(x, tol)
-        assert force.derivative_path == "central_difference"
-        assert got.tobytes() == central_difference_by_batch(force, x, tol).tobytes()
+        x = rng.uniform(-2.0, 2.0, size=(5, 2))
+        assert force.tensor_at(x).shape == (5, 2, 2, 2)
+        with pytest.raises(DomainError, match="complex-analytic") as info:
+            force.derivative_tensor(x)
+        assert isinstance(info.value.__cause__, TypeError) == (how == "raises_type_error")
 
-    def test_path_found_once(self):
-        # after the first call a fallback eval sees only real positions
-        seen = []
-        force = cl.ForceTensorField(2, lambda p: seen.append(p.dtype) or np.zeros(p.shape + (2, 2)))
-        assert force.derivative_path is None
-        force.derivative_tensor(np.zeros(2), TOL)
-        force.derivative_tensor(np.zeros(2), TOL)
-        assert seen == [np.dtype(complex), np.dtype(float), np.dtype(float)]
+    def test_real_g_is_refused(self):
+        # a g value that is not 0-d keeps its dtype: np.abs of complex is real
+        for force in (cl.rank_one_force((1.0, 2.0), np.abs),
+                      cl.rank_one_force((1.0, 2.0), lambda p: np.abs(p), d=2)):
+            x = 0.5 if force.d == 1 else np.array([0.5, -0.25])
+            with pytest.raises(DomainError, match="complex-analytic"):
+                force.derivative_tensor(x)
 
-    def test_non_finite_named_by_real_position(self):
-        # 1 / (p - a) divides by zero at a, and a is named, not a + i h e_m
-        force = cl.rank_one_force((1.0, 1.0), lambda p: 1.0 / (p - np.array([1.0, 0.5])), d=2)
-        with (np.errstate(divide="ignore", invalid="ignore"),
-              pytest.raises(cl.EvaluationError, match=r"at \[1.0, 0.5\]")):
-            force.derivative_tensor(np.array([[0.0, 0.0], [1.0, 0.5]]), TOL)
-
-    def test_reports_name_the_path(self):
-        real = cl.ForceTensorField(2, lambda p: np.zeros(p.shape + (2, 2)))
-        assert cl.classify(real, np.zeros(2)).derivative == "central_difference"
-        assert cl.classify(cl.zero_force(2), np.zeros(2)).derivative == "complex_step"
+    def test_no_state_between_calls(self):
+        # a refused call leaves nothing behind: the next one is refused too
+        force, seen = counting(cl.ForceTensorField(2, lambda p: np.zeros(p.shape + (2, 2))))
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                force.derivative_tensor(np.zeros(2))
+        assert seen == [np.dtype(complex)] * 2
 
 
 def builders():
@@ -171,60 +175,74 @@ BRANCH_CUTS = {"sqrt": np.sqrt, "log": np.log, "power": lambda x: x ** 0.5, "arc
 
 class TestBranchCuts:
     """A cut crossed at x gives a finite complex step with an imaginary part
-    of the size of F, where the real eval is NaN; such a step is refused and
-    the central difference raises as it would on the real eval."""
+    of the size of F, where the real eval is NaN.  Where an imaginary part
+    exceeds 2^-50 (1 + |Re F|), the tensors at the real positions are
+    evaluated once: a cut raises there, and finite tensors leave the large
+    derivative standing."""
 
     @pytest.mark.parametrize("name", sorted(BRANCH_CUTS))
     def test_cut_raises_as_the_real_eval(self, name):
-        force = one_entry_force(BRANCH_CUTS[name])
-        with pytest.raises(cl.EvaluationError, match="non-finite"):
-            force.derivative_tensor(-4.0, TOL)
-        assert force.derivative_path == "central_difference"
+        force, seen = counting(one_entry_force(BRANCH_CUTS[name]))
+        with pytest.raises(cl.EvaluationError, match=r"non-finite at -4\.0"):
+            force.derivative_tensor(-4.0)
+        assert seen == [np.dtype(complex), np.dtype(float)]
 
     @pytest.mark.parametrize("name", sorted(BRANCH_CUTS))
     def test_cut_after_the_complex_path_was_found(self, name):
+        # nothing of an earlier call decides a later one
         force = one_entry_force(BRANCH_CUTS[name])
-        force.derivative_tensor(0.25, TOL)
-        assert force.derivative_path == "complex_step"
-        with pytest.raises(cl.EvaluationError, match="non-finite"):
-            force.derivative_tensor(np.array([0.25, -4.0]), TOL)
-        assert force.derivative_path == "central_difference"
+        first = force.derivative_tensor(0.25)
+        with pytest.raises(cl.EvaluationError, match=r"non-finite at -4\.0"):
+            force.derivative_tensor(np.array([0.25, -4.0]))
+        assert force.derivative_tensor(0.25).tobytes() == first.tobytes()
 
     def test_cut_at_d2_fails_classify(self):
         force = cl.rank_one_force((1.0, 2.0), lambda p: np.sqrt(p), d=2)
-        assert cl.classify(force, np.array([1.0, 4.0])).derivative == "complex_step"
-        with pytest.raises(cl.EvaluationError, match="non-finite"):
+        assert cl.classify(force, np.array([1.0, 4.0])).verdict is cl.Verdict.EFFECTIVE_ONE_TIME
+        with pytest.raises(cl.EvaluationError, match=r"non-finite at \[1.0, -4.0\]"):
             cl.classify(force, np.array([1.0, -4.0]))
 
     def test_analytic_side_keeps_the_exact_step(self):
         force = one_entry_force(np.sqrt)
-        assert force.derivative_tensor(4.0, TOL)[0, 0, 0, 0] == 0.25
-        assert force.derivative_path == "complex_step"
+        assert force.derivative_tensor(4.0)[0, 0, 0, 0] == 0.25
 
     def test_large_derivative_of_a_large_value_keeps_the_complex_step(self):
-        force = one_entry_force(lambda x: 2.0 ** 60 * x)
-        assert force.derivative_tensor(0.5, TOL)[0, 0, 0, 0] == 2.0 ** 60
-        assert force.derivative_path == "complex_step"
+        force, seen = counting(one_entry_force(lambda x: 2.0 ** 60 * x))
+        assert force.derivative_tensor(0.5)[0, 0, 0, 0] == 2.0 ** 60
+        assert seen == [np.dtype(complex)]
 
     def test_bound_is_relative_to_one_plus_the_value(self):
         # Im F = 1.5 * 2^-50 at F = 1: within 2^-50 (1 + |F|)
-        force = one_entry_force(lambda x: 1.0 + 1.5 * 2.0 ** 50 * x)
-        assert force.derivative_tensor(0.0, TOL)[0, 0, 0, 0] == 1.5 * 2.0 ** 50
-        assert force.derivative_path == "complex_step"
+        force, seen = counting(one_entry_force(lambda x: 1.0 + 1.5 * 2.0 ** 50 * x))
+        assert force.derivative_tensor(0.0)[0, 0, 0, 0] == 1.5 * 2.0 ** 50
+        assert seen == [np.dtype(complex)]
 
-    def test_large_derivative_of_a_small_value_takes_central_difference(self):
-        # dF/dx = 2^60 where F = 0 is past 2^50 (1 + |F|): read as a cut
-        force = one_entry_force(lambda x: 2.0 ** 60 * x)
-        got = force.derivative_tensor(0.0, TOL)[0, 0, 0, 0]
-        assert force.derivative_path == "central_difference"
-        assert got == pytest.approx(2.0 ** 60, rel=1e-12)
+    def test_large_derivative_of_a_small_value_stands(self):
+        # dF/dx = 2^60 where F = 0 is past 2^50 (1 + |F|): the test fires,
+        # the real tensor is finite, and the exact complex step stands
+        force, seen = counting(one_entry_force(lambda x: 2.0 ** 60 * x))
+        assert force.derivative_tensor(0.0)[0, 0, 0, 0] == 2.0 ** 60
+        assert seen == [np.dtype(complex), np.dtype(float)]
+
+    def test_pole_named_by_real_position(self):
+        # 1/(x + ih) is finite, with |Im| = 2^100; the real eval divides by zero
+        force = one_entry_force(lambda x: 1.0 / x)
+        with (np.errstate(divide="ignore"),
+              pytest.raises(cl.EvaluationError, match=r"non-finite at 0\.0")):
+            force.derivative_tensor(np.array([1.0, 0.0]))
+
+    def test_non_finite_named_by_real_position(self):
+        # 1 / (p - a) divides by zero at a, and a is named, not a + i h e_m
+        force = cl.rank_one_force((1.0, 1.0), lambda p: 1.0 / (p - np.array([1.0, 0.5])), d=2)
+        with (np.errstate(divide="ignore", invalid="ignore"),
+              pytest.raises(cl.EvaluationError, match=r"at \[1.0, 0.5\]")):
+            force.derivative_tensor(np.array([[0.0, 0.0], [1.0, 0.5]]))
 
     def test_cut_under_a_far_larger_value_is_missed(self):
         # the limit of the test: Im sqrt(-4 + ih) = 2 is below 2^-50 * 1e20,
         # so this step passes, and its derivative is 2 / h
         force = one_entry_force(lambda x: 1e20 + np.sqrt(x))
-        got = force.derivative_tensor(-4.0, TOL)[0, 0, 0, 0]
-        assert force.derivative_path == "complex_step"
+        got = force.derivative_tensor(-4.0)[0, 0, 0, 0]
         assert got == 2.0 * 2.0 ** 100
 
 
@@ -242,10 +260,20 @@ class TestEveryBuilderIsComplex:
         x = x[:, 0] if force.d == 1 else x
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            force.derivative_tensor(x, TOL)
-            report = cl.classify(force, x[1])
-        assert force.derivative_path == "complex_step"
-        assert report.derivative == "complex_step"
+            got = force.derivative_tensor(x)
+            cl.classify(force, x[1])
+        assert got.dtype == float and np.isfinite(got).all()
+
+    @pytest.mark.parametrize("force", [force for _, _, force in builders()],
+                             ids=[name for name, _, _ in builders()])
+    def test_one_eval_per_derivative(self, force):
+        counted, seen = counting(force)
+        x = np.linspace(-0.9, 0.7, 4 * force.d).reshape(4, force.d)
+        x = x[:, 0] if force.d == 1 else x
+        counted.derivative_tensor(x)
+        assert seen == [np.dtype(complex)]
+        cl.classify(counted, x[1])
+        assert seen == [np.dtype(complex)] * 2
 
 
 # (seed, check index) of constraint_sweep-shaped rank-one draws whose verdict
@@ -304,6 +332,43 @@ class TestOneDimensionalKernel:
     def test_zero_velocity_kept(self):
         v = np.array([0.0, 0.0, 0.6, 0.8])
         assert cl._kernel_directions([v], 2, TOL)[0] == ("zero-velocity", None)
+
+
+class TestKernelDirectionSign:
+    """A k >= 2 kernel's direction is signed by the 1-D rule, u[0] <= 0, so
+    it follows the span and not the basis that LAPACK picks for it."""
+
+    def test_ulp_change_keeps_every_sign(self):
+        rng = np.random.default_rng(130)
+        for k in range(120):
+            d = 2 + k % 2
+            L = rng.normal(size=(d, d))
+            c = rng.uniform(0.5, 1.5, size=2)
+            x = rng.uniform(-1.0, 1.0, size=d)
+            bumped = L.copy()
+            idx = tuple(rng.integers(d, size=2))
+            bumped[idx] = np.nextafter(bumped[idx], np.inf)
+            a, b = (cl.classify(cl.rank_one_force(c, lambda p, L=M: L @ p, d=d), x)
+                    for M in (L, bumped))
+            assert a.kernel_dim == b.kernel_dim == d
+            for u, w in zip(a.fields.vectors, b.fields.vectors):
+                assert u[1] >= 0.0 and w[1] >= 0.0
+                np.testing.assert_allclose(u, w, rtol=0, atol=1e-9)
+
+    def test_any_basis_of_one_span(self):
+        # two kernel vectors whose 2 x 2 blocks each have rank one
+        rng = np.random.default_rng(131)
+        for _ in range(200):
+            dirs = rng.normal(size=(2, 2))  # one velocity direction per coordinate
+            coef = rng.normal(size=(2, 2))  # its amplitude in each kernel vector
+            v1, v2 = (np.concatenate([coef[0, j] * dirs[0], coef[1, j] * dirs[1]]) for j in (0, 1))
+            want = cl._kernel_directions([v1, v2], 2, TOL)
+            for basis in ([-v1, v2], [v2, v1], [v1 + v2, v1 - v2], [-v2, -v1]):
+                got = cl._kernel_directions(basis, 2, TOL)
+                for (sw, uw), (sg, ug) in zip(want, got):
+                    assert sw == sg == "direction"
+                    np.testing.assert_allclose(ug, uw, rtol=0, atol=1e-12)
+                    assert ug[1] >= 0.0
 
 
 def chain_by_relabeling(M, printed):
