@@ -679,6 +679,9 @@ def _run_classical_integrate(tol, force, initial, grid):
         "orthogonality_residual": check.orthogonality_residual,
         "orbit_residual": check.orbit_residual,
         "grid": [grid.n1, grid.n2],
+        "rk4": {"integrations": surface.integrations, "knots": surface.knots,
+                "step": surface.step, "error_estimate": surface.error_estimate,
+                "rel_tol": tol.rel_tol},
     }
     rows = _grid_rows((grid.t1_values, grid.t2_values), surface.values, *surface.grid_momenta,
                       check.phi, check.ratio_squared, check.residual)

@@ -198,11 +198,14 @@ class Tolerances:
     time axis, and the probes of ``dirac.conservation_residual``, scaled by
     the size of the point (``step_for``); force derivatives are complex
     steps and do not read it.  abs_tol doubles as the relative
-    kernel-detection threshold on singular values.  Each lies in (0, 1),
-    and fd_step is at least FD_STEP_MIN: past these bounds a check switches
-    off, as a tolerance of 1 or more passes any residual (or overflows the
-    thresholds it scales).  DomainError names the first value out of
-    bounds.
+    kernel-detection threshold on singular values.  In
+    ``classical.integrate_rank_one_1d``, rel_tol bounds the Richardson
+    estimate of the kept RK4 solution's error, relative to max(1, |x|),
+    not the change from the coarser solution it was checked against.  Each
+    lies in (0, 1), and fd_step is at least FD_STEP_MIN: past these bounds
+    a check switches off, as a tolerance of 1 or more passes any residual
+    (or overflows the thresholds it scales).  DomainError names the first
+    value out of bounds.
     """
 
     fd_step: float = 1e-5

@@ -1,10 +1,11 @@
+import configparser
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bitempo import classical as cl
+from bitempo import classical as cl, cli
 from bitempo.core import (
     ComplexCharacteristicError,
     DomainError,
@@ -237,15 +238,91 @@ class TestRankOneIntegrator:
         assert tensors.shape == (7, 9, 1, 2, 2)
         np.testing.assert_array_equal(tensors, np.broadcast_to(g0 * np.outer(c, c), tensors.shape))
 
-    def test_non_convergence_raises(self):
+    def test_step_from_richardson_estimate(self):
+        # from step 2 the estimate asks for the smallest cut twice: 2, 1, 1/8, 1/64
         grid = Grid2T(0.0, 1.0, 0.0, 1.0, 5, 5)
         surface = cl.integrate_rank_one_1d(lambda x: -x, (1, 1), 1.0, 0.0, grid, step=2.0)
-        assert len(surface.solution.knot_s) == 257
-        with pytest.raises(EvaluationError, match=r"RK4 did not converge in 12 halvings to step "
-                           r"0\.0004883: the last changed x by \d\.\d{3}e-\d+ of max\(1, \|x\|\), "
-                           r"not below rel_tol = 1e-30"):
+        assert (surface.integrations, surface.knots, surface.step) == (4, 1 + 2 + 16 + 128, 1 / 64)
+        assert len(surface.solution.knot_s) == 129
+        assert 0 < surface.error_estimate < TOL.rel_tol
+
+    def test_non_convergence_raises(self):
+        # steps cut by 1/8 each time pass the knot budget before the cap
+        grid = Grid2T(0.0, 1.0, 0.0, 1.0, 5, 5)
+        with pytest.raises(EvaluationError, match=r"RK4 over s in \[0, 2\] needs 4\.793e\+06 knots "
+                           r"by step 4\.768e-07, past the budget of 1000000"):
             cl.integrate_rank_one_1d(lambda x: -x, (1, 1), 1.0, 0.0, grid, step=2.0,
                                      tol=Tolerances(rel_tol=1e-30))
+
+    def test_cap_of_thirteen_integrations(self, monkeypatch):
+        # knots offset by +-1e-8 in turn: no step removes the change, whose
+        # estimate 2e-8 / 15 stays just above rel_tol, so every step halves
+        made = []
+
+        class Jittered(cl._RankOneSolution):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(1)
+                self.knot_x = self.knot_x + (-1) ** len(made) * 1e-8
+
+        monkeypatch.setattr(cl, "_RankOneSolution", Jittered)
+        grid = Grid2T(0.0, 1.0, 0.0, 1.0, 5, 5)
+        with pytest.raises(EvaluationError, match=r"RK4 did not converge in 13 integrations to "
+                           r"step 0\.0004883: the last error estimate was 1\.333e-09 of "
+                           r"max\(1, \|x\|\), not below rel_tol = 1e-09"):
+            cl.integrate_rank_one_1d(lambda x: 0.0, (1, 1), 1.0, 0.0, grid, step=2.0)
+        assert len(made) == 13
+
+    def test_harmonic_draws_within_rel_tol(self):
+        # the ranges of the harmonic_surface benchmark: the kept surface is
+        # within rel_tol max(1, |x|) of the closed form
+        rng = np.random.default_rng(7)
+        for i in range(64):
+            w = rng.uniform(0.5, 2.0)
+            c = rng.uniform(0.5, 1.5, size=2) * (1.0, -1.0 if i % 4 == 3 else 1.0)
+            x0, v0 = rng.uniform(-1.0, 1.0, size=2)
+            extent = rng.uniform(math.pi, 2 * math.pi)
+            grid = Grid2T(0.0, extent, 0.0, extent, 101, 101)
+            surface = cl.integrate_rank_one_1d(lambda x: -w * w * x, c, x0, v0, grid)
+            s = surface.s_of(*np.meshgrid(grid.t1_values, grid.t2_values, indexing="ij"))
+            exact = x0 * np.cos(w * s) + v0 / w * np.sin(w * s)
+            bound = TOL.rel_tol * max(1.0, float(np.max(np.abs(exact))))
+            assert np.max(np.abs(surface.values - exact)) <= bound
+            assert surface.error_estimate < TOL.rel_tol
+
+    def test_initial_point_past_blowup_refused(self):
+        grid = Grid2T(0.0, 1.0, 0.0, 1.0, 5, 5)
+        with pytest.raises(TruncationError, match=r"initial point x0 = 1e\+06 is past \|x\| <= 1e\+06"):
+            cl.integrate_rank_one_1d(lambda x: -x, (1, 1), np.nextafter(1e6, 2e6), 0.0, grid)
+        surface = cl.integrate_rank_one_1d(lambda x: 0.0, (1, 1), -1e6, 0.0, grid)
+        np.testing.assert_array_equal(surface.values, -1e6)
+
+    @pytest.mark.parametrize("g", ["horner", "sin", "constant"])
+    def test_knots_equal_per_step_float_loop(self, g):
+        # each knot as stepped by a float(g(x)) wrapper with s = target * k / n
+        if g == "horner":
+            cfg = configparser.ConfigParser()
+            cfg.read_string("[force]\ng_poly = -0.3 0.1 -1.2 0.05\n")
+            g = cli._g_poly(cfg)
+        else:
+            g = {"sin": lambda x: -np.sin(x), "constant": lambda x: 0.5}[g]
+        step, x0, v0, s_min, s_max = 0.0137, 0.8, -0.4, -2.3, 4.1
+        g_float = lambda x: float(g(x))
+        knots, xs, vs = [0.0], [x0], [v0]
+        for target in (s_max, s_min):
+            n = int(math.ceil(abs(target) / step))
+            x, v = x0, v0
+            for k in range(1, n + 1):
+                x, v = cl._rk4(g_float, x, v, target / n)
+                knots.append(target * k / n)
+                xs.append(x)
+                vs.append(v)
+        order = np.argsort(knots)
+        solution = cl._RankOneSolution(g, x0, v0, s_min, s_max, step)
+        for got, expected in ((solution.knot_s, knots), (solution.knot_x, xs),
+                              (solution.knot_v, vs)):
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.asarray(expected)[order].tobytes()
 
     def test_zero_direction_rejected(self):
         grid = Grid2T(0, 1, 0, 1, 3, 3)

@@ -106,6 +106,17 @@ class TestBundledScenarios:
         assert results["orthogonality_residual"] < 1e-4
         assert results["orbit_residual"] < 1e-6
 
+    def test_harmonic_reports_rk4_counters(self, tmp_path, capsys):
+        # steps 0.01 and 0.005 over s in [0, 6 pi]: 1885 + 3770 knots
+        path = scenario_path("classical_harmonic.ini")
+        assert cli.main(["classical-integrate", "--config", path, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "classical_harmonic_report.json") as fh:
+            rk4 = json.load(fh)["comparable"]["results"]["rk4"]
+        assert sorted(rk4) == ["error_estimate", "integrations", "knots", "rel_tol", "step"]
+        assert (rk4["integrations"], rk4["knots"], rk4["step"]) == (2, 1885 + 3770, 0.005)
+        assert 0 < rk4["error_estimate"] < rk4["rel_tol"] == 1e-9
+        assert "rk4" not in json.loads(capsys.readouterr().out)
+
     def test_mass_spectrum_table(self, tmp_path):
         cli.run_scenario(scenario_path("mass_spectrum_sweep.ini"), str(tmp_path))
         data = np.loadtxt(tmp_path / "mass_spectrum.csv", delimiter=",", skiprows=1)
@@ -455,6 +466,28 @@ n2 = 5
         config = write(tmp_path, "huge.ini", f"[scenario]\ncommand = {command}\n{sections}")
         assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 4
         assert f"numerical failure: {quantity}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x0", ["2e6", "1000001"])
+    def test_initial_point_past_blowup_exits_4(self, tmp_path, capsys, x0):
+        # 1000001 used to fall under the bound after one step and end near s = 18.8
+        cfg = cli.load_config(scenario_path("classical_harmonic.ini"))
+        cfg.set("initial", "x0", x0)
+        config = str(tmp_path / "far.ini")
+        with open(config, "w") as fh:
+            cfg.write(fh)
+        out = tmp_path / "out"
+        assert cli.main(["classical-integrate", "--config", config, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (f"numerical failure: initial point x0 = {float(x0):g} "
+                                           "is past |x| <= 1e+06\n")
+        assert not out.exists() or not os.listdir(out)
+
+    def test_initial_point_on_blowup_runs(self, tmp_path):
+        cfg = cli.load_config(scenario_path("classical_harmonic.ini"))
+        cfg.set("initial", "x0", "-1e6")
+        config = str(tmp_path / "edge.ini")
+        with open(config, "w") as fh:
+            cfg.write(fh)
+        assert cli.main(["classical-integrate", "--config", config, "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("c", ["1e200 1e200", "1e306 1e306"])
     def test_knot_budget_exits_4_quickly(self, tmp_path, capsys, c):
