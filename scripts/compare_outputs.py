@@ -7,11 +7,13 @@ every bundled scenario in csv and in json, and each config given after the
 revision in both formats, under both trees with ``PYTHONPATH`` set to that
 tree's ``src``.  Each run compares the exit code, stdout, every data file
 byte for byte and the report's ``comparable`` section, and prints one line.
-A line for a run that differs ends with the largest absolute difference
-between the numbers at the same place (same key path, or same row and
-column) in the ``comparable`` sections and the data files of both trees,
+A line for a run that differs ends with how many numbers at the same place
+(same key path, or same row and column) in the ``comparable`` sections and
+the data files of both trees turned from NaN into a number or back, and the
+largest absolute difference between the other numbers at the same place:
 that difference relative to the revision's value, the file and place where
-it lies, and both values.
+it lies, and both values.  Where no number differs, the line names the
+first place whose text differs, with both texts.
 The exit status is 1 if any run differs, 0 otherwise.  All output stays in
 the temporary directory, which is removed at the end.
 """
@@ -81,10 +83,11 @@ def _leaves(obj, path=()):
         yield path, obj
 
 
-def numbers(name: str, data: bytes, report: str) -> dict:
-    """{place: float} for the numeric cells of one output file: the leaves of
-    the report's ``comparable`` section or of a json table, the cells of a csv
-    table.  Numbers written as strings ("0.5", "nan") count; booleans do not."""
+def values(name: str, data: bytes, report: str):
+    """({place: float}, {place: str}) for the cells of one output file: the
+    leaves of the report's ``comparable`` section or of a json table, the
+    cells of a csv table.  Numbers written as strings ("0.5", "nan") count
+    as numbers; booleans and other non-string leaves as neither."""
     if name == report:
         cells = _leaves(json.loads(data)["comparable"])
     elif name.endswith(".json"):
@@ -92,50 +95,60 @@ def numbers(name: str, data: bytes, report: str) -> dict:
     else:
         cells = (((r, c), cell) for r, line in enumerate(data.decode().splitlines())
                  for c, cell in enumerate(line.split(",")))
-    out = {}
+    numbers, texts = {}, {}
     for place, value in cells:
         if isinstance(value, bool):
             continue
         try:
-            out[place] = float(value)
+            numbers[place] = float(value)
         except (TypeError, ValueError):
-            pass
-    return out
+            if isinstance(value, str):
+                texts[place] = value
+    return numbers, texts
 
 
 def largest_difference(a: dict, b: dict):
-    """(|a - b|, place) of the largest difference over the places both hold a
-    number, or None when they agree; a NaN against a number counts as inf."""
-    largest = None
+    """(how many places hold a NaN on one side and a number on the other,
+    (|a - b|, place) of the largest difference over the other places both
+    hold a number, or None when they agree)."""
+    flips, largest = 0, None
     for place in sorted(a.keys() & b.keys(), key=str):
         x, y = a[place], b[place]
         if x == y or (math.isnan(x) and math.isnan(y)):
             continue
+        if math.isnan(x) or math.isnan(y):
+            flips += 1
+            continue
         d = abs(x - y)
-        d = math.inf if math.isnan(d) else d
         if largest is None or d > largest[0]:
             largest = (d, place)
-    return largest
+    return flips, largest
+
+
+def where(name: str, place) -> str:
+    """A place in an output file, as a row and column of a csv table or as
+    the key path of a json value."""
+    return (f"{name} row {place[0]}, column {place[1]}" if name.endswith(".csv")
+            else f"{name} {'.'.join(str(p) for p in place)}")
 
 
 def describe(name: str, place, d: float, old: float, new: float) -> str:
     """Where a difference d = |new - old| lies and how large it is, absolute
     and relative to the old value."""
-    where = (f"{name} row {place[0]}, column {place[1]}" if name.endswith(".csv")
-             else f"{name} {'.'.join(str(p) for p in place)}")
     rel = d / abs(old) if old != 0 else math.inf
-    return (f"largest difference {d:.3g} ({rel:.2g} relative) at {where}: "
+    return (f"largest difference {d:.3g} ({rel:.2g} relative) at {where(name, place)}: "
             f"{old!r} -> {new!r}")
 
 
 def differences(config: str, a, b):
     """(what differs between two runs of one config, a description of the
-    largest numeric difference in the files both wrote, or None)."""
+    NaN flips and the largest numeric difference in the files both wrote,
+    or else of their first text difference, or None)."""
     _, report = scenario_names(config)
     found = [what for what, i in (("exit code", 0), ("stdout", 1)) if a[i] != b[i]]
     files_a, files_b = a[2], b[2]
     found += [f"only one tree wrote {name}" for name in sorted(set(files_a) ^ set(files_b))]
-    largest = None
+    flips, largest, text = 0, None, None
     for name in sorted(set(files_a) & set(files_b)):
         if name == report:
             same = (json.loads(files_a[name])["comparable"]
@@ -144,13 +157,25 @@ def differences(config: str, a, b):
             same = files_a[name] == files_b[name]
         if not same:
             found.append(f"{name} comparable" if name == report else name)
-            old = numbers(name, files_a[name], report)
-            new = numbers(name, files_b[name], report)
-            here = largest_difference(old, new)
+            old, old_texts = values(name, files_a[name], report)
+            new, new_texts = values(name, files_b[name], report)
+            n, here = largest_difference(old, new)
+            flips += n
             if here is not None and (largest is None or here[0] > largest[0]):
                 d, place = here
                 largest = (d, describe(name, place, d, old[place], new[place]))
-    return found, largest[1] if largest else None
+            changed = [p for p in sorted(old_texts.keys() & new_texts.keys(), key=str)
+                       if old_texts[p] != new_texts[p]]
+            if changed and text is None:
+                p = changed[0]
+                text = (f"text differs at {where(name, p)}: "
+                        f"{old_texts[p]!r} -> {new_texts[p]!r}")
+    numeric = []
+    if flips:
+        numeric.append(f"{flips} NaN flip" + "s" * (flips > 1))
+    if largest:
+        numeric.append(largest[1])
+    return found, "; ".join(numeric) or text
 
 
 def main(argv=None) -> int:
@@ -171,11 +196,11 @@ def main(argv=None) -> int:
                 key = f"{k:02d}-{fmt}"
                 old = run(old_tree, config, fmt, os.path.join(tmp, "out", "rev", key))
                 new = run(ROOT, config, fmt, os.path.join(tmp, "out", "tree", key))
-                found, largest = differences(config, old, new)
+                found, summary = differences(config, old, new)
                 differ += bool(found)
                 label = f"{os.path.basename(config)} {fmt} (exit {new[0]})"
                 print(f"DIFF  {label}: {', '.join(found)}; "
-                      f"{largest or 'no numeric difference'}"
+                      f"{summary or 'no value differs at a place both trees hold'}"
                       if found else f"same  {label}")
     print(f"{len(configs) * len(FORMATS) - differ} of {len(configs) * len(FORMATS)} runs "
           f"identical to {args.rev}")

@@ -706,12 +706,10 @@ def _kernel_directions(kernel: list, d: int, tol: Tolerances):
 
     Returns (status, unit_field) pairs: the field is the 90-degree rotation
     (u[1], -u[0]) of a unit vector u spanning the velocities when that span
-    is one-dimensional.  A 1 x 2 block b is its own span, signed as LAPACK
-    signs the SVD's right singular vector: u = -b/|b|, or b/|b| when b[0]
-    has its sign bit set, or (1, 0) when b[1] = 0; so u[0] <= 0 whenever
-    b[1] != 0.  A k x 2 block of k >= 2 kernel vectors takes u from an SVD,
-    whose sign follows the kernel basis LAPACK picks, and signs it by the
-    same rule: u[0] < 0, or u[1] < 0 where u[0] = 0.
+    is one-dimensional.  A 1 x 2 block b is its own span, u = b/|b|; a k x 2
+    block of k >= 2 kernel vectors takes u from an SVD.  Either u is then
+    signed by one rule, u[0] < 0, or u[1] < 0 where u[0] = 0, so that its
+    sign follows the span and not the kernel basis.
     """
     out = []
     if not kernel:
@@ -725,18 +723,15 @@ def _kernel_directions(kernel: list, d: int, tol: Tolerances):
             out.append(("zero-velocity", None))
             continue
         if len(kernel) == 1:
-            if flat[1] == 0.0:
-                u = (1.0, 0.0)
-            else:
-                u = flat / (norm if math.copysign(1.0, flat[0]) < 0 else -norm)
+            u = flat / norm
         else:
             _, s, vt = np.linalg.svd(rows.T)
             if s[1] > 1e-8 * s[0]:
                 out.append(("unconstrained", None))
                 continue
             u = vt[0]
-            if u[0] > 0.0 or (u[0] == 0.0 and u[1] > 0.0):
-                u = -u
+        if u[0] > 0.0 or (u[0] == 0.0 and u[1] > 0.0):
+            u = -u
         out.append(("direction", np.array([u[1], -u[0]])))
     return out
 
@@ -760,55 +755,12 @@ def _cross_validate(appendix, kernel, d: int):
     return worst
 
 
-def _vector_text(v: np.ndarray) -> str:
-    """The text of np.array2string(v, precision=6) for a 1-D float vector
-    under numpy's default print options, whatever options are set.
-
-    numpy switches to scientific notation when a nonzero finite |value| is
-    at least 1e8 or below 1e-4, or when the largest is over 1000 times the
-    smallest.  Positional values are padded to a common integer and fraction
-    width; scientific ones are printed again with the common digit count,
-    which for subnormals are real digits, not zeros.
-    """
-    values = v.tolist()
-    finite = [x for x in values if math.isfinite(x)]
-    sizes = [abs(x) for x in finite if x != 0.0]
-    scientific = bool(sizes) and (max(sizes) >= 1e8 or min(sizes) < 1e-4
-                                  or max(sizes) / min(sizes) > 1e3)
-    left = right = 0
-    if scientific:
-        mantissas, exponents = zip(*(np.format_float_scientific(x, precision=6, trim=".")
-                                     .split("e") for x in finite))
-        exp_digits = max(map(len, exponents)) - 1
-        ints, fracs = zip(*(m.split(".") for m in mantissas))
-        left, digits = max(map(len, ints)), max(map(len, fracs))
-        right = exp_digits + 2 + digits
-    else:
-        parts = [np.format_float_positional(x, precision=6, trim=".").split(".") for x in finite]
-        if parts:
-            left, right = max(len(a) for a, _ in parts), max(len(b) for _, b in parts)
-    if len(finite) < len(values):
-        # a non-finite value is right-aligned in the width of the finite ones
-        neginf = -math.inf in values
-        left = max(left, 2 - right, 2 + neginf - right)
-    if scientific:
-        texts = iter([np.format_float_scientific(x, precision=digits, min_digits=digits, trim="k",
-                                                 pad_left=left, exp_digits=exp_digits)
-                      for x in finite])
-    else:
-        texts = iter([a.rjust(left) + "." + b.ljust(right) for a, b in parts])
-    width = left + right + 1
-    return "[" + " ".join(
-        next(texts) if math.isfinite(x) else
-        ("nan" if math.isnan(x) else "-inf" if x < 0 else "inf").rjust(width)
-        for x in values) + "]"
-
-
 def _field_report(T: np.ndarray, M: np.ndarray, tol: Tolerances):
     """Kernel dimension, oracle fields, orthogonality residual and
     discrepancy text from the derivative tensor T of a d = 2 or 3 force and
     its velocity system M.  A coordinate without a kernel direction gets a
-    zero vector flagged degenerate."""
+    zero vector flagged degenerate.  The text quotes vectors as lists of
+    Python floats, whose repr is exact and follows no numpy print option."""
     d = T.shape[0]
     kernel = null_space(M, tol)
     appendix = _appendix_fields_2d(T) if d == 2 else _appendix_fields_3d(M)
@@ -819,9 +771,8 @@ def _field_report(T: np.ndarray, M: np.ndarray, tol: Tolerances):
         parts = []
         for i in range(d):
             status, vec = dirs[i]
-            oracle_txt = _vector_text(vec) if vec is not None else status
-            parts.append(f"coordinate {i + 1}: printed={_vector_text(appendix[i])} "
-                         f"oracle={oracle_txt}")
+            oracle = vec.tolist() if vec is not None else status
+            parts.append(f"coordinate {i + 1}: printed={appendix[i].tolist()} oracle={oracle}")
         discrepancy = (f"printed determinant fields fail kernel cross-validation "
                        f"(residual {residual:.3e}); " + "; ".join(parts))
     fields = CharacteristicField(

@@ -73,9 +73,9 @@ class CurrentField:
 class ChargeReport:
     """Charges per time axis with their conservation residuals.
 
-    Q_total[i, j] = alpha * Q1[i] + beta * Q2[j] by construction; the
-    residuals are the worst interior |dQ_i/dt_i| before any rescaling of
-    alpha, beta.
+    The total charge is alpha * Q1[i] + beta * Q2[j]; the residuals are the
+    worst interior |dQ_i/dt_i| of the charges, which no rescaling of alpha,
+    beta touches.
     """
 
     Q1: np.ndarray
@@ -84,7 +84,6 @@ class ChargeReport:
     dQ2_residual: float
     alpha: float
     beta: float
-    Q_total: np.ndarray
     boundary_warnings: tuple
 
 
@@ -119,15 +118,14 @@ def trapezoid_weights(v) -> np.ndarray:
     return w
 
 
-def charges(j: CurrentField, alpha: float = 1.0, beta: float = 1.0,
-            normalize: bool = True, tol: Tolerances = Tolerances()) -> ChargeReport:
+def charges(j: CurrentField, tol: Tolerances = Tolerances()) -> ChargeReport:
     """Integrate the two charges and their conservation residuals.
 
     The current should vanish on the integration boundary; leakage is
     reported as warnings and shows up in the residuals rather than aborting.
-    With ``normalize`` the combination constants are rescaled so the total
-    charge is 1 at the grid origin (skipped when that value is zero, e.g.
-    for the zero current).  Each double integral contracts its component
+    The combination constants alpha = beta = 1 are rescaled so that the
+    total charge is 1 at the grid origin (skipped when that value is zero,
+    e.g. for the zero current).  Each double integral contracts its component
     with the trapezoid weights of x, then of the other time, in one pass
     over the component.
     """
@@ -153,17 +151,14 @@ def charges(j: CurrentField, alpha: float = 1.0, beta: float = 1.0,
     dq1 = float(np.max(np.abs((q1[2:] - q1[:-2]) / (2.0 * g.d1))))
     dq2 = float(np.max(np.abs((q2[2:] - q2[:-2]) / (2.0 * g.d2))))
 
-    a, b = float(alpha), float(beta)
-    if normalize:
-        total0 = a * q1[0] + b * q2[0]
-        if abs(total0) > 1e-12 * max(1.0, abs(q1[0]) + abs(q2[0])):
-            a, b = a / total0, b / total0
-        else:
-            warnings.append("total charge vanishes at the grid origin; normalization skipped")
-    q_total = a * q1[:, None] + b * q2[None, :]
+    a = b = 1.0
+    total0 = q1[0] + q2[0]
+    if abs(total0) > 1e-12 * max(1.0, abs(q1[0]) + abs(q2[0])):
+        a = b = 1.0 / total0
+    else:
+        warnings.append("total charge vanishes at the grid origin; normalization skipped")
     return ChargeReport(Q1=q1, Q2=q2, dQ1_residual=dq1, dQ2_residual=dq2,
-                        alpha=a, beta=b, Q_total=q_total,
-                        boundary_warnings=tuple(warnings))
+                        alpha=a, beta=b, boundary_warnings=tuple(warnings))
 
 
 def _as_3d(rho) -> np.ndarray:

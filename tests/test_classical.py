@@ -1,5 +1,7 @@
+import ast
 import configparser
 import math
+import re
 
 import numpy as np
 import pytest
@@ -737,6 +739,19 @@ class TestParallelFields:
         # printed formulas disagree here: the report must say so
         assert report.discrepancy is not None
 
+    def test_discrepancy_quotes_vectors_exactly(self):
+        # each quoted vector reads back as the report's floats, bit for bit
+        rng = np.random.default_rng(17)
+        for d in (2, 3):
+            for _ in range(10):
+                lin = rng.normal(size=(d, d))
+                force = cl.rank_one_force((0.8, -1.1), lambda p, lin=lin: lin @ p, d=d)
+                report = cl.classify(force, rng.uniform(-1, 1, size=d))
+                quoted = re.findall(r"oracle=(\[[^\]]*\])", report.discrepancy)
+                assert len(quoted) == d
+                for text, vec in zip(quoted, report.fields.vectors):
+                    assert np.array(ast.literal_eval(text)).tobytes() == vec.tobytes()
+
     def test_never_silent(self):
         rng = np.random.default_rng(15)
         for d in (2, 3):
@@ -864,47 +879,6 @@ class TestClassify:
         force = cl.affine_force(2, rng.normal(size=(2, 2, 2, 2)))
         t = force.tensor_at(rng.uniform(-1, 1, size=(5, 2)))
         assert np.max(np.abs(t[..., 0, 1] - t[..., 1, 0])) < 1e-12
-
-
-def vector_values():
-    """Floats of every kind, and floats at the switches of numpy's notation:
-    1e-4 and 1e8 in size, and a ratio of 1e3 between sizes."""
-    def near(base):
-        return st.floats(min_value=base * (1 - 1e-9), max_value=base * (1 + 1e-9))
-    switches = st.one_of(near(1e-4), near(1e8), near(1e3), near(1.0))
-    special = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
-                               2.2250738585072014e-308, 1e-4, 1e8, 1e3, 1.0, 0.1, 11.52, 5.76])
-    signed = st.tuples(st.one_of(switches, special), st.booleans()).map(
-        lambda v: -v[0] if v[1] else v[0])
-    return st.one_of(st.floats(), signed, st.floats(min_value=-1e9, max_value=1e9))
-
-
-class TestVectorText:
-    @settings(max_examples=800, deadline=None)
-    @given(st.lists(vector_values(), min_size=1, max_size=3))
-    def test_matches_array2string(self, values):
-        v = np.array(values, dtype=float)
-        assert cl._vector_text(v) == np.array2string(v, precision=6)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.floats(min_value=1e-300, max_value=1e300), st.floats(min_value=999.0, max_value=1001.0),
-           st.booleans())
-    def test_ratio_switch(self, size, ratio, negative):
-        v = np.array([size, (-size if negative else size) * ratio])
-        assert cl._vector_text(v) == np.array2string(v, precision=6)
-
-    @pytest.mark.parametrize("values, text", [
-        ([2 / math.sqrt(5), -1 / math.sqrt(5)], "[ 0.894427 -0.447214]"),
-        ([11.52, 5.76], "[11.52  5.76]"),
-        ([0.0, 0.0], "[0. 0.]"),
-        # a subnormal's digits past its shortest form are its own, not zeros
-        ([5e-324, 1.5], "[4.9e-324 1.5e+000]"),
-    ])
-    def test_bundled_texts(self, values, text):
-        v = np.array(values)
-        assert cl._vector_text(v) == text
-        with np.printoptions(floatmode="fixed", sign="+", precision=3, nanstr="NaN"):
-            assert cl._vector_text(v) == text
 
 
 def relabeled_fields_by_tensor(T, printed):

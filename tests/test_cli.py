@@ -79,7 +79,7 @@ class TestBundledScenarios:
         default = cli.run_scenario(path, str(tmp_path / "a"))
         with np.printoptions(floatmode="fixed", sign="+"):
             styled = cli.run_scenario(path, str(tmp_path / "b"))
-        assert "printed=[11.52  5.76]" in default["comparable"]["results"]["discrepancy"]
+        assert "printed=[11.52, 5.76]" in default["comparable"]["results"]["discrepancy"]
         assert json.dumps(styled["comparable"], sort_keys=True) == json.dumps(
             default["comparable"], sort_keys=True)
 

@@ -1,4 +1,5 @@
-"""The output comparison script names where its largest difference lies."""
+"""The output comparison script counts NaN flips, names where its largest
+finite difference lies, and names a changed text where no number moved."""
 
 import importlib.util
 import json
@@ -43,3 +44,35 @@ def test_largest_difference_names_csv_cell(tmp_path):
         run(b"", {"t.csv": b"t,Q\n0,1\n1,3e-17\n"}))
     assert found == ["t.csv"]
     assert largest == "largest difference 3e-17 (inf relative) at t.csv row 2, column 1: 0.0 -> 3e-17"
+
+
+def test_nan_flips_counted_apart_from_largest_finite_difference(tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text("[scenario]\ncommand = continuity\n")
+    found, summary = compare_outputs.differences(
+        str(config), run(b"", {"t.csv": b"t,Q\n0,nan\n1,nan\n2,0.5\n3,nan\n"}),
+        run(b"", {"t.csv": b"t,Q\n0,0.25\n1,nan\n2,0.75\n3,-1\n"}))
+    assert found == ["t.csv"]
+    assert summary == ("2 NaN flips; largest difference 0.25 (0.5 relative) at t.csv row 3, "
+                       "column 1: 0.5 -> 0.75")
+
+
+def test_nan_flip_alone(tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text("[scenario]\ncommand = continuity\n")
+    found, summary = compare_outputs.differences(
+        str(config), run(b"", {"t.csv": b"t,Q\n0,1\n"}), run(b"", {"t.csv": b"t,Q\n0,nan\n"}))
+    assert (found, summary) == (["t.csv"], "1 NaN flip")
+
+
+def test_changed_text_leaf_named(tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text("[scenario]\ncommand = classical-check\n[output]\nreport = r.json\n")
+    old = {"comparable": {"results": {"det": 0.0, "discrepancy": "printed=[0. 0.]"}}}
+    new = {"comparable": {"results": {"det": 0.0, "discrepancy": "printed=[0.0, 0.0]"}}}
+    found, summary = compare_outputs.differences(
+        str(config), run(b"a\n", {"r.json": json.dumps(old).encode()}),
+        run(b"b\n", {"r.json": json.dumps(new).encode()}))
+    assert found == ["stdout", "r.json comparable"]
+    assert summary == ("text differs at r.json results.discrepancy: "
+                       "'printed=[0. 0.]' -> 'printed=[0.0, 0.0]'")

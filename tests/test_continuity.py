@@ -111,8 +111,7 @@ class TestCharges:
         rng = np.random.default_rng(11)
         grid = Grid2T(-0.5, 1.7, 0.2, 2.9, 9, 13, x_min=-3.0, x_max=4.0, nx=11)
         j1, j2, jx = (rng.normal(size=(grid.nx, grid.n1, grid.n2)) for _ in range(3))
-        report = ct.charges(ct.CurrentField(grid=grid, j1=j1, j2=j2, j_space=jx),
-                            normalize=False)
+        report = ct.charges(ct.CurrentField(grid=grid, j1=j1, j2=j2, j_space=jx))
         scale = max(np.max(np.abs(a)) for a in (j1, j2, jx))
         q1 = np.trapezoid(np.trapezoid(j1, grid.t2_values, axis=2), grid.x_values, axis=0)
         q2 = np.trapezoid(np.trapezoid(j2, grid.t1_values, axis=1), grid.x_values, axis=0)
@@ -136,6 +135,13 @@ class TestCharges:
         np.testing.assert_array_equal(report.Q1, 0.0)
         np.testing.assert_array_equal(report.Q2, 0.0)
         assert report.dQ1_residual == 0.0 and report.dQ2_residual == 0.0
+
+    def test_zero_total_keeps_unit_constants(self):
+        grid = space_grid(5, 5, 7)
+        zero = np.zeros((grid.nx, grid.n1, grid.n2))
+        report = ct.charges(ct.CurrentField(grid=grid, j1=zero, j2=zero, j_space=zero))
+        assert report.alpha == report.beta == 1.0
+        assert any("normalization skipped" in w for w in report.boundary_warnings)
 
     def test_manufactured_conservation_and_refinement(self):
         grid = space_grid()
@@ -182,11 +188,11 @@ class TestCharges:
     def test_linearity_in_current(self, factor):
         grid = space_grid(9, 9, 15)
         current, _ = ct.manufactured_current(grid)
-        base = ct.charges(current, normalize=False)
+        base = ct.charges(current)
         scaled_field = ct.CurrentField(grid=grid, j1=factor * current.j1,
                                        j2=factor * current.j2,
                                        j_space=factor * current.j_space)
-        scaled = ct.charges(scaled_field, normalize=False)
+        scaled = ct.charges(scaled_field)
         np.testing.assert_allclose(scaled.Q1, factor * base.Q1, atol=1e-12 * abs(factor))
         assert scaled.dQ1_residual == pytest.approx(abs(factor) * base.dQ1_residual,
                                                     rel=1e-9, abs=1e-15)
@@ -197,8 +203,9 @@ class TestCharges:
         j1 = np.broadcast_to(np.exp(-x ** 2), (grid.nx, grid.n1, grid.n2)).copy()
         zero = np.zeros_like(j1)
         field = ct.CurrentField(grid=grid, j1=j1, j2=zero, j_space=zero)
-        report = ct.charges(field, alpha=2.0, beta=1.0)
-        assert report.Q_total[0, 0] == pytest.approx(1.0, abs=1e-12)
+        report = ct.charges(field)
+        assert report.alpha * report.Q1[0] + report.beta * report.Q2[0] == pytest.approx(
+            1.0, abs=1e-12)
 
 
 def alternating_separable_fit(R, max_sweeps=100):

@@ -2,8 +2,9 @@
 
 ``np.array2string`` and its kin read the process-wide print options, which
 a caller may have changed, so the ``comparable`` section of a report would
-follow them.  The library formats vectors itself (``classical._vector_text``)
-and neither calls those functions nor changes the options."""
+follow them.  The library quotes vectors as lists of Python floats, whose
+repr no print option touches, and neither calls those functions nor changes
+the options."""
 
 import ast
 from pathlib import Path
