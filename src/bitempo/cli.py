@@ -48,9 +48,8 @@ FORMATS = ("csv", "json")
 
 _REQUIRED = object()
 
-# most points any grid of a run may hold, nx included: the parsed [grid], and
-# for a builtin continuity current its refinement too; the bundled scenarios
-# and the benchmark's draws hold at most 61 x 41 x 41 (121 x 81 x 81 refined)
+# most points the parsed [grid] of a run may hold, nx included; the bundled
+# scenarios and the benchmark's draws hold at most 61 x 41 x 41
 MAX_GRID_POINTS = 10 ** 7
 
 
@@ -124,28 +123,15 @@ def _grid(cfg, need_space: bool = False) -> Grid2T:
             nx=_get(cfg, "grid", "nx", int),
         )
     grid = Grid2T(**kwargs)
-    _check_points(grid, "[grid]")
-    return grid
-
-
-def _check_points(grid: Grid2T, name: str):
     points = grid.n1 * grid.n2 * (grid.nx or 1)
     if points > MAX_GRID_POINTS:
-        raise DomainError(f"{name} holds {points} points, more than MAX_GRID_POINTS = "
+        raise DomainError(f"[grid] holds {points} points, more than MAX_GRID_POINTS = "
                           f"{MAX_GRID_POINTS}")
+    return grid
 
 
 def _space_grid(cfg) -> Grid2T:
     return _grid(cfg, need_space=True)
-
-
-def _continuity_grid(cfg) -> Grid2T:
-    """The [grid] of a continuity run; with a builtin current the run also
-    builds the 2x refined grid, which must fit MAX_GRID_POINTS too."""
-    grid = _space_grid(cfg)
-    if _get(cfg, "current", "source", str, "builtin") in ("builtin", "builtin-sourced"):
-        _check_points(grid.refined(), "the refined [grid] of a builtin current")
-    return grid
 
 
 def _rank_one_c(cfg) -> list:
@@ -755,11 +741,11 @@ def _load_current_file(path: str, grid: Grid2T):
 def _run_continuity(tol, grid, source):
     from . import continuity
 
+    sourced = source == "builtin-sourced"
     if source.startswith("file:"):
         current = _load_current_file(source[5:], grid)
     else:
-        current, _ = continuity.manufactured_current(
-            grid, with_source=source == "builtin-sourced")
+        current, source_rate = continuity.manufactured_current(grid, with_source=sourced)
     report = continuity.charges(current, tol=tol)
     payload = {
         "source": source,
@@ -771,17 +757,25 @@ def _run_continuity(tol, grid, source):
         "grid": [grid.nx, grid.n1, grid.n2],
     }
     if source.startswith("builtin"):
+        q1, q2 = continuity.manufactured_charges(grid, with_source=sourced)
+        payload["charge_contraction"] = float(max(np.max(np.abs(report.Q1 - q1)),
+                                                  np.max(np.abs(report.Q2 - q2))))
+        if sourced:
+            payload["source_rate_residual"] = continuity.charge_rate_residual(
+                report.Q1, grid.d1, source_rate(grid.t1_values[1:-1]))
+        # the refinement study needs only the refined charges, which the
+        # factored contraction gives without sampling the refined current
         refined = grid.refined()
         payload["grid_refined"] = [refined.nx, refined.n1, refined.n2]
-        fine, _ = continuity.manufactured_current(
-            refined, with_source=source == "builtin-sourced")
-        fine_report = continuity.charges(fine, tol=tol)
-        payload["dQ1_residual_refined"] = fine_report.dQ1_residual
-        payload["dQ2_residual_refined"] = fine_report.dQ2_residual
-        if fine_report.dQ1_residual > 0:
-            payload["refinement_ratio_Q1"] = report.dQ1_residual / fine_report.dQ1_residual
-        if fine_report.dQ2_residual > 0:
-            payload["refinement_ratio_Q2"] = report.dQ2_residual / fine_report.dQ2_residual
+        fine_q1, fine_q2 = continuity.manufactured_charges(refined, with_source=sourced)
+        fine1 = continuity.charge_rate_residual(fine_q1, refined.d1)
+        fine2 = continuity.charge_rate_residual(fine_q2, refined.d2)
+        payload["dQ1_residual_refined"] = fine1
+        payload["dQ2_residual_refined"] = fine2
+        if fine1 > 0:
+            payload["refinement_ratio_Q1"] = report.dQ1_residual / fine1
+        if fine2 > 0:
+            payload["refinement_ratio_Q2"] = report.dQ2_residual / fine2
     rows = _grid_rows((grid.t1_values,), report.Q1)
     return payload, (["t1", "Q1"], rows)
 
@@ -865,7 +859,7 @@ _COMMANDS = {
                             _run_classical_integrate),
     "quantum-fluct": ((_quantum_system, _grid), _run_quantum_fluct),
     "uncertainty": ((_budget,), _run_uncertainty),
-    "continuity": ((_tolerances, _continuity_grid, _current_source), _run_continuity),
+    "continuity": ((_tolerances, _space_grid, _current_source), _run_continuity),
     "dirac": ((_tolerances, _wave, _space_grid), _run_dirac),
     "mass-spectrum": ((_sweep,), _run_mass_spectrum),
 }

@@ -28,6 +28,8 @@ __all__ = [
     "separability_check",
     "ehrenfest_limit_residual",
     "manufactured_current",
+    "manufactured_charges",
+    "charge_rate_residual",
     "trapezoid_weights",
 ]
 
@@ -148,8 +150,8 @@ def charges(j: CurrentField, tol: Tolerances = Tolerances()) -> ChargeReport:
     # leading axis can be many times slower when BLAS runs threaded
     q1 = np.einsum("i,ijk->jk", wx, j.j1) @ w2
     q2 = w1 @ np.einsum("i,ijk->jk", wx, j.j2)
-    dq1 = float(np.max(np.abs((q1[2:] - q1[:-2]) / (2.0 * g.d1))))
-    dq2 = float(np.max(np.abs((q2[2:] - q2[:-2]) / (2.0 * g.d2))))
+    dq1 = charge_rate_residual(q1, g.d1)
+    dq2 = charge_rate_residual(q2, g.d2)
 
     a = b = 1.0
     total0 = q1[0] + q2[0]
@@ -159,6 +161,14 @@ def charges(j: CurrentField, tol: Tolerances = Tolerances()) -> ChargeReport:
         warnings.append("total charge vanishes at the grid origin; normalization skipped")
     return ChargeReport(Q1=q1, Q2=q2, dQ1_residual=dq1, dQ2_residual=dq2,
                         alpha=a, beta=b, boundary_warnings=tuple(warnings))
+
+
+def charge_rate_residual(q, step: float, rate=0.0) -> float:
+    """Worst interior |dq/dt - rate|, where dq/dt is the central difference
+    of charge samples q at spacing step and rate the exact rate at the
+    interior points: zero for a conserved charge, the source_rate of a
+    sourced manufactured current."""
+    return float(np.max(np.abs((q[2:] - q[:-2]) / (2.0 * step) - rate)))
 
 
 def _as_3d(rho) -> np.ndarray:
@@ -243,6 +253,48 @@ def ehrenfest_limit_residual(mean_x, grid: Grid2T, force_11=None,
 # manufactured example
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Factors:
+    """The one-axis factors of the manufactured current as 1-D arrays: w and
+    its derivative wp over x; r, rp, b = 1 + 0.5 sin(t1) and the source
+    amplitude lam over t1; s, sp, cos(t2) and the source profile g over t2."""
+
+    x: np.ndarray
+    w: np.ndarray
+    wp: np.ndarray
+    r: np.ndarray
+    rp: np.ndarray
+    b: np.ndarray
+    lam: np.ndarray
+    s: np.ndarray
+    sp: np.ndarray
+    cos2: np.ndarray
+    g: np.ndarray
+
+
+def _factors(grid: Grid2T) -> _Factors:
+    if not grid.has_space:
+        raise DomainError("manufactured current needs a grid with a space axis")
+    x, t1, t2 = grid.x_values, grid.t1_values, grid.t2_values
+    length1, length2 = grid.t1_max - grid.t1_min, grid.t2_max - grid.t2_min
+    u1 = (t1 - grid.t1_min) / length1
+    u2 = (t2 - grid.t2_min) / length2
+    w = np.exp(-x ** 2)
+    return _Factors(
+        x=x, w=w, wp=-2.0 * x * w,
+        r=np.sin(np.pi * u1) ** 2 * (1.0 + 0.3 * u1),
+        rp=(np.pi * np.sin(2.0 * np.pi * u1) * (1.0 + 0.3 * u1)
+            + 0.3 * np.sin(np.pi * u1) ** 2) / length1,
+        b=1.0 + 0.5 * np.sin(t1),
+        lam=SOURCE_STRENGTH * np.sin(np.pi * u1) ** 2,
+        s=np.sin(np.pi * u2) ** 2 * (1.0 - 0.2 * u2),
+        sp=(np.pi * np.sin(2.0 * np.pi * u2) * (1.0 - 0.2 * u2)
+            - 0.2 * np.sin(np.pi * u2) ** 2) / length2,
+        cos2=np.cos(t2),
+        g=0.5 + 0.3 * np.cos(2.0 * np.pi * u2),
+    )
+
+
 def manufactured_current(grid: Grid2T, with_source: bool = False):
     """Analytic current with decaying boundaries, divergence-free by
     construction (j1 = d2 phi + dx A, j2 = -d1 phi + dx B,
@@ -251,40 +303,25 @@ def manufactured_current(grid: Grid2T, with_source: bool = False):
     Returns (CurrentField, source_rate) where source_rate(t1) is the exact
     dQ1/dt1 induced by the source (identically zero without it).
     """
-    if not grid.has_space:
-        raise DomainError("manufactured current needs a grid with a space axis")
-    x = grid.x_values[:, None, None]
-    t1 = grid.t1_values[None, :, None]
-    t2 = grid.t2_values[None, None, :]
-    a1, length1 = grid.t1_min, grid.t1_max - grid.t1_min
-    a2, length2 = grid.t2_min, grid.t2_max - grid.t2_min
-    u1 = (t1 - a1) / length1
-    u2 = (t2 - a2) / length2
-
-    w = np.exp(-x ** 2)
-    wp = -2.0 * x * w
-    r = np.sin(np.pi * u1) ** 2 * (1.0 + 0.3 * u1)
-    rp = (np.pi * np.sin(2.0 * np.pi * u1) * (1.0 + 0.3 * u1)
-          + 0.3 * np.sin(np.pi * u1) ** 2) / length1
-    s = np.sin(np.pi * u2) ** 2 * (1.0 - 0.2 * u2)
-    sp = (np.pi * np.sin(2.0 * np.pi * u2) * (1.0 - 0.2 * u2)
-          - 0.2 * np.sin(np.pi * u2) ** 2) / length2
+    f = _factors(grid)
+    x, w, wp = (v[:, None, None] for v in (f.x, f.w, f.wp))
+    r, rp, b, lam = (v[:, None] for v in (f.r, f.rp, f.b, f.lam))
 
     # each component is a sum of products of one-axis factors; grouping them
     # first leaves one full-grid broadcast product for j1 and one for j2
-    j1 = r * (w * sp + 0.3 * (w + x * wp) * np.cos(t2))
-    j2 = s * (-w * rp + 0.2 * wp * (1.0 + 0.5 * np.sin(t1)))
+    j1 = r * (w * f.sp + 0.3 * (w + x * wp) * f.cos2)
+    j2 = f.s * (-w * rp + 0.2 * wp * b)
     # jx = A(x, t1) cos(t2) + B(x, t1) sp(t2) is a rank-two product: one
     # matmul writes it with no full-grid temporary
-    jx = (np.concatenate((0.3 * x * w * rp, 0.2 * w * (1.0 + 0.5 * np.sin(t1))), axis=2)
-          @ np.concatenate((np.cos(t2[0]), sp[0])))
+    jx = (np.concatenate((0.3 * x * w * rp, 0.2 * w * b), axis=2)
+          @ np.stack((f.cos2, f.sp)))
 
+    a1, length1 = grid.t1_min, grid.t1_max - grid.t1_min
     ix_integral = 0.5 * math.sqrt(math.pi) * (math.erf(grid.x_max) - math.erf(grid.x_min))
-    it2_integral = 0.5 * length2
+    it2_integral = 0.5 * (grid.t2_max - grid.t2_min)
 
     if with_source:
-        lam = SOURCE_STRENGTH * np.sin(np.pi * u1) ** 2
-        j1 += lam * w * (0.5 + 0.3 * np.cos(2.0 * np.pi * u2))
+        j1 += lam * w * f.g
 
         def source_rate(t1_point):
             uu = (np.asarray(t1_point, dtype=float) - a1) / length1
@@ -295,3 +332,21 @@ def manufactured_current(grid: Grid2T, with_source: bool = False):
             return np.zeros_like(np.asarray(t1_point, dtype=float))
 
     return CurrentField(grid=grid, j1=j1, j2=j2, j_space=jx), source_rate
+
+
+def manufactured_charges(grid: Grid2T, with_source: bool = False):
+    """The charges (Q1, Q2) that charges() integrates from
+    manufactured_current(grid, with_source), without sampling the current.
+
+    Each component is a sum of products of one-axis factors, so its trapezoid
+    double integral is a sum of products of one-axis trapezoid contractions:
+    O(nx + n1 + n2) work, equal to the full-grid contraction up to rounding.
+    """
+    f = _factors(grid)
+    wx, w1, w2 = (trapezoid_weights(v) for v in (f.x, grid.t1_values, grid.t2_values))
+    xw = wx @ f.w
+    q1 = f.r * (xw * (w2 @ f.sp) + 0.3 * (wx @ (f.w + f.x * f.wp)) * (w2 @ f.cos2))
+    q2 = f.s * (0.2 * (wx @ f.wp) * (w1 @ f.b) - xw * (w1 @ f.rp))
+    if with_source:
+        q1 += f.lam * (xw * (w2 @ f.g))
+    return q1, q2

@@ -337,12 +337,26 @@ report = from_file_report.json
         # a file source is integrated on its own grid only
         assert payload["grid"] == [cfg.getint("grid", k) for k in ("nx", "n1", "n2")]
         assert "grid_refined" not in payload
+        assert "charge_contraction" not in payload and "source_rate_residual" not in payload
 
     def test_builtin_source_reports_refined_grid(self, tmp_path):
         report = cli.run_scenario(scenario_path("continuity_manufactured.ini"), str(tmp_path))
         results = report["comparable"]["results"]
         nx, n1, n2 = results["grid"]
         assert results["grid_refined"] == [2 * nx - 1, 2 * n1 - 1, 2 * n2 - 1]
+        assert 0.0 <= results["charge_contraction"] < 1e-13
+        assert "source_rate_residual" not in results
+
+    def test_sourced_run_checks_the_source_rate(self, tmp_path):
+        with open(scenario_path("continuity_manufactured.ini")) as fh:
+            text = fh.read()
+        config = write(tmp_path, "sourced.ini",
+                       text.replace("source = builtin", "source = builtin-sourced"))
+        results = cli.run_scenario(config, str(tmp_path))["comparable"]["results"]
+        # dQ1_residual is the source itself; the exact rate leaves O(h^2)
+        assert results["dQ1_residual"] > 0.4
+        assert 1e-3 < results["source_rate_residual"] < 3e-3
+        assert 0.0 <= results["charge_contraction"] < 1e-13
 
 
 class TestExitCodes:
@@ -553,25 +567,42 @@ n2 = 5
         assert os.listdir(tmp_path) == ["vast.ini"]
 
     @pytest.mark.parametrize("source", ["builtin", "builtin-sourced"])
-    def test_refined_grid_over_cap_rejected(self, tmp_path, capsys, monkeypatch, source):
-        # a builtin current is also built on the 2x refined grid: 257^3 points
-        # for this 129^3 [grid], which alone fits MAX_GRID_POINTS
+    def test_refined_grid_not_counted(self, tmp_path, capsys, monkeypatch, source):
+        # the refined residuals of a builtin current come from its factored
+        # charges, so only the parsed [grid] counts against MAX_GRID_POINTS:
+        # a 129^3 [grid] (257^3 refined) validates
         grid = (GRID.replace("n1 = 5", "n1 = 129").replace("n2 = 5", "n2 = 129")
                 + "x_min = -1\nx_max = 1\nnx = 129\n")
         config = write(tmp_path, "fine.ini", "[scenario]\ncommand = continuity\n"
                        f"[current]\nsource = {source}\n{grid}")
+        assert cli.main(["validate", "--config", config]) == 0
+        # a [grid] over the cap is still refused before the runner
         forbid_runner(monkeypatch, "continuity")
-        message = ("the refined [grid] of a builtin current holds 16974593 points, "
-                   "more than MAX_GRID_POINTS = 10000000\n")
+        config = write(tmp_path, "vast.ini", "[scenario]\ncommand = continuity\n"
+                       f"[current]\nsource = {source}\n"
+                       + grid.replace("nx = 129", "nx = 601"))
+        message = "[grid] holds 10001241 points, more than MAX_GRID_POINTS = 10000000\n"
         assert cli.main(["validate", "--config", config]) == 2
         assert capsys.readouterr().err == f"invalid: {message}"
         assert cli.main(["continuity", "--config", config, "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == f"domain error: {message}"
-        assert os.listdir(tmp_path) == ["fine.ini"]
-        # a file: current is read on the parsed grid only
-        config = write(tmp_path, "file.ini", "[scenario]\ncommand = continuity\n"
-                       f"[current]\nsource = file:samples.csv\n{grid}")
-        assert cli.main(["validate", "--config", config]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["fine.ini", "vast.ini"]
+
+    @pytest.mark.parametrize("source", ["builtin", "builtin-sourced"])
+    def test_builtin_current_sampled_on_parsed_grid_only(self, tmp_path, monkeypatch, source):
+        # a run whose refined grid alone passes the cap samples the current
+        # once, on the parsed grid
+        from bitempo import continuity
+
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 7 * 5 * 5)
+        sampled = []
+        build = continuity.manufactured_current
+        monkeypatch.setattr(continuity, "manufactured_current",
+                            lambda grid, **kw: sampled.append(grid) or build(grid, **kw))
+        config = write(tmp_path, "small.ini", "[scenario]\ncommand = continuity\n"
+                       f"[current]\nsource = {source}\n{GRID}x_min = -4\nx_max = 4\nnx = 7\n")
+        assert cli.main(["continuity", "--config", config, "--out", str(tmp_path)]) == 0
+        assert [(g.nx, g.n1, g.n2) for g in sampled] == [(7, 5, 5)]
 
     @pytest.mark.parametrize("command, sections, axis, ends", [
         ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1\n"

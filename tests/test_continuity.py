@@ -1,3 +1,5 @@
+from importlib.resources import files as resource_files
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +208,48 @@ class TestCharges:
         report = ct.charges(field)
         assert report.alpha * report.Q1[0] + report.beta * report.Q2[0] == pytest.approx(
             1.0, abs=1e-12)
+
+
+class TestManufacturedCharges:
+    @pytest.mark.parametrize("with_source", [False, True], ids=["free", "sourced"])
+    @pytest.mark.parametrize("x_min", [-6.0, 0.0])
+    @pytest.mark.parametrize("refine", [False, True], ids=["bundled", "refined"])
+    def test_match_grid_charges(self, refine, x_min, with_source):
+        # the bundled 61 x 41 x 41 grid and its 2x refinement; absolute, since
+        # the source-free charges are themselves quadrature error (~4e-4)
+        grid = Grid2T(0.0, 2.0, 0.0, 3.0, 41, 41, x_min=x_min, x_max=6.0, nx=61)
+        if refine:
+            grid = grid.refined()
+        current, _ = ct.manufactured_current(grid, with_source=with_source)
+        report = ct.charges(current)
+        q1, q2 = ct.manufactured_charges(grid, with_source=with_source)
+        np.testing.assert_allclose(q1, report.Q1, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(q2, report.Q2, rtol=0, atol=1e-13)
+
+    def test_cli_refinement_ratios_match_full_grid(self, tmp_path):
+        from bitempo import cli
+
+        config = str(resource_files("bitempo") / "scenarios" / "continuity_manufactured.ini")
+        results = cli.run_scenario(config, str(tmp_path))["comparable"]["results"]
+        grid = space_grid()
+        coarse = ct.charges(ct.manufactured_current(grid)[0])
+        fine = ct.charges(ct.manufactured_current(grid.refined())[0])
+        assert results["refinement_ratio_Q1"] == pytest.approx(
+            coarse.dQ1_residual / fine.dQ1_residual, rel=1e-9)
+        assert results["refinement_ratio_Q2"] == pytest.approx(
+            coarse.dQ2_residual / fine.dQ2_residual, rel=1e-9)
+
+    def test_doubled_source_fails_the_rate(self):
+        grid = space_grid()
+        free, _ = ct.manufactured_current(grid)
+        sourced, rate = ct.manufactured_current(grid, with_source=True)
+        doubled = ct.CurrentField(grid=grid, j1=2.0 * sourced.j1 - free.j1, j2=sourced.j2,
+                                  j_space=sourced.j_space)
+        exact = rate(grid.t1_values[1:-1])
+        kept = ct.charge_rate_residual(ct.charges(sourced).Q1, grid.d1, exact)
+        broken = ct.charge_rate_residual(ct.charges(doubled).Q1, grid.d1, exact)
+        assert kept < 3e-3
+        assert broken >= 100.0 * kept
 
 
 def alternating_separable_fit(R, max_sweeps=100):
