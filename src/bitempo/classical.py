@@ -147,8 +147,8 @@ class ForceTensorField:
         expected = pos.shape + (2, 2)
         if out.shape != expected:
             raise DomainError(f"force eval returned shape {out.shape}, expected {expected}")
-        finite = np.isfinite(out).all(axis=(-3, -2, -1))
-        if not finite.all():
+        if not np.isfinite(out).all():
+            finite = np.isfinite(out).all(axis=(-3, -2, -1))
             where = pos.reshape((-1,) + self._point_shape)[np.argmin(finite.ravel())].real
             raise EvaluationError(f"force tensor non-finite at {where.tolist()!r}")
         return out
@@ -648,8 +648,10 @@ def _det2(a, b, c, d):
 
 def _appendix_fields_2d(T: np.ndarray):
     """The published 2x2-determinant fields for d=2, exactly as printed."""
+    t = T.tolist()
+
     def f(i, j, k, m):
-        return T[i, j - 1, k - 1, m]
+        return t[i][j - 1][k - 1][m]
     x, y = 0, 1
     al = _det2(f(0, 2, 1, x), f(0, 2, 1, y), f(1, 2, 1, x), f(1, 2, 1, y))
     be = _det2(f(0, 1, 1, x), f(0, 1, 2, x), f(1, 1, 1, x), f(1, 2, 1, x))
@@ -701,45 +703,74 @@ def _appendix_fields_3d(M: np.ndarray):
     return _chain_field(M[_RELABELINGS], False)
 
 
+def _gram_direction(r0, r1, tol: Tolerances):
+    """(status, u) of one coordinate's velocities over k >= 2 kernel
+    vectors: r0 and r1 hold their first and second components, the two rows
+    of the coordinate's 2 x k block.
+
+    The rows' Gram matrix [[a, b], [b, c]] has the eigenvalues
+    lambda = (a + c + hypot(a - c, 2b)) / 2 = s0^2 and s1^2, for the block's
+    singular values s0 >= s1.  By Lagrange's identity its determinant
+    (s0 s1)^2 is the sum of the block's squared 2 x 2 minors, which keeps s1
+    accurate to eps s0; s1^2 taken from the trace and the determinant would
+    be off by about eps s0^2, right at the threshold below, and flip
+    rank-one blocks on rounding.  The span is the plane when
+    s0 s1 > 1e-8 lambda, that is s1 > 1e-8 s0, as an SVD would test it.
+    Otherwise u is the eigenvector of lambda, (lambda - c, b) or
+    (b, lambda - a), whichever has no cancellation, normalised: the cosine
+    and sine of the Jacobi rotation (Golub & Van Loan, Matrix Computations,
+    8.5), with an exact zero entry kept exact.
+    """
+    a = c = b = minors = 0.0
+    for m, (p, q) in enumerate(zip(r0, r1)):
+        a += p * p
+        c += q * q
+        b += p * q
+        for n in range(m):  # the minors of column m with each column before it
+            minors += (r0[n] * q - p * r1[n]) ** 2
+    if math.sqrt(a + c) <= tol.abs_tol:
+        return "zero-velocity", None
+    h = math.hypot(a - c, 2.0 * b)
+    if math.sqrt(minors) > 1e-8 * 0.5 * (a + c + h):
+        return "unconstrained", None
+    u = (0.5 * (a - c + h), b) if a >= c else (b, 0.5 * (c - a + h))
+    n = math.hypot(*u)
+    return "direction", (u[0] / n, u[1] / n)
+
+
 def _kernel_directions(kernel: list, d: int, tol: Tolerances):
-    """Per-coordinate velocity directions spanned by the kernel.
+    """Per-coordinate velocity directions spanned by a nonempty kernel.
 
     Returns (status, unit_field) pairs: the field is the 90-degree rotation
     (u[1], -u[0]) of a unit vector u spanning the velocities when that span
     is one-dimensional.  A 1 x 2 block b is its own span, u = b/|b|; a k x 2
-    block of k >= 2 kernel vectors takes u from an SVD.  Either u is then
-    signed by one rule, u[0] < 0, or u[1] < 0 where u[0] = 0, so that its
-    sign follows the span and not the kernel basis.
+    block of k >= 2 kernel vectors takes u in closed form from its Gram
+    matrix (``_gram_direction``).  Either u is then signed by one rule,
+    u[0] < 0, or u[1] < 0 where u[0] = 0, so that its sign follows the span
+    and not the kernel basis.
     """
+    if len(kernel) == 1:
+        spans = []
+        for b in kernel[0].reshape(d, 2):
+            norm = math.sqrt(b.dot(b))
+            spans.append(("zero-velocity", None) if norm <= tol.abs_tol
+                         else ("direction", (b / norm).tolist()))
+    else:
+        rows = list(zip(*[v.tolist() for v in kernel]))  # rows[r]: entry r of each vector
+        spans = [_gram_direction(rows[2 * i], rows[2 * i + 1], tol) for i in range(d)]
     out = []
-    if not kernel:
-        return [("no-kernel", None)] * d
-    K = np.stack(kernel, axis=1)
-    for i in range(d):
-        rows = K[2 * i:2 * i + 2, :]
-        flat = rows.ravel()  # in memory order, as np.linalg.norm sums it
-        norm = math.sqrt(flat.dot(flat))
-        if norm <= tol.abs_tol:
-            out.append(("zero-velocity", None))
-            continue
-        if len(kernel) == 1:
-            u = flat / norm
-        else:
-            _, s, vt = np.linalg.svd(rows.T)
-            if s[1] > 1e-8 * s[0]:
-                out.append(("unconstrained", None))
-                continue
-            u = vt[0]
-        if u[0] > 0.0 or (u[0] == 0.0 and u[1] > 0.0):
-            u = -u
-        out.append(("direction", np.array([u[1], -u[0]])))
+    for status, u in spans:
+        if u is not None:
+            u0, u1 = u
+            if u0 > 0.0 or (u0 == 0.0 and u1 > 0.0):
+                u0, u1 = -u0, -u1
+            u = np.array([u1, -u0])
+        out.append((status, u))
     return out
 
 
 def _cross_validate(appendix, kernel, d: int):
     """Worst normalized |field_i . (p^i_1, p^i_2)| over all kernel vectors."""
-    if not kernel:
-        return None
     worst = 0.0
     for i in range(d):
         f = appendix[i]
@@ -759,15 +790,20 @@ def _field_report(T: np.ndarray, M: np.ndarray, tol: Tolerances):
     """Kernel dimension, oracle fields, orthogonality residual and
     discrepancy text from the derivative tensor T of a d = 2 or 3 force and
     its velocity system M.  A coordinate without a kernel direction gets a
-    zero vector flagged degenerate.  The text quotes vectors as lists of
-    Python floats, whose repr is exact and follows no numpy print option."""
+    zero vector flagged degenerate.  The printed fields are only ever
+    checked against kernel vectors, so a full-rank system has neither
+    residual nor text.  The text quotes vectors as lists of Python floats,
+    whose repr is exact and follows no numpy print option."""
     d = T.shape[0]
     kernel = null_space(M, tol)
-    appendix = _appendix_fields_2d(T) if d == 2 else _appendix_fields_3d(M)
+    if not kernel:
+        return 0, CharacteristicField(vectors=tuple(np.zeros(2) for _ in range(d)),
+                                      degenerate=(True,) * d), None, None
     dirs = _kernel_directions(kernel, d, tol)
+    appendix = _appendix_fields_2d(T) if d == 2 else _appendix_fields_3d(M)
     residual = _cross_validate(appendix, kernel, d)
     discrepancy = None
-    if residual is not None and not (residual < CROSS_VALIDATION_TOL):
+    if not residual < CROSS_VALIDATION_TOL:
         parts = []
         for i in range(d):
             status, vec = dirs[i]

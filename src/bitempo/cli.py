@@ -760,20 +760,25 @@ def _run_continuity(tol, grid, source):
         q1, q2 = continuity.manufactured_charges(grid, with_source=sourced)
         payload["charge_contraction"] = float(max(np.max(np.abs(report.Q1 - q1)),
                                                   np.max(np.abs(report.Q2 - q2))))
+        coarse1 = report.dQ1_residual
         if sourced:
-            payload["source_rate_residual"] = continuity.charge_rate_residual(
+            coarse1 = continuity.charge_rate_residual(
                 report.Q1, grid.d1, source_rate(grid.t1_values[1:-1]))
+            payload["source_rate_residual"] = coarse1
         # the refinement study needs only the refined charges, which the
-        # factored contraction gives without sampling the refined current
+        # factored contraction gives without sampling the refined current;
+        # a sourced Q1 is measured against the exact source rate on both
+        # grids, so that the ratio sees the quadrature error, not the source
         refined = grid.refined()
         payload["grid_refined"] = [refined.nx, refined.n1, refined.n2]
         fine_q1, fine_q2 = continuity.manufactured_charges(refined, with_source=sourced)
-        fine1 = continuity.charge_rate_residual(fine_q1, refined.d1)
+        fine1 = continuity.charge_rate_residual(
+            fine_q1, refined.d1, source_rate(refined.t1_values[1:-1]) if sourced else 0.0)
         fine2 = continuity.charge_rate_residual(fine_q2, refined.d2)
         payload["dQ1_residual_refined"] = fine1
         payload["dQ2_residual_refined"] = fine2
         if fine1 > 0:
-            payload["refinement_ratio_Q1"] = report.dQ1_residual / fine1
+            payload["refinement_ratio_Q1"] = coarse1 / fine1
         if fine2 > 0:
             payload["refinement_ratio_Q2"] = report.dQ2_residual / fine2
     rows = _grid_rows((grid.t1_values,), report.Q1)

@@ -506,6 +506,12 @@ class TestBatchedForce:
         force = cl.rank_one_force((1.0, 1.0), lambda p: 1.0 / p, d=2)
         with np.errstate(divide="ignore"), pytest.raises(EvaluationError, match=r"at \[1.0, 0.0\]"):
             force.tensor_at(np.array([[1.0, 2.0], [1.0, 0.0]]))
+        # a stacked batch that is NaN only at its second position in
+        # row-major order
+        force = cl.rank_one_force((1.0, 1.0), np.sqrt, d=2)
+        batch = np.array([[[1.0, 2.0], [3.0, -1.0]], [[4.0, 5.0], [6.0, 7.0]]])
+        with pytest.raises(EvaluationError, match=r"at \[3.0, -1.0\]"):
+            force.tensor_at(batch)
 
     def test_unsymmetrized_affine_keeps_asymmetry(self):
         lin = np.zeros((2, 2, 2, 2))

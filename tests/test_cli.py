@@ -357,6 +357,10 @@ report = from_file_report.json
         assert results["dQ1_residual"] > 0.4
         assert 1e-3 < results["source_rate_residual"] < 3e-3
         assert 0.0 <= results["charge_contraction"] < 1e-13
+        # the refined Q1 is measured against the source rate too, so the
+        # ratio shows the O(h^2) quadrature error and not the source
+        assert results["dQ1_residual_refined"] < results["source_rate_residual"]
+        assert results["refinement_ratio_Q1"] > 3.0
 
 
 class TestExitCodes:

@@ -1,8 +1,9 @@
 """Complex-step derivative tensors: exactness, the complex-analytic contract
 of a force eval, the branch-cut rule, one eval call per derivative on every
 builder, the 1-D kernel direction and the sign of every kernel direction,
-the stacked d = 3 chain, and verdicts that central-difference noise used to
-flip."""
+the closed-form direction of a k >= 2 kernel and the one SVD of a d >= 2
+classify, the stacked d = 3 chain, and verdicts that central-difference
+noise used to flip."""
 
 import configparser
 import inspect
@@ -14,6 +15,7 @@ import pytest
 
 from bitempo import classical as cl, cli
 from bitempo.core import DomainError, Tolerances
+from test_classical import tuned_affine_force
 
 TOL = Tolerances()
 
@@ -388,6 +390,101 @@ class TestKernelDirectionSign:
                     assert sw == sg == "direction"
                     np.testing.assert_allclose(ug, uw, rtol=0, atol=1e-12)
                     assert ug[1] >= 0.0
+
+
+def block_with(rng, k, s0, s1):
+    """A 2 x k velocity block with singular values s0 >= s1 and random
+    singular vectors."""
+    u = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+    v = np.linalg.qr(rng.normal(size=(k, 2)))[0]
+    return u @ np.diag([s0, s1]) @ v.T
+
+
+def first_coordinate(block, rng):
+    """(status, field) of the first coordinate of d = 2 kernel vectors
+    whose first blocks are the columns of block."""
+    kernel = [np.concatenate([block[:, j], rng.normal(size=2)]) for j in range(block.shape[1])]
+    return cl._kernel_directions(kernel, 2, TOL)[0]
+
+
+class TestGramDirection:
+    """A k x 2 block of k >= 2 kernel vectors takes its direction from the
+    closed-form Gram eigenvector and its rank from the 2 x 2 minors, as an
+    SVD would: s1 > 1e-8 s0 is the plane."""
+
+    def test_rank_one_blocks_match_the_svd(self):
+        rng = np.random.default_rng(140)
+        eps = np.finfo(float).eps
+        for n in range(4000):
+            k = 2 + n % 2
+            dirn = rng.normal(size=2)
+            if n % 8 < 2:
+                dirn[n % 2] = (0.0, -0.0)[(n // 8) % 2]
+            block = np.outer(dirn, rng.normal(size=k)) * 10.0 ** rng.integers(-4, 5)
+            status, got = first_coordinate(block, rng)
+            assert status == "direction", block
+            u = np.linalg.svd(block.T)[2][0]
+            if u[0] > 0.0 or (u[0] == 0.0 and u[1] > 0.0):
+                u = -u
+            assert got[1] >= 0.0 and (got[1] != 0.0 or got[0] < 0.0), block
+            np.testing.assert_allclose(got, [u[1], -u[0]], rtol=0, atol=4 * eps)
+
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_rank_by_singular_value_ratio(self, k):
+        rng = np.random.default_rng(141 + k)
+        for n in range(1000):
+            s0 = 10.0 ** rng.uniform(-4, 4)
+            wide = 10.0 ** rng.uniform(-6, 0)    # s1 / s0 >= 1e-6: the plane
+            thin = 10.0 ** rng.uniform(-16, -10)  # s1 / s0 <= 1e-10: one direction
+            assert first_coordinate(block_with(rng, k, s0, wide * s0), rng)[0] == "unconstrained"
+            status, got = first_coordinate(block_with(rng, k, s0, thin * s0), rng)
+            assert status == "direction" and got[1] >= 0.0
+
+    def test_zero_block_kept(self):
+        rng = np.random.default_rng(142)
+        assert first_coordinate(np.zeros((2, 3)), rng) == ("zero-velocity", None)
+
+
+class TestOneSvdPerClassify:
+    """classify at d >= 2 makes one SVD, the kernel's, and evaluates the
+    printed fields only where there is a kernel to check them against."""
+
+    @staticmethod
+    def force(family, d, rng):
+        if family == "rank_one":
+            L = rng.normal(size=(d, d))
+            return cl.rank_one_force(rng.uniform(0.5, 1.5, size=2), lambda p: L @ p, d=d), d
+        if family == "generic":
+            return cl.affine_force(d, rng.normal(size=(d, 2, 2, d))), 0
+        return tuned_affine_force(d, rng), 1
+
+    @pytest.mark.parametrize("family", ("rank_one", "generic", "tuned"))
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_one_svd(self, d, family, monkeypatch):
+        rng = np.random.default_rng(150 + d)
+        force, kdim = self.force(family, d, rng)
+        x = np.zeros(d) if family == "tuned" else rng.uniform(-1.0, 1.0, size=d)
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw))
+        report = cl.classify(force, x)
+        assert report.kernel_dim == kdim
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_printed_fields_only_with_a_kernel(self, d, monkeypatch):
+        rng = np.random.default_rng(160 + d)
+        calls = []
+        name = f"_appendix_fields_{d}d"
+        printed = getattr(cl, name)
+        monkeypatch.setattr(cl, name, lambda *a: calls.append(a) or printed(*a))
+        generic = cl.affine_force(d, rng.normal(size=(d, 2, 2, d)))
+        report = cl.classify(generic, rng.uniform(-1.0, 1.0, size=d))
+        assert report.kernel_dim == 0 and report.verdict is cl.Verdict.NO_TWO_TIME_MOTION
+        assert report.orthogonality_residual is None and report.discrepancy is None
+        assert report.fields.degenerate == (True,) * d
+        assert calls == []
+        assert cl.classify(tuned_affine_force(d, rng), np.zeros(d)).kernel_dim == 1
+        assert len(calls) == 1
 
 
 def chain_by_relabeling(M, printed):
