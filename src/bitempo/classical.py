@@ -55,6 +55,8 @@ __all__ = [
     "build_constraint_matrix",
     "admissibility_determinant",
     "classify",
+    "run_classical_check",
+    "run_classical_integrate",
 ]
 
 CROSS_VALIDATION_TOL = 1e-8
@@ -611,6 +613,30 @@ def integrate_rank_one_1d(g, c, x0: float, v0: float, grid: Grid2T,
                              error_estimate=error / scale)
 
 
+def run_classical_integrate(tol: Tolerances, force, initial, grid: Grid2T):
+    """The classical-integrate results and surface table of the d = 1
+    rank-one force (c, g) integrated from (x0, v0) = initial over grid."""
+    (c, g), (x0, v0) = force, initial
+    surface = integrate_rank_one_1d(g, c, x0, v0, grid, tol=tol)
+    check = check_surface(rank_one_force(c, g, d=1), surface, tol)
+    results = {
+        "c": c,
+        "x0": x0,
+        "v0": v0,
+        "max_abs_x": float(np.max(np.abs(surface.values))),
+        "orthogonality_residual": check.orthogonality_residual,
+        "orbit_residual": check.orbit_residual,
+        "grid": [grid.n1, grid.n2],
+        "rk4": {"integrations": surface.integrations, "knots": surface.knots,
+                "step": surface.step, "error_estimate": surface.error_estimate,
+                "rel_tol": tol.rel_tol},
+    }
+    columns = ("t1", "t2", "x", "p1", "p2", "phi", "ratio_squared", "orbit_residual")
+    fields = (surface.values, *surface.grid_momenta, check.phi, check.ratio_squared,
+              check.residual)
+    return results, (columns, (grid.t1_values, grid.t2_values), fields)
+
+
 # ---------------------------------------------------------------------------
 # two and three space dimensions
 # ---------------------------------------------------------------------------
@@ -865,3 +891,23 @@ def classify(F: ForceTensorField, x, tol: Tolerances = Tolerances()) -> Constrai
     else:
         verdict = Verdict.TWO_TIME_ADMISSIBLE
     return ConstraintReport(det_val, kdim, fields, defect, verdict, *checks)
+
+
+def run_classical_check(tol: Tolerances, force: ForceTensorField, x: list):
+    """The classical-check results of classify at the point x."""
+    report = classify(force, x[0] if force.d == 1 else np.asarray(x), tol=tol)
+    results = {
+        "dimension": force.d,
+        "point": x,
+        "verdict": report.verdict.value,
+        "determinant": report.determinant_value,
+        "kernel_dim": report.kernel_dim,
+        "parallelism_defect": report.parallelism_defect,
+        "fields": [list(map(float, v)) for v in report.fields.vectors],
+        "fields_degenerate": list(report.fields.degenerate),
+        "orthogonality_residual": report.orthogonality_residual,
+        "discrepancy": report.discrepancy,
+    }
+    if force.d == 1:
+        results["consistency_residual"] = report.consistency_residual
+    return results, None

@@ -1,11 +1,12 @@
 """Scenario runner: every check in the package behind one command.
 
 Scenarios are flat INI files, one scenario per file, with a [scenario]
-section naming the command and further sections holding parameters.  Each
-run writes a JSON report whose "scenario" and "comparable" sections are
-bit-identical across repeated runs (timestamps and durations live in
-"meta"), plus optional delimited data files with one-line headers and
-17-significant-digit floats.
+section naming the command and further sections holding parameters.  This
+module parses them, makes one call to the command's function in its layer
+(see _COMMANDS) and writes what that returns.  Each run writes a JSON report
+whose "scenario" and "comparable" sections are bit-identical across repeated
+runs (timestamps and durations live in "meta"), plus optional delimited data
+files with one-line headers and 17-significant-digit floats.
 
 Exit codes: 0 success, 2 usage, unreadable/unrecognized config or an
 output file that cannot be written, 3 domain or precondition error
@@ -19,6 +20,7 @@ import argparse
 import configparser
 import dataclasses
 import functools
+import importlib
 import json
 import math
 import os
@@ -48,14 +50,19 @@ FORMATS = ("csv", "json")
 
 _REQUIRED = object()
 
-# most points the parsed [grid] of a run may hold, nx included; the bundled
-# scenarios and the benchmark's draws hold at most 61 x 41 x 41
+# most points the parsed [grid] of a run may hold, nx included, and most
+# [sweep] rows; the bundled scenarios and the benchmark's draws hold at most 61 x 41 x 41
 MAX_GRID_POINTS = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
 # config access
 # ---------------------------------------------------------------------------
+
+def _layer(name: str):
+    """The layer module name of this package, imported on first use."""
+    return importlib.import_module(f"{__package__}.{name}")
+
 
 def load_config(path: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
@@ -166,8 +173,7 @@ def _integrate_force(cfg):
 
 def _force(cfg):
     """The classical.ForceTensorField of the [force] section."""
-    from . import classical
-
+    classical = _layer("classical")
     family = _get(cfg, "force", "family")
     if family not in FORCE_FAMILIES:
         raise DomainError(
@@ -221,9 +227,7 @@ def _initial(cfg):
 
 
 def _budget(cfg):
-    from . import quantum
-
-    return quantum.UncertaintyBudget(
+    return _layer("quantum").UncertaintyBudget(
         dE1=_get(cfg, "budget", "de1", _float),
         dE2=_get(cfg, "budget", "de2", _float),
         ddE1=_get(cfg, "budget", "dde1", _float),
@@ -235,8 +239,7 @@ def _budget(cfg):
 
 def _quantum_system(cfg):
     """The size-checked quantum-fluct system, initial state and hbar."""
-    from . import quantum
-
+    quantum = _layer("quantum")
     e1 = _get(cfg, "system", "e1", _floats)
     e2 = _get(cfg, "system", "e2", _floats)
     n = len(e1)
@@ -303,6 +306,9 @@ def _sweep(cfg):
     count = _get(cfg, "sweep", "count", int, 41)
     if count < 2:
         raise DomainError("[sweep] count must be at least 2")
+    if count > MAX_GRID_POINTS:
+        raise DomainError(f"[sweep] count = {count}, more than MAX_GRID_POINTS = "
+                          f"{MAX_GRID_POINTS}")
     if min(m, omega_min, omega_max) < 0 or min(hbar, c) <= 0:
         raise DomainError("[sweep] needs m, omega_min, omega_max >= 0 and hbar, c > 0")
     return m, hbar, c, np.linspace(omega_min, omega_max, count)
@@ -322,7 +328,7 @@ def _outputs(cfg, formats=FORMATS) -> dict:
     keys = cfg.options("output") if cfg.has_section("output") else ()
     given = {key: _get(cfg, "output", key, _file_name) for key in keys}
     report = given.get("report", "report.json")
-    key, default = _TABLES.get(cfg.get("scenario", "command"), (None, None))
+    key, default = _COMMANDS[cfg.get("scenario", "command")][2] or (None, None)
     table = given.get(key, default)
     names = {}
     for fmt in formats:
@@ -622,261 +628,30 @@ def _echo_config(cfg) -> dict:
     return {section: dict(cfg.items(section)) for section in cfg.sections()}
 
 
-# ---------------------------------------------------------------------------
-# command runners: each takes the values of its command's section parsers
-# (see _COMMANDS) and returns (comparable_payload, table): table is the
-# (columns, rows) of the command's data file (see _TABLES), or None
-# ---------------------------------------------------------------------------
-
-def _run_classical_check(tol, force, x):
-    from . import classical
-
-    point = x[0] if force.d == 1 else np.asarray(x)
-    report = classical.classify(force, point, tol=tol)
-    payload = {
-        "dimension": force.d,
-        "point": x,
-        "verdict": report.verdict.value,
-        "determinant": report.determinant_value,
-        "kernel_dim": report.kernel_dim,
-        "parallelism_defect": report.parallelism_defect,
-        "fields": [list(map(float, v)) for v in report.fields.vectors],
-        "fields_degenerate": list(report.fields.degenerate),
-        "orthogonality_residual": report.orthogonality_residual,
-        "discrepancy": report.discrepancy,
-    }
-    if force.d == 1:
-        payload["consistency_residual"] = report.consistency_residual
-    return payload, None
-
-
-def _run_classical_integrate(tol, force, initial, grid):
-    from . import classical
-
-    c, g = force
-    x0, v0 = initial
-    surface = classical.integrate_rank_one_1d(g, c, x0, v0, grid, tol=tol)
-    check = classical.check_surface(classical.rank_one_force(c, g, d=1), surface, tol)
-    payload = {
-        "c": c,
-        "x0": x0,
-        "v0": v0,
-        "max_abs_x": float(np.max(np.abs(surface.values))),
-        "orthogonality_residual": check.orthogonality_residual,
-        "orbit_residual": check.orbit_residual,
-        "grid": [grid.n1, grid.n2],
-        "rk4": {"integrations": surface.integrations, "knots": surface.knots,
-                "step": surface.step, "error_estimate": surface.error_estimate,
-                "rel_tol": tol.rel_tol},
-    }
-    rows = _grid_rows((grid.t1_values, grid.t2_values), surface.values, *surface.grid_momenta,
-                      check.phi, check.ratio_squared, check.residual)
-    columns = ["t1", "t2", "x", "p1", "p2", "phi", "ratio_squared", "orbit_residual"]
-    return payload, (columns, rows)
-
-
-def _run_quantum_fluct(setup, grid):
-    from . import quantum
-
-    system, state, hbar = setup
-    n = system.n_levels
-    trace = quantum.variance_trace(system, state, grid, hbar)
-    rows = _grid_rows((grid.t1_values, grid.t2_values), trace.mean.real, trace.mean.imag,
-                      trace.second_moment, trace.variance)
-    payload = {
-        "n_levels": n,
-        "hbar": hbar,
-        "variance_min": float(np.min(trace.variance)),
-        "variance_max": float(np.max(trace.variance)),
-        "mean_imag_max": float(np.max(np.abs(trace.mean.imag))),
-        "tau2_dependence": quantum.tau2_dependence(system, hbar),
-        "grid": [grid.n1, grid.n2],
-    }
-    columns = ["t1", "t2", "mean_re", "mean_im", "second_moment", "variance"]
-    return payload, (columns, rows)
-
-
-def _run_uncertainty(budget):
-    from . import quantum
-
-    # the angle first: its dE^2 overflow is named before the swept phase's
-    report = quantum.angle_and_width(budget)
-    payload = {
-        "visibility": quantum.uncertainty_visibility(budget).value,
-        "swept_phase_over_two_pi": budget.swept_phase / (2.0 * math.pi),
-        "phi": report.phi,
-        "cos_phi": math.cos(report.phi),
-        "dphi_exact": report.dphi_exact,
-        "dphi_lowest_order": report.dphi_lowest_order,
-        "bound": report.bound,
-        "singular": report.singular,
-    }
-    return payload, None
-
-
-def _load_current_file(path: str, grid: Grid2T):
-    """The continuity.CurrentField sampled in a CSV file."""
-    from . import continuity
-
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-    except (OSError, ValueError) as exc:
-        raise DomainError(f"cannot read current samples from {path}: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 6:
-        raise DomainError("current sample file needs columns x,t1,t2,j1,j2,jx")
-    expected = grid.nx * grid.n1 * grid.n2
-    if data.shape[0] != expected:
-        raise DomainError(f"current sample file has {data.shape[0]} rows, grid needs {expected}")
-    shape = (grid.nx, grid.n1, grid.n2)
-    order = np.lexsort((data[:, 2], data[:, 1], data[:, 0]))
-    data = data[order]
-    return continuity.CurrentField(
-        grid=grid,
-        j1=data[:, 3].reshape(shape),
-        j2=data[:, 4].reshape(shape),
-        j_space=data[:, 5].reshape(shape),
-    )
-
-
-def _run_continuity(tol, grid, source):
-    from . import continuity
-
-    sourced = source == "builtin-sourced"
-    if source.startswith("file:"):
-        current = _load_current_file(source[5:], grid)
-    else:
-        current, source_rate = continuity.manufactured_current(grid, with_source=sourced)
-    report = continuity.charges(current, tol=tol)
-    payload = {
-        "source": source,
-        "dQ1_residual": report.dQ1_residual,
-        "dQ2_residual": report.dQ2_residual,
-        "alpha": report.alpha,
-        "beta": report.beta,
-        "boundary_warnings": list(report.boundary_warnings),
-        "grid": [grid.nx, grid.n1, grid.n2],
-    }
-    if source.startswith("builtin"):
-        q1, q2 = continuity.manufactured_charges(grid, with_source=sourced)
-        payload["charge_contraction"] = float(max(np.max(np.abs(report.Q1 - q1)),
-                                                  np.max(np.abs(report.Q2 - q2))))
-        coarse1 = report.dQ1_residual
-        if sourced:
-            coarse1 = continuity.charge_rate_residual(
-                report.Q1, grid.d1, source_rate(grid.t1_values[1:-1]))
-            payload["source_rate_residual"] = coarse1
-        # the refinement study needs only the refined charges, which the
-        # factored contraction gives without sampling the refined current;
-        # a sourced Q1 is measured against the exact source rate on both
-        # grids, so that the ratio sees the quadrature error, not the source
-        refined = grid.refined()
-        payload["grid_refined"] = [refined.nx, refined.n1, refined.n2]
-        fine_q1, fine_q2 = continuity.manufactured_charges(refined, with_source=sourced)
-        fine1 = continuity.charge_rate_residual(
-            fine_q1, refined.d1, source_rate(refined.t1_values[1:-1]) if sourced else 0.0)
-        fine2 = continuity.charge_rate_residual(fine_q2, refined.d2)
-        payload["dQ1_residual_refined"] = fine1
-        payload["dQ2_residual_refined"] = fine2
-        if fine1 > 0:
-            payload["refinement_ratio_Q1"] = coarse1 / fine1
-        if fine2 > 0:
-            payload["refinement_ratio_Q2"] = report.dQ2_residual / fine2
-    rows = _grid_rows((grid.t1_values,), report.Q1)
-    return payload, (["t1", "Q1"], rows)
-
-
-def _run_dirac(tol, wave, grid):
-    from . import dirac
-
-    k, m, part, rescales = wave
-    sol = dirac.solve_plane_wave(k, m, tol)
-    for branch, factor in rescales.items():
-        sol = sol.rescaled(**{branch: factor})
-    pos_report = dirac.positivity_check(sol, grid, tol)
-    density = dirac.dirac_density_separability(sol, grid, part=part, tol=tol)
-    gset = dirac.gamma_set()
-    payload = {
-        "k": k,
-        "m": m,
-        "part": part,
-        "on_shell_residual": float(k[0] ** 2 + k[1] ** 2 - k[2] ** 2 - m ** 2),
-        "clifford_defect": gset.clifford_defect(),
-        "psi_plus": [[sol.psi_plus[i].real, sol.psi_plus[i].imag] for i in range(2)],
-        "psi_minus": [[sol.psi_minus[i].real, sol.psi_minus[i].imag] for i in range(2)],
-        "conservation_residual": dirac.conservation_residual(sol, part, tol),
-        "positivity": {
-            "lhs_im": pos_report.lhs_im, "rhs_im": pos_report.rhs_im,
-            "lhs_re": pos_report.lhs_re, "rhs_re": pos_report.rhs_re,
-            "holds_im": bool(pos_report.holds[0]), "holds_re": bool(pos_report.holds[1]),
-            "min_j1": pos_report.min_j1, "min_j2": pos_report.min_j2,
-        },
-        "density_separability_residual": density.separability.residual,
-        "total_charge_fit_residual": density.total_fit.residual,
-        "charge_boundary_warnings": len(density.charge_report.boundary_warnings),
-        "hermiticity_defect_origin": dirac.hermiticity_defect([(0.0, 0.0)], m),
-        "hermiticity_defect_wave": dirac.hermiticity_defect([(k[1], k[2])], m),
-        "hermiticity_defect_generic": dirac.hermiticity_defect(m=m),
-    }
-    rows = _grid_rows((grid.x_values, grid.t1_values, grid.t2_values),
-                      *dirac.current_grid(sol, grid, part))
-    columns = ["x", "t1", "t2", "j1", "j2", "jx"]
-    return payload, (columns, rows)
-
-
-def _run_mass_spectrum(sweep):
-    from . import dirac
-
-    m, hbar, c, omegas = sweep
-    rows = []
-    consistent = True
-    tachyon_count = 0
-    for omega in omegas:
-        mode = dirac.effective_mode_mass(m, float(omega), hbar, c)
-        consistent = consistent and mode.classification_consistent
-        tachyon_count += int(mode.tachyonic)
-        rows.append((
-            omega,
-            mode.m_eff if not mode.tachyonic else float("nan"),
-            float(mode.tachyonic),
-            mode.tau if math.isfinite(mode.tau) else float("inf"),
-            mode.R if math.isfinite(mode.R) else float("inf"),
-            float(mode.c_tau_gt_R) if mode.c_tau_gt_R is not None else float("nan"),
-        ))
-    payload = {
-        "m": m,
-        "hbar": hbar,
-        "c": c,
-        "boundary_omega": m * c ** 2 / hbar,
-        "tachyonic_count": tachyon_count,
-        "classification_consistent": consistent,
-        "count": len(omegas),
-    }
-    columns = ["omega", "m_eff", "tachyonic", "tau", "R", "c_tau_gt_R"]
-    return payload, (columns, rows)
-
-
-# command -> (section parsers, runner).  A run calls the parsers in order and
-# passes their values to the runner; validate calls the same parsers.  Both
-# also parse the [output] names with _outputs.
+# command -> (section parsers, layer function, ([output] key, default file
+# name) of its data table or None).  A run passes the parsers' values to the
+# layer function, looked up at call time so that a process imports only its
+# command's layers; it returns (results, table), table being (column names,
+# axes, fields) with one row per point of the axes' grid, or None.  validate
+# calls the same parsers, and both parse the [output] names with _outputs.
 _COMMANDS = {
-    "classical-check": ((_tolerances, _force, _point), _run_classical_check),
+    "classical-check": ((_tolerances, _force, _point),
+                        lambda *a: _layer("classical").run_classical_check(*a), None),
     "classical-integrate": ((_tolerances, _integrate_force, _initial, _grid),
-                            _run_classical_integrate),
-    "quantum-fluct": ((_quantum_system, _grid), _run_quantum_fluct),
-    "uncertainty": ((_budget,), _run_uncertainty),
-    "continuity": ((_tolerances, _space_grid, _current_source), _run_continuity),
-    "dirac": ((_tolerances, _wave, _space_grid), _run_dirac),
-    "mass-spectrum": ((_sweep,), _run_mass_spectrum),
+                            lambda *a: _layer("classical").run_classical_integrate(*a),
+                            ("surface", "surface.csv")),
+    "quantum-fluct": ((_quantum_system, _grid),
+                      lambda *a: _layer("quantum").run_quantum_fluct(*a), ("trace", "trace.csv")),
+    "uncertainty": ((_budget,), lambda *a: _layer("quantum").run_uncertainty(*a), None),
+    "continuity": ((_tolerances, _space_grid, _current_source),
+                   lambda *a: _layer("continuity").run_continuity(*a),
+                   ("charge_q1", "charge_q1.csv")),
+    "dirac": ((_tolerances, _wave, _space_grid), lambda *a: _layer("dirac").run_dirac(*a),
+              ("current", "current.csv")),
+    "mass-spectrum": ((_sweep,), lambda *a: _layer("dirac").run_mass_spectrum(*a),
+                      ("table", "mass_spectrum.csv")),
 }
 COMMANDS = tuple(_COMMANDS)
-# command -> ([output] key, default name) of the data file its runner returns
-_TABLES = {
-    "classical-integrate": ("surface", "surface.csv"),
-    "quantum-fluct": ("trace", "trace.csv"),
-    "continuity": ("charge_q1", "charge_q1.csv"),
-    "dirac": ("current", "current.csv"),
-    "mass-spectrum": ("table", "mass_spectrum.csv"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -890,8 +665,8 @@ def run_scenario(config_path: str, out_dir: str | None = None, fmt: str = "csv",
     Returns the full report dictionary; the "scenario" and "comparable"
     sections are deterministic for a fixed config.  "meta" holds the wall
     time of the run and of its stages: parse (reading the config and its
-    section parsers), compute (the command's runner) and write (the data
-    files).
+    section parsers), compute (the command's layer function) and write (the
+    data files).
     """
     started = time.perf_counter()
     cfg = load_config(config_path)
@@ -899,25 +674,26 @@ def run_scenario(config_path: str, out_dir: str | None = None, fmt: str = "csv",
     if expected_command is not None and command != expected_command:
         raise ConfigError(
             f"config names command {command!r} but {expected_command!r} was invoked")
-    parsers, runner = _COMMANDS[command]
+    parsers, run, _ = _COMMANDS[command]
     parsed_args = [parse(cfg) for parse in parsers]
     report_name, table_name = _outputs(cfg, (fmt,))[fmt]
     directory = out_dir or os.path.dirname(os.path.abspath(config_path))
     _spare_inputs(cfg, config_path, directory, filter(None, (report_name, table_name)))
     parsed = time.perf_counter()
-    payload, table = runner(*parsed_args)
+    results, table = run(*parsed_args)
     computed = time.perf_counter()
 
     artifacts = []
     if table is not None:
-        _write_table(os.path.join(directory, table_name), *table, fmt)
+        columns, axes, fields = table
+        _write_table(os.path.join(directory, table_name), columns, _grid_rows(axes, *fields), fmt)
         artifacts.append(table_name)
     written = time.perf_counter()
 
     report_path = os.path.join(directory, report_name)
     report = {
         "scenario": _echo_config(cfg),
-        "comparable": _jsonable({"command": command, "results": payload,
+        "comparable": _jsonable({"command": command, "results": results,
                                  "artifacts": sorted(artifacts)}),
         "meta": {
             "duration_s": time.perf_counter() - started,
@@ -938,7 +714,7 @@ def validate_config(config_path: str) -> list:
         cfg = load_config(config_path)
     except ConfigError as exc:
         return [str(exc)]
-    parsers, _ = _COMMANDS[cfg.get("scenario", "command")]
+    parsers = _COMMANDS[cfg.get("scenario", "command")][0]
     diagnostics = []
     for parse in (*parsers, _outputs):
         try:

@@ -51,6 +51,8 @@ __all__ = [
     "hermiticity_defect",
     "effective_mode_mass",
     "dirac_density_separability",
+    "run_dirac",
+    "run_mass_spectrum",
 ]
 
 _SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -94,16 +96,16 @@ def momentum_operator(k) -> np.ndarray:
     return k[0] * g.g1 + k[1] * g.g2 - k[2] * g.g3
 
 
-def _on_shell_operator(k: np.ndarray, m: float, tol: Tolerances) -> np.ndarray:
-    """momentum_operator(k) of a wavevector k (3,) that is on shell for mass
-    m; OnShellError when |k1^2 + k2^2 - k3^2 - m^2| > abs_tol max(1, m^2) 1e4."""
+def _on_shell_residual(k: np.ndarray, m: float, tol: Tolerances) -> float:
+    """k1^2 + k2^2 - k3^2 - m^2 of a wavevector k (3,) for mass m;
+    OnShellError when its size passes abs_tol max(1, m^2) 1e4."""
     m_sq = finite_power(m, 2, "m^2")
     with np.errstate(over="ignore", invalid="ignore"):
         res = finite(float(k[0] ** 2 + k[1] ** 2 - k[2] ** 2 - m_sq), "k1^2 + k2^2 - k3^2 - m^2")
     if abs(res) > tol.abs_tol * max(1.0, m_sq) * 1e4:
         raise OnShellError(
             f"wavevector {k} violates k1^2 + k2^2 - k3^2 = m^2 for m = {m}: residual {res:.3e}")
-    return momentum_operator(k)
+    return res
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,8 @@ class PlaneWaveSolution:
         k = np.asarray(k, dtype=float).reshape(3)
         pp = np.asarray(psi_plus, dtype=complex).reshape(2)
         pm = np.asarray(psi_minus, dtype=complex).reshape(2)
-        op = _on_shell_operator(k, m, tol)
+        _on_shell_residual(k, m, tol)
+        op = momentum_operator(k)
         for name, op_signed, spinor in (("psi_plus", -op, pp), ("psi_minus", op, pm)):
             norm = np.linalg.norm(spinor)
             if norm > 0:
@@ -200,7 +203,8 @@ def solve_plane_wave(k, m: float, tol: Tolerances = Tolerances()) -> PlaneWaveSo
     real positive so results are reproducible.
     """
     k = np.asarray(k, dtype=float).reshape(3)
-    op = _on_shell_operator(k, m, tol)
+    _on_shell_residual(k, m, tol)
+    op = momentum_operator(k)
     spinors = []
     for sign in (-1.0, +1.0):
         kern = null_space(sign * op - m * np.eye(2), Tolerances(abs_tol=1e-9))
@@ -395,3 +399,62 @@ def dirac_density_separability(sol: PlaneWaveSolution, grid: Grid2T,
     report = charges(field, tol=tol)
     return DensityReport(rho=rho, separability=sep, total_fit=total_fit,
                          charge_report=report)
+
+
+def run_dirac(tol: Tolerances, wave, grid: Grid2T):
+    """The dirac results and current table of the plane wave (k, m, part,
+    rescales) = wave on grid; rescales maps a branch to its factor."""
+    k, m, part, rescales = wave
+    sol = solve_plane_wave(k, m, tol)
+    for branch, factor in rescales.items():
+        sol = sol.rescaled(**{branch: factor})
+    positivity = positivity_check(sol, grid, tol)
+    density = dirac_density_separability(sol, grid, part=part, tol=tol)
+    results = {
+        "k": k,
+        "m": m,
+        "part": part,
+        "on_shell_residual": _on_shell_residual(sol.k, m, tol),
+        "clifford_defect": gamma_set().clifford_defect(),
+        "psi_plus": [[v.real, v.imag] for v in sol.psi_plus.tolist()],
+        "psi_minus": [[v.real, v.imag] for v in sol.psi_minus.tolist()],
+        "conservation_residual": conservation_residual(sol, part, tol),
+        "positivity": {
+            "lhs_im": positivity.lhs_im, "rhs_im": positivity.rhs_im,
+            "lhs_re": positivity.lhs_re, "rhs_re": positivity.rhs_re,
+            "holds_im": bool(positivity.holds[0]), "holds_re": bool(positivity.holds[1]),
+            "min_j1": positivity.min_j1, "min_j2": positivity.min_j2,
+        },
+        "density_separability_residual": density.separability.residual,
+        "total_charge_fit_residual": density.total_fit.residual,
+        "charge_boundary_warnings": len(density.charge_report.boundary_warnings),
+        "hermiticity_defect_origin": hermiticity_defect([(0.0, 0.0)], m),
+        "hermiticity_defect_wave": hermiticity_defect([(k[1], k[2])], m),
+        "hermiticity_defect_generic": hermiticity_defect(m=m),
+    }
+    return results, (("x", "t1", "t2", "j1", "j2", "jx"),
+                     (grid.x_values, grid.t1_values, grid.t2_values),
+                     current_grid(sol, grid, part))
+
+
+def run_mass_spectrum(sweep):
+    """The mass-spectrum results and mode table of the sweep (m, hbar, c,
+    omegas): effective_mode_mass at each omega in turn."""
+    m, hbar, c, omegas = sweep
+    rows, consistent = [], True
+    for omega in omegas.tolist():
+        mode = effective_mode_mass(m, omega, hbar, c)
+        consistent = consistent and mode.classification_consistent
+        rows.append((mode.m_eff, float(mode.tachyonic), mode.tau, mode.R,
+                     math.nan if mode.c_tau_gt_R is None else float(mode.c_tau_gt_R)))
+    fields = np.array(rows).T
+    results = {
+        "m": m,
+        "hbar": hbar,
+        "c": c,
+        "boundary_omega": finite(m * c ** 2 / hbar, "m c^2 / hbar"),
+        "tachyonic_count": int(fields[1].sum()),
+        "classification_consistent": consistent,
+        "count": len(omegas),
+    }
+    return results, (("omega", "m_eff", "tachyonic", "tau", "R", "c_tau_gt_R"), (omegas,), fields)

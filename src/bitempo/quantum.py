@@ -42,6 +42,8 @@ __all__ = [
     "variance_trace",
     "uncertainty_visibility",
     "angle_and_width",
+    "run_quantum_fluct",
+    "run_uncertainty",
 ]
 
 HERMITICITY_ATOL = 1e-12
@@ -364,3 +366,40 @@ def angle_and_width(budget: UncertaintyBudget) -> AngleWidthReport:
     exact = finite(hbar * num / _divisor(width, "dE^2 sqrt(q^2 - hbar^2)"), "dphi_exact")
     return AngleWidthReport(phi=phi, dphi_exact=exact,
                             dphi_lowest_order=lowest, bound=bound)
+
+
+def run_quantum_fluct(setup, grid: Grid2T):
+    """The quantum-fluct results and moment table of the (system, state,
+    hbar) of setup over grid."""
+    system, state, hbar = setup
+    trace = variance_trace(system, state, grid, hbar)
+    results = {
+        "n_levels": system.n_levels,
+        "hbar": hbar,
+        "variance_min": float(np.min(trace.variance)),
+        "variance_max": float(np.max(trace.variance)),
+        "mean_imag_max": float(np.max(np.abs(trace.mean.imag))),
+        "tau2_dependence": tau2_dependence(system, hbar),
+        "grid": [grid.n1, grid.n2],
+    }
+    columns = ("t1", "t2", "mean_re", "mean_im", "second_moment", "variance")
+    fields = (trace.mean.real, trace.mean.imag, trace.second_moment, trace.variance)
+    return results, (columns, (grid.t1_values, grid.t2_values), fields)
+
+
+def run_uncertainty(budget: UncertaintyBudget):
+    """The uncertainty results of a budget: its visibility and angle-width
+    report."""
+    # the angle first: its dE^2 overflow is named before the swept phase's
+    report = angle_and_width(budget)
+    results = {
+        "visibility": uncertainty_visibility(budget).value,
+        "swept_phase_over_two_pi": budget.swept_phase / (2.0 * math.pi),
+        "phi": report.phi,
+        "cos_phi": math.cos(report.phi),
+        "dphi_exact": report.dphi_exact,
+        "dphi_lowest_order": report.dphi_lowest_order,
+        "bound": report.bound,
+        "singular": report.singular,
+    }
+    return results, None

@@ -40,10 +40,10 @@ def write(tmp_path, name, text):
 
 
 def forbid_runner(monkeypatch, command):
-    """Fail the test if the command's runner is reached."""
-    parsers, _ = cli._COMMANDS[command]
+    """Fail the test if the command's layer function is reached."""
+    parsers, _, table = cli._COMMANDS[command]
     monkeypatch.setitem(cli._COMMANDS, command,
-                        (parsers, lambda *args: pytest.fail(f"{command} ran")))
+                        (parsers, lambda *args: pytest.fail(f"{command} ran"), table))
 
 
 def output_keys():
@@ -477,9 +477,13 @@ n2 = 5
          "the phase (E1 t1 + E2 t2) / hbar overflows"),
         ("dirac", "[wave]\nk = 1 0 0\nm = 1\n" + GRID.replace("t1_min = 0", "t1_min = -1e308")
          + "x_min = -1\nx_max = 1\nnx = 5\n", "the phase 2 k.x overflows"),
+        ("mass-spectrum", "[sweep]\nm = 1e150\nc = 1e100\nomega_max = 2\n",
+         "m c^2 / hbar overflows"),
+        ("mass-spectrum", "[sweep]\nm = 1\nhbar = 1e-300\nc = 1e10\nomega_max = 2\n",
+         "m c^2 / hbar overflows"),
     ], ids=["uncertainty_de1", "dirac_m", "sweep_m", "sweep_omega_max", "integrate_c",
             "uncertainty_dde", "fluct_x0", "uncertainty_de_underflow", "uncertainty_q",
-            "fluct_phase", "dirac_phase"])
+            "fluct_phase", "dirac_phase", "sweep_boundary_m", "sweep_boundary_hbar"])
     def test_overflow_exits_4(self, tmp_path, capsys, command, sections, quantity):
         config = write(tmp_path, "huge.ini", f"[scenario]\ncommand = {command}\n{sections}")
         assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 4
@@ -535,17 +539,26 @@ n2 = 5
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == message
 
-    # 10^15 float64 values are 7.11 PiB, which numpy refuses at once on any
-    # host, so nothing is allocated
-    @pytest.mark.parametrize("command, sections", [
-        ("mass-spectrum", "[sweep]\nm = 1\nomega_max = 2\ncount = 1000000000000000\n"),
-    ], ids=["sweep_count"])
-    def test_count_too_large_to_allocate_exits_4(self, tmp_path, capsys, command, sections):
-        config = write(tmp_path, "vast.ini", f"[scenario]\ncommand = {command}\n{sections}")
-        assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: cannot allocate: ")
+    def test_sweep_count_over_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        # [sweep] count is capped as [grid] is, before its omega array exists
+        config = write(tmp_path, "vast.ini", "[scenario]\ncommand = mass-spectrum\n[sweep]\n"
+                       "m = 1\nomega_max = 2\ncount = 1000000000000000\n")
+        forbid_runner(monkeypatch, "mass-spectrum")
+        assert cli.main(["mass-spectrum", "--config", config, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == ("domain error: [sweep] count = 1000000000000000, "
+                                           "more than MAX_GRID_POINTS = 10000000\n")
         assert os.listdir(tmp_path) == ["vast.ini"]
+
+    def test_sweep_count_at_patched_cap_runs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)
+        for count, code in ((5, 0), (6, 3)):
+            config = write(tmp_path, f"sweep{count}.ini", "[scenario]\ncommand = mass-spectrum\n"
+                           f"[sweep]\nm = 1\nomega_max = 2\ncount = {count}\n")
+            assert cli.main(["mass-spectrum", "--config", config, "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err == ("domain error: [sweep] count = 6, more than "
+                                           "MAX_GRID_POINTS = 5\n")
+        with open(tmp_path / "mass_spectrum.csv") as fh:
+            assert len(fh.read().splitlines()) == 1 + 5
 
     @pytest.mark.parametrize("command, sections, points", [
         ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
@@ -824,6 +837,37 @@ report = loop_report.json
             cfg.write(fh)
         assert cli.main(["validate", "--config", config]) == 0
 
+    @pytest.mark.parametrize("row, where", [
+        ("0,0.5,0.7,0,0,0", "(0.0, 0.5, 0.7)"),
+        ("0,0.5,0,0,0,0", "(0.0, 0.5, 0.0)"),
+    ], ids=["moved", "duplicated"])
+    def test_current_file_off_the_grid_exits_3(self, tmp_path, capsys, row, where):
+        # row 14 samples (0, 0.5, 0.5) of the 3x3x3 grid; replaced, the sorted
+        # row reshaped onto that point lies elsewhere
+        lines = [f"{x},{t1},{t2},0,0,0" for x in (-1, 0, 1) for t1 in (0, 0.5, 1)
+                 for t2 in (0, 0.5, 1)]
+        lines[13] = row
+        samples = write(tmp_path, "current.csv", "x,t1,t2,j1,j2,jx\n" + "\n".join(lines) + "\n")
+        config = write(tmp_path, "file.ini", "[scenario]\ncommand = continuity\n"
+                       f"[current]\nsource = file:{samples}\n"
+                       + GRID.replace("5", "3") + "x_min = -1\nx_max = 1\nnx = 3\n")
+        assert cli.main(["continuity", "--config", config, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            f"domain error: current sample row 14 of {samples} lies at (x, t1, t2) = {where}, "
+            "not at the grid point (0.0, 0.5, 0.5)\n")
+        assert sorted(os.listdir(tmp_path)) == ["current.csv", "file.ini"]
+
+    def test_current_file_decimal_coordinates_accepted(self, tmp_path):
+        # "0.3" is the t1 sample that linspace makes 0.30000000000000004
+        lines = [f"{x},{t1},{t2},0,0,0" for x in (-1, 0, 1) for t1 in (0.1, 0.2, 0.3, 0.4, 0.5)
+                 for t2 in (0, 0.5, 1)]
+        samples = write(tmp_path, "current.csv", "x,t1,t2,j1,j2,jx\n" + "\n".join(lines) + "\n")
+        config = write(tmp_path, "file.ini", "[scenario]\ncommand = continuity\n"
+                       f"[current]\nsource = file:{samples}\n[grid]\nt1_min = 0.1\n"
+                       "t1_max = 0.5\nt2_min = 0\nt2_max = 1\nn1 = 5\nn2 = 3\n"
+                       "x_min = -1\nx_max = 1\nnx = 3\n")
+        assert cli.main(["continuity", "--config", config, "--out", str(tmp_path)]) == 0
+
     def test_non_numeric_current_file_exits_3(self, tmp_path, capsys):
         samples = write(tmp_path, "current.csv", "x,t1,t2,j1,j2,jx\n0,0,0,1,abc,0\n")
         config = write(tmp_path, "file.ini", "[scenario]\ncommand = continuity\n"
@@ -978,12 +1022,13 @@ n2 = 5
         assert cli.main(["validate", "--config", config]) == 2
         assert "at least 3 points" in capsys.readouterr().err
 
-    def test_sweep_count_too_large_to_allocate(self, tmp_path, capsys):
-        # [sweep] builds its omega array at parse time; 10^15 values are 7.11 PiB
+    def test_sweep_count_over_cap(self, tmp_path, capsys):
+        # [sweep] builds its omega array at parse time, after the cap is checked
         config = write(tmp_path, "vast.ini", "[scenario]\ncommand = mass-spectrum\n[sweep]\n"
                        "m = 1\nomega_max = 2\ncount = 1000000000000000\n")
         assert cli.main(["validate", "--config", config]) == 2
-        assert capsys.readouterr().err.startswith("invalid: cannot allocate: ")
+        assert capsys.readouterr().err == ("invalid: [sweep] count = 1000000000000000, "
+                                           "more than MAX_GRID_POINTS = 10000000\n")
 
     def test_wrong_size_x0_imag_rejected(self, tmp_path, capsys):
         config = write(tmp_path, "imag.ini", "[scenario]\ncommand = quantum-fluct\n[system]\n"
