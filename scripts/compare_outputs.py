@@ -6,14 +6,17 @@ Exports <rev> with ``git archive`` into a temporary directory, then runs
 every bundled scenario in csv and in json, and each config given after the
 revision in both formats, under both trees with ``PYTHONPATH`` set to that
 tree's ``src``.  Each run compares the exit code, stdout, every data file
-byte for byte and the report's ``comparable`` section, and prints one line.
+byte for byte, the report's ``comparable`` section and, for a run that
+exits non-zero, the last line of stderr (the CLI's failure message), and
+prints one line.
 A line for a run that differs ends with how many numbers at the same place
 (same key path, or same row and column) in the ``comparable`` sections and
 the data files of both trees turned from NaN into a number or back, and the
 largest absolute difference between the other numbers at the same place:
 that difference relative to the revision's value, the file and place where
 it lies, and both values.  Where no number differs, the line names the
-first place whose text differs, with both texts.
+first place whose text differs, with both texts, or else both failure
+messages.
 The exit status is 1 if any run differs, 0 otherwise.  All output stays in
 the temporary directory, which is removed at the end.
 """
@@ -56,7 +59,8 @@ def scenario_names(config: str):
 
 
 def run(tree: str, config: str, fmt: str, out: str):
-    """(exit code, stdout, {file name: bytes}) of one run under a tree."""
+    """(exit code, stdout, {file name: bytes}, failure message) of one run
+    under a tree; the message is the last line of stderr, None on exit 0."""
     command, _ = scenario_names(config)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env.update(PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -68,7 +72,9 @@ def run(tree: str, config: str, fmt: str, out: str):
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as fh:
             files[name] = fh.read()
-    return proc.returncode, proc.stdout, files
+    lines = proc.stderr.decode(errors="replace").splitlines() or [""]
+    message = lines[-1] if proc.returncode else None
+    return proc.returncode, proc.stdout, files, message
 
 
 def _leaves(obj, path=()):
@@ -143,9 +149,11 @@ def describe(name: str, place, d: float, old: float, new: float) -> str:
 def differences(config: str, a, b):
     """(what differs between two runs of one config, a description of the
     NaN flips and the largest numeric difference in the files both wrote,
-    or else of their first text difference, or None)."""
+    or else of their first text difference, or else of both failure
+    messages, or None)."""
     _, report = scenario_names(config)
-    found = [what for what, i in (("exit code", 0), ("stdout", 1)) if a[i] != b[i]]
+    found = [what for what, i in (("exit code", 0), ("stdout", 1), ("failure message", 3))
+             if a[i] != b[i]]
     files_a, files_b = a[2], b[2]
     found += [f"only one tree wrote {name}" for name in sorted(set(files_a) ^ set(files_b))]
     flips, largest, text = 0, None, None
@@ -175,6 +183,8 @@ def differences(config: str, a, b):
         numeric.append(f"{flips} NaN flip" + "s" * (flips > 1))
     if largest:
         numeric.append(largest[1])
+    if text is None and a[3] != b[3]:
+        text = f"failure message {a[3]!r} -> {b[3]!r}"
     return found, "; ".join(numeric) or text
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "Tolerances",
     "finite",
     "finite_power",
+    "nonzero",
     "central_difference",
     "determinant",
     "null_space",
@@ -92,6 +93,14 @@ def finite_power(base: float, exponent: int, name: str) -> float:
         return finite(float(base) ** exponent, name)
     except OverflowError:
         raise EvaluationError(f"{name} overflows: ({base:.6g})^{exponent}") from None
+
+
+def nonzero(value: float, name: str) -> float:
+    """value itself; EvaluationError naming the quantity when it overflowed or
+    underflowed to 0."""
+    if value == 0.0:
+        raise EvaluationError(f"{name} underflows to 0")
+    return finite(value, name)
 
 
 @dataclass(frozen=True)

@@ -20,27 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DegenerateKernelError,
-    DomainError,
-    Grid2T,
-    OnShellError,
-    Tolerances,
-    central_difference,
-    finite,
-    finite_power,
-    null_space,
-)
+from .core import (DegenerateKernelError, DomainError, Grid2T, OnShellError, Tolerances,
+                   central_difference, finite, finite_power, nonzero, null_space)
 from .continuity import (CurrentField, SeparabilityReport, charges, separability_check,
                          trapezoid_weights)
 
 __all__ = [
     "GammaSet",
+    "GAMMAS",
     "PlaneWaveSolution",
     "PositivityReport",
     "ModeMass",
     "DensityReport",
-    "gamma_set",
     "momentum_operator",
     "solve_plane_wave",
     "dirac_current",
@@ -55,19 +46,19 @@ __all__ = [
     "run_mass_spectrum",
 ]
 
-_SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
-_SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class GammaSet:
-    """The three gamma matrices and the (+, +, -) metric."""
+    """The three gamma matrices and the (+, +, -) metric, made read-only."""
 
     g1: np.ndarray
     g2: np.ndarray
     g3: np.ndarray
     metric: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.g1, self.g2, self.g3, self.metric):
+            a.flags.writeable = False
 
     def matrices(self):
         return (self.g1, self.g2, self.g3)
@@ -83,17 +74,19 @@ class GammaSet:
         return worst
 
 
-def gamma_set() -> GammaSet:
-    """Fixed 2x2 representation: g1 = sigma_1, g2 = sigma_2, g3 = i sigma_3."""
-    return GammaSet(g1=_SIGMA1.copy(), g2=_SIGMA2.copy(), g3=1j * _SIGMA3,
-                    metric=np.diag([1.0, 1.0, -1.0]))
+# the fixed 2x2 representation g1 = sigma_1, g2 = sigma_2, g3 = i sigma_3
+GAMMAS = GammaSet(g1=np.array([[0, 1], [1, 0]], dtype=complex),
+                  g2=np.array([[0, -1j], [1j, 0]], dtype=complex),
+                  g3=1j * np.array([[1, 0], [0, -1]], dtype=complex),
+                  metric=np.diag([1.0, 1.0, -1.0]))
+# g3 g_mu, the matrix of the bilinear behind current component mu
+_CURRENT_MATRICES = tuple(GAMMAS.g3 @ gm for gm in GAMMAS.matrices())
 
 
 def momentum_operator(k) -> np.ndarray:
     """Contraction g_mu k^mu = k1 g1 + k2 g2 - k3 g3 for covariant k."""
     k = np.asarray(k, dtype=float).reshape(3)
-    g = gamma_set()
-    return k[0] * g.g1 + k[1] * g.g2 - k[2] * g.g3
+    return k[0] * GAMMAS.g1 + k[1] * GAMMAS.g2 - k[2] * GAMMAS.g3
 
 
 def _on_shell_residual(k: np.ndarray, m: float, tol: Tolerances) -> float:
@@ -108,24 +101,41 @@ def _on_shell_residual(k: np.ndarray, m: float, tol: Tolerances) -> float:
     return res
 
 
+def _bilinear_coeffs(pp: np.ndarray, pm: np.ndarray, h: np.ndarray):
+    """Coefficients of e^{2i phi}, e^{-2i phi} and 1 in Psi^dag(-x) h Psi(x)
+    for the branch spinors pp (plus) and pm (minus)."""
+    a = complex(pp.conj() @ h @ pp)
+    b = complex(pm.conj() @ h @ pm)
+    c = complex(pp.conj() @ h @ pm + pm.conj() @ h @ pp)
+    return a, b, c
+
+
 @dataclass(frozen=True)
 class PlaneWaveSolution:
     """Two-branch plane wave: exp(+ik.x) psi_plus + exp(-ik.x) psi_minus.
 
     psi_plus spans the kernel of (-g.k - m), psi_minus of (+g.k - m); the
-    branch amplitudes may be rescaled or rephased freely afterwards.
+    branch amplitudes may be rescaled or rephased freely afterwards.  Each
+    build checks both and the on-shell relation, and keeps the relation's
+    residual and, per current component mu, the coefficients (a, b, c) of
+    Psi^dag(-x) g3 g_mu Psi(x) (see _bilinear_coeffs); k and the spinors
+    are read-only copies, so the two cannot go stale.
     """
 
     k: np.ndarray
     m: float
     psi_plus: np.ndarray
     psi_minus: np.ndarray
+    on_shell_residual: float
+    coeffs: tuple
 
     def __init__(self, k, m, psi_plus, psi_minus, tol: Tolerances = Tolerances()):
-        k = np.asarray(k, dtype=float).reshape(3)
-        pp = np.asarray(psi_plus, dtype=complex).reshape(2)
-        pm = np.asarray(psi_minus, dtype=complex).reshape(2)
-        _on_shell_residual(k, m, tol)
+        k = np.array(k, dtype=float).reshape(3)
+        pp = np.array(psi_plus, dtype=complex).reshape(2)
+        pm = np.array(psi_minus, dtype=complex).reshape(2)
+        for a in (k, pp, pm):
+            a.flags.writeable = False
+        residual = _on_shell_residual(k, m, tol)
         op = momentum_operator(k)
         for name, op_signed, spinor in (("psi_plus", -op, pp), ("psi_minus", op, pm)):
             norm = np.linalg.norm(spinor)
@@ -138,6 +148,9 @@ class PlaneWaveSolution:
         object.__setattr__(self, "m", float(m))
         object.__setattr__(self, "psi_plus", pp)
         object.__setattr__(self, "psi_minus", pm)
+        object.__setattr__(self, "on_shell_residual", residual)
+        object.__setattr__(self, "coeffs",
+                           tuple(_bilinear_coeffs(pp, pm, h) for h in _CURRENT_MATRICES))
 
     def phase(self, pos) -> np.ndarray:
         """k.x = k1 t1 + k2 t2 + k3 x for position (t1, t2, x)."""
@@ -170,21 +183,22 @@ class PositivityReport:
 
 @dataclass(frozen=True)
 class ModeMass:
-    """Effective mass of a stationary second-time mode.
+    """Effective masses of stationary second-time modes, as columns over
+    the mode frequencies omega.
 
-    m_eff^2 c^4 = m^2 c^4 - hbar^2 omega^2.  tau is the mode period
-    2 pi / omega and R the Compton wavelength 2 pi hbar / (m c); the mode is
-    tachyonic exactly when c tau < R (equality gives a massless mode).
+    m_eff^2 c^4 = m^2 c^4 - hbar^2 omega^2 (m_eff NaN where tachyonic).  tau
+    is the mode period 2 pi / omega and R the Compton wavelength
+    2 pi hbar / (m c); a mode is tachyonic exactly when c tau < R (equality
+    gives a massless mode).  c_tau_gt_R holds 1.0 or 0.0, NaN where both
+    c tau and R are infinite.
     """
 
-    m: float
-    omega: float
-    m_eff: float
-    tachyonic: bool
-    tau: float
-    R: float
-    c_tau_gt_R: bool | None
-    classification_consistent: bool
+    m_eff: np.ndarray
+    tachyonic: np.ndarray
+    tau: np.ndarray
+    R: np.ndarray
+    c_tau_gt_R: np.ndarray
+    classification_consistent: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -200,15 +214,16 @@ def solve_plane_wave(k, m: float, tol: Tolerances = Tolerances()) -> PlaneWaveSo
 
     Each branch kernel is one-dimensional away from the massless zero-mode
     edge; spinors come back unit-norm with the first nonzero component made
-    real positive so results are reproducible.
+    real positive so results are reproducible.  An off-shell k has no
+    kernel, and raises OnShellError rather than DegenerateKernelError.
     """
     k = np.asarray(k, dtype=float).reshape(3)
-    _on_shell_residual(k, m, tol)
     op = momentum_operator(k)
     spinors = []
     for sign in (-1.0, +1.0):
         kern = null_space(sign * op - m * np.eye(2), Tolerances(abs_tol=1e-9))
         if len(kern) != 1:
+            _on_shell_residual(k, m, tol)
             raise DegenerateKernelError(
                 f"branch kernel has dimension {len(kern)} (m = {m}, k = {k}); "
                 "expected 1 away from the massless zero-mode edge")
@@ -220,27 +235,13 @@ def solve_plane_wave(k, m: float, tol: Tolerances = Tolerances()) -> PlaneWaveSo
     return PlaneWaveSolution(k, m, spinors[0], spinors[1], tol)
 
 
-def _bilinear_coeffs(sol: PlaneWaveSolution, h: np.ndarray):
-    """Coefficients of e^{2i phi}, e^{-2i phi} and 1 in Psi^dag(-x) h Psi(x)."""
-    a = complex(sol.psi_plus.conj() @ h @ sol.psi_plus)
-    b = complex(sol.psi_minus.conj() @ h @ sol.psi_minus)
-    c = complex(sol.psi_plus.conj() @ h @ sol.psi_minus
-                + sol.psi_minus.conj() @ h @ sol.psi_plus)
-    return a, b, c
-
-
 def _current_from_bilinear(sol: PlaneWaveSolution, phase, part: str):
     """All three current components at the given phases k.x."""
-    g = gamma_set()
-    two_phi = 2.0 * np.asarray(phase, dtype=float)
-    e_plus = np.exp(1j * two_phi)
-    comps = []
-    for gm in g.matrices():
-        a, b, c = _bilinear_coeffs(sol, g.g3 @ gm)
-        bilinear = a * e_plus + b * np.conj(e_plus) + c
-        ib = 1j * bilinear
-        comps.append(ib.imag if part == "imaginary" else ib.real)
-    return comps
+    if part not in ("imaginary", "real"):
+        raise DomainError(f"part must be 'imaginary' or 'real', got {part!r}")
+    e_plus = np.exp(1j * (2.0 * np.asarray(phase, dtype=float)))
+    ib = [1j * (a * e_plus + b * np.conj(e_plus) + c) for a, b, c in sol.coeffs]
+    return [v.imag if part == "imaginary" else v.real for v in ib]
 
 
 def dirac_current(sol: PlaneWaveSolution, pos, part: str = "imaginary") -> np.ndarray:
@@ -251,11 +252,8 @@ def dirac_current(sol: PlaneWaveSolution, pos, part: str = "imaginary") -> np.nd
     pinned; "real" gives the sine-modulated variant that necessarily
     changes sign and exists only to demonstrate that failure.
     """
-    if part not in ("imaginary", "real"):
-        raise DomainError(f"part must be 'imaginary' or 'real', got {part!r}")
     phi = sol.phase(np.asarray(pos, dtype=float).reshape(3))
-    j = _current_from_bilinear(sol, phi, part)
-    return np.array([float(c) for c in j])
+    return np.array([float(c) for c in _current_from_bilinear(sol, phi, part)])
 
 
 _CONSERVATION_PROBES = ((-0.4, 0.3, 0.7), (0.9, -0.6, 0.1), (0.2, 0.8, -0.9))
@@ -281,8 +279,6 @@ def conservation_residual(sol: PlaneWaveSolution, part: str = "imaginary",
 def current_grid(sol: PlaneWaveSolution, grid: Grid2T, part: str = "imaginary"):
     """Current components sampled over (x, t1, t2); x = 0 plane when the
     grid has no space axis.  Arrays are indexed [ix, i1, i2]."""
-    if part not in ("imaginary", "real"):
-        raise DomainError(f"part must be 'imaginary' or 'real', got {part!r}")
     xv = grid.x_values if grid.has_space else np.array([0.0])
     # |2 k.x| is at most this, which names an overflow without a pass over the grid
     finite(2.0 * sum(abs(float(k)) * float(np.max(np.abs(v)))
@@ -294,10 +290,11 @@ def current_grid(sol: PlaneWaveSolution, grid: Grid2T, part: str = "imaginary"):
     return _current_from_bilinear(sol, phi, part)
 
 
-def positivity_check(sol: PlaneWaveSolution, sample_grid: Grid2T,
+def positivity_check(sol: PlaneWaveSolution, current,
                      tol: Tolerances = Tolerances()) -> PositivityReport:
     """Sign-stability inequalities for the two time components, checked
-    against sampled minima.
+    against the minima of current, sol's part = "imaginary" samples
+    (j1, j2, ...) from current_grid.
 
     The diagonal-branch magnitudes multiply cos(2 k.x) while the
     cross-branch magnitudes are constant; each inequality
@@ -311,13 +308,11 @@ def positivity_check(sol: PlaneWaveSolution, sample_grid: Grid2T,
     lhs_im, rhs_im = abs(diag.imag), abs(cross.imag)
     lhs_re, rhs_re = abs(diag.real), abs(cross.real)
     holds = (lhs_im <= rhs_im + tol.abs_tol, lhs_re <= rhs_re + tol.abs_tol)
-    j1, j2, _ = current_grid(sol, sample_grid, part="imaginary")
+    min_j1, min_j2 = float(np.min(current[0])), float(np.min(current[1]))
     return PositivityReport(
         lhs_im=float(lhs_im), rhs_im=float(rhs_im),
         lhs_re=float(lhs_re), rhs_re=float(rhs_re),
-        holds=holds,
-        min_density_sampled=float(min(np.min(j1), np.min(j2))),
-        min_j1=float(np.min(j1)), min_j2=float(np.min(j2)),
+        holds=holds, min_density_sampled=min(min_j1, min_j2), min_j1=min_j1, min_j2=min_j2,
         sign_im=float(np.sign(cross.imag)), sign_re=float(np.sign(cross.real)),
     )
 
@@ -325,7 +320,7 @@ def positivity_check(sol: PlaneWaveSolution, sample_grid: Grid2T,
 def effective_hamiltonian(k2: float, k3: float, m: float = 0.0) -> np.ndarray:
     """Generator of t1 evolution in a plane-wave (k2, k3) representation:
     k2 (g1 g2) - k3 (g1 g3) + m g1."""
-    g = gamma_set()
+    g = GAMMAS
     return k2 * (g.g1 @ g.g2) - k3 * (g.g1 @ g.g3) + m * g.g1
 
 
@@ -344,36 +339,42 @@ def hermiticity_defect(k_samples=None, m: float = 0.0) -> float:
     return worst
 
 
-def effective_mode_mass(m: float, omega: float, hbar: float = 1.0,
-                        c: float = 1.0) -> ModeMass:
-    """Effective mass left after freezing a mode of frequency omega in the
-    second time, with the period-versus-Compton-length classification."""
-    if m < 0 or omega < 0 or hbar <= 0 or c <= 0:
+def effective_mode_mass(m: float, omega, hbar: float = 1.0, c: float = 1.0) -> ModeMass:
+    """Effective masses left after freezing modes of the frequencies omega
+    (an array) in the second time, with the period-versus-Compton-length
+    classification of each.  A nonzero m or a c whose square underflows to
+    0 is an EvaluationError, as is an overflowing square."""
+    omega = np.asarray(omega, dtype=float)
+    if m < 0 or np.any(omega < 0) or hbar <= 0 or c <= 0:
         raise DomainError("need m >= 0, omega >= 0, hbar > 0, c > 0")
-    m_eff_sq = (finite_power(m, 2, "m^2")
-                - finite_power(hbar * omega / finite_power(c, 2, "c^2"), 2, "(hbar omega / c^2)^2"))
+    m_sq = nonzero(finite_power(m, 2, "m^2"), "m^2") if m else 0.0
+    c_sq = nonzero(finite_power(c, 2, "c^2"), "c^2")
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = hbar * omega / c_sq
+        # float_power calls C pow, as Python's float ** does; numpy's ** 2 is q * q
+        q_sq = np.float_power(q, 2)
+    bad = ~np.isfinite(q_sq)
+    if bad.any():
+        finite_power(q[bad][0], 2, "(hbar omega / c^2)^2")
+    m_eff_sq = m_sq - q_sq
     tachyonic = m_eff_sq < 0
-    m_eff = math.sqrt(m_eff_sq) if not tachyonic else float("nan")
-    tau = math.inf if omega == 0 else 2.0 * math.pi / omega
+    with np.errstate(divide="ignore", over="ignore"):
+        tau = np.where(omega == 0, math.inf, 2.0 * math.pi / omega)
+        c_tau = c * tau
     R = math.inf if m == 0 else 2.0 * math.pi * hbar / (m * c)
-    if math.isinf(tau) and math.isinf(R):
-        c_tau_gt_R = None
-        consistent = not tachyonic
-    else:
-        c_tau = math.inf if math.isinf(tau) else c * tau
-        c_tau_gt_R = bool(c_tau > R)
-        consistent = c_tau_gt_R == (m_eff_sq > 0)
-        if c_tau == R:
-            consistent = m_eff_sq == 0
-    return ModeMass(m=float(m), omega=float(omega), m_eff=m_eff,
-                    tachyonic=bool(tachyonic), tau=tau, R=R,
-                    c_tau_gt_R=c_tau_gt_R, classification_consistent=bool(consistent))
+    undefined = np.isinf(tau) & math.isinf(R)
+    c_tau_gt_R = c_tau > R
+    consistent = np.where(c_tau == R, m_eff_sq == 0, c_tau_gt_R == (m_eff_sq > 0))
+    return ModeMass(m_eff=np.sqrt(np.where(tachyonic, math.nan, m_eff_sq)),
+                    tachyonic=tachyonic, tau=tau, R=np.full(omega.shape, R),
+                    c_tau_gt_R=np.where(undefined, math.nan, c_tau_gt_R),
+                    classification_consistent=np.where(undefined, ~tachyonic, consistent))
 
 
-def dirac_density_separability(sol: PlaneWaveSolution, grid: Grid2T,
-                               part: str = "imaginary",
+def dirac_density_separability(field: CurrentField,
                                tol: Tolerances = Tolerances()) -> DensityReport:
-    """Density built from the time components of the plane-wave current.
+    """Density built from the time components of a sampled plane-wave
+    current.
 
     rho(x, t1, t2) = Int dt2 j1 + Int dt1 j2 is a function of (x, t1) plus
     one of (x, t2) as built, and so the total charge P(t1, t2) = Int rho dx
@@ -385,20 +386,12 @@ def dirac_density_separability(sol: PlaneWaveSolution, grid: Grid2T,
     together with the raw charge bookkeeping (plane waves do not decay, so
     expect boundary warnings there).
     """
-    if not grid.has_space:
-        raise DomainError("density separability needs a grid with a space axis")
-    j1, j2, j3 = current_grid(sol, grid, part)
+    grid = field.grid
     wx, w1, w2 = (trapezoid_weights(v) for v in (grid.x_values, grid.t1_values, grid.t2_values))
-    rho1 = j1 @ w2
-    rho2 = w1 @ j2
-    rho = rho1[:, :, None] + rho2[:, None, :]
-    sep = separability_check(rho, tol)
-    total = np.einsum("i,ijk->jk", wx, rho)
-    total_fit = separability_check(total, tol)
-    field = CurrentField(grid=grid, j1=j1, j2=j2, j_space=j3)
-    report = charges(field, tol=tol)
-    return DensityReport(rho=rho, separability=sep, total_fit=total_fit,
-                         charge_report=report)
+    rho = (field.j1 @ w2)[:, :, None] + (w1 @ field.j2)[:, None, :]
+    return DensityReport(rho=rho, separability=separability_check(rho, tol),
+                         total_fit=separability_check(np.einsum("i,ijk->jk", wx, rho), tol),
+                         charge_report=charges(field, tol=tol))
 
 
 def run_dirac(tol: Tolerances, wave, grid: Grid2T):
@@ -406,16 +399,19 @@ def run_dirac(tol: Tolerances, wave, grid: Grid2T):
     rescales) = wave on grid; rescales maps a branch to its factor."""
     k, m, part, rescales = wave
     sol = solve_plane_wave(k, m, tol)
-    for branch, factor in rescales.items():
-        sol = sol.rescaled(**{branch: factor})
-    positivity = positivity_check(sol, grid, tol)
-    density = dirac_density_separability(sol, grid, part=part, tol=tol)
+    if rescales:
+        sol = sol.rescaled(**rescales)
+    current = current_grid(sol, grid, part)
+    field = CurrentField(grid, *current)
+    positivity = positivity_check(
+        sol, current if part == "imaginary" else current_grid(sol, grid), tol)
+    density = dirac_density_separability(field, tol)
     results = {
         "k": k,
         "m": m,
         "part": part,
-        "on_shell_residual": _on_shell_residual(sol.k, m, tol),
-        "clifford_defect": gamma_set().clifford_defect(),
+        "on_shell_residual": sol.on_shell_residual,
+        "clifford_defect": GAMMAS.clifford_defect(),
         "psi_plus": [[v.real, v.imag] for v in sol.psi_plus.tolist()],
         "psi_minus": [[v.real, v.imag] for v in sol.psi_minus.tolist()],
         "conservation_residual": conservation_residual(sol, part, tol),
@@ -433,28 +429,23 @@ def run_dirac(tol: Tolerances, wave, grid: Grid2T):
         "hermiticity_defect_generic": hermiticity_defect(m=m),
     }
     return results, (("x", "t1", "t2", "j1", "j2", "jx"),
-                     (grid.x_values, grid.t1_values, grid.t2_values),
-                     current_grid(sol, grid, part))
+                     (grid.x_values, grid.t1_values, grid.t2_values), current)
 
 
 def run_mass_spectrum(sweep):
     """The mass-spectrum results and mode table of the sweep (m, hbar, c,
-    omegas): effective_mode_mass at each omega in turn."""
+    omegas): effective_mode_mass over the omega array."""
     m, hbar, c, omegas = sweep
-    rows, consistent = [], True
-    for omega in omegas.tolist():
-        mode = effective_mode_mass(m, omega, hbar, c)
-        consistent = consistent and mode.classification_consistent
-        rows.append((mode.m_eff, float(mode.tachyonic), mode.tau, mode.R,
-                     math.nan if mode.c_tau_gt_R is None else float(mode.c_tau_gt_R)))
-    fields = np.array(rows).T
+    mode = effective_mode_mass(m, omegas, hbar, c)
     results = {
         "m": m,
         "hbar": hbar,
         "c": c,
         "boundary_omega": finite(m * c ** 2 / hbar, "m c^2 / hbar"),
-        "tachyonic_count": int(fields[1].sum()),
-        "classification_consistent": consistent,
+        "tachyonic_count": int(mode.tachyonic.sum()),
+        "classification_consistent": bool(mode.classification_consistent.all()),
         "count": len(omegas),
     }
-    return results, (("omega", "m_eff", "tachyonic", "tau", "R", "c_tau_gt_R"), (omegas,), fields)
+    return results, (("omega", "m_eff", "tachyonic", "tau", "R", "c_tau_gt_R"), (omegas,),
+                     (mode.m_eff, mode.tachyonic.astype(float), mode.tau, mode.R,
+                      mode.c_tau_gt_R))

@@ -341,7 +341,7 @@ def test_criterion_09_continuity():
 
 def test_criterion_10_dirac():
     rng = np.random.default_rng(107)
-    clifford = dr.gamma_set().clifford_defect()
+    clifford = dr.GAMMAS.clifford_defect()
 
     dets_ok = True
     for _ in range(20):
@@ -368,9 +368,13 @@ def test_criterion_10_dirac():
         abs(divergence(sol, pos, "imaginary", step=0.04))
 
     grid = Grid2T(0.0, 6 * math.pi, 0.0, 6 * math.pi, 41, 41)
-    holding = dr.positivity_check(dr.solve_plane_wave((1.0, 0.0, 0.0), 1.0).rescaled(minus=-1j), grid)
+
+    def positivity(sol):
+        return dr.positivity_check(sol, dr.current_grid(sol, grid))
+
+    holding = positivity(dr.solve_plane_wave((1.0, 0.0, 0.0), 1.0).rescaled(minus=-1j))
     k3 = math.sqrt(0.3 ** 2 + 1.2 ** 2 - 1.0)
-    violating = dr.positivity_check(dr.solve_plane_wave((0.3, 1.2, k3), 1.0).rescaled(minus=0.0), grid)
+    violating = positivity(dr.solve_plane_wave((0.3, 1.2, k3), 1.0).rescaled(minus=0.0))
 
     origin_defect = dr.hermiticity_defect([(0.0, 0.0)], m=1.0)
     generic_defect = min(dr.hermiticity_defect([(k2, k3_)], m=0.5)
@@ -386,16 +390,15 @@ def test_criterion_10_dirac():
 
 
 def test_criterion_11_mode_mass():
-    a = dr.effective_mode_mass(1.0, 0.6)
-    b = dr.effective_mode_mass(1.0, 1.0)
-    sweep_ok = True
-    for omega in np.linspace(0.0, 2.0, 81):
-        mode = dr.effective_mode_mass(1.0, float(omega))
-        sweep_ok = sweep_ok and mode.classification_consistent
-        sweep_ok = sweep_ok and (mode.tachyonic == (omega > 1.0))
-    ok = (abs(a.m_eff - 0.8) < 1e-12 and abs(b.m_eff) < 1e-15
-          and not a.tachyonic and sweep_ok)
-    report(11, ok, f"mode mass: m_eff(1,0.6)={a.m_eff}, m_eff(1,1)={b.m_eff}, "
+    pair = dr.effective_mode_mass(1.0, np.array([0.6, 1.0]))
+    a, b = pair.m_eff
+    omegas = np.linspace(0.0, 2.0, 81)
+    sweep = dr.effective_mode_mass(1.0, omegas)
+    sweep_ok = (sweep.classification_consistent.all()
+                and np.array_equal(sweep.tachyonic, omegas > 1.0))
+    ok = (abs(a - 0.8) < 1e-12 and abs(b) < 1e-15
+          and not pair.tachyonic[0] and sweep_ok)
+    report(11, ok, f"mode mass: m_eff(1,0.6)={a}, m_eff(1,1)={b}, "
                    f"sweep classification consistent")
 
 

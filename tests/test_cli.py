@@ -127,6 +127,15 @@ class TestBundledScenarios:
         assert np.all(tachyonic[omega > 1.0] == 1.0)
         assert np.all(tachyonic[omega <= 1.0] == 0.0)
 
+    def test_massless_sweep_runs(self, tmp_path):
+        # m = 0 is no underflow: every mode but omega = 0 is tachyonic
+        config = write(tmp_path, "massless.ini", "[scenario]\ncommand = mass-spectrum\n"
+                       "[sweep]\nm = 0\nomega_max = 2\ncount = 5\n")
+        assert cli.main(["mass-spectrum", "--config", config, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "report.json") as fh:
+            results = json.load(fh)["comparable"]["results"]
+        assert (results["tachyonic_count"], results["classification_consistent"]) == (4, True)
+
     def test_surface_floats_roundtrip(self, tmp_path):
         report = cli.run_scenario(scenario_path("quantum_fluct_two_level.ini"), str(tmp_path))
         with open(tmp_path / "quantum_fluct_trace.csv") as fh:
@@ -481,9 +490,12 @@ n2 = 5
          "m c^2 / hbar overflows"),
         ("mass-spectrum", "[sweep]\nm = 1\nhbar = 1e-300\nc = 1e10\nomega_max = 2\n",
          "m c^2 / hbar overflows"),
+        ("mass-spectrum", "[sweep]\nm = 1e-170\nomega_max = 2\n", "m^2 underflows to 0"),
+        ("mass-spectrum", "[sweep]\nm = 1\nc = 1e-200\nomega_max = 2\n", "c^2 underflows to 0"),
     ], ids=["uncertainty_de1", "dirac_m", "sweep_m", "sweep_omega_max", "integrate_c",
             "uncertainty_dde", "fluct_x0", "uncertainty_de_underflow", "uncertainty_q",
-            "fluct_phase", "dirac_phase", "sweep_boundary_m", "sweep_boundary_hbar"])
+            "fluct_phase", "dirac_phase", "sweep_boundary_m", "sweep_boundary_hbar",
+            "sweep_m_underflow", "sweep_c_underflow"])
     def test_overflow_exits_4(self, tmp_path, capsys, command, sections, quantity):
         config = write(tmp_path, "huge.ini", f"[scenario]\ncommand = {command}\n{sections}")
         assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 4

@@ -1,5 +1,6 @@
 """The output comparison script counts NaN flips, names where its largest
-finite difference lies, and names a changed text where no number moved."""
+finite difference lies, names a changed text where no number moved, and
+compares the failure message of a run that exits non-zero."""
 
 import importlib.util
 import json
@@ -11,8 +12,8 @@ compare_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_outputs)
 
 
-def run(stdout, files):
-    return 0, stdout, files
+def run(stdout, files, code=0, message=None):
+    return code, stdout, files, message
 
 
 def test_same_runs_report_nothing(tmp_path):
@@ -76,3 +77,23 @@ def test_changed_text_leaf_named(tmp_path):
     assert found == ["stdout", "r.json comparable"]
     assert summary == ("text differs at r.json results.discrepancy: "
                        "'printed=[0. 0.]' -> 'printed=[0.0, 0.0]'")
+
+
+def test_changed_failure_message_named(tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text("[scenario]\ncommand = mass-spectrum\n")
+    old = run(b"", {}, 4, "numerical failure: float division by zero")
+    new = run(b"", {}, 4, "numerical failure: c^2 underflows to 0")
+    assert compare_outputs.differences(str(config), old, new) == (
+        ["failure message"], "failure message 'numerical failure: float division by zero' "
+                             "-> 'numerical failure: c^2 underflows to 0'")
+    assert compare_outputs.differences(str(config), new, new) == ([], None)
+
+
+def test_run_keeps_the_last_stderr_line_of_a_failure(tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text("[scenario]\ncommand = mass-spectrum\n[sweep]\nm = 1\nc = 1e-200\n"
+                      "omega_max = 2\n")
+    code, _, files, message = compare_outputs.run(compare_outputs.ROOT, str(config), "csv",
+                                                  str(tmp_path / "out"))
+    assert (code, files, message) == (4, {}, "numerical failure: c^2 underflows to 0")

@@ -14,6 +14,7 @@ from bitempo.core import (
     determinant,
     finite,
     finite_power,
+    nonzero,
     null_space,
 )
 
@@ -215,6 +216,7 @@ class TestFinite:
         assert finite(2.5, "x") == 2.5
         assert finite_power(3.0, 2, "x^2") == 9.0
         assert finite_power(1e-200, 2, "x^2") == 0.0
+        assert nonzero(1e-300, "x") == 1e-300
 
     @pytest.mark.parametrize("call", [
         lambda: finite(math.inf, "x^2"),
@@ -222,7 +224,12 @@ class TestFinite:
         lambda: finite_power(1e308, 2, "x^2"),
         lambda: finite_power(math.inf, 2, "x^2"),
         lambda: finite_power(np.float64(1e200), 2, "x^2"),
+        lambda: nonzero(math.inf, "x^2"),
     ])
     def test_overflow_names_quantity(self, call):
         with pytest.raises(EvaluationError, match=r"^x\^2 overflows"):
             call()
+
+    def test_zero_divisor_names_underflow(self):
+        with pytest.raises(EvaluationError, match=r"^x\^2 underflows to 0$"):
+            nonzero(finite_power(1e-200, 2, "x^2"), "x^2")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bitempo import dirac as dr
+from bitempo.continuity import CurrentField
 from bitempo.core import (
     DegenerateKernelError,
     DomainError,
@@ -39,8 +40,9 @@ def divergence(sol, pos, part, step=1e-5):
 
 class TestGammaSet:
     def test_clifford_identities_exact(self):
-        g = dr.gamma_set()
+        g = dr.GAMMAS
         assert g.clifford_defect() == 0.0
+        assert not any(a.flags.writeable for a in (g.g1, g.g2, g.g3, g.metric))
         eye = np.eye(2)
         np.testing.assert_array_equal(g.g1 @ g.g1 + g.g1 @ g.g1, 2 * eye)
         np.testing.assert_array_equal(g.g3 @ g.g3 + g.g3 @ g.g3, -2 * eye)
@@ -59,6 +61,8 @@ class TestPlaneWaveSolver:
         # phase gauge: first nonzero component real positive
         assert sol.psi_plus[0].imag == pytest.approx(0.0, abs=1e-14)
         assert sol.psi_plus[0].real > 0
+        # the current coefficients are computed from these once, at build
+        assert not any(a.flags.writeable for a in (sol.k, sol.psi_plus, sol.psi_minus))
 
     @pytest.mark.parametrize("k, m, quantity", [
         ((1.0, 0.0, 0.0), 1e308, "m^2"),
@@ -184,15 +188,20 @@ class TestCurrent:
         sol = dr.solve_plane_wave((1, 1, 1), 1.0)
         with pytest.raises(DomainError):
             dr.dirac_current(sol, (0, 0, 0), part="absolute")
+        with pytest.raises(DomainError):
+            dr.current_grid(sol, Grid2T(0, 1, 0, 1, 3, 3), part="absolute")
 
 
 class TestPositivity:
     def grid(self):
         return Grid2T(0.0, 6 * math.pi, 0.0, 6 * math.pi, 41, 41)
 
+    def check(self, sol):
+        return dr.positivity_check(sol, dr.current_grid(sol, self.grid()))
+
     def test_constructed_holding_case(self):
         sol = dr.solve_plane_wave((1.0, 0.0, 0.0), 1.0).rescaled(minus=-1j)
-        report = dr.positivity_check(sol, self.grid())
+        report = self.check(sol)
         assert report.holds == (True, True)
         assert report.min_j1 >= -1e-10
         assert report.min_j2 >= -1e-10
@@ -200,7 +209,7 @@ class TestPositivity:
 
     def test_pure_branch_marginal(self):
         sol = dr.solve_plane_wave((1.0, 0.0, 0.0), 1.0).rescaled(minus=0.0)
-        report = dr.positivity_check(sol, self.grid())
+        report = self.check(sol)
         assert report.lhs_im == pytest.approx(0.0, abs=1e-14)
         assert report.rhs_im == pytest.approx(0.0, abs=1e-14)
         assert report.holds[0]
@@ -209,18 +218,17 @@ class TestPositivity:
     def test_constructed_violating_case(self):
         k3 = math.sqrt(0.3 ** 2 + 1.2 ** 2 - 1.0)
         sol = dr.solve_plane_wave((0.3, 1.2, k3), 1.0).rescaled(minus=0.0)
-        report = dr.positivity_check(sol, self.grid())
+        report = self.check(sol)
         assert not report.holds[0]
         assert report.min_j1 < -1e-6
 
     def test_inequalities_predict_grid_minimum(self):
         rng = np.random.default_rng(5)
-        grid = self.grid()
         for _ in range(10):
             k, m = random_on_shell(rng)
             sol = dr.solve_plane_wave(k, m).rescaled(
                 plus=complex(*rng.normal(size=2)), minus=complex(*rng.normal(size=2)))
-            report = dr.positivity_check(sol, grid)
+            report = self.check(sol)
             if report.holds[0] and report.sign_im >= 0:
                 assert report.min_j1 >= -1e-10
             if not report.holds[0] and report.rhs_im < report.lhs_im * 0.99:
@@ -235,7 +243,7 @@ class TestEffectiveHamiltonian:
 
     def test_defect_driven_by_first_product(self):
         # g1 g2 is anti-Hermitian (it drives the defect), g1 g3 is Hermitian
-        g = dr.gamma_set()
+        g = dr.GAMMAS
         p12, p13 = g.g1 @ g.g2, g.g1 @ g.g3
         assert np.max(np.abs(p12 + p12.conj().T)) == 0.0
         assert np.max(np.abs(p13 - p13.conj().T)) == 0.0
@@ -253,48 +261,85 @@ class TestEffectiveHamiltonian:
 
 class TestModeMass:
     def test_worked_values(self):
-        assert dr.effective_mode_mass(1.0, 0.0).m_eff == pytest.approx(1.0)
-        assert dr.effective_mode_mass(1.0, 1.0).m_eff == pytest.approx(0.0, abs=1e-15)
-        assert dr.effective_mode_mass(1.0, 0.6).m_eff == pytest.approx(0.8, abs=1e-12)
+        m_eff = dr.effective_mode_mass(1.0, np.array([0.0, 1.0, 0.6])).m_eff
+        assert m_eff[0] == pytest.approx(1.0)
+        assert m_eff[1] == pytest.approx(0.0, abs=1e-15)
+        assert m_eff[2] == pytest.approx(0.8, abs=1e-12)
+
+    def test_closed_form_per_row(self):
+        # omega = 0, the boundary m c^2 / hbar and tachyonic rows beyond it
+        m, hbar, c = 1.1, 0.7, 1.3
+        boundary = m * c ** 2 / hbar
+        omegas = [0.0, 0.25, boundary, 1.5 * boundary, 3.0]
+        mode = dr.effective_mode_mass(m, np.array(omegas), hbar, c)
+        R = 2.0 * math.pi * hbar / (m * c)
+        for i, omega in enumerate(omegas):
+            m_eff_sq = m ** 2 - (hbar * omega / c ** 2) ** 2
+            tau = math.inf if omega == 0 else 2.0 * math.pi / omega
+            assert mode.tachyonic[i] == (m_eff_sq < 0) == (omega > boundary)
+            if m_eff_sq < 0:
+                assert math.isnan(mode.m_eff[i])
+            else:
+                assert mode.m_eff[i] == math.sqrt(m_eff_sq)
+            assert mode.tau[i] == tau
+            assert mode.R[i] == R
+            assert mode.c_tau_gt_R[i] == float(c * tau > R)
+        assert mode.tachyonic.tolist() == [False, False, False, True, True]
+        assert mode.classification_consistent.all()
 
     def test_tachyonic_beyond_cutoff(self):
-        mode = dr.effective_mode_mass(1.0, 1.5)
-        assert mode.tachyonic
-        assert math.isnan(mode.m_eff)
-        assert mode.c_tau_gt_R is False
+        mode = dr.effective_mode_mass(1.0, np.array([1.5]))
+        assert mode.tachyonic[0]
+        assert math.isnan(mode.m_eff[0])
+        assert mode.c_tau_gt_R[0] == 0.0
 
     def test_zero_frequency_trivially_fine(self):
-        mode = dr.effective_mode_mass(2.0, 0.0)
-        assert not mode.tachyonic
-        assert math.isinf(mode.tau)
-        assert mode.classification_consistent
+        mode = dr.effective_mode_mass(2.0, np.array([0.0]))
+        assert not mode.tachyonic[0]
+        assert math.isinf(mode.tau[0])
+        assert mode.classification_consistent[0]
 
     def test_massless_with_mode_is_tachyonic(self):
-        mode = dr.effective_mode_mass(0.0, 0.5)
-        assert mode.tachyonic
-        assert mode.classification_consistent
+        mode = dr.effective_mode_mass(0.0, np.array([0.0, 0.5]))
+        assert mode.tachyonic.tolist() == [False, True]
+        assert math.isnan(mode.c_tau_gt_R[0])  # c tau and R both infinite
+        assert mode.classification_consistent.all()
 
     def test_classification_agreement_sweep(self):
+        omegas = np.linspace(0.0, 4.0, 81)
         for hbar, c in ((1.0, 1.0), (0.3, 2.0), (2.5, 0.7)):
             for m in (0.5, 1.0, 3.0):
-                for omega in np.linspace(0.0, 4.0, 81):
-                    mode = dr.effective_mode_mass(m, float(omega), hbar, c)
-                    assert mode.classification_consistent
-                    boundary = m * c ** 2 / hbar
-                    assert mode.tachyonic == (omega > boundary)
+                mode = dr.effective_mode_mass(m, omegas, hbar, c)
+                assert mode.classification_consistent.all()
+                boundary = m * c ** 2 / hbar
+                np.testing.assert_array_equal(mode.tachyonic, omegas > boundary)
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(DomainError):
-            dr.effective_mode_mass(-1.0, 0.5)
+            dr.effective_mode_mass(-1.0, np.array([0.5]))
+        with pytest.raises(DomainError):
+            dr.effective_mode_mass(1.0, np.array([0.5, -0.5]))
 
     @pytest.mark.parametrize("args, quantity", [
-        ((1e308, 1.0), "m^2"),
-        ((1.0, 1e308), "(hbar omega / c^2)^2"),
-        ((1.0, 1e300, 1e10), "(hbar omega / c^2)^2"),
-        ((1.0, 1.0, 1.0, 1e200), "c^2"),
+        ((1e308, np.array([1.0])), "m^2"),
+        ((1.0, np.array([0.0, 1e308])), "(hbar omega / c^2)^2"),
+        ((1.0, np.array([1.0, 1e300]), 1e10), "(hbar omega / c^2)^2"),
+        ((1.0, np.array([1.0]), 1.0, 1e200), "c^2"),
     ])
     def test_overflow_names_quantity(self, args, quantity):
         with pytest.raises(EvaluationError, match=re.escape(quantity) + " overflows"):
+            dr.effective_mode_mass(*args)
+
+    def test_overflow_message_names_first_row(self):
+        with pytest.raises(EvaluationError, match=re.escape(r"overflows: (2.5e+306)^2")):
+            dr.effective_mode_mass(1.0, np.linspace(0.0, 1e308, 41))
+
+    @pytest.mark.parametrize("args, quantity", [
+        ((1e-170, np.array([0.0, 1.0])), "m^2"),
+        ((1.0, np.array([0.0, 1.0]), 1.0, 1e-200), "c^2"),
+    ])
+    def test_underflow_names_quantity(self, args, quantity):
+        with pytest.raises(EvaluationError, match="^" + re.escape(quantity) + " underflows to 0$"):
             dr.effective_mode_mass(*args)
 
 
@@ -305,12 +350,59 @@ class TestDensitySeparability:
         for _ in range(5):
             k, m = random_on_shell(rng)
             sol = dr.solve_plane_wave(k, m).rescaled(minus=complex(*rng.normal(size=2)))
-            report = dr.dirac_density_separability(sol, grid)
+            field = CurrentField(grid, *dr.current_grid(sol, grid))
+            report = dr.dirac_density_separability(field)
             assert report.separability.residual < 1e-8
             assert report.total_fit.residual < 1e-8
 
     def test_zero_spinors_zero_density(self):
         sol = dr.solve_plane_wave((1, 1, 1), 1.0).rescaled(plus=0.0, minus=0.0)
         grid = Grid2T(0, 3, 0, 3, 9, 9, x_min=-2, x_max=2, nx=9)
-        report = dr.dirac_density_separability(sol, grid)
+        report = dr.dirac_density_separability(CurrentField(grid, *dr.current_grid(sol, grid)))
         np.testing.assert_allclose(report.rho, 0.0, atol=1e-15)
+
+    def test_grid_without_space_rejected_by_current_field(self):
+        sol = dr.solve_plane_wave((1, 1, 1), 1.0)
+        grid = Grid2T(0, 3, 0, 3, 9, 9)
+        with pytest.raises(DomainError, match="space axis"):
+            dr.dirac_density_separability(CurrentField(grid, *dr.current_grid(sol, grid)))
+
+
+class TestWorkCounts:
+    """A run computes each quantity once: counting wrappers around a dirac
+    run of a wave with both rescales on a 13 x 21 x 21 grid."""
+
+    @staticmethod
+    def count(monkeypatch, calls, owner, name, tag):
+        original = getattr(owner, name)
+        calls[tag] = 0
+
+        def counted(*args, **kwargs):
+            calls[tag] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    @pytest.mark.parametrize("part, samples", [("imaginary", 1), ("real", 2)])
+    def test_dirac_run(self, monkeypatch, part, samples):
+        calls = {}
+        for owner, name, tag in ((dr, "current_grid", "current_grid"),
+                                 (dr, "_on_shell_residual", "on_shell"),
+                                 (dr, "_bilinear_coeffs", "bilinear_triples"),
+                                 (dr.PlaneWaveSolution, "__init__", "wave_builds"),
+                                 (dr.GammaSet, "__init__", "gamma_builds")):
+            self.count(monkeypatch, calls, owner, name, tag)
+        k = (1.3, -0.7, -math.sqrt(1.3 ** 2 + 0.7 ** 2 - 0.9 ** 2))
+        grid = Grid2T(0.0, 6.0, 0.0, 6.0, 21, 21, x_min=-2.0, x_max=2.0, nx=13)
+        dr.run_dirac(Tolerances(), (k, 0.9, part, {"plus": 0.4 - 1.2j, "minus": -0.8 + 0.5j}),
+                     grid)
+        assert calls == {"current_grid": samples, "on_shell": 2, "bilinear_triples": 6,
+                         "wave_builds": 2, "gamma_builds": 0}
+
+    def test_mass_spectrum_one_array_call(self, monkeypatch):
+        calls = {}
+        self.count(monkeypatch, calls, dr, "effective_mode_mass", "mode_mass")
+        omegas = np.linspace(0.0, 2.0, 41)
+        results, (_, _, fields) = dr.run_mass_spectrum((1.0, 1.0, 1.0, omegas))
+        assert calls == {"mode_mass": 1}
+        assert results["count"] == 41 and all(f.shape == (41,) for f in fields)

@@ -1,8 +1,9 @@
 """A process imports only the layers its command runs.
 
 Without a bytecode cache every imported module is compiled, so ``cli.py``
-imports no layer but ``core`` at module level; each function that calls
-``classical``, ``quantum``, ``continuity`` or ``dirac`` imports it itself.
+imports no layer but ``core`` at module level; its command table and the
+parsers that build layer objects look ``classical``, ``quantum``,
+``continuity`` or ``dirac`` up through ``cli._layer`` when a command runs.
 The package imports a layer on its first attribute lookup.  The checks run
 in fresh interpreters, since this one has imported every layer already."""
 
