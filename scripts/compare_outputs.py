@@ -6,17 +6,17 @@ Exports <rev> with ``git archive`` into a temporary directory, then runs
 every bundled scenario in csv and in json, and each config given after the
 revision in both formats, under both trees with ``PYTHONPATH`` set to that
 tree's ``src``.  Each run compares the exit code, stdout, every data file
-byte for byte, the report's ``comparable`` section and, for a run that
-exits non-zero, the last line of stderr (the CLI's failure message), and
+byte for byte, the report's ``comparable`` section as serialized JSON text
+(so -0.0 against 0.0 differs) and, for a run that exits non-zero, the last line of stderr (the CLI's failure message), and
 prints one line.
 A line for a run that differs ends with how many numbers at the same place
 (same key path, or same row and column) in the ``comparable`` sections and
 the data files of both trees turned from NaN into a number or back, and the
 largest absolute difference between the other numbers at the same place:
 that difference relative to the revision's value, the file and place where
-it lies, and both values.  Where no number differs, the line names the
-first place whose text differs, with both texts, or else both failure
-messages.
+it lies, and both values.  Where no number differs in value, the line
+names the first place whose text differs (a string, or a number such as a
+zero that changed sign), with both texts, or else both failure messages.
 The exit status is 1 if any run differs, 0 otherwise.  All output stays in
 the temporary directory, which is removed at the end.
 """
@@ -93,7 +93,9 @@ def values(name: str, data: bytes, report: str):
     """({place: float}, {place: str}) for the cells of one output file: the
     leaves of the report's ``comparable`` section or of a json table, the
     cells of a csv table.  Numbers written as strings ("0.5", "nan") count
-    as numbers; booleans and other non-string leaves as neither."""
+    as numbers; every leaf but a boolean keeps its text, as written in the
+    file or serialized by json, so a change of text alone (the sign of a
+    zero) has a place too."""
     if name == report:
         cells = _leaves(json.loads(data)["comparable"])
     elif name.endswith(".json"):
@@ -105,11 +107,11 @@ def values(name: str, data: bytes, report: str):
     for place, value in cells:
         if isinstance(value, bool):
             continue
+        texts[place] = value if isinstance(value, str) else json.dumps(value)
         try:
             numbers[place] = float(value)
         except (TypeError, ValueError):
-            if isinstance(value, str):
-                texts[place] = value
+            pass
     return numbers, texts
 
 
@@ -159,8 +161,8 @@ def differences(config: str, a, b):
     flips, largest, text = 0, None, None
     for name in sorted(set(files_a) & set(files_b)):
         if name == report:
-            same = (json.loads(files_a[name])["comparable"]
-                    == json.loads(files_b[name])["comparable"])
+            same = (json.dumps(json.loads(files_a[name])["comparable"])
+                    == json.dumps(json.loads(files_b[name])["comparable"]))
         else:
             same = files_a[name] == files_b[name]
         if not same:

@@ -119,7 +119,8 @@ class PlaneWaveSolution:
     build checks both and the on-shell relation, and keeps the relation's
     residual and, per current component mu, the coefficients (a, b, c) of
     Psi^dag(-x) g3 g_mu Psi(x) (see _bilinear_coeffs); k and the spinors
-    are read-only copies, so the two cannot go stale.
+    are read-only copies, so the two cannot go stale.  A spinor norm or a
+    current bound that overflows is an EvaluationError naming it.
     """
 
     k: np.ndarray
@@ -137,28 +138,35 @@ class PlaneWaveSolution:
             a.flags.writeable = False
         residual = _on_shell_residual(k, m, tol)
         op = momentum_operator(k)
-        for name, op_signed, spinor in (("psi_plus", -op, pp), ("psi_minus", op, pm)):
-            norm = np.linalg.norm(spinor)
-            if norm > 0:
-                defect = float(np.linalg.norm((op_signed - m * np.eye(2)) @ spinor)) / norm
-                if defect > 1e-8 * max(1.0, abs(m), float(np.max(np.abs(k)))):
-                    raise DomainError(f"{name} is not in the kernel of its branch operator "
-                                      f"(defect {defect:.3e})")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, op_signed, spinor in (("psi_plus", -op, pp), ("psi_minus", op, pm)):
+                norm = finite(float(np.linalg.norm(spinor)), f"the norm |{name}|")
+                if norm > 0:
+                    defect = float(np.linalg.norm((op_signed - m * np.eye(2)) @ spinor)) / norm
+                    if defect > 1e-8 * max(1.0, abs(m), float(np.max(np.abs(k)))):
+                        raise DomainError(f"{name} is not in the kernel of its branch operator "
+                                          f"(defect {defect:.3e})")
+            coeffs = tuple(_bilinear_coeffs(pp, pm, h) for h in _CURRENT_MATRICES)
+            # every partial sum of a e^{2i phi} + b e^{-2i phi} + c is at most the sum
+            # of |Re| and |Im| over a, b, c, which names an overflow before sampling
+            finite(float(np.max(np.sum(np.abs(np.array(coeffs).view(float)), axis=1))),
+                   "the current bound |a| + |b| + |c|")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "m", float(m))
         object.__setattr__(self, "psi_plus", pp)
         object.__setattr__(self, "psi_minus", pm)
         object.__setattr__(self, "on_shell_residual", residual)
-        object.__setattr__(self, "coeffs",
-                           tuple(_bilinear_coeffs(pp, pm, h) for h in _CURRENT_MATRICES))
+        object.__setattr__(self, "coeffs", coeffs)
 
     def phase(self, pos) -> np.ndarray:
         """k.x = k1 t1 + k2 t2 + k3 x for position (t1, t2, x)."""
         pos = np.asarray(pos, dtype=float)
         return pos[..., 0] * self.k[0] + pos[..., 1] * self.k[1] + pos[..., 2] * self.k[2]
 
-    def rescaled(self, plus: complex = 1.0, minus: complex = 1.0) -> "PlaneWaveSolution":
-        return PlaneWaveSolution(self.k, self.m, plus * self.psi_plus, minus * self.psi_minus)
+    def rescaled(self, plus: complex = 1.0, minus: complex = 1.0,
+                 tol: Tolerances = Tolerances()) -> "PlaneWaveSolution":
+        return PlaneWaveSolution(self.k, self.m, plus * self.psi_plus, minus * self.psi_minus,
+                                 tol)
 
 
 @dataclass(frozen=True)
@@ -400,7 +408,7 @@ def run_dirac(tol: Tolerances, wave, grid: Grid2T):
     k, m, part, rescales = wave
     sol = solve_plane_wave(k, m, tol)
     if rescales:
-        sol = sol.rescaled(**rescales)
+        sol = sol.rescaled(**rescales, tol=tol)
     current = current_grid(sol, grid, part)
     field = CurrentField(grid, *current)
     positivity = positivity_check(

@@ -28,17 +28,15 @@ from .core import (DomainError, EvaluationError, Grid2T, TimePlanePoint, finite,
 
 __all__ = [
     "TwoTimeQuantumSystem",
-    "SpacingPair",
-    "ElementCharacteristic",
     "StateVector",
     "FluctuationTrace",
     "UncertaintyBudget",
     "AngleWidthReport",
     "Visibility",
     "UncertaintyDomainError",
+    "evolved_elements",
     "evolve_element",
-    "element_characteristic",
-    "inverse_rotate_times",
+    "element_times",
     "tau2_dependence",
     "variance_trace",
     "uncertainty_visibility",
@@ -92,35 +90,10 @@ class TwoTimeQuantumSystem:
     def n_levels(self) -> int:
         return self.E1.size
 
-    def spacing(self, n: int, m: int) -> "SpacingPair":
-        return SpacingPair(d1=float(self.E1[n] - self.E1[m]),
-                           d2=float(self.E2[n] - self.E2[m]), n=n, m=m)
-
     def spacing_matrices(self):
         d1 = np.subtract.outer(self.E1, self.E1)
         d2 = np.subtract.outer(self.E2, self.E2)
         return d1, d2
-
-
-@dataclass(frozen=True)
-class SpacingPair:
-    """Level-spacing pair (E1^n - E1^m, E2^n - E2^m) for one element."""
-
-    d1: float
-    d2: float
-    n: int
-    m: int
-
-
-@dataclass(frozen=True)
-class ElementCharacteristic:
-    """Per-element direction data: the plane field (d2, -d1), its norm and
-    the rotation angle theta with cos = d1/norm, sin = d2/norm."""
-
-    field: np.ndarray
-    norm: float
-    theta: float
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -149,7 +122,6 @@ class StateVector:
 class FluctuationTrace:
     """Sampled first and second moments of an observable over a grid."""
 
-    grid: Grid2T
     mean: np.ndarray
     second_moment: np.ndarray
     variance: np.ndarray
@@ -211,62 +183,56 @@ class Visibility(str, Enum):
 # operations
 # ---------------------------------------------------------------------------
 
-def evolve_element(sys: TwoTimeQuantumSystem, n: int, m: int,
-                   at: TimePlanePoint, hbar: float = 1.0) -> complex:
-    """Element n, m of the evolved observable; its modulus never changes."""
-    if hbar <= 0:
-        raise DomainError("hbar must be positive")
-    sp = sys.spacing(n, m)
-    phase = (sp.d1 * at.t1 + sp.d2 * at.t2) / hbar
-    return complex(sys.X0[n, m] * np.exp(1j * phase))
+def evolved_elements(sys: TwoTimeQuantumSystem, t1, t2, hbar: float = 1.0) -> np.ndarray:
+    """Every element of the evolved observable, X0 exp(i (d1 t1 + d2 t2) / hbar).
 
-
-def element_characteristic(sys: TwoTimeQuantumSystem, n: int, m: int) -> ElementCharacteristic:
-    """Plane direction (d2, -d1) picked by element (n, m), with its angle."""
-    sp = sys.spacing(n, m)
-    norm = math.hypot(sp.d1, sp.d2)
-    fieldvec = np.array([sp.d2, -sp.d1])
-    if norm == 0.0:
-        return ElementCharacteristic(field=fieldvec, norm=0.0, theta=0.0, degenerate=True)
-    theta = math.atan2(sp.d2, sp.d1)
-    return ElementCharacteristic(field=fieldvec, norm=norm, theta=theta, degenerate=False)
-
-
-def inverse_rotate_times(ec: ElementCharacteristic, tau1: float, tau2: float) -> TimePlanePoint:
-    """Time-plane point with rotated coordinates (tau1, tau2); the element
-    depends on tau1 only."""
-    if ec.degenerate:
-        raise DomainError("degenerate characteristic has no rotation angle")
-    ct, st = math.cos(ec.theta), math.sin(ec.theta)
-    return TimePlanePoint(ct * tau1 - st * tau2, st * tau1 + ct * tau2)
-
-
-# rotated coordinates of the two time-plane points tau2_dependence compares:
-# one shared tau1, two tau2 values
-_PROBE_TAU1 = 0.37
-_PROBE_TAU2 = (0.21, -0.83)
-
-
-def tau2_dependence(sys: TwoTimeQuantumSystem, hbar: float = 1.0) -> float:
-    """Largest change of any element with a non-degenerate spacing pair
-    between the two time-plane points whose rotated coordinates are
-    (tau1, tau2) = (0.37, 0.21) and (0.37, -0.83).
-
-    Each element depends on its own tau1 only, so this is an identity that
-    holds by construction: the result measures the rounding of the rotation
-    and of the phases, never a physical tau2 dependence.  Degenerate pairs,
-    which have no rotation angle, are left out.
+    t1 and t2 broadcast against the (n, n) spacing matrices, so scalars
+    give all elements at one time-plane point and (n, n) arrays put each
+    element at a point of its own.  No element's modulus ever changes.
     """
     if hbar <= 0:
         raise DomainError("hbar must be positive")
     d1, d2 = sys.spacing_matrices()
+    return sys.X0 * np.exp(1j * ((d1 * t1 + d2 * t2) / hbar))
+
+
+# the span BENCHMARK.json's per-layer metric quantum.evolve_element.calls
+# reads, without which `benchmarks/run.py --trace 1` stops; the alias goes
+# once the benchmark names evolved_elements instead
+evolve_element = evolved_elements
+
+
+def element_times(sys: TwoTimeQuantumSystem, tau1, tau2):
+    """Per-element time-plane points (t1, t2) whose coordinates, rotated
+    onto the element's spacing direction (d1, d2), are (tau1, tau2).
+
+    The element depends on tau1 only.  A degenerate pair (d1 = d2 = 0) has
+    no direction and takes the zero angle; its element is constant anyway.
+    """
+    d1, d2 = sys.spacing_matrices()
     theta = np.arctan2(d2, d1)
     ct, st = np.cos(theta), np.sin(theta)
-    tau1 = _PROBE_TAU1
-    phases = [(d1 * (ct * tau1 - st * t2) + d2 * (st * tau1 + ct * t2)) / hbar
-              for t2 in _PROBE_TAU2]
-    change = np.abs(sys.X0 * np.exp(1j * phases[0]) - sys.X0 * np.exp(1j * phases[1]))
-    return float(np.max(change, where=(d1 != 0.0) | (d2 != 0.0), initial=0.0))
+    return ct * tau1 - st * tau2, st * tau1 + ct * tau2
+
+
+# rotated coordinates of the two time-plane points tau2_dependence compares:
+# one shared tau1, two tau2 values on a leading axis, so one call takes both
+_PROBE_TAU1 = 0.37
+_PROBE_TAU2 = np.array((0.21, -0.83))[:, None, None]
+
+
+def tau2_dependence(sys: TwoTimeQuantumSystem, hbar: float = 1.0) -> float:
+    """Largest change of any element between the two time-plane points
+    whose rotated coordinates are (tau1, tau2) = (0.37, 0.21) and
+    (0.37, -0.83).
+
+    Each element depends on its own tau1 only, so this is an identity that
+    holds by construction: the result measures the rounding of the rotation
+    and of the phases, never a physical tau2 dependence.  Degenerate pairs
+    have a zero phase at both points and so change by exactly 0.
+    """
+    a, b = evolved_elements(sys, *element_times(sys, _PROBE_TAU1, _PROBE_TAU2), hbar)
+    return float(np.max(np.abs(a - b)))
 
 
 def variance_trace(sys: TwoTimeQuantumSystem, psi: StateVector, grid: Grid2T,
@@ -309,7 +275,7 @@ def variance_trace(sys: TwoTimeQuantumSystem, psi: StateVector, grid: Grid2T,
         raise DomainError("mean acquired an imaginary part; X0 is not Hermitian enough")
     if np.min(variance) < -1e-10:
         raise DomainError("variance went negative; X0 is not Hermitian enough")
-    return FluctuationTrace(grid=grid, mean=mean, second_moment=second, variance=variance)
+    return FluctuationTrace(mean=mean, second_moment=second, variance=variance)
 
 
 def uncertainty_visibility(budget: UncertaintyBudget) -> Visibility:

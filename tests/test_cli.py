@@ -551,6 +551,27 @@ n2 = 5
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("scale, quantity", [
+        ("1e200 0", "the norm |psi_plus|"), ("1.2e154 0", "the current bound |a| + |b| + |c|"),
+    ], ids=["spinor_norm", "current_bound"])
+    def test_overflowing_wave_exits_4_without_warnings(self, tmp_path, capsys, scale, quantity):
+        config = write(tmp_path, "huge_wave.ini", "[scenario]\ncommand = dirac\n[wave]\nk = 1 0 0\n"
+                       f"m = 1\nrescale_plus = {scale}\nrescale_minus = {scale}\n" + GRID
+                       + "x_min = -1\nx_max = 1\nnx = 5\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["dirac", "--config", config, "--out", str(tmp_path)]) == 4
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == f"numerical failure: {quantity} overflows: got inf\n"
+
+    def test_rescaled_wave_keeps_run_tolerances(self, tmp_path):
+        # on-shell residual -4.0e-6: inside abs_tol 1e-8 (bound 1e-4), outside the default
+        config = write(tmp_path, "loose.ini", "[scenario]\ncommand = dirac\n[wave]\n"
+                       "k = 100 0 99.99499989499375\nm = 1\nrescale_plus = 2 0\n"
+                       "rescale_minus = 0 -1\n[tolerances]\nabs_tol = 1e-8\n" + GRID
+                       + "x_min = -1\nx_max = 1\nnx = 5\n")
+        assert cli.main(["dirac", "--config", config, "--out", str(tmp_path)]) == 0
+
     def test_sweep_count_over_cap_exits_3(self, tmp_path, capsys, monkeypatch):
         # [sweep] count is capped as [grid] is, before its omega array exists
         config = write(tmp_path, "vast.ini", "[scenario]\ncommand = mass-spectrum\n[sweep]\n"

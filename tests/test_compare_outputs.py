@@ -1,6 +1,7 @@
 """The output comparison script counts NaN flips, names where its largest
-finite difference lies, names a changed text where no number moved, and
-compares the failure message of a run that exits non-zero."""
+finite difference lies, names a changed text where no number moved (a zero
+that changed sign among them), and compares the failure message of a run
+that exits non-zero."""
 
 import importlib.util
 import json
@@ -77,6 +78,18 @@ def test_changed_text_leaf_named(tmp_path):
     assert found == ["stdout", "r.json comparable"]
     assert summary == ("text differs at r.json results.discrepancy: "
                        "'printed=[0. 0.]' -> 'printed=[0.0, 0.0]'")
+
+
+def test_sign_of_zero_named(tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text("[scenario]\ncommand = dirac\n[output]\nreport = r.json\n")
+    old = {"comparable": {"results": {"psi_plus": [[0.5, 0.0], [0.5, 0.0]]}}}
+    new = {"comparable": {"results": {"psi_plus": [[0.5, 0.0], [0.5, -0.0]]}}}
+    found, summary = compare_outputs.differences(
+        str(config), run(b"", {"r.json": json.dumps(old).encode(), "t.csv": b"t,j\n0,0\n"}),
+        run(b"", {"r.json": json.dumps(new).encode(), "t.csv": b"t,j\n0,-0\n"}))
+    assert found == ["r.json comparable", "t.csv"]
+    assert summary == "text differs at r.json results.psi_plus.1.1: '0.0' -> '-0.0'"
 
 
 def test_changed_failure_message_named(tmp_path):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 
@@ -43,132 +44,144 @@ def measure_swept_phase(budget, samples=4001):
 
 
 class TestEvolveElement:
+    """evolved_elements, read element by element."""
+
     def test_diagonal_elements_frozen(self):
         sys_ = q.TwoTimeQuantumSystem([0, 1], [0, 2], [[0.5, 1], [1, -0.5]])
-        for t in (TimePlanePoint(0, 0), TimePlanePoint(3.2, -1.1)):
-            assert q.evolve_element(sys_, 0, 0, t) == pytest.approx(0.5)
-            assert q.evolve_element(sys_, 1, 1, t) == pytest.approx(-0.5)
+        for t1, t2 in ((0, 0), (3.2, -1.1)):
+            x = q.evolved_elements(sys_, t1, t2)
+            assert x[0, 0] == pytest.approx(0.5)
+            assert x[1, 1] == pytest.approx(-0.5)
 
     def test_full_turn_phase(self):
         sys_ = q.TwoTimeQuantumSystem([0, 1], [0, 2], [[0, 1], [1, 0]])
-        got = q.evolve_element(sys_, 1, 0, TimePlanePoint(2 * math.pi, 0.0))
+        got = q.evolved_elements(sys_, 2 * math.pi, 0.0)[1, 0]
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_modulus_time_independent(self):
         rng = np.random.default_rng(1)
         sys_ = random_system(rng)
         for _ in range(20):
-            n, m = rng.integers(0, 4, size=2)
-            t = TimePlanePoint(*rng.uniform(-5, 5, size=2))
-            assert abs(q.evolve_element(sys_, n, m, t)) == pytest.approx(abs(sys_.X0[n, m]), abs=1e-12)
+            t1, t2 = rng.uniform(-5, 5, size=2)
+            np.testing.assert_allclose(np.abs(q.evolved_elements(sys_, t1, t2)),
+                                       np.abs(sys_.X0), rtol=0, atol=1e-12)
+
+    def test_each_element_at_its_own_point(self):
+        rng = np.random.default_rng(5)
+        sys_ = random_system(rng)
+        t1, t2 = rng.uniform(-5, 5, size=(2, 4, 4))
+        hbar = 0.6
+        got = q.evolved_elements(sys_, t1, t2, hbar)
+        for n in range(4):
+            for m in range(4):
+                assert got[n, m] == q.evolved_elements(sys_, t1[n, m], t2[n, m], hbar)[n, m]
 
     def test_mixed_partial_matches_spacing_product(self):
         rng = np.random.default_rng(2)
         sys_ = random_system(rng)
+        d1, d2 = sys_.spacing_matrices()
         hbar = 0.7
         h = 1e-4
         for _ in range(10):
             n, m = rng.integers(0, 4, size=2)
-            sp = sys_.spacing(n, m)
-            if abs(sp.d1 * sp.d2) < 1e-3 or abs(sys_.X0[n, m]) < 1e-3:
+            if abs(d1[n, m] * d2[n, m]) < 1e-3 or abs(sys_.X0[n, m]) < 1e-3:
                 continue
             t1, t2 = rng.uniform(-1, 1, size=2)
-            f = lambda a, b: q.evolve_element(sys_, n, m, TimePlanePoint(a, b), hbar)
+            f = lambda a, b: q.evolved_elements(sys_, a, b, hbar)[n, m]
             mixed = (f(t1 + h, t2 + h) - f(t1 + h, t2 - h)
                      - f(t1 - h, t2 + h) + f(t1 - h, t2 - h)) / (4 * h * h)
-            expected = f(t1, t2) * (1j * sp.d1 / hbar) * (1j * sp.d2 / hbar)
+            expected = f(t1, t2) * (1j * d1[n, m] / hbar) * (1j * d2[n, m] / hbar)
             assert abs(mixed - expected) / abs(expected) < 1e-4
 
     def test_antisymmetric_plane_constraint(self):
         # d1 * d(x)/dt2 - d2 * d(x)/dt1 vanishes for every element
         rng = np.random.default_rng(3)
         sys_ = random_system(rng)
+        d1, d2 = sys_.spacing_matrices()
         h = 1e-5
         for _ in range(10):
-            n, m = rng.integers(0, 4, size=2)
-            sp = sys_.spacing(n, m)
             t1, t2 = rng.uniform(-1, 1, size=2)
-            f = lambda a, b: q.evolve_element(sys_, n, m, TimePlanePoint(a, b))
+            f = lambda a, b: q.evolved_elements(sys_, a, b)
             d1x = (f(t1 + h, t2) - f(t1 - h, t2)) / (2 * h)
             d2x = (f(t1, t2 + h) - f(t1, t2 - h)) / (2 * h)
-            assert abs(sp.d1 * d2x - sp.d2 * d1x) < 1e-4
+            assert np.max(np.abs(d1 * d2x - d2 * d1x)) < 1e-4
+
+    def test_nonpositive_hbar_rejected(self):
+        with pytest.raises(DomainError):
+            q.evolved_elements(random_system(np.random.default_rng(1)), 0.3, 0.4, hbar=0.0)
 
 
 class TestElementCharacteristic:
+    """The spacing direction of each element, as element_times rotates onto it."""
+
     def test_worked_pair(self):
+        # element (1, 0) has spacings (1, 2): its rotated tau1 axis is (1, 2) / sqrt(5)
         sys_ = q.TwoTimeQuantumSystem([0, 1], [0, 2], [[0, 1], [1, 0]])
-        ec = q.element_characteristic(sys_, 1, 0)
-        np.testing.assert_allclose(ec.field, [2.0, -1.0])
-        assert ec.norm == pytest.approx(math.sqrt(5))
-        assert math.cos(ec.theta) == pytest.approx(1 / math.sqrt(5))
+        t1, t2 = q.element_times(sys_, 1.0, 0.0)
+        assert (t1[1, 0], t2[1, 0]) == pytest.approx((1 / math.sqrt(5), 2 / math.sqrt(5)))
 
     def test_diagonal_degenerate(self):
         sys_ = q.TwoTimeQuantumSystem([0, 1], [0, 2], [[0, 1], [1, 0]])
-        assert q.element_characteristic(sys_, 0, 0).degenerate
+        t1, t2 = q.element_times(sys_, 0.3, -0.8)
+        assert (t1[0, 0], t2[0, 0]) == (0.3, -0.8)
+        assert (t1[1, 1], t2[1, 1]) == (0.3, -0.8)
 
     def test_proportional_spectra_single_direction(self):
         eps = 0.37
         e2 = np.array([0.0, 1.0, 2.5, 4.1])
         e1 = eps * e2 + 3.0
         sys_ = q.TwoTimeQuantumSystem(e1, e2, np.eye(4))
-        angles = []
-        for n in range(4):
-            for m in range(4):
-                ec = q.element_characteristic(sys_, n, m)
-                if not ec.degenerate:
-                    angles.append(ec.theta % math.pi)
-        assert len(angles) > 0
-        spread = max(angles) - min(angles)
+        d1, d2 = sys_.spacing_matrices()
+        t1, t2 = q.element_times(sys_, 1.0, 0.0)
+        angles = np.arctan2(t2, t1)[(d1 != 0) | (d2 != 0)] % math.pi
+        assert angles.size > 0
+        spread = np.max(angles) - np.min(angles)
         assert min(spread, math.pi - spread) < 1e-12
 
 
 class TestRotation:
     def test_zero_angle_identity(self):
-        ec = q.ElementCharacteristic(field=np.array([0.0, -1.0]), norm=1.0,
-                                     theta=0.0, degenerate=False)
-        at = q.inverse_rotate_times(ec, 0.3, -0.8)
-        assert (at.t1, at.t2) == pytest.approx((0.3, -0.8))
+        # E2 constant and E1 increasing: every pair n > m points along +t1
+        sys_ = q.TwoTimeQuantumSystem([0.0, 1.0, 2.5], [0.4, 0.4, 0.4], np.eye(3))
+        t1, t2 = q.element_times(sys_, 0.3, -0.8)
+        for n, m in ((1, 0), (2, 0), (2, 1)):
+            assert (t1[n, m], t2[n, m]) == pytest.approx((0.3, -0.8))
 
     @given(st.floats(-math.pi, math.pi), st.floats(-10, 10), st.floats(-10, 10))
     @settings(max_examples=50, deadline=None)
     def test_norm_preserved(self, theta, tau1, tau2):
-        ec = q.ElementCharacteristic(field=np.array([math.sin(theta), -math.cos(theta)]),
-                                     norm=1.0, theta=theta, degenerate=False)
-        at = q.inverse_rotate_times(ec, tau1, tau2)
-        assert at.t1 ** 2 + at.t2 ** 2 == pytest.approx(tau1 ** 2 + tau2 ** 2, abs=1e-9)
+        sys_ = q.TwoTimeQuantumSystem([math.cos(theta), 0.0], [math.sin(theta), 0.0], np.eye(2))
+        t1, t2 = q.element_times(sys_, tau1, tau2)
+        assert t1 ** 2 + t2 ** 2 == pytest.approx(np.full((2, 2), tau1 ** 2 + tau2 ** 2),
+                                                  abs=1e-9)
 
     def test_element_depends_on_tau1_only(self):
         rng = np.random.default_rng(4)
         sys_ = random_system(rng)
-        for n in range(4):
-            for m in range(4):
-                ec = q.element_characteristic(sys_, n, m)
-                if ec.degenerate:
-                    continue
-                tau1 = rng.uniform(-3, 3)
-                a = q.evolve_element(sys_, n, m, q.inverse_rotate_times(ec, tau1, rng.uniform(-3, 3)))
-                b = q.evolve_element(sys_, n, m, q.inverse_rotate_times(ec, tau1, rng.uniform(-3, 3)))
-                assert abs(a - b) < 1e-12 * max(1.0, abs(a))
-
-    def test_degenerate_rotation_rejected(self):
-        ec = q.ElementCharacteristic(field=np.zeros(2), norm=0.0, theta=0.0, degenerate=True)
-        with pytest.raises(DomainError):
-            q.inverse_rotate_times(ec, 1.0, 1.0)
+        tau1 = rng.uniform(-3, 3, size=(4, 4))
+        a = q.evolved_elements(sys_, *q.element_times(sys_, tau1, rng.uniform(-3, 3, (4, 4))))
+        b = q.evolved_elements(sys_, *q.element_times(sys_, tau1, rng.uniform(-3, 3, (4, 4))))
+        assert np.all(np.abs(a - b) < 1e-12 * np.maximum(1.0, np.abs(a)))
 
 
 class TestTau2Dependence:
     @staticmethod
     def per_element(sys_, hbar):
-        # reference: the per-element loop the array expression replaced
+        # reference: each element evolved on its own in scalar arithmetic
         tau1, tau2 = 0.37, (0.21, -0.83)
         worst = 0.0
         for n in range(sys_.n_levels):
             for m in range(sys_.n_levels):
-                ec = q.element_characteristic(sys_, n, m)
-                if ec.degenerate:
+                d1 = float(sys_.E1[n] - sys_.E1[m])
+                d2 = float(sys_.E2[n] - sys_.E2[m])
+                if d1 == 0.0 and d2 == 0.0:
                     continue
-                a = q.evolve_element(sys_, n, m, q.inverse_rotate_times(ec, tau1, tau2[0]), hbar)
-                b = q.evolve_element(sys_, n, m, q.inverse_rotate_times(ec, tau1, tau2[1]), hbar)
+                theta = math.atan2(d2, d1)
+                ct, st = math.cos(theta), math.sin(theta)
+                a, b = (complex(sys_.X0[n, m])
+                        * cmath.exp(1j * (d1 * (ct * tau1 - st * t2) + d2 * (st * tau1 + ct * t2))
+                                    / hbar)
+                        for t2 in tau2)
                 worst = max(worst, abs(a - b))
         return worst
 

@@ -1,9 +1,10 @@
 """The benchmark's tracer (benchmarks/tracing.py) wraps some private bodies by
-name, such as classical._field_report as the span classical.parallel_fields.
-A rename that drops one of them fails here, not only in traced benchmark
-runs."""
+name, such as classical._field_report as the span classical.parallel_fields,
+and BENCHMARK.json names the spans its per-layer metrics read.  A rename
+that drops one of them fails here, not only in traced benchmark runs."""
 
 import importlib.util
+import json
 import os
 
 import numpy as np
@@ -11,8 +12,8 @@ import numpy as np
 import bitempo
 from bitempo import classical as cl
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "benchmarks", "tracing.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACING = os.path.join(ROOT, "benchmarks", "tracing.py")
 
 
 def load_tracing():
@@ -38,3 +39,13 @@ def test_d2_classify_records_field_report_span():
     after = (cl.classify, cl._field_report, cl.ForceTensorField.derivative_tensor,
              cl.ForceTensorField.tensor_at)
     assert after == before
+
+
+def test_every_per_layer_span_is_traced():
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = [m["name"] for m in json.load(fh)["per_layer"]]
+    spans = set(load_tracing().Tracer(bitempo).span_names)
+    wanted = [name[:-len(".calls")] if name.endswith(".calls") else name[:-len("_s")]
+              for name in names
+              if name.endswith(".calls") or (name.endswith("_s") and not name.endswith(".self_s"))]
+    assert wanted and [span for span in wanted if span not in spans] == []
