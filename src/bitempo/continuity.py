@@ -190,13 +190,20 @@ def separability_check(rho, tol: Tolerances = Tolerances()) -> SeparabilityRepor
     over t2, r2 the mean over t1 less the mean over both.  The relative
     Frobenius residual measures how far the samples are from exact
     separability.  Accepts (n1, n2) arrays too, for time-plane-only fields.
+
+    The samples are first scaled by the power of two 2^-e of max|R|, as in
+    Blue's norm, so the squares in the norms stay finite for any finite
+    samples; a power of two scales exactly, and r1, r2 are scaled back.
     """
     R = _as_3d(rho)
+    e = int(np.frexp(np.max(np.abs(R)))[1])
+    R = np.ldexp(R, -e)
     scale = float(np.linalg.norm(R))
     r1 = R.mean(axis=2)
     r2 = R.mean(axis=1) - r1.mean(axis=1)[:, None]
     fit = r1[:, :, None] + r2[:, None, :]
     residual = float(np.linalg.norm(R - fit)) / max(scale, 1e-300)
+    r1, r2 = np.ldexp(r1, e), np.ldexp(r2, e)
     if np.asarray(rho).ndim == 2:
         r1, r2 = r1[0], r2[0]
     return SeparabilityReport(residual=residual, r1=r1, r2=r2, sweeps=1,

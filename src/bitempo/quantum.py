@@ -48,6 +48,8 @@ __all__ = [
 HERMITICITY_ATOL = 1e-12
 # share of a full turn below which uncertainty_visibility calls the phase frozen
 FROZEN_MARGIN = 0.1
+# complex elements (grid points x levels) of w and of y per block of variance_trace
+TRACE_BLOCK_ELEMENTS = 2 ** 15
 
 
 class UncertaintyDomainError(DomainError):
@@ -242,11 +244,18 @@ def variance_trace(sys: TwoTimeQuantumSystem, psi: StateVector, grid: Grid2T,
     The evolved observable is X(t) = D X0 D^dagger with the level phases
     D = diag(exp(i (E1 t1 + E2 t2) / hbar)).  The two generators commute, so
     D^dagger factors into one table per time axis, D1 = exp(-i E1 t1 / hbar)
-    (n1 x n) and D2 = exp(-i E2 t2 / hbar) (n2 x n), and one broadcast product
-    gives w = D^dagger psi = D1 D2 psi at every grid point.  One product with
-    X0 gives y = X0 w, and the moments are <X> = w^dagger X0 w = w^dagger y
-    and <X^2> = |X(t) psi|^2 = |X0 w|^2 = |y|^2; degenerate element pairs
-    contribute their constant terms exactly.
+    (n1 x n) and D2 = exp(-i E2 t2 / hbar) (n2 x n), and w = D^dagger psi =
+    D1 D2 psi at a grid point is one row of each table multiplied together.
+    One product with X0 gives y = X0 w, and the moments are
+    <X> = w^dagger X0 w = w^dagger y and <X^2> = |X(t) psi|^2 = |X0 w|^2 = |y|^2;
+    degenerate element pairs contribute their constant terms exactly.
+
+    w and y are formed for one block of consecutive grid points at a time, in
+    row-major order, so a block may cross rows; each holds at most
+    max(n, TRACE_BLOCK_ELEMENTS) complex elements (0.5 MiB).  Beside the three
+    (n1, n2) outputs and the per-axis tables ((n1 + n2) x n complex), the
+    working memory then stays bounded whatever the grid size, and each point's
+    arithmetic is that of an evaluation over the whole grid at once.
     """
     if hbar <= 0:
         raise DomainError("hbar must be positive")
@@ -257,16 +266,28 @@ def variance_trace(sys: TwoTimeQuantumSystem, psi: StateVector, grid: Grid2T,
     finite(sum(float(np.max(np.abs(t))) * float(np.max(np.abs(e)))
                for t, e in ((grid.t1_values, sys.E1), (grid.t2_values, sys.E2))) / float(hbar),
            "the phase (E1 t1 + E2 t2) / hbar")
-    d1 = np.exp(-1j * (np.multiply.outer(grid.t1_values, sys.E1) / hbar))
-    d2 = np.exp(-1j * (np.multiply.outer(grid.t2_values, sys.E2) / hbar))
-    w = d1[:, None, :] * (d2 * v)
+    d1 = -1j * (np.multiply.outer(grid.t1_values, sys.E1) / hbar)
+    d2 = -1j * (np.multiply.outer(grid.t2_values, sys.E2) / hbar)
+    # the phase tables are exponentiated, and D2 scaled by psi, in place
+    np.exp(d1, out=d1)
+    np.exp(d2, out=d2)
+    d2 *= v
+    mean = np.empty((grid.n1, grid.n2), dtype=complex)
+    second = np.empty((grid.n1, grid.n2))
+    flat_mean, flat_second = mean.reshape(-1), second.reshape(-1)
+    size = max(1, TRACE_BLOCK_ELEMENTS // v.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = (w.reshape(-1, v.size) @ sys.X0.T).reshape(w.shape)
-        # w is spent once y is formed, so it is conjugated in place
-        mean = (np.conj(w, out=w)[..., None, :] @ y[..., :, None])[..., 0, 0]
-        # |y|^2 as a real dot product of the interleaved real and imaginary parts
-        yf = y.view(float)
-        second = (yf[..., None, :] @ yf[..., :, None])[..., 0, 0]
+        for start in range(0, mean.size, size):
+            block = slice(start, min(start + size, mean.size))
+            i, j = np.divmod(np.arange(block.start, block.stop), grid.n2)
+            w = d1[i]
+            w *= d2[j]
+            y = w @ sys.X0.T
+            # w is spent once y is formed, so it is conjugated in place
+            flat_mean[block] = (np.conj(w, out=w)[:, None, :] @ y[:, :, None])[:, 0, 0]
+            # |y|^2 as a real dot product of the interleaved real and imaginary parts
+            yf = y.view(float)
+            flat_second[block] = (yf[:, None, :] @ yf[:, :, None])[:, 0, 0]
         variance = second - mean.real ** 2
     if not (np.isfinite(mean).all() and np.isfinite(variance).all()):
         raise EvaluationError("the moments <X> and <X^2> overflow: "

@@ -564,6 +564,20 @@ n2 = 5
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == f"numerical failure: {quantity} overflows: got inf\n"
 
+    def test_wave_with_huge_finite_samples_verifies(self, tmp_path):
+        # the bundled wave rescaled by 9e153: its density samples are finite, their squares not
+        with open(scenario_path("dirac_plane_wave.ini")) as fh:
+            text = fh.read().replace("rescale_minus = 0 -1\n",
+                                     "rescale_plus = 9e153 0\nrescale_minus = 9e153 0\n")
+        config = write(tmp_path, "huge_finite_wave.ini", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["dirac", "--config", config, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "dirac_report.json") as fh:
+            results = json.load(fh)["comparable"]["results"]
+        assert 0 <= results["density_separability_residual"] < 1e-14
+        assert 0 <= results["total_charge_fit_residual"] < 1e-14
+
     def test_rescaled_wave_keeps_run_tolerances(self, tmp_path):
         # on-shell residual -4.0e-6: inside abs_tol 1e-8 (bound 1e-4), outside the default
         config = write(tmp_path, "loose.ini", "[scenario]\ncommand = dirac\n[wave]\n"

@@ -319,6 +319,15 @@ class TestSeparability:
             np.testing.assert_allclose(report.r2, r2, rtol=0, atol=1e-12)
             assert report.residual == pytest.approx(residual, abs=1e-12)
 
+    def test_power_of_two_scaling_is_exact(self):
+        # the squares of rho * 2^1000 overflow, its samples do not
+        rho = np.random.default_rng(3).normal(size=(5, 7, 6))
+        base = ct.separability_check(rho)
+        huge = ct.separability_check(np.ldexp(rho, 1000))
+        assert huge.residual == base.residual
+        assert np.array_equal(huge.r1, np.ldexp(base.r1, 1000))
+        assert np.array_equal(huge.r2, np.ldexp(base.r2, 1000))
+
     def test_two_dimensional_input(self):
         t1 = np.linspace(0, 1, 11)[:, None]
         t2 = np.linspace(0, 2, 13)[None, :]

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,17 @@ def degenerate_system(rng):
     x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     return q.TwoTimeQuantumSystem([0.5, 0.5, -1.0, 2.0, 2.0, 0.5],
                                   [1.0, 1.0, 0.3, -0.7, 1.2, 1.0], 0.5 * (x + x.conj().T))
+
+
+def whole_grid_moments(sys_, psi, grid, hbar):
+    """<X> and <X^2> from w = D^dagger psi and y = X0 w formed over the whole grid at once."""
+    d1 = np.exp(-1j * (np.multiply.outer(grid.t1_values, sys_.E1) / hbar))
+    d2 = np.exp(-1j * (np.multiply.outer(grid.t2_values, sys_.E2) / hbar))
+    w = d1[:, None, :] * (d2 * psi.psi)
+    y = (w.reshape(-1, sys_.n_levels) @ sys_.X0.T).reshape(w.shape)
+    mean = (w.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
+    yf = y.view(float)
+    return mean, (yf[..., None, :] @ yf[..., :, None])[..., 0, 0]
 
 
 def measure_swept_phase(budget, samples=4001):
@@ -287,6 +299,45 @@ class TestVarianceTrace:
         assert trace.mean.tobytes() == mean.tobytes()
         assert trace.second_moment.tobytes() == second.tobytes()
         assert trace.variance.tobytes() == (second - mean.real ** 2).tobytes()
+
+    @pytest.mark.parametrize("make, n1, n2, hbar", [
+        (lambda rng: random_system(rng, n=32), 3, 5000, 0.8),
+        (lambda rng: random_system(rng, n=32), 7, 333, 1.0),
+        (lambda rng: random_system(rng, n=2), 3, 16385, 1.0),
+        (lambda rng: random_system(rng, n=200), 37, 29, 1.3),
+        (degenerate_system, 101, 101, 1.9),
+    ], ids=["row_over_blocks", "last_block_partial", "two_levels_last_block_one_point",
+            "200_levels", "degenerate_hbar"])
+    def test_blocks_match_whole_grid(self, make, n1, n2, hbar):
+        rng = np.random.default_rng(n1 * n2)
+        sys_ = make(rng)
+        n = sys_.n_levels
+        block = q.TRACE_BLOCK_ELEMENTS // n
+        assert n1 * n2 > block and (n1 * n2) % block != 0
+        psi = q.StateVector.normalized(rng.normal(size=n) + 1j * rng.normal(size=n))
+        grid = Grid2T(-1, 2, 0, 3, n1, n2)
+        trace = q.variance_trace(sys_, psi, grid, hbar)
+        mean, second = whole_grid_moments(sys_, psi, grid, hbar)
+        assert trace.mean.tobytes() == mean.tobytes()
+        assert trace.second_moment.tobytes() == second.tobytes()
+        assert trace.variance.tobytes() == (second - mean.real ** 2).tobytes()
+
+    @pytest.mark.parametrize("n, n1, n2", [(32, 101, 101), (32, 3, 5000), (200, 101, 101)])
+    def test_working_set_bounded(self, n, n1, n2):
+        # w and y for the whole grid at once would take 2 n1 n2 n complex numbers:
+        # 10.4, 15.4 and 65 MB here
+        rng = np.random.default_rng(n)
+        sys_ = random_system(rng, n=n)
+        psi = q.StateVector.normalized(rng.normal(size=n) + 1j * rng.normal(size=n))
+        grid = Grid2T(0, 2, -1, 1, n1, n2)
+        tracemalloc.start()
+        try:
+            trace = q.variance_trace(sys_, psi, grid, 0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = trace.mean.nbytes + trace.second_moment.nbytes + trace.variance.nbytes
+        assert peak - outputs < 5 * 2 ** 20
 
     def test_degenerate_pairs_kept(self):
         # identical spectra in both generators: evolution is trivial but the
