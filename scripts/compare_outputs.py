@@ -17,6 +17,9 @@ that difference relative to the revision's value, the file and place where
 it lies, and both values.  Where no number differs in value, the line
 names the first place whose text differs (a string, or a number such as a
 zero that changed sign), with both texts, or else both failure messages.
+Before these, the line names each key path of a ``comparable`` section,
+and each column of a data table, that only one tree holds, as in
+``only in HEAD~1: results.cos_phi``.
 The exit status is 1 if any run differs, 0 otherwise.  All output stays in
 the temporary directory, which is removed at the end.
 """
@@ -115,6 +118,18 @@ def values(name: str, data: bytes, report: str):
     return numbers, texts
 
 
+def places(name: str, data: bytes, report: str) -> set:
+    """What a place names in one output file, for the places that only one
+    tree holds: the key paths of every leaf of the report's ``comparable``
+    section, the column names of a json or csv table."""
+    if name == report:
+        return {".".join(str(p) for p in path)
+                for path, _ in _leaves(json.loads(data)["comparable"])}
+    if name.endswith(".json"):
+        return {f"{name} column {c}" for c in json.loads(data).get("columns", [])}
+    return {f"{name} column {c}" for c in data.decode().split("\n", 1)[0].split(",")}
+
+
 def largest_difference(a: dict, b: dict):
     """(how many places hold a NaN on one side and a number on the other,
     (|a - b|, place) of the largest difference over the other places both
@@ -148,17 +163,19 @@ def describe(name: str, place, d: float, old: float, new: float) -> str:
             f"{old!r} -> {new!r}")
 
 
-def differences(config: str, a, b):
+def differences(config: str, a, b, labels=("the revision", "the working tree")):
     """(what differs between two runs of one config, a description of the
-    NaN flips and the largest numeric difference in the files both wrote,
-    or else of their first text difference, or else of both failure
-    messages, or None)."""
+    key paths and columns that only run a or only run b holds, named by
+    labels, then of the NaN flips and the largest numeric difference in the
+    files both wrote, or else of their first text difference, or else of
+    both failure messages, or None)."""
     _, report = scenario_names(config)
     found = [what for what, i in (("exit code", 0), ("stdout", 1), ("failure message", 3))
              if a[i] != b[i]]
     files_a, files_b = a[2], b[2]
     found += [f"only one tree wrote {name}" for name in sorted(set(files_a) ^ set(files_b))]
     flips, largest, text = 0, None, None
+    only = (set(), set())
     for name in sorted(set(files_a) & set(files_b)):
         if name == report:
             same = (json.dumps(json.loads(files_a[name])["comparable"])
@@ -167,6 +184,9 @@ def differences(config: str, a, b):
             same = files_a[name] == files_b[name]
         if not same:
             found.append(f"{name} comparable" if name == report else name)
+            held = places(name, files_a[name], report), places(name, files_b[name], report)
+            only[0].update(held[0] - held[1])
+            only[1].update(held[1] - held[0])
             old, old_texts = values(name, files_a[name], report)
             new, new_texts = values(name, files_b[name], report)
             n, here = largest_difference(old, new)
@@ -187,7 +207,10 @@ def differences(config: str, a, b):
         numeric.append(largest[1])
     if text is None and a[3] != b[3]:
         text = f"failure message {a[3]!r} -> {b[3]!r}"
-    return found, "; ".join(numeric) or text
+    parts = [f"only in {label}: {', '.join(sorted(paths))}"
+             for label, paths in zip(labels, only) if paths]
+    parts += numeric or [text] * (text is not None)
+    return found, "; ".join(parts) or None
 
 
 def main(argv=None) -> int:
@@ -208,7 +231,7 @@ def main(argv=None) -> int:
                 key = f"{k:02d}-{fmt}"
                 old = run(old_tree, config, fmt, os.path.join(tmp, "out", "rev", key))
                 new = run(ROOT, config, fmt, os.path.join(tmp, "out", "tree", key))
-                found, summary = differences(config, old, new)
+                found, summary = differences(config, old, new, (args.rev, "the working tree"))
                 differ += bool(found)
                 label = f"{os.path.basename(config)} {fmt} (exit {new[0]})"
                 print(f"DIFF  {label}: {', '.join(found)}; "

@@ -74,19 +74,13 @@ class CurrentField:
 
 @dataclass(frozen=True)
 class ChargeReport:
-    """Charges per time axis with their conservation residuals.
-
-    The total charge is alpha * Q1[i] + beta * Q2[j]; the residuals are the
-    worst interior |dQ_i/dt_i| of the charges, which no rescaling of alpha,
-    beta touches.
-    """
+    """Charges per time axis with their conservation residuals, the worst
+    interior |dQ_i/dt_i| of the charges."""
 
     Q1: np.ndarray
     Q2: np.ndarray
     dQ1_residual: float
     dQ2_residual: float
-    alpha: float
-    beta: float
     boundary_warnings: tuple
 
 
@@ -96,7 +90,6 @@ class SeparabilityReport:
     r1: np.ndarray
     r2: np.ndarray
     sweeps: int  # always 1: the fit is one closed-form pass, not an iteration
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -126,11 +119,8 @@ def charges(j: CurrentField, tol: Tolerances = Tolerances()) -> ChargeReport:
 
     The current should vanish on the integration boundary; leakage is
     reported as warnings and shows up in the residuals rather than aborting.
-    The combination constants alpha = beta = 1 are rescaled so that the
-    total charge is 1 at the grid origin (skipped when that value is zero,
-    e.g. for the zero current).  Each double integral contracts its component
-    with the trapezoid weights of x, then of the other time, in one pass
-    over the component.
+    Each double integral contracts its component with the trapezoid weights
+    of x, then of the other time, in one pass over the component.
     """
     g = j.grid
     wx, w1, w2 = (trapezoid_weights(v) for v in (g.x_values, g.t1_values, g.t2_values))
@@ -151,17 +141,9 @@ def charges(j: CurrentField, tol: Tolerances = Tolerances()) -> ChargeReport:
     # leading axis can be many times slower when BLAS runs threaded
     q1 = np.einsum("i,ijk->jk", wx, j.j1) @ w2
     q2 = w1 @ np.einsum("i,ijk->jk", wx, j.j2)
-    dq1 = charge_rate_residual(q1, g.d1)
-    dq2 = charge_rate_residual(q2, g.d2)
-
-    a = b = 1.0
-    total0 = q1[0] + q2[0]
-    if abs(total0) > 1e-12 * max(1.0, abs(q1[0]) + abs(q2[0])):
-        a = b = 1.0 / total0
-    else:
-        warnings.append("total charge vanishes at the grid origin; normalization skipped")
-    return ChargeReport(Q1=q1, Q2=q2, dQ1_residual=dq1, dQ2_residual=dq2,
-                        alpha=a, beta=b, boundary_warnings=tuple(warnings))
+    return ChargeReport(Q1=q1, Q2=q2, dQ1_residual=charge_rate_residual(q1, g.d1),
+                        dQ2_residual=charge_rate_residual(q2, g.d2),
+                        boundary_warnings=tuple(warnings))
 
 
 def charge_rate_residual(q, step: float, rate=0.0) -> float:
@@ -183,7 +165,7 @@ def _as_3d(rho) -> np.ndarray:
     return arr
 
 
-def separability_check(rho, tol: Tolerances = Tolerances()) -> SeparabilityReport:
+def separability_check(rho) -> SeparabilityReport:
     """Least-squares fit of rho(x, t1, t2) to r1(x, t1) + r2(x, t2).
 
     On a full grid the fit is the two-way mean decomposition: r1 is the mean
@@ -206,8 +188,7 @@ def separability_check(rho, tol: Tolerances = Tolerances()) -> SeparabilityRepor
     r1, r2 = np.ldexp(r1, e), np.ldexp(r2, e)
     if np.asarray(rho).ndim == 2:
         r1, r2 = r1[0], r2[0]
-    return SeparabilityReport(residual=residual, r1=r1, r2=r2, sweeps=1,
-                              passed=residual < tol.rel_tol)
+    return SeparabilityReport(residual=residual, r1=r1, r2=r2, sweeps=1)
 
 
 def ehrenfest_limit_residual(mean_x, grid: Grid2T, force_11=None,
@@ -299,8 +280,6 @@ def run_continuity(tol: Tolerances, grid: Grid2T, source: str):
         "source": source,
         "dQ1_residual": report.dQ1_residual,
         "dQ2_residual": report.dQ2_residual,
-        "alpha": report.alpha,
-        "beta": report.beta,
         "boundary_warnings": list(report.boundary_warnings),
         "grid": [grid.nx, grid.n1, grid.n2],
     }

@@ -38,8 +38,6 @@ __all__ = [
     "conservation_residual",
     "current_grid",
     "positivity_check",
-    "effective_hamiltonian",
-    "hermiticity_defect",
     "effective_mode_mass",
     "dirac_density_separability",
     "run_dirac",
@@ -49,36 +47,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GammaSet:
-    """The three gamma matrices and the (+, +, -) metric, made read-only."""
+    """The three gamma matrices of the (+, +, -) metric, made read-only."""
 
     g1: np.ndarray
     g2: np.ndarray
     g3: np.ndarray
-    metric: np.ndarray
 
     def __post_init__(self):
-        for a in (self.g1, self.g2, self.g3, self.metric):
+        for a in self.matrices():
             a.flags.writeable = False
 
     def matrices(self):
         return (self.g1, self.g2, self.g3)
 
-    def clifford_defect(self) -> float:
-        """Max entry of |{g_mu, g_nu} - 2 g_{mu nu} 1|; exactly zero here."""
-        worst = 0.0
-        eye = np.eye(2)
-        for mu, gm in enumerate(self.matrices()):
-            for nu, gn in enumerate(self.matrices()):
-                anti = gm @ gn + gn @ gm
-                worst = max(worst, float(np.max(np.abs(anti - 2.0 * self.metric[mu, nu] * eye))))
-        return worst
-
 
 # the fixed 2x2 representation g1 = sigma_1, g2 = sigma_2, g3 = i sigma_3
 GAMMAS = GammaSet(g1=np.array([[0, 1], [1, 0]], dtype=complex),
                   g2=np.array([[0, -1j], [1j, 0]], dtype=complex),
-                  g3=1j * np.array([[1, 0], [0, -1]], dtype=complex),
-                  metric=np.diag([1.0, 1.0, -1.0]))
+                  g3=1j * np.array([[1, 0], [0, -1]], dtype=complex))
 # g3 g_mu, the matrix of the bilinear behind current component mu
 _CURRENT_MATRICES = tuple(GAMMAS.g3 @ gm for gm in GAMMAS.matrices())
 
@@ -117,10 +103,12 @@ class PlaneWaveSolution:
     psi_plus spans the kernel of (-g.k - m), psi_minus of (+g.k - m); the
     branch amplitudes may be rescaled or rephased freely afterwards.  Each
     build checks both and the on-shell relation, and keeps the relation's
-    residual and, per current component mu, the coefficients (a, b, c) of
-    Psi^dag(-x) g3 g_mu Psi(x) (see _bilinear_coeffs); k and the spinors
-    are read-only copies, so the two cannot go stale.  A spinor norm or a
-    current bound that overflows is an EvaluationError naming it.
+    residual, per current component mu the coefficients (a, b, c) of
+    Psi^dag(-x) g3 g_mu Psi(x) (see _bilinear_coeffs), and current_bound,
+    the largest sum of |Re| and |Im| over one component's a, b, c; k and
+    the spinors are read-only copies, so none of these can go stale.  A
+    spinor norm or a current bound that overflows is an EvaluationError
+    naming it.
     """
 
     k: np.ndarray
@@ -129,6 +117,7 @@ class PlaneWaveSolution:
     psi_minus: np.ndarray
     on_shell_residual: float
     coeffs: tuple
+    current_bound: float
 
     def __init__(self, k, m, psi_plus, psi_minus, tol: Tolerances = Tolerances()):
         k = np.array(k, dtype=float).reshape(3)
@@ -149,14 +138,15 @@ class PlaneWaveSolution:
             coeffs = tuple(_bilinear_coeffs(pp, pm, h) for h in _CURRENT_MATRICES)
             # every partial sum of a e^{2i phi} + b e^{-2i phi} + c is at most the sum
             # of |Re| and |Im| over a, b, c, which names an overflow before sampling
-            finite(float(np.max(np.sum(np.abs(np.array(coeffs).view(float)), axis=1))),
-                   "the current bound |a| + |b| + |c|")
+            bound = finite(float(np.max(np.sum(np.abs(np.array(coeffs).view(float)), axis=1))),
+                           "the current bound |a| + |b| + |c|")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "m", float(m))
         object.__setattr__(self, "psi_plus", pp)
         object.__setattr__(self, "psi_minus", pm)
         object.__setattr__(self, "on_shell_residual", residual)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "current_bound", bound)
 
     def phase(self, pos) -> np.ndarray:
         """k.x = k1 t1 + k2 t2 + k3 x for position (t1, t2, x)."""
@@ -182,11 +172,8 @@ class PositivityReport:
     lhs_re: float
     rhs_re: float
     holds: tuple
-    min_density_sampled: float
     min_j1: float
     min_j2: float
-    sign_im: float
-    sign_re: float
 
 
 @dataclass(frozen=True)
@@ -211,7 +198,6 @@ class ModeMass:
 
 @dataclass(frozen=True)
 class DensityReport:
-    rho: np.ndarray
     separability: SeparabilityReport
     total_fit: SeparabilityReport
     charge_report: object
@@ -270,7 +256,9 @@ _CONSERVATION_PROBES = ((-0.4, 0.3, 0.7), (0.9, -0.6, 0.1), (0.2, 0.8, -0.9))
 def conservation_residual(sol: PlaneWaveSolution, part: str = "imaginary",
                           tol: Tolerances = Tolerances()) -> float:
     """Max |d1 j1 + d2 j2 - dx jx| over three fixed probe positions, each
-    derivative a central difference of dirac_current along one coordinate."""
+    derivative a central difference of dirac_current along one coordinate,
+    relative to max(1, sol.current_bound): the divergence of a rescaled wave
+    grows with the square of its rescale, and so does that bound."""
     worst = 0.0
     for pos in _CONSERVATION_PROBES:
         div = 0.0
@@ -281,7 +269,7 @@ def conservation_residual(sol: PlaneWaveSolution, part: str = "imaginary",
                 return dirac_current(sol, q, part)[mu]
             div += sgn * central_difference(comp, pos[mu], tol.step_for(pos))
         worst = max(worst, abs(div))
-    return worst
+    return worst / max(1.0, sol.current_bound)
 
 
 def current_grid(sol: PlaneWaveSolution, grid: Grid2T, part: str = "imaginary"):
@@ -316,35 +304,9 @@ def positivity_check(sol: PlaneWaveSolution, current,
     lhs_im, rhs_im = abs(diag.imag), abs(cross.imag)
     lhs_re, rhs_re = abs(diag.real), abs(cross.real)
     holds = (lhs_im <= rhs_im + tol.abs_tol, lhs_re <= rhs_re + tol.abs_tol)
-    min_j1, min_j2 = float(np.min(current[0])), float(np.min(current[1]))
-    return PositivityReport(
-        lhs_im=float(lhs_im), rhs_im=float(rhs_im),
-        lhs_re=float(lhs_re), rhs_re=float(rhs_re),
-        holds=holds, min_density_sampled=min(min_j1, min_j2), min_j1=min_j1, min_j2=min_j2,
-        sign_im=float(np.sign(cross.imag)), sign_re=float(np.sign(cross.real)),
-    )
-
-
-def effective_hamiltonian(k2: float, k3: float, m: float = 0.0) -> np.ndarray:
-    """Generator of t1 evolution in a plane-wave (k2, k3) representation:
-    k2 (g1 g2) - k3 (g1 g3) + m g1."""
-    g = GAMMAS
-    return k2 * (g.g1 @ g.g2) - k3 * (g.g1 @ g.g3) + m * g.g1
-
-
-def hermiticity_defect(k_samples=None, m: float = 0.0) -> float:
-    """Max entry magnitude of H_eff - H_eff^dag over sampled (k2, k3).
-
-    The g1 g2 product is anti-Hermitian, so the defect is positive for any
-    generic sample set; H_eff(0, 0) = m g1 alone is Hermitian.
-    """
-    if k_samples is None:
-        k_samples = [(0.7, 0.3), (-1.1, 0.9), (0.4, -1.3), (1.0, 1.0)]
-    worst = 0.0
-    for k2, k3 in k_samples:
-        h = effective_hamiltonian(float(k2), float(k3), m)
-        worst = max(worst, float(np.max(np.abs(h - h.conj().T))))
-    return worst
+    return PositivityReport(lhs_im=float(lhs_im), rhs_im=float(rhs_im),
+                            lhs_re=float(lhs_re), rhs_re=float(rhs_re), holds=holds,
+                            min_j1=float(np.min(current[0])), min_j2=float(np.min(current[1])))
 
 
 def effective_mode_mass(m: float, omega, hbar: float = 1.0, c: float = 1.0) -> ModeMass:
@@ -397,8 +359,8 @@ def dirac_density_separability(field: CurrentField,
     grid = field.grid
     wx, w1, w2 = (trapezoid_weights(v) for v in (grid.x_values, grid.t1_values, grid.t2_values))
     rho = (field.j1 @ w2)[:, :, None] + (w1 @ field.j2)[:, None, :]
-    return DensityReport(rho=rho, separability=separability_check(rho, tol),
-                         total_fit=separability_check(np.einsum("i,ijk->jk", wx, rho), tol),
+    return DensityReport(separability=separability_check(rho),
+                         total_fit=separability_check(np.einsum("i,ijk->jk", wx, rho)),
                          charge_report=charges(field, tol=tol))
 
 
@@ -419,7 +381,6 @@ def run_dirac(tol: Tolerances, wave, grid: Grid2T):
         "m": m,
         "part": part,
         "on_shell_residual": sol.on_shell_residual,
-        "clifford_defect": GAMMAS.clifford_defect(),
         "psi_plus": [[v.real, v.imag] for v in sol.psi_plus.tolist()],
         "psi_minus": [[v.real, v.imag] for v in sol.psi_minus.tolist()],
         "conservation_residual": conservation_residual(sol, part, tol),
@@ -432,9 +393,6 @@ def run_dirac(tol: Tolerances, wave, grid: Grid2T):
         "density_separability_residual": density.separability.residual,
         "total_charge_fit_residual": density.total_fit.residual,
         "charge_boundary_warnings": len(density.charge_report.boundary_warnings),
-        "hermiticity_defect_origin": hermiticity_defect([(0.0, 0.0)], m),
-        "hermiticity_defect_wave": hermiticity_defect([(k[1], k[2])], m),
-        "hermiticity_defect_generic": hermiticity_defect(m=m),
     }
     return results, (("x", "t1", "t2", "j1", "j2", "jx"),
                      (grid.x_values, grid.t1_values, grid.t2_values), current)

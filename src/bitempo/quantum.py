@@ -376,7 +376,6 @@ def run_uncertainty(budget: UncertaintyBudget):
         "visibility": uncertainty_visibility(budget).value,
         "swept_phase_over_two_pi": budget.swept_phase / (2.0 * math.pi),
         "phi": report.phi,
-        "cos_phi": math.cos(report.phi),
         "dphi_exact": report.dphi_exact,
         "dphi_lowest_order": report.dphi_lowest_order,
         "bound": report.bound,

@@ -340,7 +340,11 @@ def test_criterion_09_continuity():
 
 def test_criterion_10_dirac():
     rng = np.random.default_rng(107)
-    clifford = dr.GAMMAS.clifford_defect()
+    gammas = dr.GAMMAS.matrices()
+    metric = np.diag([1.0, 1.0, -1.0])
+    # max entry of |{g_mu, g_nu} - 2 g_{mu nu} 1|
+    clifford = max(float(np.max(np.abs(gm @ gn + gn @ gm - 2.0 * metric[mu, nu] * np.eye(2))))
+                   for mu, gm in enumerate(gammas) for nu, gn in enumerate(gammas))
 
     dets_ok = True
     for _ in range(20):
@@ -375,12 +379,18 @@ def test_criterion_10_dirac():
     k3 = math.sqrt(0.3 ** 2 + 1.2 ** 2 - 1.0)
     violating = positivity(dr.solve_plane_wave((0.3, 1.2, k3), 1.0).rescaled(minus=0.0))
 
-    origin_defect = dr.hermiticity_defect([(0.0, 0.0)], m=1.0)
-    generic_defect = min(dr.hermiticity_defect([(k2, k3_)], m=0.5)
+    def hermiticity_defect(k2, k3_, m):
+        # max entry of |H - H^dag| for the t1 generator k2 g1 g2 - k3 g1 g3 + m g1
+        g1, g2, g3 = gammas
+        h = k2 * (g1 @ g2) - k3_ * (g1 @ g3) + m * g1
+        return float(np.max(np.abs(h - h.conj().T)))
+
+    origin_defect = hermiticity_defect(0.0, 0.0, 1.0)
+    generic_defect = min(hermiticity_defect(k2, k3_, 0.5)
                          for k2, k3_ in rng.uniform(0.2, 2.0, size=(10, 2)))
 
     ok = (clifford == 0.0 and dets_ok and conservation < 1e-6 and ratio > 2.5
-          and holding.holds == (True, True) and holding.min_density_sampled >= -1e-10
+          and holding.holds == (True, True) and min(holding.min_j1, holding.min_j2) >= -1e-10
           and (not violating.holds[0]) and violating.min_j1 < -1e-6
           and origin_defect == 0.0 and generic_defect > 0.0)
     report(10, ok, f"dirac: clifford {clifford}, conservation {conservation:.2e}, "

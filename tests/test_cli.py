@@ -577,6 +577,7 @@ n2 = 5
             results = json.load(fh)["comparable"]["results"]
         assert 0 <= results["density_separability_residual"] < 1e-14
         assert 0 <= results["total_charge_fit_residual"] < 1e-14
+        assert 0 <= results["conservation_residual"] < 1e-14
 
     def test_rescaled_wave_keeps_run_tolerances(self, tmp_path):
         # on-shell residual -4.0e-6: inside abs_tol 1e-8 (bound 1e-4), outside the default

@@ -1,7 +1,8 @@
 """The output comparison script counts NaN flips, names where its largest
 finite difference lies, names a changed text where no number moved (a zero
-that changed sign among them), and compares the failure message of a run
-that exits non-zero."""
+that changed sign among them), names the key paths and table columns that
+only one run holds, and compares the failure message of a run that exits
+non-zero."""
 
 import importlib.util
 import json
@@ -110,3 +111,23 @@ def test_run_keeps_the_last_stderr_line_of_a_failure(tmp_path):
     code, _, files, message = compare_outputs.run(compare_outputs.ROOT, str(config), "csv",
                                                   str(tmp_path / "out"))
     assert (code, files, message) == (4, {}, "numerical failure: c^2 underflows to 0")
+
+
+def test_places_held_by_one_tree_named(tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text("[scenario]\ncommand = uncertainty\n[output]\nreport = r.json\n")
+    old = {"comparable": {"results": {"phi": 0.5, "cos_phi": 0.87, "notes": ["w"]}}}
+    new = {"comparable": {"results": {"phi": 0.5, "notes": [], "kept": 1.0}}}
+    table_old = json.dumps({"columns": ["t", "a"], "rows": [["0", "1"]]}).encode()
+    table_new = json.dumps({"columns": ["t", "b"], "rows": [["0", "1"]]}).encode()
+    found, summary = compare_outputs.differences(
+        str(config),
+        run(b"", {"r.json": json.dumps(old).encode(), "t.json": table_old,
+                  "q.csv": b"t,Q,dQ\n0,1,2\n"}),
+        run(b"", {"r.json": json.dumps(new).encode(), "t.json": table_new,
+                  "q.csv": b"t,Q\n0,1\n"}),
+        ("HEAD~1", "the working tree"))
+    assert found == ["q.csv", "r.json comparable", "t.json"]
+    assert summary == ("only in HEAD~1: q.csv column dQ, results.cos_phi, results.notes.0, "
+                       "t.json column a; only in the working tree: results.kept, "
+                       "t.json column b; text differs at t.json columns.1: 'a' -> 'b'")
