@@ -137,7 +137,16 @@ class TestCharges:
         np.testing.assert_array_equal(report.Q1, 0.0)
         np.testing.assert_array_equal(report.Q2, 0.0)
         assert report.dQ1_residual == 0.0 and report.dQ2_residual == 0.0
+
+    def test_zero_total_keeps_unit_constants(self):
+        # charges are not rescaled, so a current whose total charge vanishes
+        # at the grid origin raises no warning and leaves the charges at zero
+        grid = space_grid(5, 5, 7)
+        zero = np.zeros((grid.nx, grid.n1, grid.n2))
+        report = ct.charges(ct.CurrentField(grid=grid, j1=zero, j2=zero, j_space=zero))
         assert report.boundary_warnings == ()
+        np.testing.assert_array_equal(report.Q1, 0.0)
+        np.testing.assert_array_equal(report.Q2, 0.0)
 
     def test_manufactured_conservation_and_refinement(self):
         grid = space_grid()

@@ -50,16 +50,6 @@ class TestGammaSet:
         np.testing.assert_array_equal(g.g1 @ g.g3 + g.g3 @ g.g1, np.zeros((2, 2)))
         np.testing.assert_array_equal(g.g2 @ g.g3 + g.g3 @ g.g2, np.zeros((2, 2)))
 
-    def test_t1_generator_products(self):
-        # k2 g1 g2 - k3 g1 g3 + m g1 generates t1 evolution: g1 is Hermitian,
-        # g1 g2 anti-Hermitian (it makes the generator non-Hermitian), g1 g3 Hermitian
-        g = dr.GAMMAS
-        p12, p13 = g.g1 @ g.g2, g.g1 @ g.g3
-        np.testing.assert_array_equal(g.g1, g.g1.conj().T)
-        np.testing.assert_array_equal(p12, -p12.conj().T)
-        np.testing.assert_array_equal(p13, p13.conj().T)
-        assert np.max(np.abs(p12)) == 1.0
-
 
 class TestPlaneWaveSolver:
     def test_worked_on_shell_point(self):
@@ -260,6 +250,30 @@ class TestPositivity:
                 # strict violation: modulation must push the density negative
                 # somewhere once the grid covers full oscillations
                 assert report.min_j1 < 1e-12
+
+
+class TestEffectiveHamiltonian:
+    # H_eff = k2 g1 g2 - k3 g1 g3 + m g1 generates t1 evolution of a plane wave
+    @staticmethod
+    def defect(k2, k3, m=0.0):
+        g = dr.GAMMAS
+        h = k2 * (g.g1 @ g.g2) - k3 * (g.g1 @ g.g3) + m * g.g1
+        return float(np.max(np.abs(h - h.conj().T)))
+
+    def test_origin_is_hermitian(self):
+        g = dr.GAMMAS
+        np.testing.assert_array_equal(g.g1, g.g1.conj().T)
+        assert self.defect(0.0, 0.0, m=1.3) == 0.0
+
+    def test_defect_driven_by_first_product(self):
+        # g1 g2 is anti-Hermitian (it drives the defect), g1 g3 is Hermitian
+        g = dr.GAMMAS
+        p12, p13 = g.g1 @ g.g2, g.g1 @ g.g3
+        assert np.max(np.abs(p12 + p12.conj().T)) == 0.0
+        assert np.max(np.abs(p13 - p13.conj().T)) == 0.0
+        assert np.max(np.abs(p12)) == 1.0
+        assert self.defect(1.0, 0.0) == pytest.approx(2.0)
+        assert self.defect(0.0, 1.0) == 0.0
 
 
 class TestModeMass:
