@@ -329,7 +329,7 @@ def orbit_relation_1d(fp: np.ndarray, q1, q2, tol: Tolerances = Tolerances()):
     denom = fp[..., 1, 0] * fp[..., 1, 1]
     undefined = ((np.abs(denom) <= tol.abs_tol * _prime_scale(fp))
                  | (np.abs(q2) <= tol.abs_tol * np.maximum(1.0, np.maximum(np.abs(q1), np.abs(q2)))))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # masked below
         phi = fp[..., 0, 0] * fp[..., 0, 1] / denom
         # float_power rounds as libm pow, like ``** 2`` on a scalar; ``** 2``
         # on an array squares, which differs in the last bit about once in 1000

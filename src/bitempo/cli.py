@@ -11,7 +11,8 @@ files with one-line headers and 17-significant-digit floats.
 Exit codes: 0 success, 2 usage, unreadable/unrecognized config or an
 output file that cannot be written, 3 domain or precondition error
 (including missing parameter keys, and an output file that would overwrite
-the config or a file: current source), 4 numerical failure.
+the config or a file: current source), 4 numerical failure (including any
+numpy overflow, invalid value or division by zero in parse or compute).
 """
 
 from __future__ import annotations
@@ -53,6 +54,11 @@ _REQUIRED = object()
 # most points the parsed [grid] of a run may hold, nx included, and most
 # [sweep] rows; the bundled scenarios and the benchmark's draws hold at most 61 x 41 x 41
 MAX_GRID_POINTS = 10 ** 7
+
+# numpy's floating-point errors during parse and compute raise
+# FloatingPointError, an ArithmeticError, instead of warning; underflow stays
+# ignored, since a harmless one precedes the named overflows of some inputs
+_RAISE = dict(over="raise", invalid="raise", divide="raise")
 
 
 # ---------------------------------------------------------------------------
@@ -675,12 +681,13 @@ def run_scenario(config_path: str, out_dir: str | None = None, fmt: str = "csv",
         raise ConfigError(
             f"config names command {command!r} but {expected_command!r} was invoked")
     parsers, run, _ = _COMMANDS[command]
-    parsed_args = [parse(cfg) for parse in parsers]
-    report_name, table_name = _outputs(cfg, (fmt,))[fmt]
-    directory = out_dir or os.path.dirname(os.path.abspath(config_path))
-    _spare_inputs(cfg, config_path, directory, filter(None, (report_name, table_name)))
-    parsed = time.perf_counter()
-    results, table = run(*parsed_args)
+    with np.errstate(**_RAISE):
+        parsed_args = [parse(cfg) for parse in parsers]
+        report_name, table_name = _outputs(cfg, (fmt,))[fmt]
+        directory = out_dir or os.path.dirname(os.path.abspath(config_path))
+        _spare_inputs(cfg, config_path, directory, filter(None, (report_name, table_name)))
+        parsed = time.perf_counter()
+        results, table = run(*parsed_args)
     computed = time.perf_counter()
 
     artifacts = []
@@ -718,11 +725,14 @@ def validate_config(config_path: str) -> list:
     diagnostics = []
     for parse in (*parsers, _outputs):
         try:
-            parse(cfg)
+            with np.errstate(**_RAISE):
+                parse(cfg)
         except (DomainError, ConfigError) as exc:
             diagnostics.append(str(exc))
         except BitempoError as exc:
             diagnostics.append(f"unexpected: {exc}")
+        except ArithmeticError as exc:
+            diagnostics.append(f"numerical failure: {exc}")
         except MemoryError as exc:
             diagnostics.append(f"cannot allocate: {exc}")
     return list(dict.fromkeys(diagnostics))
@@ -777,13 +787,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
-    except EvaluationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except BitempoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ArithmeticError as exc:
+    except (EvaluationError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except MemoryError as exc:

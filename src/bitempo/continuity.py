@@ -5,9 +5,7 @@ d1 j1 + d2 j2 - dx j_space = 0 with decaying boundaries yields one conserved
 charge per time axis: Q1(t1) integrates j1 over (t2, x) and Q2(t2)
 integrates j2 over (t1, x).  Any density normalized jointly in both times
 must then be a linear combination rho = alpha rho1(x, t1) + beta rho2(x, t2),
-which this module tests as a least-squares fit.  In the classical limit
-the same separability forces the mean position to move along a single time
-axis; the Ehrenfest residuals measure exactly that.
+which this module tests as a least-squares fit.
 """
 
 from __future__ import annotations
@@ -23,10 +21,8 @@ __all__ = [
     "CurrentField",
     "ChargeReport",
     "SeparabilityReport",
-    "EhrenfestReport",
     "charges",
     "separability_check",
-    "ehrenfest_limit_residual",
     "manufactured_current",
     "manufactured_charges",
     "charge_rate_residual",
@@ -34,8 +30,6 @@ __all__ = [
     "run_continuity",
 ]
 
-# largest separability fit residual ehrenfest_limit_residual accepts
-EHRENFEST_SEPARABLE_TOL = 1e-8
 # amplitude of the source manufactured_current adds to j1
 SOURCE_STRENGTH = 0.1
 
@@ -90,18 +84,6 @@ class SeparabilityReport:
     r1: np.ndarray
     r2: np.ndarray
     sweeps: int  # always 1: the fit is one closed-form pass, not an iteration
-
-
-@dataclass(frozen=True)
-class EhrenfestReport:
-    """Residuals of the separable classical limit for the mean position."""
-
-    mixed_partial_residual: float
-    cross_defect_1: float | None
-    cross_defect_2: float | None
-    f1_constant: bool
-    f2_constant: bool
-    separability_residual: float
 
 
 def trapezoid_weights(v) -> np.ndarray:
@@ -189,53 +171,6 @@ def separability_check(rho) -> SeparabilityReport:
     if np.asarray(rho).ndim == 2:
         r1, r2 = r1[0], r2[0]
     return SeparabilityReport(residual=residual, r1=r1, r2=r2, sweeps=1)
-
-
-def ehrenfest_limit_residual(mean_x, grid: Grid2T, force_11=None,
-                             force_22=None) -> EhrenfestReport:
-    """Residuals of the single-time classical limit for a mean position.
-
-    The input surface must already be separable, f(t1, t2) = f1 + f2, to
-    within EHRENFEST_SEPARABLE_TOL.  The report carries the worst mixed
-    partial (it must vanish), and, per diagonal force component, the
-    variance across the other time of
-    d^2 f/dt_j^2 - F_jj(f).  An autonomous diagonal force can only match a
-    motion in which the other time component is frozen, so a nonzero
-    cross defect is exactly the signature of attempted two-time motion.
-    """
-    f = np.asarray(mean_x, dtype=float)
-    if f.shape != (grid.n1, grid.n2):
-        raise DomainError(f"mean surface has shape {f.shape}, expected {(grid.n1, grid.n2)}")
-    fit = separability_check(f)
-    if fit.residual > EHRENFEST_SEPARABLE_TOL:
-        raise DomainError(
-            f"mean position is not separable (fit residual {fit.residual:.3e}); "
-            "the continuity structure requires f1(t1) + f2(t2)")
-
-    d1, d2 = grid.d1, grid.d2
-    mixed = (f[2:, 2:] - f[2:, :-2] - f[:-2, 2:] + f[:-2, :-2]) / (4.0 * d1 * d2)
-    mixed_residual = float(np.max(np.abs(mixed)))
-
-    def defect(axis, force):
-        if force is None:
-            return None
-        if axis == 0:
-            second = (f[2:, :] - 2.0 * f[1:-1, :] + f[:-2, :]) / d1 ** 2
-            delta = second - force(f[1:-1, :])
-            return float(np.max(np.var(delta, axis=1)))
-        second = (f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]) / d2 ** 2
-        delta = second - force(f[:, 1:-1])
-        return float(np.max(np.var(delta, axis=0)))
-
-    ptp_scale = max(1.0, float(np.max(np.abs(f))))
-    return EhrenfestReport(
-        mixed_partial_residual=mixed_residual,
-        cross_defect_1=defect(0, force_11),
-        cross_defect_2=defect(1, force_22),
-        f1_constant=bool(np.ptp(fit.r1) <= 1e-8 * ptp_scale),
-        f2_constant=bool(np.ptp(fit.r2) <= 1e-8 * ptp_scale),
-        separability_residual=fit.residual,
-    )
 
 
 def _load_current_file(path: str, grid: Grid2T) -> CurrentField:

@@ -501,6 +501,57 @@ n2 = 5
         assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 4
         assert f"numerical failure: {quantity}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, old, new, failure, at_parse", [
+        ("classical_check_rank_one_2d", "c = 1 2", "c = 1e154 2", "overflow encountered in det",
+         False),
+        ("classical_check_rank_one_2d", "g_linear = -1.0 0.4", "g_linear = -1.0 1e200",
+         "overflow encountered in dot", False),
+        ("classical_check_generic_3d", "linear = 0.31", "linear = 1e200",
+         "overflow encountered in dot", False),
+        ("dirac_plane_wave", "rescale_minus = 0 -1", "rescale_minus = 1e154 -1",
+         "invalid value encountered in matmul", False),
+        ("continuity_manufactured", "x_max = 6.0", "x_max = 1e200",
+         "overflow encountered in square", False),
+        ("continuity_manufactured", "t1_max = 2.0", "t1_max = 1e-308",
+         "overflow encountered in divide", False),
+        ("dirac_plane_wave", "t2_max = 6.0", "t2_max = 1e308", "overflow encountered in matmul",
+         False),
+        ("quantum_fluct_two_level", "psi_real = 1 1", "psi_real = 1e200 1",
+         "overflow encountered in dot", True),
+        ("classical_check_generic_3d", "linear = 0.31", "linear = 1e308",
+         "overflow encountered in add", True),
+        ("classical_check_rank_one_2d", "c = 1 2", "c = 1e200 2",
+         "overflow encountered in multiply", True),
+        ("classical_check_rank_one_2d", "g_linear = -1.0", "g_linear = 1e308",
+         "overflow encountered in divide", False),
+        ("classical_harmonic", "c = 1 2", "c = 1 1e-308", None, False),
+    ], ids=["determinant", "kernel_dot", "affine_3d_dot", "wave_matmul", "continuity_square",
+            "continuity_divide", "density_matmul", "psi_norm", "affine_3d_parse", "rank_one_parse",
+            "null_space_input", "orbit_masked"])
+    def test_numpy_error_ends_at_the_boundary(self, tmp_path, capsys, name, old, new, failure,
+                                              at_parse):
+        # a bundled scenario with one key changed; no numpy warning may leak
+        with open(scenario_path(f"{name}.ini")) as fh:
+            text = fh.read()
+        assert old in text
+        config = write(tmp_path, f"{name}.ini", text.replace(old, new, 1))
+        command = cli.load_config(config).get("scenario", "command")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, "--config", config, "--out", str(tmp_path),
+                             "--format", "json"])
+            err = capsys.readouterr().err
+            valid = cli.main(["validate", "--config", config])
+        if failure is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (4, f"numerical failure: {failure}\n")
+        captured = capsys.readouterr()
+        if at_parse:
+            assert (valid, captured.err) == (2, f"invalid: numerical failure: {failure}\n")
+        else:
+            assert (valid, captured.out, captured.err) == (0, "ok\n", "")
+
     @pytest.mark.parametrize("x0", ["2e6", "1000001"])
     def test_initial_point_past_blowup_exits_4(self, tmp_path, capsys, x0):
         # 1000001 used to fall under the bound after one step and end near s = 18.8

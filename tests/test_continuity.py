@@ -326,51 +326,3 @@ class TestSeparability:
         report = ct.separability_check(np.sin(t1) + np.cos(t2))
         assert report.residual < 1e-12
         assert ct.separability_check(np.sin(t1) * np.cos(t2)).residual > 1e-2
-
-
-class TestEhrenfestResiduals:
-    def grid(self):
-        return Grid2T(0, 2 * np.pi, 0, 2 * np.pi, 41, 41)
-
-    def surfaces(self):
-        g = self.grid()
-        T1, T2 = np.meshgrid(g.t1_values, g.t2_values, indexing="ij")
-        return g, T1, T2
-
-    def test_allowed_single_time_case(self):
-        g, T1, T2 = self.surfaces()
-        mean = np.cos(T1) + 0.5
-        report = ct.ehrenfest_limit_residual(mean, g, force_11=lambda v: -(v - 0.5))
-        assert report.mixed_partial_residual < 1e-10
-        assert report.cross_defect_1 < 1e-20
-        assert report.f2_constant and not report.f1_constant
-
-    def test_excluded_two_time_case(self):
-        g, T1, T2 = self.surfaces()
-        mean = np.cos(T1) + np.cos(T2)
-        report = ct.ehrenfest_limit_residual(mean, g, force_11=lambda v: -(v - 0.5))
-        assert report.cross_defect_1 > 1e-2
-
-    def test_constant_mean(self):
-        g, T1, T2 = self.surfaces()
-        mean = np.full_like(T1, 0.7)
-        report = ct.ehrenfest_limit_residual(mean, g, force_11=lambda v: np.zeros_like(v),
-                                             force_22=lambda v: np.zeros_like(v))
-        assert report.mixed_partial_residual == 0.0
-        assert report.cross_defect_1 == 0.0 and report.cross_defect_2 == 0.0
-        assert report.f1_constant and report.f2_constant
-
-    def test_non_separable_rejected(self):
-        g, T1, T2 = self.surfaces()
-        with pytest.raises(DomainError, match="separable"):
-            ct.ehrenfest_limit_residual(np.sin(T1) * np.sin(T2), g,
-                                        force_11=lambda v: v)
-
-    def test_both_diagonals(self):
-        g, T1, T2 = self.surfaces()
-        mean = np.cos(T2) - 1.0
-        report = ct.ehrenfest_limit_residual(mean, g,
-                                             force_11=lambda v: np.zeros_like(v),
-                                             force_22=lambda v: -(v + 1.0))
-        assert report.cross_defect_2 < 1e-20
-        assert report.f1_constant

@@ -7,8 +7,9 @@ report's ``comparable`` section as ``json.dumps(sort_keys=True)`` text and
 the SHA-256 of every data file, together with the Python and numpy versions
 that wrote it.  The 16 runs are repeated in process through ``cli.main``,
 and the 8 json runs once more as ``bitempo.cli`` processes with
-``OPENBLAS_NUM_THREADS=2``; a run that differs fails and is named with what
-differs, and with both version stamps where they differ;
+``OPENBLAS_NUM_THREADS=2``, whose stderr must be empty; a run that differs
+fails and is named with what differs, and with both version stamps where
+they differ;
 ``scripts/compare_outputs.py <rev>`` then says where the outputs differ.
 
 A change that moves an output on purpose rewrites the files, in the same
@@ -76,13 +77,14 @@ def in_process(config: Path, fmt: str, tmp: str) -> dict:
     return record(config, fmt, code, buf.getvalue(), out)
 
 
-def as_process(config: Path, fmt: str, tmp: str, env: dict) -> dict:
+def as_process(config: Path, fmt: str, tmp: str, env: dict) -> tuple:
+    """The record of one bitempo.cli process, and its stderr."""
     out = tempfile.mkdtemp(dir=tmp)
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "bitempo.cli", *_argv(config, out, fmt)],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, **env, "PYTHONPATH": path})
-    return record(config, fmt, proc.returncode, proc.stdout, out)
+    return record(config, fmt, proc.returncode, proc.stdout, out), proc.stderr
 
 
 def mismatches(runs: dict, golden: dict) -> list:
@@ -124,10 +126,12 @@ def test_bundled_outputs_in_process(tmp_path):
 
 
 def test_bundled_json_outputs_with_two_blas_threads(tmp_path):
-    runs = {(config.stem, "json"): as_process(config, "json", str(tmp_path),
-                                              {"OPENBLAS_NUM_THREADS": "2"})
-            for config in scenarios()}
+    runs, stderr = {}, {}
+    for config in scenarios():
+        runs[config.stem, "json"], stderr[config.stem] = as_process(
+            config, "json", str(tmp_path), {"OPENBLAS_NUM_THREADS": "2"})
     problems = mismatches(runs, load_golden())
+    problems += [f"{stem} json: stderr {err!r}" for stem, err in stderr.items() if err]
     assert not problems, "\n".join(problems)
 
 
