@@ -88,16 +88,22 @@ def load_config(path: str) -> configparser.ConfigParser:
     return parser
 
 
-def _get(cfg, section: str, key: str, cast=str, default=_REQUIRED):
+def _get(cfg, section: str, key: str, cast=str, default=_REQUIRED, *, size=None):
+    """The value of [section] key by cast, or default when the key is absent.
+    With size it is a list of size finite floats, and its count error never
+    echoes the value, so that a long list stays a one-line diagnostic."""
     if not cfg.has_option(section, key):
         if default is _REQUIRED:
             raise DomainError(f"missing required key [{section}] {key}")
         return default
     raw = cfg.get(section, key)
     try:
-        return cast(raw)
+        value = cast(raw) if size is None else _floats(raw)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from exc
+    if size is not None and len(value) != size:
+        raise DomainError(f"[{section}] {key} needs {size} entries, got {len(value)}")
+    return value
 
 
 def _float(raw: str) -> float:
@@ -147,13 +153,6 @@ def _space_grid(cfg) -> Grid2T:
     return _grid(cfg, need_space=True)
 
 
-def _rank_one_c(cfg) -> list:
-    c = _get(cfg, "force", "c", _floats)
-    if len(c) != 2:
-        raise DomainError(f"[force] c needs 2 entries, got {len(c)}")
-    return c
-
-
 def _g_poly(cfg):
     """g from [force] g_poly as a Horner closure over Python floats; on floats
     and on arrays it rounds exactly as np.polyval does, and it keeps complex
@@ -174,7 +173,7 @@ def _integrate_force(cfg):
     """(c, g) of the d = 1 rank-one force that classical-integrate needs."""
     if _get(cfg, "force", "family") != "rank_one" or _get(cfg, "force", "dimension", int) != 1:
         raise DomainError("classical-integrate needs a rank_one force with dimension 1")
-    return _rank_one_c(cfg), _g_poly(cfg)
+    return _get(cfg, "force", "c", size=2), _g_poly(cfg)
 
 
 def _force(cfg):
@@ -188,16 +187,11 @@ def _force(cfg):
     if family == "zero":
         return classical.zero_force(d)
     if family == "rank_one":
-        c = _rank_one_c(cfg)
+        c = _get(cfg, "force", "c", size=2)
         if d == 1:
             return classical.rank_one_force(c, _g_poly(cfg), d=1)
-        g_const = np.asarray(_get(cfg, "force", "g_const", _floats))
-        g_linear = np.asarray(_get(cfg, "force", "g_linear", _floats))
-        if g_const.size != d:
-            raise DomainError(f"[force] g_const needs {d} entries")
-        if g_linear.size != d * d:
-            raise DomainError(f"[force] g_linear needs {d * d} entries, got {g_linear.size}")
-        g_linear = g_linear.reshape(d, d)
+        g_const = np.asarray(_get(cfg, "force", "g_const", size=d))
+        g_linear = np.reshape(_get(cfg, "force", "g_linear", size=d * d), (d, d))
         return classical.rank_one_force(c, lambda p: g_const + g_linear @ p, d=d)
     if family == "polynomial":
         if d != 1:
@@ -210,21 +204,12 @@ def _force(cfg):
         if not coeffs:
             raise DomainError("polynomial force needs at least one fjk_poly key")
         return classical.polynomial_force_1d(coeffs)
-    linear = np.asarray(_get(cfg, "force", "linear", _floats))
-    if linear.size != d * 2 * 2 * d:
-        raise DomainError(f"[force] linear needs {d * 4 * d} entries, got {linear.size}")
-    const = _get(cfg, "force", "const", _floats, None)
-    if const is not None and len(const) != d * 2 * 2:
-        raise DomainError(f"[force] const needs {d * 4} entries, got {len(const)}")
-    return classical.affine_force(d, linear.reshape(d, 2, 2, d), const)
+    linear = np.reshape(_get(cfg, "force", "linear", size=d * 4 * d), (d, 2, 2, d))
+    return classical.affine_force(d, linear, _get(cfg, "force", "const", default=None, size=d * 4))
 
 
 def _point(cfg) -> list:
-    x = _get(cfg, "point", "x", _floats)
-    d = _get(cfg, "force", "dimension", int)
-    if len(x) != d:
-        raise DomainError(f"[point] x needs {d} coordinates, got {len(x)}")
-    return x
+    return _get(cfg, "point", "x", size=_get(cfg, "force", "dimension", int))
 
 
 def _initial(cfg):
@@ -247,26 +232,15 @@ def _quantum_system(cfg):
     """The size-checked quantum-fluct system, initial state and hbar."""
     quantum = _layer("quantum")
     e1 = _get(cfg, "system", "e1", _floats)
-    e2 = _get(cfg, "system", "e2", _floats)
     n = len(e1)
-    if len(e2) != n:
-        raise DomainError(f"[system] e2 needs {n} entries, got {len(e2)}")
-    x0 = np.asarray(_get(cfg, "system", "x0_real", _floats), dtype=complex)
-    if x0.size != n * n:
-        raise DomainError(f"[system] x0_real needs {n * n} entries, got {x0.size}")
-    x0 = x0.reshape(n, n)
-    x0_imag = _get(cfg, "system", "x0_imag", _floats, None)
+    e2 = _get(cfg, "system", "e2", size=n)
+    x0 = np.asarray(_get(cfg, "system", "x0_real", size=n * n), dtype=complex).reshape(n, n)
+    x0_imag = _get(cfg, "system", "x0_imag", default=None, size=n * n)
     if x0_imag is not None:
-        if len(x0_imag) != n * n:
-            raise DomainError(f"[system] x0_imag needs {n * n} entries, got {len(x0_imag)}")
         x0 = x0 + 1j * np.reshape(x0_imag, (n, n))
-    psi = np.asarray(_get(cfg, "system", "psi_real", _floats), dtype=complex)
-    if psi.size != n:
-        raise DomainError(f"[system] psi_real needs {n} entries, got {psi.size}")
-    psi_imag = _get(cfg, "system", "psi_imag", _floats, None)
+    psi = np.asarray(_get(cfg, "system", "psi_real", size=n), dtype=complex)
+    psi_imag = _get(cfg, "system", "psi_imag", default=None, size=n)
     if psi_imag is not None:
-        if len(psi_imag) != psi.size:
-            raise DomainError(f"[system] psi_imag needs {psi.size} entries, got {len(psi_imag)}")
         psi = psi + 1j * np.asarray(psi_imag)
     hbar = _get(cfg, "system", "hbar", _float, 1.0)
     if hbar <= 0:
@@ -285,19 +259,15 @@ def _current_source(cfg) -> str:
 def _wave(cfg):
     """(k, m, part, rescales) of [wave]; rescales maps each branch named by a
     rescale_plus/rescale_minus key to its complex factor."""
-    k = _get(cfg, "wave", "k", _floats)
-    if len(k) != 3:
-        raise DomainError(f"[wave] k needs 3 components, got {len(k)}")
+    k = _get(cfg, "wave", "k", size=3)
     m = _get(cfg, "wave", "m", _float)
     part = _get(cfg, "wave", "part", str, "imaginary")
     if part not in ("imaginary", "real"):
         raise DomainError(f"[wave] part must be 'imaginary' or 'real', got {part!r}")
     rescales = {}
     for key, branch in (("rescale_plus", "plus"), ("rescale_minus", "minus")):
-        re_im = _get(cfg, "wave", key, _floats, None)
+        re_im = _get(cfg, "wave", key, default=None, size=2)
         if re_im is not None:
-            if len(re_im) != 2:
-                raise DomainError(f"[wave] {key} needs 're im', got {len(re_im)} entries")
             rescales[branch] = complex(re_im[0], re_im[1])
     return k, m, part, rescales
 

@@ -116,14 +116,19 @@ class TimePlanePoint:
 
 
 def _check_axis(lo: float, hi: float, n: int, name: str):
-    """DomainError unless the axis has finite ends, a finite span max - min > 0
-    and at least 3 points."""
+    """DomainError unless the axis has finite ends, a finite span max - min > 0,
+    at least 3 points and a nonzero step (max - min)/(n - 1)."""
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise DomainError(f"{name} axis needs finite max > min, got [{lo}, {hi}]")
     if not math.isfinite(hi - lo):
         raise DomainError(f"{name} axis span max - min overflows: got [{lo}, {hi}]")
     if n < 3:
         raise DomainError(f"{name} axis needs at least 3 points, got {n}")
+    # a count past the float range (which the CLI's point cap refuses) divides
+    # as 2**1023, which can only make the step larger, instead of overflowing
+    if (hi - lo) / min(n - 1, 2 ** 1023) == 0:
+        raise DomainError(f"{name} axis step (max - min)/(n - 1) underflows to 0: "
+                          f"got [{lo}, {hi}] with {n} points")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 The only attributes of the layer modules that cli.py reads are the seven
 command functions of its command table and the builders its section parsers
 call.  Domain work that moves back into cli.py has to read some other layer
-attribute, and the scan names it."""
+attribute, and the scan names it.  The entry count of a fixed-length list
+key is checked only by _get's size form: a count check written beside it
+raises a DomainError of its own, and a second scan names its function."""
 
 import ast
 from pathlib import Path
@@ -95,3 +97,57 @@ def test_scan_sees_every_way_of_reading_a_layer():
     assert layer_reads(tree) == {
         ("dirac", "solve_plane_wave"), ("continuity", "charges"),
         ("quantum", "variance_trace"), ("classical", "classify"), ("dirac", "<module>")}
+
+
+def _measures_length(node) -> bool:
+    """Whether node reads a ``len(...)`` or a ``.size``."""
+    return any((isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "len")
+               or (isinstance(n, ast.Attribute) and n.attr == "size") for n in ast.walk(node))
+
+
+def _raises_domain_error(node) -> bool:
+    return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "DomainError")
+
+
+def count_checks(tree) -> set:
+    """Names of the functions that raise a DomainError about an entry count:
+    under an ``if`` that measures a length, or with a message that names
+    entries."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.If) and _measures_length(node.test):
+                if any(_raises_domain_error(n) for child in node.body for n in ast.walk(child)):
+                    found.add(func.name)
+            elif _raises_domain_error(node) and any(
+                    isinstance(n, ast.Constant) and "entries" in str(n.value)
+                    for n in ast.walk(node.exc)):
+                found.add(func.name)
+    return found
+
+
+def test_cli_counts_entries_only_in_get():
+    extra = count_checks(ast.parse(CLI.read_text(encoding="utf-8"), str(CLI))) - {"_get"}
+    assert not extra, f"cli.py checks entry counts outside _get: {', '.join(sorted(extra))}"
+
+
+def test_count_scan_sees_guards_and_messages():
+    tree = ast.parse(
+        "def by_len(x):\n"
+        "    if len(x) != 3:\n"
+        "        raise DomainError('x needs 3 coordinates')\n"
+        "def by_size(a, n):\n"
+        "    if a.size != n * n:\n"
+        "        raise DomainError(f'a has {a.size} values')\n"
+        "def by_text(x):\n"
+        "    if bad(x):\n"
+        "        raise DomainError(f'x needs {n} entries')\n"
+        "def unrelated(count):\n"
+        "    if count < 2:\n"
+        "        raise DomainError('count must be at least 2')\n"
+        "    if len(count):\n"
+        "        raise ValueError('not a DomainError')\n")
+    assert count_checks(tree) == {"by_len", "by_size", "by_text"}

@@ -743,6 +743,85 @@ n2 = 5
         assert [str(w.message) for w in caught] == []
         assert os.listdir(tmp_path) == ["wide.ini"]
 
+    @pytest.mark.parametrize("name, changes, axis, n", [
+        ("dirac_plane_wave", {"t1_max": "5e-324"}, "t1", 21),
+        ("dirac_plane_wave", {"t2_max": "5e-324"}, "t2", 21),
+        ("dirac_plane_wave", {"x_min": "0", "x_max": "5e-324"}, "x", 13),
+        ("continuity_manufactured", {"t1_max": "5e-324"}, "t1", 41),
+        ("continuity_manufactured", {"t2_max": "5e-324"}, "t2", 41),
+        ("continuity_manufactured", {"x_min": "0", "x_max": "5e-324"}, "x", 61),
+        ("quantum_fluct_two_level", {"t1_max": "5e-324"}, "t1", 41),
+        ("classical_harmonic", {"t2_max": "5e-324"}, "t2", 101),
+    ], ids=["dirac_t1", "dirac_t2", "dirac_x", "continuity_t1", "continuity_t2",
+            "continuity_x", "fluct_t1", "integrate_t2"])
+    def test_zero_axis_step_rejected(self, tmp_path, capsys, monkeypatch, name, changes, axis,
+                                     n):
+        # a bundled [grid] whose step (max - min)/(n - 1) underflows to 0; the
+        # dirac and continuity t axes used to end in numpy's divide or matmul
+        # error, the others in a run that exited 0
+        cfg = cli.load_config(scenario_path(f"{name}.ini"))
+        for key, value in changes.items():
+            cfg.set("grid", key, value)
+        config = str(tmp_path / f"{name}.ini")
+        with open(config, "w") as fh:
+            cfg.write(fh)
+        command = cfg.get("scenario", "command")
+        forbid_runner(monkeypatch, command)
+        message = (f"{axis} axis step (max - min)/(n - 1) underflows to 0: "
+                   f"got [0.0, 5e-324] with {n} points\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["validate", "--config", config]) == 2
+            assert capsys.readouterr().err == f"invalid: {message}"
+            assert cli.main([command, "--config", config, "--out", str(tmp_path / "out")]) == 3
+            assert capsys.readouterr().err == f"domain error: {message}"
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("name, section, key, value, size", [
+        ("classical_check_rank_one_2d", "force", "c", "1 2 3", 2),
+        ("classical_harmonic", "force", "c", "1", 2),
+        ("classical_check_rank_one_2d", "force", "g_const", "0.5", 2),
+        ("classical_check_rank_one_2d", "force", "g_linear", "-1 0.4 0.2", 4),
+        ("classical_check_generic_3d", "force", "linear", "0.31 -0.78", 36),
+        ("classical_check_generic_3d", "force", "const", "1", 12),
+        ("classical_check_rank_one_2d", "point", "x", "0.4", 2),
+        ("quantum_fluct_two_level", "system", "e2", "0 2 3", 2),
+        ("quantum_fluct_two_level", "system", "x0_real", "0 1 1", 4),
+        ("quantum_fluct_two_level", "system", "x0_imag", "0 1 -1 0 2", 4),
+        ("quantum_fluct_two_level", "system", "psi_real", "1 1 1", 2),
+        ("quantum_fluct_two_level", "system", "psi_imag", "0.5", 2),
+        ("dirac_plane_wave", "wave", "k", "1 0", 3),
+        ("dirac_plane_wave", "wave", "rescale_plus", "1 0 0", 2),
+        ("dirac_plane_wave", "wave", "rescale_minus", "", 2),
+    ], ids=["c", "integrate_c", "g_const", "g_linear", "linear", "const", "point_x", "e2",
+            "x0_real", "x0_imag", "psi_real", "psi_imag", "k", "rescale_plus", "rescale_minus"])
+    def test_wrong_entry_count_exits_3(self, tmp_path, capsys, monkeypatch, name, section, key,
+                                       value, size):
+        # every fixed-length list key gives the one count message, in the parse stage
+        cfg = cli.load_config(scenario_path(f"{name}.ini"))
+        cfg.set(section, key, value)
+        config = str(tmp_path / f"{name}.ini")
+        with open(config, "w") as fh:
+            cfg.write(fh)
+        command = cfg.get("scenario", "command")
+        forbid_runner(monkeypatch, command)
+        message = f"[{section}] {key} needs {size} entries, got {len(value.split())}\n"
+        assert cli.main(["validate", "--config", config]) == 2
+        assert capsys.readouterr().err == f"invalid: {message}"
+        assert cli.main([command, "--config", config, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"domain error: {message}"
+
+    def test_long_list_count_message_stays_short(self, tmp_path, capsys):
+        cfg = cli.load_config(scenario_path("quantum_fluct_two_level.ini"))
+        cfg.set("system", "x0_real", " ".join(["0.125"] * 1025))
+        config = str(tmp_path / "long.ini")
+        with open(config, "w") as fh:
+            cfg.write(fh)
+        assert cli.main(["validate", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err == "invalid: [system] x0_real needs 4 entries, got 1025\n"
+        assert len(err.encode()) < 100
+
     @pytest.mark.parametrize("name, key", output_keys())
     @pytest.mark.parametrize("value", ["", "sub/"], ids=["empty", "directory"])
     def test_output_name_rejected_in_parse(self, tmp_path, capsys, monkeypatch, name, key,

@@ -171,6 +171,23 @@ class TestTypes:
         with pytest.raises(DomainError, match=rf"^{axis} axis span max - min overflows"):
             Grid2T(**{**args, **kwargs})
 
+    @pytest.mark.parametrize("kwargs, axis", [
+        (dict(t1_max=5e-324, n1=21), "t1"),
+        (dict(t2_max=1e-322, n2=41), "t2"),
+        (dict(x_min=0.0, x_max=5e-324, nx=3), "x"),
+    ], ids=["t1", "t2", "x"])
+    def test_grid_zero_step_names_axis(self, kwargs, axis):
+        # a positive span whose step (max - min)/(n - 1) rounds to 0
+        args = dict(t1_min=0, t1_max=1, t2_min=0, t2_max=1, n1=5, n2=5)
+        with pytest.raises(DomainError, match=rf"^{axis} axis step \(max - min\)/\(n - 1\) "
+                                              "underflows to 0"):
+            Grid2T(**{**args, **kwargs})
+
+    def test_grid_subnormal_step_and_count_past_float_range_accepted(self):
+        assert Grid2T(0, 1e-322, 0, 1, 21, 5).d1 == 5e-324
+        # n1 - 1 does not convert to a float, yet the step check does not overflow
+        assert Grid2T(0, 1, 0, 1, 10 ** 400, 5).n1 == 10 ** 400
+
     def test_grid_widest_finite_span_accepted(self):
         g = Grid2T(-8e307, 8e307, 0, 1, 5, 5)
         assert np.isfinite(g.t1_values).all() and math.isfinite(g.d1)
