@@ -3,14 +3,18 @@
     python scripts/compare_classify.py <rev>
 
 Exports <rev> with ``git archive`` into a temporary directory, as
-``compare_outputs.py`` does, and classifies the 6,000 ``constraint_sweep``
-draws of seeds 9001 and 9002 (3,000 each) under both trees.  The draws come
-from the working tree's ``benchmarks/workloads.py``, imported without
-writing bytecode, with ``PYTHONPATH`` set to each tree's ``src`` in turn, so
-both trees see the same inputs built by their own force builders.
+``compare_outputs.py`` does, and classifies under both trees the 6,000
+``constraint_sweep`` draws of seeds 9001 and 9002 (3,000 each, d = 2 and 3)
+and 2,000 d = 1 draws of seed 9003 built here (``d1_case``: affine forces,
+generically full rank, alternating with rank-one forces, which have a
+kernel).  The d >= 2 draws come from the working tree's
+``benchmarks/workloads.py``, imported without writing bytecode, with
+``PYTHONPATH`` set to each tree's ``src`` in turn, so both trees see the
+same inputs built by their own force builders.
 
-For each kernel dimension the script prints how many draws changed in each
-report field and the largest move of a numeric field.  The exit status is
+For d >= 2 and for d = 1, and for each kernel dimension under them, the
+script prints how many draws changed in each report field and the largest
+move of a numeric field.  The exit status is
 1 if any verdict, kernel dimension or determinant differs, 0 otherwise.
 The temporary directory is removed at the end.
 """
@@ -28,8 +32,12 @@ from compare_outputs import ROOT, export
 
 SEEDS = (9001, 9002)
 DRAWS = 3000
+SWEEP_DRAWS = len(SEEDS) * DRAWS  # rows of a dump before the d = 1 draws
+D1_SEED = 9003
+D1_DRAWS = 2000
 FIELDS = ("verdict", "kernel_dim", "determinant_value", "fields", "degenerate",
-          "parallelism_defect", "orthogonality_residual", "discrepancy")
+          "parallelism_defect", "orthogonality_residual", "discrepancy",
+          "consistency_residual")
 # a draw that differs in one of these fails the comparison
 DECISIVE = ("verdict", "kernel_dim", "determinant_value")
 
@@ -42,7 +50,26 @@ def report_row(report) -> dict:
             "degenerate": [bool(g) for g in report.fields.degenerate],
             "parallelism_defect": float(report.parallelism_defect),
             "orthogonality_residual": report.orthogonality_residual,
-            "discrepancy": report.discrepancy}
+            "discrepancy": report.discrepancy,
+            "consistency_residual": report.consistency_residual}
+
+
+def d1_case(i: int):
+    """(force, x) of d = 1 draw i: an affine force with a constant part for
+    even i, a rank-one force c_j c_k g(x) with a quadratic g for odd i, at
+    x ~ U(-1, 1)."""
+    import numpy as np
+    from bitempo import classical
+
+    rng = np.random.default_rng([D1_SEED, i])
+    if i % 2 == 0:
+        force = classical.affine_force(1, rng.normal(size=(1, 2, 2, 1)),
+                                       rng.normal(size=(1, 2, 2)))
+    else:
+        c = rng.uniform(0.5, 1.5, size=2) * rng.choice([-1.0, 1.0], size=2)
+        coeffs = rng.uniform(-1.0, 1.0, size=3)
+        force = classical.rank_one_force(c, lambda x: np.polyval(coeffs, x))
+    return force, float(rng.uniform(-1.0, 1.0))
 
 
 def dump(path: str):
@@ -58,6 +85,7 @@ def dump(path: str):
             for i in range(DRAWS):
                 case = sweep.case(i)
                 rows.append(report_row(classical.classify(case.force, case.x)))
+    rows += [report_row(classical.classify(*d1_case(i))) for i in range(D1_DRAWS)]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(rows, fh)
 
@@ -131,6 +159,13 @@ def format_table(table: dict) -> list:
     return lines
 
 
+def draw_name(k: int) -> str:
+    """Seed and draw of row k of a dump."""
+    if k < SWEEP_DRAWS:
+        return f"seed {SEEDS[k // DRAWS]} draw {k % DRAWS}"
+    return f"d = 1 seed {D1_SEED} draw {k - SWEEP_DRAWS}"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1 or argv[0].startswith("-"):
@@ -142,11 +177,14 @@ def main(argv=None) -> int:
         export(rev, old_tree)
         old = classify_under(old_tree, os.path.join(tmp, "rev.json"))
         new = classify_under(ROOT, os.path.join(tmp, "tree.json"))
-    table, decisive = diff(old, new)
-    print("\n".join(format_table(table)))
+    decisive = []
+    for title, start, stop in (("d >= 2", 0, SWEEP_DRAWS), ("d = 1", SWEEP_DRAWS, len(old))):
+        table, found = diff(old[start:stop], new[start:stop])
+        print(f"{title}:")
+        print("\n".join(format_table(table)))
+        decisive += [(start + k, f) for k, f in found]
     for k, f in decisive[:10]:
-        seed, i = SEEDS[k // DRAWS], k % DRAWS
-        print(f"DIFF  seed {seed} draw {i}: {f} {old[k][f]!r} -> {new[k][f]!r}")
+        print(f"DIFF  {draw_name(k)}: {f} {old[k][f]!r} -> {new[k][f]!r}")
     print(f"{len(decisive)} decisive differences (verdict, kernel_dim, determinant) "
           f"over {len(old)} draws against {rev}")
     return 1 if decisive else 0

@@ -20,6 +20,7 @@ either.  Verdicts are always driven by the null-space route.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -141,7 +142,10 @@ class ForceTensorField:
     def tensor_at(self, x) -> np.ndarray:
         """Force tensors at positions (..., d), shaped (..., d, 2, 2); complex
         positions keep whatever dtype ``eval`` returns for them."""
-        pos = self._positions(x)
+        return self._evaluate(self._positions(x))
+
+    def _evaluate(self, pos: np.ndarray) -> np.ndarray:
+        """``tensor_at`` at positions already shaped by ``_positions``."""
         with np.errstate(over="ignore", invalid="ignore"):  # the check below names the position
             out = np.asarray(self.eval(pos))
         if pos.dtype.kind != "c" or out.dtype.kind != "c":
@@ -157,12 +161,13 @@ class ForceTensorField:
 
     def derivative_tensor(self, x) -> np.ndarray:
         """Derivatives T[..., i, j, k, m] = dF^i_{jk}/dx^m by the complex
-        step, from one ``tensor_at`` call at x + i h e_m along every axis m,
-        and a second at x only where the branch-cut test fires."""
-        x = np.asarray(x, dtype=float)
-        points = self._positions(x)[..., None, :] + _COMPLEX_SHIFTS[self.d]  # [..., m, coordinate]
+        step, from one evaluation at x + i h e_m along every axis m, and a
+        second at x only where the branch-cut test fires; both are checked
+        as ``tensor_at`` checks its tensors."""
+        pos = self._positions(np.asarray(x, dtype=float))
+        points = pos[..., None, :] + _COMPLEX_SHIFTS[self.d]  # [..., m, coordinate]
         try:
-            t = self.tensor_at(points.reshape(points.shape[:-1] + self._point_shape))
+            t = self._evaluate(points)
         except TypeError as exc:
             raise DomainError(f"force eval must be complex-analytic in x: it raised "
                               f"TypeError at complex positions ({exc})") from exc
@@ -173,7 +178,7 @@ class ForceTensorField:
         # an imaginary part within 2^-50 everywhere passes the branch-cut test
         if (im.max(initial=0.0) > _BRANCH_CUT_BOUND
                 and (im > _BRANCH_CUT_BOUND * (1.0 + np.abs(t.real))).any()):
-            self.tensor_at(x)  # a crossed cut is NaN here and raises
+            self._evaluate(pos)  # a crossed cut is NaN here and raises
         return _axis_m_last(t.imag / _COMPLEX_STEP)
 
 
@@ -812,6 +817,13 @@ def _cross_validate(appendix, kernel, d: int):
     return worst
 
 
+def _no_kernel_field(d: int) -> CharacteristicField:
+    """The field of a full-rank system: a zero vector per coordinate, each
+    flagged degenerate."""
+    return CharacteristicField(vectors=tuple(np.zeros(2) for _ in range(d)),
+                               degenerate=(True,) * d)
+
+
 def _field_report(T: np.ndarray, M: np.ndarray, tol: Tolerances):
     """Kernel dimension, oracle fields, orthogonality residual and
     discrepancy text from the derivative tensor T of a d = 2 or 3 force and
@@ -823,8 +835,7 @@ def _field_report(T: np.ndarray, M: np.ndarray, tol: Tolerances):
     d = T.shape[0]
     kernel = null_space(M, tol)
     if not kernel:
-        return 0, CharacteristicField(vectors=tuple(np.zeros(2) for _ in range(d)),
-                                      degenerate=(True,) * d), None, None
+        return 0, _no_kernel_field(d), None, None
     dirs = _kernel_directions(kernel, d, tol)
     appendix = _appendix_fields_2d(T) if d == 2 else _appendix_fields_3d(M)
     residual = _cross_validate(appendix, kernel, d)
@@ -858,6 +869,17 @@ def _pairwise_defect(directions) -> float:
     return worst
 
 
+def _certified_full_rank(M: np.ndarray, det: float, tol: Tolerances) -> bool:
+    """Whether det, the determinant of the n x n system M, proves that
+    ``null_space(M, tol)`` is empty, by the test ``classify`` states; an
+    infinite, NaN, zero or subnormal det proves nothing."""
+    if not (math.isfinite(det) and abs(det) >= sys.float_info.min):
+        return False
+    n = M.shape[0]
+    frobenius = math.hypot(*M.ravel().tolist())
+    return abs(det) ** (1.0 / n) > (2.0 * tol.abs_tol) ** (1.0 / n) * frobenius
+
+
 def classify(F: ForceTensorField, x, tol: Tolerances = Tolerances()) -> ConstraintReport:
     """Full admissibility verdict for a force at a point.
 
@@ -865,20 +887,33 @@ def classify(F: ForceTensorField, x, tol: Tolerances = Tolerances()) -> Constrai
     characteristic directions parallel (always so at d = 1): effectively one
     time.  Rank-deficient with genuinely different directions: two-time
     admissible.  Vanishing fields: degenerate.
+
+    The determinant of the n x n velocity system M decides first.  The
+    largest singular value is at most the Frobenius norm |M|_F and
+    |det| <= s_min s_max^(n-1), so |det|^(1/n) > (2 abs_tol)^(1/n) |M|_F
+    gives s_min > 2 abs_tol s_max, twice the kernel threshold; the factor 2
+    covers the rounding of the LU determinant and of the SVD, the n-th
+    roots keep both sides finite, and ``math.hypot`` takes |M|_F without
+    overflow.  Where that certificate holds, the no-kernel report is
+    returned at once; ``null_space`` (one SVD) and the field report run
+    only where it fails, and the report is the same either way.
     """
     T = F.derivative_tensor(x)
     fp = _primes_1d(T, x) if F.d == 1 else None
     M = _constraint_matrix_from_tensor(T, F.d)
     det_val = float(determinant(M))
-    if F.d == 1:
+    ortho = discrepancy = None
+    if _certified_full_rank(M, det_val, tol):
+        kdim, fields = 0, _no_kernel_field(F.d)
+    elif F.d == 1:
         kdim = len(null_space(M, tol))
         # characteristic_field_1d raises on mixed-sign radicands, which a
         # full-rank system may have
         vec, degenerate = characteristic_field_1d(fp, x, tol) if kdim else (np.zeros(2), True)
         fields = CharacteristicField(vectors=(vec,), degenerate=(bool(degenerate),))
-        checks = (None, None, float(consistency_residual_1d(fp)))
     else:
-        kdim, fields, *checks = _field_report(T, M, tol)
+        kdim, fields, ortho, discrepancy = _field_report(T, M, tol)
+    consistency = float(consistency_residual_1d(fp)) if F.d == 1 else None
     defined = [v for v, dgn in zip(fields.vectors, fields.degenerate) if not dgn]
     defect = _pairwise_defect(defined)
 
@@ -890,7 +925,8 @@ def classify(F: ForceTensorField, x, tol: Tolerances = Tolerances()) -> Constrai
         verdict = Verdict.EFFECTIVE_ONE_TIME
     else:
         verdict = Verdict.TWO_TIME_ADMISSIBLE
-    return ConstraintReport(det_val, kdim, fields, defect, verdict, *checks)
+    return ConstraintReport(det_val, kdim, fields, defect, verdict, ortho, discrepancy,
+                            consistency)
 
 
 def run_classical_check(tol: Tolerances, force: ForceTensorField, x: list):

@@ -90,17 +90,20 @@ def load_config(path: str) -> configparser.ConfigParser:
 
 def _get(cfg, section: str, key: str, cast=str, default=_REQUIRED, *, size=None):
     """The value of [section] key by cast, or default when the key is absent.
-    With size it is a list of size finite floats, and its count error never
-    echoes the value, so that a long list stays a one-line diagnostic."""
+    With size it is a list of size finite floats.  A list's errors never
+    echo the value: a bad entry is named with its position, a wrong count
+    by the count, so that a long list stays a one-line diagnostic."""
     if not cfg.has_option(section, key):
         if default is _REQUIRED:
             raise DomainError(f"missing required key [{section}] {key}")
         return default
     raw = cfg.get(section, key)
+    listed = size is not None or cast is _floats
     try:
-        value = cast(raw) if size is None else _floats(raw)
+        value = _floats(raw) if listed else cast(raw)
     except (TypeError, ValueError) as exc:
-        raise DomainError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from exc
+        what = exc if listed else f"{raw!r} ({exc})"
+        raise DomainError(f"bad value for [{section}] {key}: {what}") from exc
     if size is not None and len(value) != size:
         raise DomainError(f"[{section}] {key} needs {size} entries, got {len(value)}")
     return value
@@ -114,7 +117,15 @@ def _float(raw: str) -> float:
 
 
 def _floats(raw: str) -> list:
-    return [_float(p) for p in raw.replace(",", " ").split()]
+    """The finite floats of a space- or comma-separated list; a bad entry
+    raises ValueError naming its 1-based position, not the whole list."""
+    values = []
+    for k, part in enumerate(raw.replace(",", " ").split(), 1):
+        try:
+            values.append(_float(part))
+        except ValueError as exc:
+            raise ValueError(f"entry {k} {part!r} ({exc})") from None
+    return values
 
 
 def _tolerances(cfg) -> Tolerances:

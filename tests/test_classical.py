@@ -2,13 +2,15 @@ import ast
 import configparser
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bitempo import classical as cl, cli
 from bitempo.core import (
+    BitempoError,
     ComplexCharacteristicError,
     DomainError,
     EvaluationError,
@@ -885,6 +887,70 @@ class TestClassify:
         force = cl.affine_force(2, rng.normal(size=(2, 2, 2, 2)))
         t = force.tensor_at(rng.uniform(-1, 1, size=(5, 2)))
         assert np.max(np.abs(t[..., 0, 1] - t[..., 1, 0])) < 1e-12
+
+
+def force_of_system(M):
+    """The affine force whose velocity system at x = 0 is M, entry for entry:
+    build_constraint_matrix's layout read backwards, with no symmetrizing."""
+    d = M.shape[0] // 2
+    M4 = M.reshape(2, d, d, 2).transpose(1, 0, 2, 3) if d == 3 else M.reshape(d, 2, d, 2)
+    T = np.empty((d, 2, 2, d))
+    T[:, 1] = M4[..., 0]
+    T[:, 0] = -M4[..., 1]
+    return cl.affine_force(d, T, symmetrize=False)
+
+
+def report_text(F, x, tol):
+    """Every field of classify's report, or the error it raised, as exact text."""
+    try:
+        r = cl.classify(F, x, tol)
+    except BitempoError as exc:  # both routes must raise alike
+        return repr(exc)
+    return repr((r.determinant_value, r.kernel_dim, [v.tolist() for v in r.fields.vectors],
+                 r.fields.degenerate, r.parallelism_defect, r.verdict,
+                 r.orthogonality_residual, r.discrepancy, r.consistency_residual))
+
+
+class TestFullRankCertificate:
+    """Where the determinant certifies full rank, null_space finds no kernel,
+    and classify reports exactly what the SVD route would have reported."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(n=st.sampled_from([2, 4, 6]), k=st.integers(-300, 300),
+           kind=st.sampled_from(["generic", "deficient", "near"]),
+           ratio=st.floats(1e-11, 1e-9), abs_tol=st.sampled_from([1e-10, 1e-3, 0.4]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # determinants that overflow to inf and underflow to 0
+    @example(n=6, k=300, kind="generic", ratio=1e-10, abs_tol=1e-10, seed=1)
+    @example(n=4, k=300, kind="near", ratio=1e-10, abs_tol=1e-10, seed=2)
+    @example(n=6, k=-300, kind="generic", ratio=1e-10, abs_tol=1e-10, seed=3)
+    @example(n=4, k=-300, kind="deficient", ratio=1e-10, abs_tol=1e-3, seed=4)
+    # past the threshold at n = 2: s_min / s_max = 3e-10 > 2 abs_tol
+    @example(n=2, k=0, kind="near", ratio=3e-10, abs_tol=1e-10, seed=5)
+    def test_certified_systems_have_no_kernel(self, n, k, kind, ratio, abs_tol, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "generic":
+            M = rng.normal(size=(n, n))
+        else:
+            U = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            s = rng.uniform(0.5, 2.0, size=n)
+            if kind == "deficient":
+                s[rng.choice(n, size=rng.integers(1, n), replace=False)] = 0.0
+            else:
+                s[0] = ratio * s.max()
+            M = (U * s) @ V.T
+        M = M * 2.0 ** k
+        tol = Tolerances(abs_tol=abs_tol)
+        F, x = force_of_system(M), np.zeros(n // 2) if n > 2 else 0.0
+        assert cl._constraint_matrix_from_tensor(F.derivative_tensor(x), n // 2).tobytes() \
+            == M.tobytes()
+        with np.errstate(all="ignore"):  # an overflowed determinant is one of the rows
+            if cl._certified_full_rank(M, float(np.linalg.det(M)), tol):
+                assert null_space(M, tol) == []
+            fast = report_text(F, x, tol)
+            with mock.patch.object(cl, "_certified_full_rank", lambda *a: False):
+                assert report_text(F, x, tol) == fast
 
 
 def relabeled_fields_by_tensor(T, printed):

@@ -822,6 +822,35 @@ n2 = 5
         assert err == "invalid: [system] x0_real needs 4 entries, got 1025\n"
         assert len(err.encode()) < 100
 
+    def test_long_list_bad_entry_named_by_position(self, tmp_path, capsys, monkeypatch):
+        cfg = cli.load_config(scenario_path("quantum_fluct_two_level.ini"))
+        cfg.set("system", "x0_real", " ".join(["0.125"] * 1023 + ["x"]))
+        config = str(tmp_path / "long.ini")
+        with open(config, "w") as fh:
+            cfg.write(fh)
+        forbid_runner(monkeypatch, "quantum-fluct")
+        message = ("bad value for [system] x0_real: entry 1024 'x' "
+                   "(could not convert string to float: 'x')\n")
+        assert cli.main(["validate", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err == f"invalid: {message}"
+        assert len(err.encode()) < 150
+        assert cli.main(["quantum-fluct", "--config", config, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"domain error: {message}"
+
+    @pytest.mark.parametrize("key, value, entry", [
+        ("e1", "0 1e999", "entry 2 '1e999' (not finite)"),
+        ("psi_real", "1,,nan", "entry 2 'nan' (not finite)"),
+    ])
+    def test_list_entry_error_names_the_entry(self, tmp_path, capsys, key, value, entry):
+        cfg = cli.load_config(scenario_path("quantum_fluct_two_level.ini"))
+        cfg.set("system", key, value)
+        config = str(tmp_path / "bad.ini")
+        with open(config, "w") as fh:
+            cfg.write(fh)
+        assert cli.main(["validate", "--config", config]) == 2
+        assert capsys.readouterr().err == f"invalid: bad value for [system] {key}: {entry}\n"
+
     @pytest.mark.parametrize("name, key", output_keys())
     @pytest.mark.parametrize("value", ["", "sub/"], ids=["empty", "directory"])
     def test_output_name_rejected_in_parse(self, tmp_path, capsys, monkeypatch, name, key,

@@ -16,10 +16,11 @@ _spec.loader.exec_module(compare_classify)
 RANK_ONE = {"verdict": "effective_one_time", "kernel_dim": 2, "determinant_value": 0.0,
             "fields": [-0.8944271909999159, 0.4472135954999578, -0.8944271909999159, 0.447213595499958],
             "degenerate": [False, False], "parallelism_defect": 1.665334536937735e-16,
-            "orthogonality_residual": math.inf, "discrepancy": "oracle=[-0.8944271909999159, ...]"}
+            "orthogonality_residual": math.inf, "discrepancy": "oracle=[-0.8944271909999159, ...]",
+            "consistency_residual": None}
 GENERIC = {"verdict": "no_two_time_motion", "kernel_dim": 0, "determinant_value": 0.37,
            "fields": [0.0, 0.0, 0.0, 0.0], "degenerate": [True, True], "parallelism_defect": 0.0,
-           "orthogonality_residual": None, "discrepancy": None}
+           "orthogonality_residual": None, "discrepancy": None, "consistency_residual": None}
 
 
 def row(base, **changes):
@@ -77,3 +78,19 @@ def test_table_lines():
     assert lines[0] == "kernel_dim 2: 1 draws"
     assert "  verdict                      0 changed" in lines
     assert "  parallelism_defect           1 changed, largest move 3.35e-17" in lines
+
+
+def test_d1_draws_named_after_the_sweep():
+    assert compare_classify.draw_name(2999) == "seed 9001 draw 2999"
+    assert compare_classify.draw_name(3000) == "seed 9002 draw 0"
+    assert compare_classify.draw_name(6001) == "d = 1 seed 9003 draw 1"
+
+
+def test_d1_draws_alternate_full_rank_and_kernel():
+    from bitempo import classical
+
+    rows = [compare_classify.report_row(classical.classify(*compare_classify.d1_case(i)))
+            for i in range(40)]
+    assert [r["kernel_dim"] for r in rows] == [0, 1] * 20
+    assert all(r["consistency_residual"] is not None for r in rows)
+    assert {r["verdict"] for r in rows[1::2]} == {"effective_one_time"}
