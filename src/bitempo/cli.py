@@ -98,11 +98,12 @@ def _get(cfg, section: str, key: str, cast=str, default=_REQUIRED, *, size=None)
             raise DomainError(f"missing required key [{section}] {key}")
         return default
     raw = cfg.get(section, key)
-    listed = size is not None or cast is _floats
+    if size is not None:
+        cast = _floats
     try:
-        value = _floats(raw) if listed else cast(raw)
+        value = cast(raw)
     except (TypeError, ValueError) as exc:
-        what = exc if listed else f"{raw!r} ({exc})"
+        what = exc if cast is _floats else f"{raw!r} ({exc})"
         raise DomainError(f"bad value for [{section}] {key}: {what}") from exc
     if size is not None and len(value) != size:
         raise DomainError(f"[{section}] {key} needs {size} entries, got {len(value)}")
