@@ -33,7 +33,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .core import (
-    BitempoError,
     ConfigError,
     DomainError,
     EvaluationError,
@@ -646,6 +645,22 @@ COMMANDS = tuple(_COMMANDS)
 # run / validate
 # ---------------------------------------------------------------------------
 
+# the failures a run and validate catch: (exception types, exit code, prefix
+# of the run's stderr line), first match first
+_FAILURES = (
+    ((ConfigError,), 2, "config error: "),
+    ((DomainError,), 3, "domain error: "),
+    ((EvaluationError, ArithmeticError), 4, "numerical failure: "),
+    ((MemoryError,), 4, "numerical failure: cannot allocate: "),
+)
+_CAUGHT = tuple(t for types, _, _ in _FAILURES for t in types)
+
+
+def _failure(exc: BaseException) -> tuple:
+    """The exit code and stderr prefix of a caught failure."""
+    return next((code, prefix) for types, code, prefix in _FAILURES if isinstance(exc, types))
+
+
 def run_scenario(config_path: str, out_dir: str | None = None, fmt: str = "csv",
                  expected_command: str | None = None) -> dict:
     """Execute one scenario file and write its report and data files.
@@ -709,14 +724,10 @@ def validate_config(config_path: str) -> list:
         try:
             with np.errstate(**_RAISE):
                 parse(cfg)
-        except (DomainError, ConfigError) as exc:
-            diagnostics.append(str(exc))
-        except BitempoError as exc:
-            diagnostics.append(f"unexpected: {exc}")
-        except ArithmeticError as exc:
-            diagnostics.append(f"numerical failure: {exc}")
-        except MemoryError as exc:
-            diagnostics.append(f"cannot allocate: {exc}")
+        except _CAUGHT as exc:
+            code, prefix = _failure(exc)
+            # a config or domain error names its key; a numerical failure keeps its prefix
+            diagnostics.append(f"{prefix}{exc}" if code == 4 else str(exc))
     return list(dict.fromkeys(diagnostics))
 
 
@@ -763,18 +774,10 @@ def main(argv=None) -> int:
         summary = {k: v for k, v in results.items() if not isinstance(v, (list, dict))}
         print(json.dumps({"command": args.command, **summary}, sort_keys=True))
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 3
-    except (EvaluationError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except MemoryError as exc:
-        print(f"numerical failure: cannot allocate: {exc}", file=sys.stderr)
-        return 4
+    except _CAUGHT as exc:
+        code, prefix = _failure(exc)
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from bitempo import classical, cli
 from bitempo.core import ConfigError
 
+import test_corpus
+
 try:  # Python 3.9+: importlib.resources.files
     from importlib.resources import files as resource_files
 except ImportError:  # pragma: no cover
@@ -44,12 +46,6 @@ def forbid_runner(monkeypatch, command):
     parsers, _, table = cli._COMMANDS[command]
     monkeypatch.setitem(cli._COMMANDS, command,
                         (parsers, lambda *args: pytest.fail(f"{command} ran"), table))
-
-
-def output_keys():
-    for name in all_scenarios():
-        for key in cli.load_config(scenario_path(name)).options("output"):
-            yield pytest.param(name, key, id=f"{name[:-4]}-{key}")
 
 
 class TestBundledScenarios:
@@ -372,207 +368,15 @@ report = from_file_report.json
         assert results["refinement_ratio_Q1"] > 3.0
 
 
+@test_corpus.collected_under_old_ids
 class TestExitCodes:
-    def test_unknown_command_exits_2(self, tmp_path):
-        config = write(tmp_path, "bad.ini", "[scenario]\ncommand = frobnicate\n")
-        assert cli.main(["validate", "--config", config]) == 2
-        assert cli.main(["uncertainty", "--config", config]) == 2
-
     def test_command_mismatch_exits_2(self):
+        # not a corpus row: validate is not told the command a run invokes
         assert cli.main(["uncertainty", "--config",
                          scenario_path("mass_spectrum_sweep.ini")]) == 2
 
-    def test_missing_key_exits_3(self, tmp_path):
-        config = write(tmp_path, "missing.ini", """
-[scenario]
-command = quantum-fluct
-
-[system]
-x0_real = 0 1 1 0
-psi_real = 1 1
-
-[grid]
-t1_min = 0
-t1_max = 1
-t2_min = 0
-t2_max = 1
-n1 = 5
-n2 = 5
-""")
-        assert cli.main(["quantum-fluct", "--config", config, "--out", str(tmp_path)]) == 3
-
     def test_unreadable_config_exits_2(self, tmp_path):
         assert cli.main(["uncertainty", "--config", str(tmp_path / "nope.ini")]) == 2
-
-    def test_domain_error_exits_3(self, tmp_path):
-        config = write(tmp_path, "oob.ini", """
-[scenario]
-command = uncertainty
-
-[budget]
-de1 = 0.1
-de2 = 0.1
-dde1 = 0.0
-dde2 = 0.0
-t1 = 0.1
-t2 = 0.1
-""")
-        assert cli.main(["uncertainty", "--config", config, "--out", str(tmp_path)]) == 3
-
-    def test_numerical_blowup_exits_4(self, tmp_path):
-        config = write(tmp_path, "blowup.ini", """
-[scenario]
-command = classical-integrate
-
-[force]
-family = rank_one
-dimension = 1
-c = 1 1
-g_poly = 1 0 0 0
-
-[initial]
-x0 = 2.0
-v0 = 5.0
-
-[grid]
-t1_min = 0
-t1_max = 10
-t2_min = 0
-t2_max = 10
-n1 = 5
-n2 = 5
-""")
-        assert cli.main(["classical-integrate", "--config", config, "--out", str(tmp_path)]) == 4
-
-    @pytest.mark.parametrize("command, sections, key", [
-        ("classical-check", "[force]\nfamily = rank_one\ndimension = 2\nc = 1 2\n"
-         "g_const = 0.5 -0.3\ng_linear = -1 0.4 0.2\n[point]\nx = 0.4 -0.2\n", "[force] g_linear"),
-        ("classical-check", "[force]\nfamily = affine\ndimension = 1\nlinear = 1 2 2 3\n"
-         "const = 1 2 3\n[point]\nx = 0.1\n", "[force] const"),
-        ("classical-check", "[force]\nfamily = rank_one\ndimension = 1\nc = 1 abc\n"
-         "g_poly = -1 0\n[point]\nx = 0.1\n", "[force] c"),
-        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\nx0_imag = 0 1 -1\n"
-         "psi_real = 1 1\n" + GRID, "[system] x0_imag"),
-        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
-         "psi_imag = 0.5\n" + GRID, "[system] psi_imag"),
-        ("mass-spectrum", "[sweep]\nm = 1.0\nomega_max = nan\n", "[sweep] omega_max"),
-        ("classical-integrate", "[force]\nfamily = rank_one\ndimension = 1\nc = 1 2 3\n"
-         "g_poly = -1 0\n[initial]\nx0 = 1\nv0 = 0\n" + GRID, "[force] c"),
-    ], ids=["g_linear", "const", "c", "x0_imag", "psi_imag", "omega_max", "integrate_c"])
-    def test_bad_value_exits_3_naming_key(self, tmp_path, capsys, command, sections, key):
-        config = write(tmp_path, "bad.ini", f"[scenario]\ncommand = {command}\n{sections}")
-        assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 3
-        assert key in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command, sections, quantity", [
-        ("uncertainty", "[budget]\nde1 = 1e308\nde2 = 1\ndde1 = 0\ndde2 = 0\nt1 = 3\nt2 = 3\n",
-         "dE^2 = dE1^2 + dE2^2 overflows"),
-        ("dirac", "[wave]\nk = 1 0 0\nm = 1e308\n" + GRID + "x_min = -1\nx_max = 1\nnx = 5\n",
-         "m^2 overflows"),
-        ("mass-spectrum", "[sweep]\nm = 1e308\nomega_max = 2\n", "m^2 overflows"),
-        ("mass-spectrum", "[sweep]\nm = 1\nomega_max = 1e308\n", "(hbar omega / c^2)^2 overflows"),
-        ("classical-integrate", "[force]\nfamily = rank_one\ndimension = 1\nc = 1e308 1e308\n"
-         "g_poly = -1 0\n[initial]\nx0 = 1\nv0 = 0\n" + GRID, "s = c1 t1 + c2 t2 overflows"),
-        ("uncertainty", "[budget]\nde1 = 1\nde2 = 1\ndde1 = 1e308\ndde2 = 1e308\nt1 = 3\nt2 = 3\n",
-         "dE1*ddE1 + dE2*ddE2 overflows"),
-        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 1e308 1e308 1e308 1e308\n"
-         "psi_real = 1 1\n" + GRID, "the moments <X> and <X^2> overflow"),
-        ("uncertainty", "[budget]\nde1 = 1e-200\nde2 = 0\ndde1 = 1\ndde2 = 0\nt1 = 1e201\nt2 = 0\n",
-         "dE^2 = dE1^2 + dE2^2 underflows to 0"),
-        ("uncertainty", "[budget]\nde1 = 1e100\nde2 = 0\ndde1 = 1\ndde2 = 0\nt1 = 1e210\nt2 = 0\n",
-         "q = t*dE overflows"),
-        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
-         + GRID.replace("t2_min = 0", "t2_min = -1e308"),
-         "the phase (E1 t1 + E2 t2) / hbar overflows"),
-        ("dirac", "[wave]\nk = 1 0 0\nm = 1\n" + GRID.replace("t1_min = 0", "t1_min = -1e308")
-         + "x_min = -1\nx_max = 1\nnx = 5\n", "the phase 2 k.x overflows"),
-        ("mass-spectrum", "[sweep]\nm = 1e150\nc = 1e100\nomega_max = 2\n",
-         "m c^2 / hbar overflows"),
-        ("mass-spectrum", "[sweep]\nm = 1\nhbar = 1e-300\nc = 1e10\nomega_max = 2\n",
-         "m c^2 / hbar overflows"),
-        ("mass-spectrum", "[sweep]\nm = 1e-170\nomega_max = 2\n", "m^2 underflows to 0"),
-        ("mass-spectrum", "[sweep]\nm = 1\nc = 1e-200\nomega_max = 2\n", "c^2 underflows to 0"),
-    ], ids=["uncertainty_de1", "dirac_m", "sweep_m", "sweep_omega_max", "integrate_c",
-            "uncertainty_dde", "fluct_x0", "uncertainty_de_underflow", "uncertainty_q",
-            "fluct_phase", "dirac_phase", "sweep_boundary_m", "sweep_boundary_hbar",
-            "sweep_m_underflow", "sweep_c_underflow"])
-    def test_overflow_exits_4(self, tmp_path, capsys, command, sections, quantity):
-        config = write(tmp_path, "huge.ini", f"[scenario]\ncommand = {command}\n{sections}")
-        assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 4
-        assert f"numerical failure: {quantity}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("name, old, new, failure, at_parse", [
-        ("classical_check_rank_one_2d", "c = 1 2", "c = 1e154 2", "overflow encountered in det",
-         False),
-        ("classical_check_rank_one_2d", "g_linear = -1.0 0.4", "g_linear = -1.0 1e200",
-         "overflow encountered in dot", False),
-        ("classical_check_generic_3d", "linear = 0.31", "linear = 1e200",
-         "overflow encountered in dot", False),
-        ("dirac_plane_wave", "rescale_minus = 0 -1", "rescale_minus = 1e154 -1",
-         "invalid value encountered in matmul", False),
-        ("continuity_manufactured", "x_max = 6.0", "x_max = 1e200",
-         "overflow encountered in square", False),
-        ("continuity_manufactured", "t1_max = 2.0", "t1_max = 1e-308",
-         "overflow encountered in divide", False),
-        ("dirac_plane_wave", "t2_max = 6.0", "t2_max = 1e308", "overflow encountered in matmul",
-         False),
-        ("quantum_fluct_two_level", "psi_real = 1 1", "psi_real = 1e200 1",
-         "overflow encountered in dot", True),
-        ("classical_check_generic_3d", "linear = 0.31", "linear = 1e308",
-         "overflow encountered in add", True),
-        ("classical_check_rank_one_2d", "c = 1 2", "c = 1e200 2",
-         "overflow encountered in multiply", True),
-        ("classical_check_rank_one_2d", "g_linear = -1.0", "g_linear = 1e308",
-         "overflow encountered in divide", False),
-        ("classical_harmonic", "c = 1 2", "c = 1 1e-308", None, False),
-    ], ids=["determinant", "kernel_dot", "affine_3d_dot", "wave_matmul", "continuity_square",
-            "continuity_divide", "density_matmul", "psi_norm", "affine_3d_parse", "rank_one_parse",
-            "null_space_input", "orbit_masked"])
-    def test_numpy_error_ends_at_the_boundary(self, tmp_path, capsys, name, old, new, failure,
-                                              at_parse):
-        # a bundled scenario with one key changed; no numpy warning may leak
-        with open(scenario_path(f"{name}.ini")) as fh:
-            text = fh.read()
-        assert old in text
-        config = write(tmp_path, f"{name}.ini", text.replace(old, new, 1))
-        command = cli.load_config(config).get("scenario", "command")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = cli.main([command, "--config", config, "--out", str(tmp_path),
-                             "--format", "json"])
-            err = capsys.readouterr().err
-            valid = cli.main(["validate", "--config", config])
-        if failure is None:
-            assert (code, err) == (0, "")
-        else:
-            assert (code, err) == (4, f"numerical failure: {failure}\n")
-        captured = capsys.readouterr()
-        if at_parse:
-            assert (valid, captured.err) == (2, f"invalid: numerical failure: {failure}\n")
-        else:
-            assert (valid, captured.out, captured.err) == (0, "ok\n", "")
-
-    @pytest.mark.parametrize("x0", ["2e6", "1000001"])
-    def test_initial_point_past_blowup_exits_4(self, tmp_path, capsys, x0):
-        # 1000001 used to fall under the bound after one step and end near s = 18.8
-        cfg = cli.load_config(scenario_path("classical_harmonic.ini"))
-        cfg.set("initial", "x0", x0)
-        config = str(tmp_path / "far.ini")
-        with open(config, "w") as fh:
-            cfg.write(fh)
-        out = tmp_path / "out"
-        assert cli.main(["classical-integrate", "--config", config, "--out", str(out)]) == 4
-        assert capsys.readouterr().err == (f"numerical failure: initial point x0 = {float(x0):g} "
-                                           "is past |x| <= 1e+06\n")
-        assert not out.exists() or not os.listdir(out)
-
-    def test_initial_point_on_blowup_runs(self, tmp_path):
-        cfg = cli.load_config(scenario_path("classical_harmonic.ini"))
-        cfg.set("initial", "x0", "-1e6")
-        config = str(tmp_path / "edge.ini")
-        with open(config, "w") as fh:
-            cfg.write(fh)
-        assert cli.main(["classical-integrate", "--config", config, "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("c", ["1e200 1e200", "1e306 1e306"])
     def test_knot_budget_exits_4_quickly(self, tmp_path, capsys, c):
@@ -586,34 +390,6 @@ n2 = 5
         err = capsys.readouterr().err
         assert "numerical failure: RK4 over s in [0, " in err
         assert "knots" in err and f"budget of {classical.RK4_KNOT_BUDGET}" in err
-
-    @pytest.mark.parametrize("x, message", [
-        ("1.2e154", "numerical failure: products of the primes F'_jk overflow at x=1.2e+154: "
-                    "got max|F'_jk| = 2.4e+154\n"),
-        ("1e160", "numerical failure: force tensor non-finite at 1e+160\n"),
-    ], ids=["prime_products", "force_tensor"])
-    def test_d1_overflow_exits_4_without_warnings(self, tmp_path, capsys, x, message):
-        config = write(tmp_path, "huge_d1.ini", "[scenario]\ncommand = classical-check\n[force]\n"
-                       "family = polynomial\ndimension = 1\nf11_poly = 1 0 0\n"
-                       f"f12_poly = 1 0 0\nf22_poly = 1 0 0\n[point]\nx = {x}\n")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cli.main(["classical-check", "--config", config, "--out", str(tmp_path)]) == 4
-        assert [str(w.message) for w in caught] == []
-        assert capsys.readouterr().err == message
-
-    @pytest.mark.parametrize("scale, quantity", [
-        ("1e200 0", "the norm |psi_plus|"), ("1.2e154 0", "the current bound |a| + |b| + |c|"),
-    ], ids=["spinor_norm", "current_bound"])
-    def test_overflowing_wave_exits_4_without_warnings(self, tmp_path, capsys, scale, quantity):
-        config = write(tmp_path, "huge_wave.ini", "[scenario]\ncommand = dirac\n[wave]\nk = 1 0 0\n"
-                       f"m = 1\nrescale_plus = {scale}\nrescale_minus = {scale}\n" + GRID
-                       + "x_min = -1\nx_max = 1\nnx = 5\n")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cli.main(["dirac", "--config", config, "--out", str(tmp_path)]) == 4
-        assert [str(w.message) for w in caught] == []
-        assert capsys.readouterr().err == f"numerical failure: {quantity} overflows: got inf\n"
 
     def test_wave_with_huge_finite_samples_verifies(self, tmp_path):
         # the bundled wave rescaled by 9e153: its density samples are finite, their squares not
@@ -630,24 +406,6 @@ n2 = 5
         assert 0 <= results["total_charge_fit_residual"] < 1e-14
         assert 0 <= results["conservation_residual"] < 1e-14
 
-    def test_rescaled_wave_keeps_run_tolerances(self, tmp_path):
-        # on-shell residual -4.0e-6: inside abs_tol 1e-8 (bound 1e-4), outside the default
-        config = write(tmp_path, "loose.ini", "[scenario]\ncommand = dirac\n[wave]\n"
-                       "k = 100 0 99.99499989499375\nm = 1\nrescale_plus = 2 0\n"
-                       "rescale_minus = 0 -1\n[tolerances]\nabs_tol = 1e-8\n" + GRID
-                       + "x_min = -1\nx_max = 1\nnx = 5\n")
-        assert cli.main(["dirac", "--config", config, "--out", str(tmp_path)]) == 0
-
-    def test_sweep_count_over_cap_exits_3(self, tmp_path, capsys, monkeypatch):
-        # [sweep] count is capped as [grid] is, before its omega array exists
-        config = write(tmp_path, "vast.ini", "[scenario]\ncommand = mass-spectrum\n[sweep]\n"
-                       "m = 1\nomega_max = 2\ncount = 1000000000000000\n")
-        forbid_runner(monkeypatch, "mass-spectrum")
-        assert cli.main(["mass-spectrum", "--config", config, "--out", str(tmp_path)]) == 3
-        assert capsys.readouterr().err == ("domain error: [sweep] count = 1000000000000000, "
-                                           "more than MAX_GRID_POINTS = 10000000\n")
-        assert os.listdir(tmp_path) == ["vast.ini"]
-
     def test_sweep_count_at_patched_cap_runs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)
         for count, code in ((5, 0), (6, 3)):
@@ -658,29 +416,6 @@ n2 = 5
                                            "MAX_GRID_POINTS = 5\n")
         with open(tmp_path / "mass_spectrum.csv") as fh:
             assert len(fh.read().splitlines()) == 1 + 5
-
-    @pytest.mark.parametrize("command, sections, points", [
-        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
-         + GRID.replace("n1 = 5", "n1 = 1000000000000000"), 5 * 10 ** 15),
-        ("classical-integrate", "[force]\nfamily = rank_one\ndimension = 1\nc = 1 2\n"
-         "g_poly = -1 0\n[initial]\nx0 = 1\nv0 = 0\n"
-         + GRID.replace("n1 = 5", "n1 = 1000000000000000"), 5 * 10 ** 15),
-        ("continuity", GRID + "x_min = -1\nx_max = 1\nnx = 400001\n", 10000025),
-        ("dirac", "[wave]\nk = 1 0 0\nm = 1\n" + GRID.replace("n2 = 5", "n2 = 1000")
-         + "x_min = -1\nx_max = 1\nnx = 2001\n", 10005000),
-    ], ids=["fluct_grid", "integrate_grid", "continuity_grid", "dirac_grid"])
-    def test_grid_over_cap_rejected(self, tmp_path, capsys, monkeypatch, command, sections,
-                                    points):
-        # the runner, which allocates the grid, is replaced: nothing is computed
-        # even where a count passes the parse stage
-        config = write(tmp_path, "vast.ini", f"[scenario]\ncommand = {command}\n{sections}")
-        forbid_runner(monkeypatch, command)
-        message = f"[grid] holds {points} points, more than MAX_GRID_POINTS = 10000000\n"
-        assert cli.main(["validate", "--config", config]) == 2
-        assert capsys.readouterr().err == f"invalid: {message}"
-        assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 3
-        assert capsys.readouterr().err == f"domain error: {message}"
-        assert os.listdir(tmp_path) == ["vast.ini"]
 
     @pytest.mark.parametrize("source", ["builtin", "builtin-sourced"])
     def test_refined_grid_not_counted(self, tmp_path, capsys, monkeypatch, source):
@@ -719,155 +454,6 @@ n2 = 5
                        f"[current]\nsource = {source}\n{GRID}x_min = -4\nx_max = 4\nnx = 7\n")
         assert cli.main(["continuity", "--config", config, "--out", str(tmp_path)]) == 0
         assert [(g.nx, g.n1, g.n2) for g in sampled] == [(7, 5, 5)]
-
-    @pytest.mark.parametrize("command, sections, axis, ends", [
-        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
-         + GRID.replace("t2_min = 0", "t2_min = -1e308").replace("t2_max = 1", "t2_max = 1e308"),
-         "t2", "[-1e+308, 1e+308]"),
-        ("continuity", GRID + "x_min = -1e308\nx_max = 1e308\nnx = 5\n", "x",
-         "[-1e+308, 1e+308]"),
-    ], ids=["fluct_t2", "continuity_x"])
-    def test_grid_span_overflow_rejected(self, tmp_path, capsys, monkeypatch, command, sections,
-                                         axis, ends):
-        # both ends are finite, so only the span check stops the run before
-        # linspace warns about the overflowing spacing
-        config = write(tmp_path, "wide.ini", f"[scenario]\ncommand = {command}\n{sections}")
-        forbid_runner(monkeypatch, command)
-        message = f"{axis} axis span max - min overflows: got {ends}\n"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cli.main(["validate", "--config", config]) == 2
-            assert capsys.readouterr().err == f"invalid: {message}"
-            assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 3
-            assert capsys.readouterr().err == f"domain error: {message}"
-        assert [str(w.message) for w in caught] == []
-        assert os.listdir(tmp_path) == ["wide.ini"]
-
-    @pytest.mark.parametrize("name, changes, axis, n", [
-        ("dirac_plane_wave", {"t1_max": "5e-324"}, "t1", 21),
-        ("dirac_plane_wave", {"t2_max": "5e-324"}, "t2", 21),
-        ("dirac_plane_wave", {"x_min": "0", "x_max": "5e-324"}, "x", 13),
-        ("continuity_manufactured", {"t1_max": "5e-324"}, "t1", 41),
-        ("continuity_manufactured", {"t2_max": "5e-324"}, "t2", 41),
-        ("continuity_manufactured", {"x_min": "0", "x_max": "5e-324"}, "x", 61),
-        ("quantum_fluct_two_level", {"t1_max": "5e-324"}, "t1", 41),
-        ("classical_harmonic", {"t2_max": "5e-324"}, "t2", 101),
-    ], ids=["dirac_t1", "dirac_t2", "dirac_x", "continuity_t1", "continuity_t2",
-            "continuity_x", "fluct_t1", "integrate_t2"])
-    def test_zero_axis_step_rejected(self, tmp_path, capsys, monkeypatch, name, changes, axis,
-                                     n):
-        # a bundled [grid] whose step (max - min)/(n - 1) underflows to 0; the
-        # dirac and continuity t axes used to end in numpy's divide or matmul
-        # error, the others in a run that exited 0
-        cfg = cli.load_config(scenario_path(f"{name}.ini"))
-        for key, value in changes.items():
-            cfg.set("grid", key, value)
-        config = str(tmp_path / f"{name}.ini")
-        with open(config, "w") as fh:
-            cfg.write(fh)
-        command = cfg.get("scenario", "command")
-        forbid_runner(monkeypatch, command)
-        message = (f"{axis} axis step (max - min)/(n - 1) underflows to 0: "
-                   f"got [0.0, 5e-324] with {n} points\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli.main(["validate", "--config", config]) == 2
-            assert capsys.readouterr().err == f"invalid: {message}"
-            assert cli.main([command, "--config", config, "--out", str(tmp_path / "out")]) == 3
-            assert capsys.readouterr().err == f"domain error: {message}"
-        assert not os.path.exists(tmp_path / "out")
-
-    @pytest.mark.parametrize("name, section, key, value, size", [
-        ("classical_check_rank_one_2d", "force", "c", "1 2 3", 2),
-        ("classical_harmonic", "force", "c", "1", 2),
-        ("classical_check_rank_one_2d", "force", "g_const", "0.5", 2),
-        ("classical_check_rank_one_2d", "force", "g_linear", "-1 0.4 0.2", 4),
-        ("classical_check_generic_3d", "force", "linear", "0.31 -0.78", 36),
-        ("classical_check_generic_3d", "force", "const", "1", 12),
-        ("classical_check_rank_one_2d", "point", "x", "0.4", 2),
-        ("quantum_fluct_two_level", "system", "e2", "0 2 3", 2),
-        ("quantum_fluct_two_level", "system", "x0_real", "0 1 1", 4),
-        ("quantum_fluct_two_level", "system", "x0_imag", "0 1 -1 0 2", 4),
-        ("quantum_fluct_two_level", "system", "psi_real", "1 1 1", 2),
-        ("quantum_fluct_two_level", "system", "psi_imag", "0.5", 2),
-        ("dirac_plane_wave", "wave", "k", "1 0", 3),
-        ("dirac_plane_wave", "wave", "rescale_plus", "1 0 0", 2),
-        ("dirac_plane_wave", "wave", "rescale_minus", "", 2),
-    ], ids=["c", "integrate_c", "g_const", "g_linear", "linear", "const", "point_x", "e2",
-            "x0_real", "x0_imag", "psi_real", "psi_imag", "k", "rescale_plus", "rescale_minus"])
-    def test_wrong_entry_count_exits_3(self, tmp_path, capsys, monkeypatch, name, section, key,
-                                       value, size):
-        # every fixed-length list key gives the one count message, in the parse stage
-        cfg = cli.load_config(scenario_path(f"{name}.ini"))
-        cfg.set(section, key, value)
-        config = str(tmp_path / f"{name}.ini")
-        with open(config, "w") as fh:
-            cfg.write(fh)
-        command = cfg.get("scenario", "command")
-        forbid_runner(monkeypatch, command)
-        message = f"[{section}] {key} needs {size} entries, got {len(value.split())}\n"
-        assert cli.main(["validate", "--config", config]) == 2
-        assert capsys.readouterr().err == f"invalid: {message}"
-        assert cli.main([command, "--config", config, "--out", str(tmp_path / "out")]) == 3
-        assert capsys.readouterr().err == f"domain error: {message}"
-
-    def test_long_list_count_message_stays_short(self, tmp_path, capsys):
-        cfg = cli.load_config(scenario_path("quantum_fluct_two_level.ini"))
-        cfg.set("system", "x0_real", " ".join(["0.125"] * 1025))
-        config = str(tmp_path / "long.ini")
-        with open(config, "w") as fh:
-            cfg.write(fh)
-        assert cli.main(["validate", "--config", config]) == 2
-        err = capsys.readouterr().err
-        assert err == "invalid: [system] x0_real needs 4 entries, got 1025\n"
-        assert len(err.encode()) < 100
-
-    def test_long_list_bad_entry_named_by_position(self, tmp_path, capsys, monkeypatch):
-        cfg = cli.load_config(scenario_path("quantum_fluct_two_level.ini"))
-        cfg.set("system", "x0_real", " ".join(["0.125"] * 1023 + ["x"]))
-        config = str(tmp_path / "long.ini")
-        with open(config, "w") as fh:
-            cfg.write(fh)
-        forbid_runner(monkeypatch, "quantum-fluct")
-        message = ("bad value for [system] x0_real: entry 1024 'x' "
-                   "(could not convert string to float: 'x')\n")
-        assert cli.main(["validate", "--config", config]) == 2
-        err = capsys.readouterr().err
-        assert err == f"invalid: {message}"
-        assert len(err.encode()) < 150
-        assert cli.main(["quantum-fluct", "--config", config, "--out", str(tmp_path / "out")]) == 3
-        assert capsys.readouterr().err == f"domain error: {message}"
-
-    @pytest.mark.parametrize("key, value, entry", [
-        ("e1", "0 1e999", "entry 2 '1e999' (not finite)"),
-        ("psi_real", "1,,nan", "entry 2 'nan' (not finite)"),
-    ])
-    def test_list_entry_error_names_the_entry(self, tmp_path, capsys, key, value, entry):
-        cfg = cli.load_config(scenario_path("quantum_fluct_two_level.ini"))
-        cfg.set("system", key, value)
-        config = str(tmp_path / "bad.ini")
-        with open(config, "w") as fh:
-            cfg.write(fh)
-        assert cli.main(["validate", "--config", config]) == 2
-        assert capsys.readouterr().err == f"invalid: bad value for [system] {key}: {entry}\n"
-
-    @pytest.mark.parametrize("name, key", output_keys())
-    @pytest.mark.parametrize("value", ["", "sub/"], ids=["empty", "directory"])
-    def test_output_name_rejected_in_parse(self, tmp_path, capsys, monkeypatch, name, key,
-                                           value):
-        cfg = cli.load_config(scenario_path(name))
-        cfg.set("output", key, value)
-        config = str(tmp_path / name)
-        with open(config, "w") as fh:
-            cfg.write(fh)
-        command = cfg.get("scenario", "command")
-        forbid_runner(monkeypatch, command)
-        message = f"bad value for [output] {key}: {value!r} (not a file name)\n"
-        assert cli.main(["validate", "--config", config]) == 2
-        assert capsys.readouterr().err == f"invalid: {message}"
-        assert cli.main([command, "--config", config, "--out", str(tmp_path / "out")]) == 3
-        assert capsys.readouterr().err == f"domain error: {message}"
-        assert not (tmp_path / "out").exists()
 
     def test_out_is_a_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -986,63 +572,6 @@ report = loop_report.json
                                            f"the current source {source}\n")
         assert source.read_bytes() == samples
         assert not (tmp_path / "loop_report.json").exists()
-
-    @pytest.mark.parametrize("fd_step", ["0.05"])
-    def test_fd_step_past_integrated_range_exits_3(self, tmp_path, capsys, fd_step):
-        # the surface check's finite-difference points for grad x leave the
-        # integrated s range [0, 6 pi] of the bundled harmonic witness
-        cfg = cli.load_config(scenario_path("classical_harmonic.ini"))
-        cfg.set("tolerances", "fd_step", fd_step)
-        config = str(tmp_path / "wide_fd.ini")
-        with open(config, "w") as fh:
-            cfg.write(fh)
-        argv = ["classical-integrate", "--config", config, "--out", str(tmp_path / "out")]
-        assert cli.main(argv) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"domain error: fd_step = {fd_step} puts the finite-difference "
-                              "points of grad x at s in [")
-        assert err.endswith(": query outside integrated range [0, 18.8496]\n")
-
-    @pytest.mark.parametrize("key, value, message", [
-        ("fd_step", "10", "[tolerances] fd_step = 10 is not below 1"),
-        ("fd_step", "1", "[tolerances] fd_step = 1 is not below 1"),
-        ("fd_step", "1e-300", "[tolerances] fd_step = 1e-300 is below the float64 eps 2.22045e-16"),
-        ("fd_step", "-1e-5", "[tolerances] fd_step = -1e-05 is below the float64 eps 2.22045e-16"),
-        ("abs_tol", "1e308", "[tolerances] abs_tol = 1e+308 is not below 1"),
-        ("abs_tol", "1", "[tolerances] abs_tol = 1 is not below 1"),
-        ("rel_tol", "1", "[tolerances] rel_tol = 1 is not below 1"),
-        ("rel_tol", "2.5", "[tolerances] rel_tol = 2.5 is not below 1"),
-        ("abs_tol", "0", "[tolerances] abs_tol = 0 is not above 0"),
-        ("rel_tol", "-1", "[tolerances] rel_tol = -1 is not above 0"),
-    ], ids=["fd_step-10", "fd_step-1", "fd_step-1e-300", "fd_step-negative", "abs_tol-1e308",
-            "abs_tol-1", "rel_tol-1", "rel_tol-2.5", "abs_tol-0", "rel_tol-negative"])
-    def test_tolerance_past_its_bound_exits_2(self, tmp_path, capsys, key, value, message):
-        # each of these switched a check of the harmonic witness off, or
-        # overflowed its thresholds, and still exited 0
-        cfg = cli.load_config(scenario_path("classical_harmonic.ini"))
-        cfg.set("tolerances", key, value)
-        config = str(tmp_path / "bound.ini")
-        with open(config, "w") as fh:
-            cfg.write(fh)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cli.main(["validate", "--config", config]) == 2
-            assert capsys.readouterr().err == f"invalid: {message}\n"
-            assert cli.main(["classical-integrate", "--config", config,
-                             "--out", str(tmp_path / "out")]) == 2
-        assert [str(w.message) for w in caught] == []
-        assert capsys.readouterr().err == f"config error: {message}\n"
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("key, value", [("fd_step", "2.3e-16"), ("fd_step", "0.5"),
-                                            ("abs_tol", "0.99"), ("rel_tol", "0.99")])
-    def test_tolerance_inside_its_bound_validates(self, tmp_path, key, value):
-        cfg = cli.load_config(scenario_path("classical_harmonic.ini"))
-        cfg.set("tolerances", key, value)
-        config = str(tmp_path / "inside.ini")
-        with open(config, "w") as fh:
-            cfg.write(fh)
-        assert cli.main(["validate", "--config", config]) == 0
 
     @pytest.mark.parametrize("row, where", [
         ("0,0.5,0.7,0,0,0", "(0.0, 0.5, 0.7)"),
@@ -1201,76 +730,12 @@ class TestConstantG:
                                    rtol=0, atol=1e-12)
 
 
+@test_corpus.collected_under_old_ids
 class TestValidate:
     def test_ok_output(self, capsys):
         assert cli.main(["validate", "--config",
                          scenario_path("uncertainty_worked.ini")]) == 0
         assert "ok" in capsys.readouterr().out
-
-    def test_negative_grid_count_named(self, tmp_path, capsys):
-        config = write(tmp_path, "neg.ini", """
-[scenario]
-command = quantum-fluct
-
-[system]
-e1 = 0 1
-e2 = 0 2
-x0_real = 0 1 1 0
-psi_real = 1 1
-
-[grid]
-t1_min = 0
-t1_max = 1
-t2_min = 0
-t2_max = 1
-n1 = -5
-n2 = 5
-""")
-        assert cli.main(["validate", "--config", config]) == 2
-        assert "at least 3 points" in capsys.readouterr().err
-
-    def test_sweep_count_over_cap(self, tmp_path, capsys):
-        # [sweep] builds its omega array at parse time, after the cap is checked
-        config = write(tmp_path, "vast.ini", "[scenario]\ncommand = mass-spectrum\n[sweep]\n"
-                       "m = 1\nomega_max = 2\ncount = 1000000000000000\n")
-        assert cli.main(["validate", "--config", config]) == 2
-        assert capsys.readouterr().err == ("invalid: [sweep] count = 1000000000000000, "
-                                           "more than MAX_GRID_POINTS = 10000000\n")
-
-    def test_wrong_size_x0_imag_rejected(self, tmp_path, capsys):
-        config = write(tmp_path, "imag.ini", "[scenario]\ncommand = quantum-fluct\n[system]\n"
-                       "e1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\nx0_imag = 0 1 -1\n"
-                       "psi_real = 1 1\n" + GRID)
-        assert cli.main(["validate", "--config", config]) == 2
-        assert "[system] x0_imag" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command, sections, key", [
-        ("classical-check", "[force]\nfamily = rank_one\ndimension = 2\nc = 1 2\n"
-         "g_const = 0.5 -0.3\ng_linear = -1 0.4 0.2 0.1\n[point]\nx = 0.4\n", "[point] x"),
-        ("dirac", "[wave]\nk = 1 0\nm = 1\n" + GRID + "x_min = -1\nx_max = 1\nnx = 5\n",
-         "[wave] k"),
-        ("dirac", "[wave]\nk = 1 0 0\nm = 1\nrescale_plus = 1 0 0\n" + GRID
-         + "x_min = -1\nx_max = 1\nnx = 5\n", "[wave] rescale_plus"),
-        ("dirac", "[wave]\nk = 1 0 0\nm = 1\npart = both\n" + GRID
-         + "x_min = -1\nx_max = 1\nnx = 5\n", "[wave] part"),
-        ("mass-spectrum", "[sweep]\nm = 1.0\nomega_max = 2.0\ncount = 1\n", "[sweep] count"),
-        ("mass-spectrum", "[sweep]\nm = 1.0\nomega_max = 2.0\nhbar = -1\n", "[sweep]"),
-        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
-         "hbar = 0\n" + GRID, "[system] hbar"),
-        ("uncertainty", "[budget]\nde1 = 1\nde2 = 1\ndde1 = 0\ndde2 = 0\nt1 = 3\nt2 = 3\n"
-         "hbar = abc\n", "[budget] hbar"),
-        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1 1\n"
-         + GRID, "[system] psi_real"),
-        ("quantum-fluct", "[system]\ne1 = 0 1\ne2 = 0 2 3\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
-         + GRID, "[system] e2"),
-    ], ids=["point_x", "wave_k", "rescale_plus", "wave_part", "sweep_count", "sweep_hbar",
-            "system_hbar", "budget_hbar", "psi_real", "e2"])
-    def test_rejects_what_run_rejects(self, tmp_path, capsys, command, sections, key):
-        config = write(tmp_path, "bad.ini", f"[scenario]\ncommand = {command}\n{sections}")
-        assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 3
-        assert key in capsys.readouterr().err
-        assert cli.main(["validate", "--config", config]) == 2
-        assert key in capsys.readouterr().err
 
     def test_bad_force_and_missing_point_both_named(self, tmp_path, capsys):
         config = write(tmp_path, "both.ini", "[scenario]\ncommand = classical-check\n"
@@ -1280,43 +745,6 @@ n2 = 5
         err = capsys.readouterr().err
         assert "[force] c" in err
         assert "[point]" in err
-
-    def test_unread_section_ignored(self, tmp_path):
-        # quantum-fluct reads no [tolerances]; validate and run agree on that
-        config = write(tmp_path, "tol.ini", "[scenario]\ncommand = quantum-fluct\n[system]\n"
-                       "e1 = 0 1\ne2 = 0 2\nx0_real = 0 1 1 0\npsi_real = 1 1\n"
-                       "[tolerances]\nfd_step = nan\n" + GRID)
-        assert cli.main(["validate", "--config", config]) == 0
-        assert cli.main(["quantum-fluct", "--config", config, "--out", str(tmp_path)]) == 0
-
-    def test_diagnostics_not_repeated(self, tmp_path):
-        # _force and _point both read [force] dimension
-        config = write(tmp_path, "dim.ini", "[scenario]\ncommand = classical-check\n"
-                       "[force]\nfamily = zero\n[point]\nx = 0.1\n")
-        assert cli.validate_config(config) == ["missing required key [force] dimension"]
-
-    def test_integrate_force_family_checked(self, tmp_path, capsys):
-        config = write(tmp_path, "fam.ini", "[scenario]\ncommand = classical-integrate\n[force]\n"
-                       "family = polynomial\ndimension = 1\nf11_poly = 1 0\n"
-                       "[initial]\nx0 = 1\nv0 = 0\n" + GRID)
-        assert cli.main(["validate", "--config", config]) == 2
-        assert "needs a rank_one force" in capsys.readouterr().err
-
-    def test_unknown_force_family_suggests(self, tmp_path, capsys):
-        config = write(tmp_path, "fam.ini", """
-[scenario]
-command = classical-check
-
-[force]
-family = quartic
-dimension = 1
-
-[point]
-x = 0.0
-""")
-        assert cli.main(["validate", "--config", config]) == 2
-        err = capsys.readouterr().err
-        assert "rank_one" in err and "polynomial" in err
 
     def test_load_config_error_type(self, tmp_path):
         with pytest.raises(ConfigError):
