@@ -10,7 +10,8 @@ that exits 0 does.  The command run is the base's.  tests/test_corpus.py
 runs each row and checks it; a new failure input is one more row here.
 
 A row's ``was`` is the test id it was collected under before it became a
-row: test_cli.py still collects such rows under that id, and
+row, or a tuple of ids where two tests ran the same input: test_cli.py
+still collects such rows under each of those ids, and
 test_corpus.py::test_row collects the others.  An input that a row cannot
 state stays a test of its own in test_cli.py: one that needs a
 monkeypatch, a timing bound, a current file, an --out that is a file or
@@ -46,11 +47,16 @@ class Row:
     code: int
     line: str
     stage: str = None
-    was: str = None
+    was: str | tuple = None
 
     def __post_init__(self):
         if self.stage is None:
             object.__setattr__(self, "stage", "compute" if self.code == 0 else "parse")
+
+    @property
+    def old_ids(self) -> tuple:
+        """The old test ids the row is collected under."""
+        return (self.was,) if isinstance(self.was, str) else tuple(self.was or ())
 
     @property
     def command(self) -> str:
@@ -153,8 +159,6 @@ ROWS = [
                   "g_poly = -1 0\n[point]\nx = 0.1\n"), {}, 3,
          "domain error: bad value for [force] c: entry 2 'abc' "
          "(could not convert string to float: 'abc')"),
-        ("x0_imag", FLUCT, {"[system] x0_imag": "0 1 -1"}, 3,
-         "domain error: [system] x0_imag needs 4 entries, got 3"),
         ("psi_imag", FLUCT, {"[system] psi_imag": "0.5"}, 3,
          "domain error: [system] psi_imag needs 2 entries, got 1"),
         ("omega_max", SWEEP, {"[sweep] m": "1.0", "[sweep] omega_max": "nan"}, 3,
@@ -162,6 +166,10 @@ ROWS = [
         ("integrate_c", INTEGRATE, {"[force] c": "1 2 3"}, 3,
          "domain error: [force] c needs 2 entries, got 3"),
     ]),
+    Row("bad-value-x0_imag", FLUCT, {"[system] x0_imag": "0 1 -1"}, 3,
+        "domain error: [system] x0_imag needs 4 entries, got 3",
+        was=("TestExitCodes::test_bad_value_exits_3_naming_key[x0_imag]",
+             "TestValidate::test_wrong_size_x0_imag_rejected")),
     *group("overflow", "TestExitCodes::test_overflow_exits_4", [
         ("uncertainty_de1", BUDGET, {"[budget] de1": "1e308"}, 4,
          "numerical failure: dE^2 = dE1^2 + dE2^2 overflows: (1e+308)^2"),
@@ -257,7 +265,8 @@ ROWS = [
         was="TestExitCodes::test_rescaled_wave_keeps_run_tolerances"),
     Row("sweep-count-over-cap", SWEEP, {"[sweep] count": "1000000000000000"}, 3,
         f"domain error: [sweep] count = 1000000000000000, {CAP}",
-        was="TestExitCodes::test_sweep_count_over_cap_exits_3"),
+        was=("TestExitCodes::test_sweep_count_over_cap_exits_3",
+             "TestValidate::test_sweep_count_over_cap")),
     *group("grid-cap", "TestExitCodes::test_grid_over_cap_rejected", [
         ("fluct_grid", FLUCT, {"[grid] n1": "1000000000000000"}, 3,
          f"domain error: [grid] holds {5 * 10 ** 15} points, {CAP}"),

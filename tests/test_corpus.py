@@ -111,21 +111,22 @@ def check(row: Row, got: Outcome):
     assert got.warnings == []
 
 
-@pytest.mark.parametrize("row", [r for r in ROWS if r.was is None], ids=lambda r: r.id)
+@pytest.mark.parametrize("row", [r for r in ROWS if not r.old_ids], ids=lambda r: r.id)
 def test_row(row):
     check(row, outcome(row))
 
 
 def collected_under_old_ids(cls):
     """Add to a test class one test per old test name of its rows: a row
-    whose ``was`` is "<class>::<name>" becomes the test <name>, and rows
-    whose ``was`` is "<class>::<name>[<id>]" the parametrized <name>."""
+    with the old id "<class>::<name>" becomes the test <name>, and rows
+    with old ids "<class>::<name>[<id>]" the parametrized <name>."""
     tests = {}
     for row in ROWS:
-        owner, _, old_id = (row.was or "").partition("::")
-        if owner == cls.__name__:
-            name, _, param = old_id.partition("[")
-            tests.setdefault(name, []).append((param[:-1], row))
+        for was in row.old_ids:
+            owner, _, old_id = was.partition("::")
+            if owner == cls.__name__:
+                name, _, param = old_id.partition("[")
+                tests.setdefault(name, []).append((param[:-1], row))
     for name, rows in tests.items():
         setattr(cls, name, _old_test(*zip(*rows)))
     return cls
@@ -151,7 +152,7 @@ def test_rows_are_unique():
                                   for name in sorted(cfg.sections())))
               for row in ROWS for cfg in [row.config()]}
     assert len(inputs) == len(ROWS)
-    was = [row.was for row in ROWS if row.was]
+    was = [was for row in ROWS for was in row.old_ids]
     assert len(set(was)) == len(was)
 
 
