@@ -269,7 +269,8 @@ def _current_source(cfg) -> str:
 
 def _wave(cfg):
     """(k, m, part, rescales) of [wave]; rescales maps each branch named by a
-    rescale_plus/rescale_minus key to its complex factor."""
+    rescale_plus/rescale_minus key to its complex factor.  k must lie on the
+    mass shell of m within the config's tolerances, as the run requires."""
     k = _get(cfg, "wave", "k", size=3)
     m = _get(cfg, "wave", "m", _float)
     part = _get(cfg, "wave", "part", str, "imaginary")
@@ -280,6 +281,7 @@ def _wave(cfg):
         re_im = _get(cfg, "wave", key, default=None, size=2)
         if re_im is not None:
             rescales[branch] = complex(re_im[0], re_im[1])
+    _layer("dirac").on_shell_residual(np.array(k), m, _tolerances(cfg))
     return k, m, part, rescales
 
 
@@ -361,15 +363,15 @@ def _spare_inputs(cfg, config_path: str, directory: str, names):
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: str, chunks):
-    """Write an iterable of text chunks to path, replacing it only when all
-    of them are written.  An OS error (a directory that cannot be made, a
-    full disk) is a ConfigError naming path."""
+    """Write an iterable of bytes-like chunks to path, replacing it only
+    when all of them are written.  An OS error (a directory that cannot be
+    made, a full disk) is a ConfigError naming path."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
         tmp = None
@@ -380,7 +382,9 @@ def _atomic_write(path: str, chunks):
             os.unlink(tmp)
 
 
-_BLOCK_ROWS = 2048  # rows formatted at a time, so a table's text is never all in memory
+# rows of a table laid out at a time; a block's arrays are freed before the
+# next is laid out, so a table's text is never all in memory, however long an axis
+_BLOCK_ROWS = 2048
 
 # _format17 works on 1e-270 <= |v| < 1e270 with array operations; its
 # tables run over the decimal exponents E of that window, one more each side.
@@ -443,8 +447,8 @@ def _layout(form: int, digits: int) -> list:
 def _text_tables():
     """The %04d bytes of 0..9999 as uint32 and their trailing-zero counts
     (4 for 0), each E's exponent text and first layout row, and the layout
-    rows: _layout's for each (form, digits), then the same with a leading
-    "-".  Built on the first write, in about 1 ms."""
+    rows as gather indices: _layout's for each (form, digits), then the same
+    with a leading "-".  Built on the first write, in about 1 ms."""
     i = np.arange(10000)
     chunks = np.empty((10000, 4), np.uint8)
     trailing = np.zeros(10000, np.intp)
@@ -462,7 +466,7 @@ def _text_tables():
     layouts[..., 1, 0] = _MINUS
     layouts[..., 1, 1:] = layouts[..., 0, :-1]
     return (chunks.view(np.uint32)[:, 0], trailing, exp_text, np.array(form) * 17 * 2,
-            layouts.reshape(-1, _WIDTH))
+            layouts.reshape(-1, _WIDTH).astype(np.intp))
 
 
 def _digits17(x: np.ndarray):
@@ -505,10 +509,10 @@ def _digits17(x: np.ndarray):
 def _glyphs17(x: np.ndarray):
     """(exact, source, layout) for the float64 array x: row i of source
     holds the 32 bytes "000", the 17 digits of N from _digits17, ".", "-",
-    two NULs and the exponent text of x[i], and row i of layout lists the
-    source bytes of its %.17g text."""
+    two NULs and the exponent text of x[i], and layout[i] is the row of
+    _text_tables' layouts that lists the source bytes of its %.17g text."""
     n, e, exact = _digits17(x)
-    chunks, trailing, exp_text, form, layouts = _text_tables()
+    chunks, trailing, exp_text, form, _ = _text_tables()
     upper, lower = np.divmod(n, 10 ** 8)
     lead, upper = np.divmod(upper, 10 ** 8)
     c1, c2 = np.divmod(upper, 10 ** 4)
@@ -520,12 +524,13 @@ def _glyphs17(x: np.ndarray):
     source.view(np.uint64)[:, 3] = exp_text[e]
     z4, z3, z2 = trailing[c4], trailing[c3], trailing[c2]
     zeros = z4 + (z4 == 4) * (z3 + (z3 == 4) * (z2 + (z2 == 4) * trailing[c1]))
-    layout = layouts[form[e] + 2 * (16 - zeros) + (x < 0)]  # row (form, digits - 1, sign)
+    layout = form[e] + 2 * (16 - zeros) + (x < 0)  # row (form, digits - 1, sign)
     return exact, source.view(np.uint8).reshape(-1), layout
 
 
-def _format17(values) -> list:
-    """The ASCII bytes of "%.17g" % v for each float v of the 1-D values.
+def _format17(values) -> np.ndarray:
+    """The ASCII texts of "%.17g" % v for each float v of the 1-D values, as
+    an S24 array: each text NUL-padded to _WIDTH bytes.
 
     Each text is a byte gather from its row of _glyphs17, _GATHER_ROWS
     values at a time; where _digits17 is not exact it is the scalar
@@ -533,65 +538,95 @@ def _format17(values) -> list:
     own so that their temporaries are freed before the texts are made."""
     x = np.asarray(values, dtype=float)
     exact, source, layout = _glyphs17(x)
-    texts = []
+    layouts = _text_tables()[-1]
+    texts = np.empty(len(x), f"S{_WIDTH}")
+    cells = texts.view(np.uint8).reshape(-1, _WIDTH)
     for start in range(0, len(x), _GATHER_ROWS):
-        rows = layout[start:start + _GATHER_ROWS]
-        rows = rows + 32 * np.arange(start, start + len(rows))[:, None]
-        texts += source[rows].view(f"S{_WIDTH}")[:, 0].tolist()
+        rows = np.take(layouts, layout[start:start + _GATHER_ROWS], axis=0)
+        rows += 32 * np.arange(start, start + len(rows))[:, None]
+        np.take(source, rows, out=cells[start:start + len(rows)])
     for i in np.flatnonzero(~exact).tolist():
         texts[i] = b"%.17g" % x[i]
     return texts
 
 
-def _fill(template: bytes, block: np.ndarray) -> str:
-    """template % the %.17g texts of block's values in row-major order.
-
-    Each distinct bit pattern is formatted once, by _format17, and its text
-    gathered into every cell that holds it, so repeated values (grid axes,
-    near-constant columns) cost one text each, and -0.0 keeps its own text.
-    The texts are freed before the filled bytes are decoded, and the other
-    temporaries on return, before the next block is formatted."""
-    bits, inverse = np.unique(block.reshape(-1).view(np.int64), return_inverse=True)
-    filled = template % tuple(
-        np.array(_format17(bits.view(float)), dtype=object)[inverse].tolist())
-    return filled.decode()
-
-
-def _write_table(path: str, columns: list, rows, fmt: str):
-    """Write rows of floats as 17-significant-digit text under a header of
-    column names: CSV lines, or the JSON object {"columns": [...],
+def _write_table(path: str, columns, axes, fields, fmt: str):
+    """Write a command's table: one row per point of the grid of the 1-D
+    axes, in row-major order, holding the point's axis values and then each
+    field's sample there (fields hold one sample per point, in the same
+    order), as 17-significant-digit text under a header of column names.
+    CSV gives comma-separated lines; JSON the object {"columns": [...],
     "rows": [[...]]} with every value a string, laid out as
-    json.dumps(indent=1, sort_keys=True) lays it out.  Both formats fill a
-    block of rows with one % operation, their row template repeated with a
-    separator, and differ only in head, row template, separator and tail."""
-    values = np.asarray(rows, dtype=float)
+    json.dumps(indent=1, sort_keys=True) lays it out.  The formats differ
+    only in head, tail and the literal pieces of a row: the lead before its
+    first value, mid after each value but the last and end after the last.
+    _BLOCK_ROWS rows at a time are laid out by _block_text."""
+    axes = [np.asarray(a, dtype=float).reshape(-1) for a in axes]
+    fields = [np.asarray(f, dtype=float).reshape(-1) for f in fields]
+    n_rows = math.prod(len(a) for a in axes)
     if fmt == "json":
         names = json.dumps(list(columns), indent=1).replace("\n", "\n ")
         head = '{\n "columns": %s,\n "rows": [' % names
-        template = "  [\n" + ",\n".join(['   "%s"'] * len(columns)) + "\n  ]"
-        sep, tail = ",\n", "]\n}\n"
-        if len(values):  # a non-empty list opens and closes on lines of its own
+        lead, mid, end = '  [\n   "', '",\n   "', '"\n  ],\n'
+        cut, tail = 2, "]\n}\n"  # the last row drops the ",\n" of its end
+        if n_rows:  # a non-empty list opens and closes on lines of its own
             head, tail = head + "\n", "\n ]\n}\n"
     else:
         head, tail = ",".join(columns) + "\n", ""
-        template, sep = ",".join(["%s"] * len(columns)) + "\n", ""
+        lead, mid, end, cut = "", ",", "\n", 0
+    lead = np.frombuffer(lead.encode(), np.uint8)
+    after = np.array([mid.encode(), end.encode()]).view(np.uint8).reshape(2, -1)
 
     def chunks():
-        yield head
-        for start in range(0, len(values), _BLOCK_ROWS):
-            block = values[start:start + _BLOCK_ROWS]
-            if start:
-                yield sep
-            yield _fill(sep.join([template] * len(block)).encode(), block)
-        yield tail
+        yield head.encode()
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n_rows)
+            yield _block_text(start, stop, axes, fields, lead, after,
+                              cut if stop == n_rows else 0)
+        yield tail.encode()
 
     _atomic_write(path, chunks())
 
 
-def _grid_rows(axes, *fields) -> np.ndarray:
-    """One row per grid point: the axis values, then each field's sample."""
-    coords = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([np.ravel(a) for a in (*coords, *fields)])
+def _block_text(start: int, stop: int, axes, fields, lead, after, cut: int) -> bytearray:
+    """The text of table rows start..stop-1, less its last cut bytes.
+
+    The rows are laid out in one byte array: each row is the lead bytes,
+    then per value a cell of its _WIDTH-byte NUL-padded text followed by
+    the row of after (mid, then end for the last value; the two NUL-padded
+    to one length).  The texts come from one _format17 call: on the stretch
+    of each axis that the rows reach, and on each distinct bit pattern of
+    the field values, so that -0.0 keeps its own text.  One gather fills
+    every cell, and every NUL is then dropped in one pass.  The arrays are
+    freed on return, before the next block is laid out."""
+    rows = np.arange(start, stop)
+    index = np.empty((len(rows), len(axes) + len(fields)), np.intp)
+    parts, at = [], 0
+    for k, axis in enumerate(axes):
+        # axis k of row r is axis[r // stride % n]; the rows reach the
+        # quotients q0..q1 of r // stride, which are at most n axis values
+        q = rows // math.prod(len(a) for a in axes[k + 1:])
+        reach = min(int(q[-1] - q[0]) + 1, len(axis))
+        parts.append(axis[(q[0] + np.arange(reach)) % len(axis)])
+        index[:, k] = at + (q - q[0]) % len(axis)
+        at += reach
+    values = np.stack([f[start:stop] for f in fields], axis=1)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    parts.append(bits.view(float))
+    index[:, len(axes):] = at + inverse.reshape(values.shape)
+    texts = _format17(np.concatenate(parts))
+    cells = np.empty((len(texts), _WIDTH + after.shape[1]), np.uint8)
+    cells[:, :_WIDTH] = texts.view(np.uint8).reshape(-1, _WIDTH)
+    cells[:, _WIDTH:] = after[0]
+    text = bytearray(len(rows) * (len(lead) + index.shape[1] * cells.shape[1]))
+    block = np.frombuffer(text, np.uint8).reshape(len(rows), -1)
+    block[:, :len(lead)] = lead
+    row_cells = block[:, len(lead):].reshape(*index.shape, -1)
+    np.take(cells, index, axis=0, out=row_cells)
+    row_cells[:, -1, _WIDTH:] = after[1]
+    text = text.translate(None, b"\0")
+    del text[len(text) - cut:]
+    return text
 
 
 def _jsonable(obj):
@@ -690,7 +725,7 @@ def run_scenario(config_path: str, out_dir: str | None = None, fmt: str = "csv",
     artifacts = []
     if table is not None:
         columns, axes, fields = table
-        _write_table(os.path.join(directory, table_name), columns, _grid_rows(axes, *fields), fmt)
+        _write_table(os.path.join(directory, table_name), columns, axes, fields, fmt)
         artifacts.append(table_name)
     written = time.perf_counter()
 
@@ -707,7 +742,7 @@ def run_scenario(config_path: str, out_dir: str | None = None, fmt: str = "csv",
             "report_file": report_name,
         },
     }
-    _atomic_write(report_path, (json.dumps(report, indent=1, sort_keys=True), "\n"))
+    _atomic_write(report_path, ((json.dumps(report, indent=1, sort_keys=True) + "\n").encode(),))
     return report
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "ModeMass",
     "DensityReport",
     "momentum_operator",
+    "on_shell_residual",
     "solve_plane_wave",
     "dirac_current",
     "conservation_residual",
@@ -75,15 +76,17 @@ def momentum_operator(k) -> np.ndarray:
     return k[0] * GAMMAS.g1 + k[1] * GAMMAS.g2 - k[2] * GAMMAS.g3
 
 
-def _on_shell_residual(k: np.ndarray, m: float, tol: Tolerances) -> float:
+def on_shell_residual(k: np.ndarray, m: float, tol: Tolerances) -> float:
     """k1^2 + k2^2 - k3^2 - m^2 of a wavevector k (3,) for mass m;
-    OnShellError when its size passes abs_tol max(1, m^2) 1e4."""
+    OnShellError when its size passes abs_tol max(1, m^2) 1e4.  The message
+    quotes k as a list of Python floats, so no numpy print option reaches
+    it."""
     m_sq = finite_power(m, 2, "m^2")
     with np.errstate(over="ignore", invalid="ignore"):
         res = finite(float(k[0] ** 2 + k[1] ** 2 - k[2] ** 2 - m_sq), "k1^2 + k2^2 - k3^2 - m^2")
     if abs(res) > tol.abs_tol * max(1.0, m_sq) * 1e4:
-        raise OnShellError(
-            f"wavevector {k} violates k1^2 + k2^2 - k3^2 = m^2 for m = {m}: residual {res:.3e}")
+        raise OnShellError(f"wavevector {k.tolist()} violates k1^2 + k2^2 - k3^2 = m^2 "
+                           f"for m = {m}: residual {res:.3e}")
     return res
 
 
@@ -125,7 +128,7 @@ class PlaneWaveSolution:
         pm = np.array(psi_minus, dtype=complex).reshape(2)
         for a in (k, pp, pm):
             a.flags.writeable = False
-        residual = _on_shell_residual(k, m, tol)
+        residual = on_shell_residual(k, m, tol)
         op = momentum_operator(k)
         with np.errstate(over="ignore", invalid="ignore"):
             for name, op_signed, spinor in (("psi_plus", -op, pp), ("psi_minus", op, pm)):
@@ -217,7 +220,7 @@ def solve_plane_wave(k, m: float, tol: Tolerances = Tolerances()) -> PlaneWaveSo
     for sign in (-1.0, +1.0):
         kern = null_space(sign * op - m * np.eye(2), Tolerances(abs_tol=1e-9))
         if len(kern) != 1:
-            _on_shell_residual(k, m, tol)
+            on_shell_residual(k, m, tol)
             raise DegenerateKernelError(
                 f"branch kernel has dimension {len(kern)} (m = {m}, k = {k}); "
                 "expected 1 away from the massless zero-mode edge")

@@ -128,10 +128,10 @@ ROWS = [
         "file:<path>"),
     Row("non-hermitian-x0", "quantum_fluct_two_level", {"[system] x0_real": "0 1 2 0"}, 3,
         "domain error: X0 must be Hermitian to 1e-12"),
-    # the mass shell is checked in the layer, so validate accepts this config
+    # the [wave] parser checks the mass shell, so validate refuses this config too
     Row("off-shell-k", "dirac_plane_wave", {"[wave] k": "1 0 5"}, 3,
-        "domain error: wavevector [1. 0. 5.] violates k1^2 + k2^2 - k3^2 = m^2 for m = 1.0: "
-        "residual -2.500e+01", stage="compute"),
+        "domain error: wavevector [1.0, 0.0, 5.0] violates k1^2 + k2^2 - k3^2 = m^2 for "
+        "m = 1.0: residual -2.500e+01"),
 
     # rows collected under their old test ids in test_cli.py
     Row("unknown-command", ini("uncertainty"), {"[scenario] command": "frobnicate"}, 2,
@@ -173,8 +173,6 @@ ROWS = [
     *group("overflow", "TestExitCodes::test_overflow_exits_4", [
         ("uncertainty_de1", BUDGET, {"[budget] de1": "1e308"}, 4,
          "numerical failure: dE^2 = dE1^2 + dE2^2 overflows: (1e+308)^2"),
-        ("dirac_m", DIRAC, {"[wave] m": "1e308"}, 4,
-         "numerical failure: m^2 overflows: (1e+308)^2"),
         ("sweep_m", SWEEP, {"[sweep] m": "1e308"}, 4,
          "numerical failure: m^2 overflows: (1e+308)^2"),
         ("sweep_omega_max", SWEEP, {"[sweep] omega_max": "1e308"}, 4,
@@ -206,6 +204,10 @@ ROWS = [
         ("sweep_c_underflow", SWEEP, {"[sweep] c": "1e-200"}, 4,
          "numerical failure: c^2 underflows to 0"),
     ], stage="compute"),
+    # the mass-shell check of the [wave] parser squares m
+    Row("overflow-dirac_m", DIRAC, {"[wave] m": "1e308"}, 4,
+        "numerical failure: m^2 overflows: (1e+308)^2",
+        was="TestExitCodes::test_overflow_exits_4[dirac_m]"),
     *group("numpy", "TestExitCodes::test_numpy_error_ends_at_the_boundary", [
         ("determinant", "classical_check_rank_one_2d", {"[force] c": "1e154 2"}, 4,
          "numerical failure: overflow encountered in det"),

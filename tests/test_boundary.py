@@ -1,9 +1,9 @@
 """cli.py parses a config, makes one library call and writes the outputs.
 
 The only attributes of the layer modules that cli.py reads are the seven
-command functions of its command table and the builders its section parsers
-call.  Domain work that moves back into cli.py has to read some other layer
-attribute, and the scan names it.  The entry count of a fixed-length list
+command functions of its command table and the builders and checks its
+section parsers call.  Domain work that moves back into cli.py has to read
+some other layer attribute, and the scan names it.  The entry count of a fixed-length list
 key is checked only by _get's size form: a count check written beside it
 raises a DomainError of its own, and a second scan names its function."""
 
@@ -22,7 +22,7 @@ PARSER_BUILDERS = {
     ("classical", "rank_one_force"), ("classical", "polynomial_force_1d"),
     ("classical", "affine_force"), ("classical", "zero_force"),
     ("quantum", "UncertaintyBudget"), ("quantum", "TwoTimeQuantumSystem"),
-    ("quantum", "StateVector"),
+    ("quantum", "StateVector"), ("dirac", "on_shell_residual"),
 }
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -181,7 +182,7 @@ class TestWriteTable:
                 rows[i] = value
                 rows[-1 - i, i] = value
         path = str(tmp_path / f"table.{fmt}")
-        cli._write_table(path, columns, rows, fmt)
+        cli._write_table(path, columns, [rows[:, 0]], list(rows[:, 1:].T), fmt)
         with open(path, encoding="utf-8", newline="") as fh:
             # compared line by line: a failing string comparison this long diffs slowly
             lines = fh.read().split("\n")
@@ -200,11 +201,54 @@ class TestWriteTable:
             rows[cli._BLOCK_ROWS - 1] = [-0.0, 0.0, -math.inf, math.nan, 0.0, math.inf]
             rows[cli._BLOCK_ROWS] = [0.0, -0.0, math.inf, -math.inf, -0.0, math.nan]
         path = str(tmp_path / f"table.{fmt}")
-        cli._write_table(path, list("abcdef"), rows, fmt)
+        cli._write_table(path, list("abcdef"), [rows[:, 0]], list(rows[:, 1:].T), fmt)
         with open(path, encoding="utf-8", newline="") as fh:
             # compared line by line: a failing string comparison this long diffs slowly
             lines = fh.read().split("\n")
         assert lines == reference_table(list("abcdef"), rows, fmt).split("\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_rows_cross_blocks(self, tmp_path, fmt):
+        # three axes of unequal lengths, 4,641 rows over three blocks: a block
+        # starts inside a run of the first axis and wraps the inner two, and
+        # an axis holds -0.0 and NaN, which print apart from 0.0 and each other
+        rng = np.random.default_rng(7)
+        axes = [np.array([-0.0, 0.0, math.nan, 1e-300, -2.5, 7.0, 0.1]),
+                rng.normal(size=13) * 10.0 ** rng.integers(-20, 20, size=13),
+                np.linspace(-1.0, 1.0, 51)]
+        axes[1][[2, 9]] = [-0.0, math.nan]
+        shape = tuple(len(a) for a in axes)
+        assert math.prod(shape) > 2 * cli._BLOCK_ROWS and shape[2] < cli._BLOCK_ROWS
+        fields = [rng.normal(size=shape), np.full(shape, -0.0),
+                  rng.choice([0.0, -0.0, 1.5], shape)]
+        columns = ["x", "t1", "t2", "a", "b", "c"]
+        path = str(tmp_path / f"table.{fmt}")
+        cli._write_table(path, columns, axes, fields, fmt)
+        coords = np.meshgrid(*axes, indexing="ij")
+        rows = np.column_stack([np.ravel(a) for a in (*coords, *fields)])
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+        assert lines == reference_table(columns, rows, fmt).split("\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("small, large", [((10 ** 4,), (10 ** 5,)),
+                                              ((100, 100), (1000, 100)),
+                                              ((100, 100), (100, 1000))],
+                             ids=["one-axis", "outer-axis", "inner-axis"])
+    def test_memory_is_bounded_by_the_block(self, tmp_path, fmt, small, large):
+        # the text of a table is never all in memory, whichever axis grows:
+        # 10**4 and 10**5 rows of 6 columns peak alike and under one bound,
+        # a quarter of the text of 10**5 rows (12 MB as CSV)
+        cli._format17(np.ones(1))  # its tables are built once per process
+        peaks = []
+        for shape in (small, large):
+            axes = [np.linspace(-1.0, 1.0, n) for n in shape]
+            fields = [np.random.default_rng(k).normal(size=shape) for k in range(6 - len(shape))]
+            tracemalloc.start()
+            cli._write_table(str(tmp_path / f"table.{fmt}"), list("abcdef"), axes, fields, fmt)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0] and max(peaks) < 3e6, peaks
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_bundled_files_equal_per_cell_17g(self, tmp_path, fmt):
@@ -311,7 +355,7 @@ class TestFormat17:
         self.check(values)
 
     def test_empty(self):
-        assert cli._format17(np.empty(0)) == []
+        assert len(cli._format17(np.empty(0))) == 0
 
 
 class TestCurrentFileRoundTrip:

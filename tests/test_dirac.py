@@ -408,7 +408,7 @@ class TestWorkCounts:
     def test_dirac_run(self, monkeypatch, part, samples):
         calls = {}
         for owner, name, tag in ((dr, "current_grid", "current_grid"),
-                                 (dr, "_on_shell_residual", "on_shell"),
+                                 (dr, "on_shell_residual", "on_shell"),
                                  (dr, "_bilinear_coeffs", "bilinear_triples"),
                                  (dr.PlaneWaveSolution, "__init__", "wave_builds"),
                                  (dr.GammaSet, "__init__", "gamma_builds")):
